@@ -338,7 +338,7 @@ def _write_text(path: Path, body: str) -> None:
 
 
 def _write_manifest(cfg: ExperimentConfig) -> Path:
-    lines = [f"tool = configeo {__version__}", f"command = {cfg.command}", f"seed = {cfg.seed}"]
+    lines = [f"tool = configeo {__version__}"]
     for section in sorted(cfg.sections):
         for key in sorted(cfg.sections[section]):
             name = f"{section}.{key}" if section else key

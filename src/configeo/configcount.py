@@ -17,11 +17,18 @@ area2   : 3 points in any ambient dimension; parallelogram area (Gram
 angle   : 3 points; the angle at the first vertex pinned.
 custom  : arbitrary configuration map, counted by full enumeration.
 
-The optimized counters ("pruned") and the plain exhaustive oracles
-("brute") implement identical contracts and must agree exactly.  The
-simplex fast path is a uniform-grid candidate search with depth-first
-extension, pruning on every partially determined distance constraint; the
-other fast paths are vectorized exhaustive evaluations.
+The optimized counters ("pruned") and the exhaustive oracles ("brute") must
+agree exactly; the oracles share only the distance formula with the fast
+paths.  The simplex fast path counts labelled homomorphisms of K_{k+1} into
+the band graphs A_ij = [|D - t_ij| <= delta].  D is computed in row blocks of
+SIMPLEX_BLOCK_ENTRIES // n anchors by the oracle's formula, bit for bit.  Each
+distinct target gets one CSR band matrix, whose zero diagonal enforces
+distinct indices; the build raises CapacityError as soon as its projected
+nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  k=1 counts nnz(A_01); k=2 sums
+(A_01[blk] @ A_12) * A_02[blk] over row blocks, so the n x n product is never
+held whole; k >= 3 restricts each later slot to the neighbours of one anchor,
+A_ij[N_i][:, N_j], and recurses down to the k=2 product.  The other fast
+paths are vectorized exhaustive evaluations.
 """
 
 from __future__ import annotations
@@ -33,12 +40,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 
 from ._ols import ols_loglog
 from .errors import CapacityError
 from .pointgen import PointSet
 
 BRUTE_EVAL_BUDGET = 10**9
+SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
+SIMPLEX_BLOCK_ENTRIES = 1 << 16  # dense entries per row block of D or of a product
 PHI_EVAL_BUDGET = 10**8
 DEGENERATE_APEX_TOL = 1e-12
 
@@ -183,55 +193,16 @@ def count_report_row(report: CountReport, deterministic_body: bool = False) -> s
 # shared low-level pieces
 
 
-def _dists_from(pts: np.ndarray, idx: int, sub: np.ndarray | None = None) -> np.ndarray:
-    """Euclidean distances from pts[idx] to pts[sub] (or to every point).
-
-    Both counting routes use this helper so their floating-point results are
-    bit-identical.
-    """
-    block = pts if sub is None else pts[sub]
-    diff = block - pts[idx]
-    return np.sqrt((diff * diff).sum(axis=1))
-
-
 def _pair_distance_matrix(pts: np.ndarray) -> np.ndarray:
+    """All pair distances, one row at a time: other - pts[i], squared, summed
+    over the last axis, sqrt.  The band-graph counter evaluates the same
+    formula blockwise (`_distance_rows`), so both see bit-identical values."""
     n = pts.shape[0]
     out = np.empty((n, n))
     for i in range(n):
-        out[i] = _dists_from(pts, i)
+        diff = pts - pts[i]
+        out[i] = np.sqrt((diff * diff).sum(axis=1))
     return out
-
-
-class _UniformGrid:
-    """Uniform spatial hash with 3^d neighborhood queries."""
-
-    def __init__(self, pts: np.ndarray, cell: float):
-        if cell <= 0:
-            raise ValueError("cell size must be positive")
-        self.cell = cell
-        self.keys = np.floor(pts / cell).astype(np.int64)
-        buckets: dict[tuple[int, ...], list[int]] = {}
-        for i, key in enumerate(map(tuple, self.keys)):
-            buckets.setdefault(key, []).append(i)
-        self.buckets = {k: np.asarray(v, dtype=np.int64) for k, v in buckets.items()}
-        d = pts.shape[1]
-        self._offsets = list(itertools.product((-1, 0, 1), repeat=d))
-        self._nbr_cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def neighborhood(self, i: int) -> np.ndarray:
-        """Indices of all points in the 3^d cells around point i (incl. i)."""
-        key = tuple(self.keys[i])
-        cached = self._nbr_cache.get(key)
-        if cached is not None:
-            return cached
-        parts = []
-        for off in self._offsets:
-            bucket = self.buckets.get(tuple(k + o for k, o in zip(key, off)))
-            if bucket is not None:
-                parts.append(bucket)
-        out = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        self._nbr_cache[key] = out
-        return out
 
 
 def _target_matrix(k: int, t: tuple[float, ...]) -> np.ndarray:
@@ -259,7 +230,7 @@ def count_simplex(
     query = ConfigQuery(family="simplex", k=k, t=tuple(np.atleast_1d(t)), delta=float(delta))
     tmat = _target_matrix(k, query.t)
     if algorithm == "pruned":
-        count, elapsed = _timed(lambda: _simplex_pruned(ps.points, k, tmat, query.delta))
+        count, elapsed = _timed(lambda: _simplex_band(ps.points, k, tmat, query.delta))
     elif algorithm == "brute":
         count, elapsed = _timed(lambda: _simplex_brute(ps.points, k, tmat, query.delta))
     else:
@@ -281,50 +252,68 @@ def count_simplex_brute(ps: PointSet, k: int, t, delta: float) -> CountReport:
     return count_simplex(ps, k, t, delta, algorithm="brute")
 
 
-def _simplex_pruned(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> int:
+def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop of `_pair_distance_matrix(pts)`, bit for bit."""
+    diff = pts[None, :, :] - pts[start:stop, None, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def _band_matrices(pts: np.ndarray, values: list[float], delta: float) -> list[sparse.csr_array]:
+    """One CSR band matrix [|D - v| <= delta] with a zero diagonal per value v.
+    To keep the heap small, blocks keep only column indices and row lengths,
+    and the matrices share one read-only array of ones as data."""
     n = pts.shape[0]
-    if n < k + 1:
-        return 0
-    cell = float(tmat.max() + delta)
-    grid = _UniformGrid(pts, cell)
-    # every later vertex is constrained to x^1, so one prefilter band applies
-    lo0 = float(tmat[0, 1:].min() - delta)
-    hi0 = float(tmat[0, 1:].max() + delta)
+    rows = max(1, SIMPLEX_BLOCK_ENTRIES // n)
+    cols: list[list[np.ndarray]] = [[] for _ in values]
+    indptr = np.zeros((len(values), n + 1), dtype=np.int32)
+    nnz = 0
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        dist = _distance_rows(pts, start, stop)
+        own = np.arange(stop - start)
+        for v, col, ptr in zip(values, cols, indptr):
+            band = np.abs(dist - v) <= delta
+            band[own, own + start] = False
+            col.append(np.nonzero(band)[1].astype(np.int32))
+            ptr[start + 1:stop + 1] = np.count_nonzero(band, axis=1)
+            nnz += col[-1].size
+        if nnz * n > SIMPLEX_BAND_NNZ_BUDGET * stop:
+            raise CapacityError(f"simplex band matrices project to {nnz * n // stop} "
+                                f"nonzeros, over the budget of {SIMPLEX_BAND_NNZ_BUDGET}")
+    np.cumsum(indptr, axis=1, out=indptr)
+    ones = np.ones(indptr[:, -1].max(), dtype=np.int32)
+    ones.flags.writeable = False
+    return [sparse.csr_array((ones[:ptr[-1]], np.concatenate(col), ptr), shape=(n, n))
+            for col, ptr in zip(cols, indptr)]
 
+
+def _simplex_band(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> int:
+    values = sorted({float(tmat[i, j]) for i, j in pair_order(k)})
+    bands = dict(zip(values, _band_matrices(pts, values, delta)))
+    return _contract({(i, j): bands[float(tmat[i, j])] for i, j in pair_order(k)}, k)
+
+
+def _contract(A: dict, k: int) -> int:
+    """Sum over (x_0, ..., x_k) of prod_{i<j} A[i, j][x_i, x_j].
+
+    A[i, j] relates the candidates of slot i (rows) to those of slot j
+    (columns).  For k >= 3 each anchor x_0 restricts every later slot j to
+    its neighbours in A[0, j], and the count recurses on those submatrices.
+    """
+    if k == 1:
+        return A[0, 1].nnz
+    if k == 2:  # in row blocks, so the full product is never held
+        rows = max(1, SIMPLEX_BLOCK_ENTRIES // A[1, 2].shape[1])
+        return sum(int((A[0, 1][s:s + rows] @ A[1, 2]).multiply(A[0, 2][s:s + rows]).sum())
+                   for s in range(0, A[0, 1].shape[0], rows))
     total = 0
-    for i in range(n):
-        nbr = grid.neighborhood(i)
-        nbr = nbr[nbr != i]
-        if nbr.size < k:
+    for a in range(A[0, 1].shape[0]):
+        nbr = [None] + [A[0, j].indices[A[0, j].indptr[a]:A[0, j].indptr[a + 1]]
+                        for j in range(1, k + 1)]
+        if any(x.size == 0 for x in nbr[1:]):
             continue
-        d0 = _dists_from(pts, i, nbr)
-        keep = (d0 >= lo0) & (d0 <= hi0)
-        if not keep.any():
-            continue
-        nbr = nbr[keep]
-        d0 = d0[keep]
-        dist_cache: dict[int, np.ndarray] = {}
-        total += _simplex_extend(pts, k, tmat, delta, nbr, [d0], [], dist_cache)
-    return total
-
-
-def _simplex_extend(pts, k, tmat, delta, nbr, dvecs, tail, dist_cache) -> int:
-    pos = len(dvecs)  # vertex slot being filled next (0-based)
-    mask = np.abs(dvecs[0] - tmat[0, pos]) <= delta
-    for a in range(1, pos):
-        mask &= np.abs(dvecs[a] - tmat[a, pos]) <= delta
-    for c in tail:
-        mask &= nbr != c
-    if pos == k:
-        return int(np.count_nonzero(mask))
-    total = 0
-    for j in np.flatnonzero(mask):
-        c = int(nbr[j])
-        dnew = dist_cache.get(c)
-        if dnew is None:
-            dnew = _dists_from(pts, c, nbr)
-            dist_cache[c] = dnew
-        total += _simplex_extend(pts, k, tmat, delta, nbr, dvecs + [dnew], tail + [c], dist_cache)
+        sub = {(i - 1, j - 1): A[i, j][nbr[i]][:, nbr[j]] for i, j in pair_order(k) if i > 0}
+        total += _contract(sub, k - 1)
     return total
 
 
@@ -589,8 +578,6 @@ def count_angle(ps: PointSet, theta0: float, delta: float, algorithm: str = "pru
     are shorter than 1e-12 have no defined angle and are skipped.
     """
     query = ConfigQuery(family="angle", k=2, t=(float(theta0),), delta=float(delta))
-    if ps.n < 3:
-        raise ValueError("angle counting needs at least 3 points")
     if algorithm == "pruned":
         count, elapsed = _timed(lambda: _angle_fast(ps.points, query.t[0], query.delta))
     elif algorithm == "brute":

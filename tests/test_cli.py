@@ -243,7 +243,8 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_usage_errors_exit_2(tmp_path):
-    assert main(["count", "--family", "simplex"]) == 2  # no generator/input
+    # no generator/input
+    assert main(["count", "--family", "simplex", "--out", str(tmp_path)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     bad = _write(tmp_path, "bad.cfg", "command = count\nnot a pair\n")
     assert main(["run", "--config", str(bad)]) == 2

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from configeo import configcount
 from configeo.configcount import (
     ConfigQuery,
     PhiFunction,
@@ -22,6 +25,8 @@ from configeo.configcount import (
     pair_order,
     pairwise_distance_phi,
     run_query,
+    _distance_rows,
+    _pair_distance_matrix,
 )
 from configeo.errors import CapacityError
 from configeo.pointgen import PointSet, gen_coplanar, gen_lattice, gen_random
@@ -81,6 +86,13 @@ def test_small_point_sets_count_zero():
     two = PointSet(dim=2, points=[[0.0, 0.0], [1.0, 0.0]])
     assert count_simplex(two, 2, [1.0, 1.0, 1.0], 0.1).count == 0
     assert count_simplex_brute(two, 2, [1.0, 1.0, 1.0], 0.1).count == 0
+    # n < k+1 coincident points, with a band that reaches distance 0 (delta >= t)
+    for k in (1, 2, 3):
+        for n in range(1, k + 1):
+            ps = PointSet(dim=3, points=np.full((n, 3), 0.5))
+            t = [1.0] * len(pair_order(k))
+            assert count_simplex(ps, k, t, 2.0).count == 0
+            assert count_simplex_brute(ps, k, t, 2.0).count == 0
 
 
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
@@ -165,6 +177,73 @@ def test_upper_bound_and_baseline():
     # a realized pair distance is counted at least twice (both orientations)
     pair_t = realized_target(ps, 1, seed=17)
     assert count_simplex(ps, 1, pair_t, 1e-12).count >= 2
+
+
+# differential checks of the band-graph counter against the oracles
+
+
+def _assert_simplex_matches_brute(ps, k, t, delta):
+    assert count_simplex(ps, k, t, delta).count == count_simplex_brute(ps, k, t, delta).count
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_simplex_lattice_ties_match_brute(data):
+    d = data.draw(st.sampled_from([2, 3]))
+    ps = gen_lattice(d, data.draw(st.integers(2, 4 if d == 2 else 3)))
+    k = data.draw(st.integers(1, d))
+    dists = np.unique(_pair_distance_matrix(ps.points))[1:]
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(dists), min_size=2, max_size=2, unique=True)))
+    # |hi - lo| == delta exactly: every pair at distance hi sits on the band edge of target lo
+    t = [lo] + [data.draw(st.sampled_from(dists)) for _ in range(len(pair_order(k)) - 1)]
+    _assert_simplex_matches_brute(ps, k, t, hi - lo)
+
+
+COARSE = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_simplex_coincident_points_and_wide_bands_match_brute(data):
+    d = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, d))
+    distinct = data.draw(st.lists(st.lists(COARSE, min_size=d, max_size=d), min_size=1, max_size=6))
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=10))
+    ps = PointSet(dim=d, points=[distinct[i] for i in picks])  # repeats are coincident points
+    t = [data.draw(st.sampled_from([0.25, 0.5, 0.75])) for _ in pair_order(k)]
+    # delta >= t puts coincident pairs (distance 0) inside the band
+    delta = data.draw(st.sampled_from([0.01, 0.25, 0.5, 1.0]))
+    _assert_simplex_matches_brute(ps, k, t, delta)
+
+
+def test_simplex_k4_in_4d_matches_micro_oracle():
+    ps = gen_random(4, 8, seed=31)
+    t = realized_target(ps, 4, seed=32)
+    for delta in (0.1, 0.3):
+        want = micro_simplex_count(ps.points, 4, t, delta)
+        assert want > 0
+        assert count_simplex(ps, 4, t, delta).count == want
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 3)])
+def test_simplex_small_row_blocks_match_brute(monkeypatch, d, k):
+    monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 64)
+    ps = gen_random(d, 40, seed=33)
+    _assert_simplex_matches_brute(ps, k, realized_target(ps, k, seed=34), 0.05)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_distance_rows_bit_identical_to_oracle(d):
+    pts = gen_random(d, 50, seed=35 + d).points
+    rows = np.vstack([_distance_rows(pts, s, min(s + 7, 50)) for s in range(0, 50, 7)])
+    assert rows.tobytes() == _pair_distance_matrix(pts).tobytes()
+
+
+def test_simplex_band_budget_refusal(monkeypatch):
+    monkeypatch.setattr(configcount, "SIMPLEX_BAND_NNZ_BUDGET", 100)
+    monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 1000)
+    with pytest.raises(CapacityError):
+        count_simplex(gen_random(2, 300, seed=36), 2, [0.5, 0.5, 0.5], 0.05)
 
 
 def test_brute_budget_refusal():
@@ -311,9 +390,11 @@ def test_angle_fast_equals_brute(d):
                 )
 
 
-def test_angle_needs_three_points():
-    with pytest.raises(ValueError):
-        count_angle(PointSet(dim=2, points=[[0, 0], [1, 1]]), 1.0, 0.01)
+def test_angle_fewer_than_three_points_count_zero():
+    for points in ([[0, 0]], [[0, 0], [1, 1]]):
+        ps = PointSet(dim=2, points=points)
+        for algo in ("pruned", "brute"):
+            assert count_angle(ps, 1.0, 0.01, algorithm=algo).count == 0
 
 
 # ---------------------------------------------------------------------------
