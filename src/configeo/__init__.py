@@ -14,16 +14,12 @@ from .configcount import (
     PhiFunction,
     box_dim,
     count_angle,
-    count_angle_brute,
     count_area2,
-    count_area2_brute,
     count_phi,
     count_simplex,
     count_simplex_brute,
     count_volume,
-    count_volume_brute,
     distinct_classes,
-    pairwise_distance_phi,
     run_query,
 )
 from .energy import EnergyReport, discrete_energy, energy_profile, is_adaptable
@@ -31,12 +27,10 @@ from .errors import CapacityError, CoincidentPointsError, ConfigeoError, Infeasi
 from .expfit import (
     ScanReport,
     ScanSpec,
-    ThresholdEntry,
     count_exponent,
     fit_slope,
     run_scan,
     threshold,
-    threshold_entry,
 )
 from .fourierlab import (
     DecayReport,

@@ -26,6 +26,7 @@ from .configcount import (
     ConfigQuery,
     box_dim,
     count_report_row,
+    family_row,
     run_query,
 )
 from .energy import DEFAULT_ADAPTABILITY_C, energy_profile, is_adaptable
@@ -66,7 +67,6 @@ class ExperimentConfig:
     sections: dict[str, dict[str, str]]
     seed: int
     out_dir: Path
-    threads: int = 1
     algorithm: str = "pruned"
     config_path: str | None = None
 
@@ -122,24 +122,27 @@ def _get(sections, section, key, default=None, required=False) -> str | None:
     return value
 
 
-def _get_int(sections, section, key, default=None, required=False) -> int | None:
-    raw = _get(sections, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"field [{section}] {key}: expected integer, got {raw!r}") from None
+def _typed(cast, expected: str):
+    """A getter like `_get` that converts the value with cast."""
+
+    def get(sections, section, key, default=None, required=False):
+        raw = _get(sections, section, key, None, required)
+        if raw is None:
+            return default
+        try:
+            return cast(raw)
+        except ValueError:
+            raise UsageError(f"field [{section}] {key}: expected {expected}, got {raw!r}") from None
+
+    return get
 
 
-def _get_float(sections, section, key, default=None, required=False) -> float | None:
-    raw = _get(sections, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise UsageError(f"field [{section}] {key}: expected number, got {raw!r}") from None
+_get_int = _typed(int, "integer")
+_get_float = _typed(float, "number")
+_get_floats = _typed(lambda raw: tuple(float(x) for x in raw.split(";") if x != ""),
+                     ";-separated numbers")
+_get_ints = _typed(lambda raw: tuple(int(x) for x in raw.split(";") if x != ""),
+                   ";-separated integers")
 
 
 def _get_bool(sections, section, key, default=False) -> bool:
@@ -152,26 +155,6 @@ def _get_bool(sections, section, key, default=False) -> bool:
     if low in ("0", "false", "no", "off"):
         return False
     raise UsageError(f"field [{section}] {key}: expected boolean, got {raw!r}")
-
-
-def _get_floats(sections, section, key, default=None, required=False) -> tuple[float, ...] | None:
-    raw = _get(sections, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return tuple(float(x) for x in raw.split(";") if x != "")
-    except ValueError:
-        raise UsageError(f"field [{section}] {key}: expected ;-separated numbers") from None
-
-
-def _get_ints(sections, section, key, default=None, required=False) -> tuple[int, ...] | None:
-    raw = _get(sections, section, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return tuple(int(x) for x in raw.split(";") if x != "")
-    except ValueError:
-        raise UsageError(f"field [{section}] {key}: expected ;-separated integers") from None
 
 
 def _parse_direction(raw: str) -> FrequencyPoint:
@@ -200,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="config file (flags override file values)")
     common.add_argument("--out", help="output directory (default: reports)")
     common.add_argument("--seed", type=int, help=f"seed (default: ${ENV_SEED} or 0)")
-    common.add_argument("--threads", type=int, help="worker cap for Monte Carlo streams")
     common.add_argument("--algorithm", choices=("brute", "pruned"), help="counting algorithm")
     common.add_argument("--input", help="point-set file (alternative to [generator])")
 
@@ -305,15 +287,13 @@ def parse_config(argv=None) -> ExperimentConfig:
         seed = int(os.environ.get(ENV_SEED, "0"))
     sections[""]["seed"] = str(seed)
 
+    if _get(sections, "", "threads") is not None:
+        raise UsageError("config key threads was removed: Monte Carlo draws one seeded stream")
     out_dir = Path(ns.out or _get(sections, "", "out", default="reports"))
-    threads = ns.threads if ns.threads is not None else _get_int(sections, "", "threads", 1)
-    if threads < 1:
-        raise UsageError("--threads must be >= 1")
     algorithm = ns.algorithm or _get(sections, "", "algorithm", default="pruned")
     if algorithm not in ("brute", "pruned"):
         raise UsageError(f"unknown algorithm {algorithm!r}")
     sections[""]["out"] = str(out_dir)
-    sections[""]["threads"] = str(threads)
     sections[""]["algorithm"] = algorithm
 
     return ExperimentConfig(
@@ -321,7 +301,6 @@ def parse_config(argv=None) -> ExperimentConfig:
         sections=sections,
         seed=seed,
         out_dir=out_dir,
-        threads=threads,
         algorithm=algorithm,
         config_path=ns.config,
     )
@@ -360,54 +339,38 @@ def _load_points(cfg: ExperimentConfig) -> PointSet:
     return generate(_generator_spec(cfg, sized=True))
 
 
+# generator kind -> (its size key in [generator], the GeneratorSpec parameter, seeded)
+_GENERATOR_SIZES = {
+    "lattice": ("m", "m", False),
+    "cantor_product": ("l", "L", False),
+    "homogeneous": ("m", "m", True),
+    "uniform_random": ("n", "n", True),
+    "coplanar": ("n", "n", True),
+}
+
+
 def _generator_spec(cfg: ExperimentConfig, sized: bool) -> GeneratorSpec:
+    """The [generator] section; unsized, a scan template without a size key."""
     sections = cfg.sections
     kind = _get(sections, "generator", "kind", required=True)
-    d = _get_int(sections, "generator", "d", required=True)
-    if kind == "lattice":
-        if not sized:
-            _forbid_size_keys(sections, ("m",))
-            return GeneratorSpec.make("lattice", d=d)
-        return GeneratorSpec.make("lattice", d=d, m=_get_int(sections, "generator", "m", required=True))
+    params = {"d": _get_int(sections, "generator", "d", required=True)}
+    if kind not in _GENERATOR_SIZES:
+        raise UsageError(f"unknown generator kind {kind!r}")
     if kind == "cantor_product":
-        r = _get_float(sections, "generator", "r", required=True)
-        if not sized:
-            _forbid_size_keys(sections, ("l",))
-            return GeneratorSpec.make("cantor_product", d=d, r=r)
-        return GeneratorSpec.make(
-            "cantor_product", d=d, r=r, L=_get_int(sections, "generator", "l", required=True)
-        )
+        params["r"] = _get_float(sections, "generator", "r", required=True)
     if kind == "homogeneous":
-        jitter = _get_float(sections, "generator", "jitter", 0.25)
-        if not sized:
-            _forbid_size_keys(sections, ("m",))
-            return GeneratorSpec.make("homogeneous", d=d, jitter=jitter)
-        return GeneratorSpec.make(
-            "homogeneous",
-            d=d,
-            m=_get_int(sections, "generator", "m", required=True),
-            seed=_get_int(sections, "generator", "seed", cfg.seed),
-            jitter=jitter,
-        )
-    if kind in ("uniform_random", "coplanar"):
-        if not sized:
-            _forbid_size_keys(sections, ("n",))
-            return GeneratorSpec.make(kind, d=d)
-        return GeneratorSpec.make(
-            kind,
-            d=d,
-            n=_get_int(sections, "generator", "n", required=True),
-            seed=_get_int(sections, "generator", "seed", cfg.seed),
-        )
-    raise UsageError(f"unknown generator kind {kind!r}")
-
-
-def _forbid_size_keys(sections, keys) -> None:
-    for key in keys:
+        params["jitter"] = _get_float(sections, "generator", "jitter", 0.25)
+    key, param, seeded = _GENERATOR_SIZES[kind]
+    if not sized:
         if _get(sections, "generator", key) is not None:
             raise UsageError(
                 f"field [generator] {key}: scans derive sizes from the schedule; drop this key"
             )
+        return GeneratorSpec.make(kind, **params)
+    params[param] = _get_int(sections, "generator", key, required=True)
+    if seeded:
+        params["seed"] = _get_int(sections, "generator", "seed", cfg.seed)
+    return GeneratorSpec.make(kind, **params)
 
 
 def _fmt_bool(value: bool) -> str:
@@ -451,6 +414,12 @@ def _cmd_energy(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _family_k(sections, section: str, family: str, d: int) -> int:
+    """k in dimension d: fixed by the family's row, else the section's k field."""
+    fixed_k = family_row(family).fixed_k
+    return _get_int(sections, section, "k", required=True) if fixed_k is None else fixed_k(d)
+
+
 def _query_from_config(cfg: ExperimentConfig, d: int) -> ConfigQuery:
     sections = cfg.sections
     family = _get(sections, "query", "family", required=True)
@@ -459,22 +428,13 @@ def _query_from_config(cfg: ExperimentConfig, d: int) -> ConfigQuery:
     convention = _get(sections, "query", "convention", "bare_determinant")
     delta = _get_float(sections, "query", "delta", required=True)
     t = _get_floats(sections, "query", "t", required=True)
-    if family == "simplex":
-        k = _get_int(sections, "query", "k", required=True)
-    elif family == "volume":
-        k = d
-    else:
-        k = 2
-    try:
-        return ConfigQuery(family=family, k=k, t=t, delta=delta, volume_convention=convention)
-    except ValueError as exc:
-        raise UsageError(f"bad [query]: {exc}") from exc
+    return ConfigQuery(family, _family_k(sections, "query", family, d), t, delta, convention)
 
 
 def _cmd_count(cfg: ExperimentConfig) -> int:
     ps = _load_points(cfg)
-    query = _query_from_config(cfg, ps.dim)
     try:
+        query = _query_from_config(cfg, ps.dim)
         report = run_query(ps, query, algorithm=cfg.algorithm)
     except ValueError as exc:
         raise UsageError(f"bad [query]: {exc}") from exc
@@ -502,23 +462,25 @@ def _cmd_scan(cfg: ExperimentConfig) -> int:
     family = _get(sections, "scan", "family", required=True)
     if family == "custom":
         raise UsageError("custom Phi scans are library-only")
-    k = _get_int(sections, "scan", "k", required=True)
-    schedule = _get_ints(sections, "scan", "schedule", required=True)
-    spec = ScanSpec(
-        generator=_generator_spec(cfg, sized=False),
-        family=family,
-        k=k,
-        schedule=schedule,
-        seed=cfg.seed,
-        s=_get_float(sections, "scan", "s"),
-        t=_get_floats(sections, "scan", "t"),
-        delta=_get_float(sections, "scan", "delta"),
-        predicted=_get_float(sections, "scan", "predicted"),
-        adaptability_C=_get_float(sections, "scan", "c", DEFAULT_ADAPTABILITY_C),
-        algorithm=cfg.algorithm,
-        volume_convention=_get(sections, "scan", "convention", "bare_determinant"),
-    )
-    report = run_scan(spec)
+    generator = _generator_spec(cfg, sized=False)
+    try:
+        spec = ScanSpec(
+            generator=generator,
+            family=family,
+            k=_family_k(sections, "scan", family, int(generator.as_dict()["d"])),
+            schedule=_get_ints(sections, "scan", "schedule", required=True),
+            seed=cfg.seed,
+            s=_get_float(sections, "scan", "s"),
+            t=_get_floats(sections, "scan", "t"),
+            delta=_get_float(sections, "scan", "delta"),
+            predicted=_get_float(sections, "scan", "predicted"),
+            adaptability_C=_get_float(sections, "scan", "c", DEFAULT_ADAPTABILITY_C),
+            algorithm=cfg.algorithm,
+            volume_convention=_get(sections, "scan", "convention", "bare_determinant"),
+        )
+        report = run_scan(spec)
+    except ValueError as exc:
+        raise UsageError(f"bad [scan]: {exc}") from exc
 
     stag = format_float(report.s)
     base = f"scan_{report.family}_k{report.k}_d{report.d}_s{stag}_seed{report.seed}"
@@ -627,7 +589,7 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
         seed = cfg.seed
 
         def evaluator(p, _eps=epsilon, _n=samples):
-            return ft_montecarlo(spec, p, _eps, _n, seed, streams=cfg.threads)
+            return ft_montecarlo(spec, p, _eps, _n, seed)
 
     else:
         raise UsageError(f"unknown ft method {method!r}")
@@ -765,10 +727,10 @@ _DISPATCH = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; writes the manifest and the report files."""
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    """Run one command; the manifest is written only after it returns."""
+    code = _DISPATCH[cfg.command](cfg)
     _write_manifest(cfg)
-    return _DISPATCH[cfg.command](cfg)
+    return code
 
 
 def main(argv=None) -> int:

@@ -8,14 +8,21 @@ sampling in this module.
 
 Families
 --------
-simplex : k+1 points; every pairwise distance pinned to a target vector
-          t = (t_ij) in lexicographic pair order (1,2),(1,3),...,(k,k+1).
-volume  : d+1 points in R^d; |det(x^1-x^{d+1}, ..., x^d-x^{d+1})| pinned,
-          either bare (``bare_determinant``) or divided by d! (``simplex``).
-area2   : 3 points in any ambient dimension; parallelogram area (Gram
-          determinant root) pinned, or the triangle area under ``simplex``.
-angle   : 3 points; the angle at the first vertex pinned.
-custom  : arbitrary configuration map, counted by full enumeration.
+Each family is one Family row of FAMILIES: a configuration map on
+(k+1)-tuples x^1..x^{k+1} in R^d, its query rules, a fast counter, an
+exhaustive oracle and the dimension threshold s0.  A tuple counts when every
+map value lies within delta of the target t, so the count grows like
+n^(k+1) delta^len(t); at delta = n^(-1/s) the predicted exponent is
+arity - len(t)/s with arity = k+1.
+
+  simplex  k in 1..d  |x^i - x^j|, pairs (1,2),...,(k,k+1)  t > 0         s0 = d - (d-1)/(2k)
+  volume   k = d      |det(x^1-x^{d+1}, ..., x^d-x^{d+1})|  t >= 0        s0 = d-1 + 1/(2d), d even
+                                                                          d-1 + 1/(2d-2), d odd
+  area2    k = 2      sqrt(det Gram(x^1-x^3, x^2-x^3))      t >= 0        s0 = d/2 + 1/4
+  angle    k = 2      angle(x^2-x^1, x^3-x^1)               t in [0, pi]  s0 = (d+1)/2
+
+The ``simplex`` convention divides volume and area2 by d! and 2 (the row's
+scale).  ``custom`` queries count any PhiFunction by full enumeration.
 
 The optimized counters ("pruned") and the exhaustive oracles ("brute") must
 agree exactly; the oracles share only the distance formula with the fast
@@ -27,8 +34,10 @@ distinct indices; the build raises CapacityError as soon as its projected
 nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  k=1 counts nnz(A_01); k=2 sums
 (A_01[blk] @ A_12) * A_02[blk] over row blocks, so the n x n product is never
 held whole; k >= 3 restricts each later slot to the neighbours of one anchor,
-A_ij[N_i][:, N_j], and recurses down to the k=2 product.  The other fast
-paths are vectorized exhaustive evaluations.
+A_ij[N_i][:, N_j], and recurses down to the k=2 product.  Volume in the
+plane, area2 and angle share one loop over apexes x^b that band-tests the
+map of every leg pair (x^i - x^b, x^j - x^b) in reused n x n buffers.
+Volumes in d >= 3 are vectorized exhaustive evaluations.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -52,13 +62,44 @@ SIMPLEX_BLOCK_ENTRIES = 1 << 16  # dense entries per row block of D or of a prod
 PHI_EVAL_BUDGET = 10**8
 DEGENERATE_APEX_TOL = 1e-12
 
-FAMILIES = ("simplex", "volume", "area2", "angle", "custom")
 VOLUME_CONVENTIONS = ("bare_determinant", "simplex")
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
     """Lexicographic (i, j), i < j, over k+1 vertex slots (0-based)."""
     return [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One row of FAMILIES (see the module docstring).  Kernels are called as
+    kernel(points, k, t, delta), t and delta in the bare convention."""
+
+    name: str
+    fixed_k: Callable[[int], int] | None  # k in dimension d; None: the query picks 1 <= k <= d
+    targets: Callable[[int], int]  # len(t) for k
+    t_ok: Callable[[float], bool]
+    t_domain: str
+    zero_delta: bool  # whether the closed band of width 0 is a query
+    config_map: Callable[[np.ndarray], tuple[float, ...]]  # one (k+1, d) tuple -> bare values
+    scale: Callable[[int], float]  # bare value of a unit simplex-convention value, in R^d
+    fast: Callable[..., int]
+    brute: Callable[..., int]
+    threshold: Callable[[int, int], Fraction]  # s0(k, d)
+    counter_args: tuple[str, ...]  # the ConfigQuery fields count_<name> takes after ps
+
+    def check_k(self, k: int, d: int) -> None:
+        if self.fixed_k is None and not 1 <= k <= d:
+            raise ValueError(f"{self.name} family needs 1 <= k <= d, got k={k}, d={d}")
+        if self.fixed_k is not None and k != self.fixed_k(d):
+            raise ValueError(f"{self.name} family needs k = {self.fixed_k(d)} in d={d}, got k={k}")
+
+
+def family_row(family: str) -> Family:
+    """The FAMILIES row of a family; ValueError for custom and unknown names."""
+    if family not in FAMILIES:
+        raise ValueError(f"family {family!r} is not one of {', '.join(FAMILIES)}")
+    return FAMILIES[family]
 
 
 @dataclass(frozen=True)
@@ -70,53 +111,27 @@ class ConfigQuery:
     t: tuple[float, ...]
     delta: float
     volume_convention: str = "bare_determinant"
-    tuple_rule: str = "ordered_distinct"
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.tuple_rule != "ordered_distinct":
-            raise ValueError("only the ordered_distinct tuple rule is supported")
         if self.volume_convention not in VOLUME_CONVENTIONS:
             raise ValueError(f"unknown volume convention {self.volume_convention!r}")
         object.__setattr__(self, "t", tuple(float(x) for x in np.atleast_1d(self.t)))
+        object.__setattr__(self, "delta", float(self.delta))
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.family == "simplex":
-            want = len(pair_order(self.k))
-            if len(self.t) != want:
-                raise ValueError(f"simplex target needs {want} entries, got {len(self.t)}")
-            if any(x <= 0 for x in self.t):
-                raise ValueError("simplex targets must be positive")
-            if self.delta <= 0:
-                raise ValueError("delta must be positive")
-        elif self.family in ("volume", "area2"):
-            if len(self.t) != 1:
-                raise ValueError(f"{self.family} takes a single target value")
-            if self.t[0] < 0:
-                raise ValueError("volume target must be nonnegative")
-            if self.delta < 0:
-                raise ValueError("delta must be nonnegative")
-        elif self.family == "angle":
-            if len(self.t) != 1:
-                raise ValueError("angle takes a single target value")
-            if not (0.0 <= self.t[0] <= math.pi):
-                raise ValueError("angle target must lie in [0, pi]")
-            if self.delta <= 0:
-                raise ValueError("delta must be positive")
-        else:  # custom
-            if self.delta <= 0:
-                raise ValueError("delta must be positive")
-
-    def validate_for(self, ps: PointSet) -> None:
-        """Dimension-dependent compatibility rules."""
-        d = ps.dim
-        if self.family == "simplex" and not (1 <= self.k <= d):
-            raise ValueError(f"simplex family needs 1 <= k <= d, got k={self.k}, d={d}")
-        if self.family == "volume" and self.k != d:
-            raise ValueError(f"volume family needs k = d, got k={self.k}, d={d}")
-        if self.family in ("area2", "angle") and self.k != 2:
-            raise ValueError(f"{self.family} family needs k = 2, got k={self.k}")
+        if not all(map(math.isfinite, (*self.t, self.delta))):
+            raise ValueError(f"t and delta must be finite, got t={self.t}, delta={self.delta}")
+        zero_ok = False  # custom maps use an open ball
+        if self.family != "custom":
+            row = family_row(self.family)
+            if len(self.t) != row.targets(self.k):
+                raise ValueError(f"{self.family} target needs {row.targets(self.k)} entries, "
+                                 f"got {len(self.t)}")
+            if not all(map(row.t_ok, self.t)):
+                raise ValueError(f"{self.family} targets must be {row.t_domain}, got {self.t}")
+            zero_ok = row.zero_delta
+        if self.delta < 0 or (self.delta == 0 and not zero_ok):
+            raise ValueError(f"delta must be {'nonnegative' if zero_ok else 'positive'}")
 
 
 @dataclass(frozen=True)
@@ -218,6 +233,21 @@ def _timed(fn):
     return value, time.perf_counter() - start
 
 
+def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
+    """Count a family query with the row's fast counter ("pruned") or its
+    oracle ("brute").  The simplex convention is the bare count over the
+    rescaled target and tolerance."""
+    row = FAMILIES[query.family]
+    kernels = {"pruned": row.fast, "brute": row.brute}
+    if algorithm not in kernels:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    scale = row.scale(ps.dim) if query.volume_convention == "simplex" else 1.0
+    t = tuple(x * scale for x in query.t)
+    count, elapsed = _timed(lambda: kernels[algorithm](ps.points, query.k, t, query.delta * scale))
+    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm,
+                       elapsed_seconds=elapsed, d=ps.dim, seed=ps.meta.seed)
+
+
 # ---------------------------------------------------------------------------
 # simplex family
 
@@ -227,23 +257,7 @@ def count_simplex(
 ) -> CountReport:
     """Ordered (k+1)-tuples of distinct points whose pairwise distances all
     satisfy t_ij - delta <= |x^i - x^j| <= t_ij + delta."""
-    query = ConfigQuery(family="simplex", k=k, t=tuple(np.atleast_1d(t)), delta=float(delta))
-    tmat = _target_matrix(k, query.t)
-    if algorithm == "pruned":
-        count, elapsed = _timed(lambda: _simplex_band(ps.points, k, tmat, query.delta))
-    elif algorithm == "brute":
-        count, elapsed = _timed(lambda: _simplex_brute(ps.points, k, tmat, query.delta))
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return CountReport(
-        query=query,
-        n=ps.n,
-        count=count,
-        algorithm=algorithm,
-        elapsed_seconds=elapsed,
-        d=ps.dim,
-        seed=ps.meta.seed,
-    )
+    return _count(ps, ConfigQuery("simplex", k, t, delta), algorithm)
 
 
 def count_simplex_brute(ps: PointSet, k: int, t, delta: float) -> CountReport:
@@ -287,10 +301,10 @@ def _band_matrices(pts: np.ndarray, values: list[float], delta: float) -> list[s
             for col, ptr in zip(cols, indptr)]
 
 
-def _simplex_band(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> int:
-    values = sorted({float(tmat[i, j]) for i, j in pair_order(k)})
+def _simplex_band(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
+    values = sorted(set(t))
     bands = dict(zip(values, _band_matrices(pts, values, delta)))
-    return _contract({(i, j): bands[float(tmat[i, j])] for i, j in pair_order(k)}, k)
+    return _contract({pair: bands[v] for pair, v in zip(pair_order(k), t)}, k)
 
 
 def _contract(A: dict, k: int) -> int:
@@ -348,6 +362,11 @@ def _simplex_brute(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> i
     return int(round(total))
 
 
+def _distances(pts: np.ndarray) -> tuple[float, ...]:
+    """The simplex map of one tuple: its pairwise distances in pair order."""
+    return tuple(float(np.sqrt(((pts[i] - pts[j]) ** 2).sum())) for i, j in pair_order(len(pts) - 1))
+
+
 # ---------------------------------------------------------------------------
 # volume family (d-dimensional simplex volumes, d+1 points)
 
@@ -362,27 +381,7 @@ def count_volume(
     """Ordered (d+1)-tuples of distinct points with
     |vol_d(x^1,...,x^{d+1}) - t| <= delta, where vol_d is the absolute
     determinant of the edge matrix at x^{d+1} (bare) or that value / d!."""
-    d = ps.dim
-    query = ConfigQuery(family="volume", k=d, t=(float(t),), delta=float(delta),
-                        volume_convention=convention)
-    # the simplex convention is the bare count over the d!-rescaled target
-    scale = math.factorial(d) if convention == "simplex" else 1.0
-    t_bare = query.t[0] * scale
-    delta_bare = query.delta * scale
-    if algorithm == "pruned":
-        count, elapsed = _timed(lambda: _volume_fast(ps.points, t_bare, delta_bare))
-    elif algorithm == "brute":
-        count, elapsed = _timed(lambda: _volume_brute(ps.points, t_bare, delta_bare))
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm,
-                       elapsed_seconds=elapsed, d=d, seed=ps.meta.seed)
-
-
-def count_volume_brute(ps: PointSet, t: float, delta: float,
-                       convention: str = "bare_determinant") -> CountReport:
-    """Independent oracle: plain nested loops over all ordered tuples."""
-    return count_volume(ps, t, delta, convention=convention, algorithm="brute")
+    return _count(ps, ConfigQuery("volume", ps.dim, t, delta, convention), algorithm)
 
 
 def _check_enum_budget(n: int, arity: int) -> None:
@@ -396,23 +395,38 @@ def _volume_fast(pts: np.ndarray, t: float, delta: float) -> int:
         return 0
     _check_enum_budget(n, d + 1)
     if d == 2:
-        return _volume_fast_2d(pts, t, delta)
+        return _per_apex(pts, t, delta, _det2_legs)
     if d == 3:
         return _volume_fast_3d(pts, t, delta)
     return _volume_generic(pts, t, delta, chunk=1 << 14)
 
 
-def _volume_fast_2d(pts: np.ndarray, t: float, delta: float) -> int:
+def _per_apex(pts: np.ndarray, t: float, delta: float, legs) -> int:
+    """Ordered distinct triples (i, j, b) with |legs(u)[i, j] - t| <= delta for
+    the legs u = pts - pts[b] at apex b.  legs(u, out, tmp) writes its n x n
+    map into out (tmp is scratch); both are reused for every apex.  Row b of
+    u is NaN, so every value on the apex's own leg fails the band test."""
     n = pts.shape[0]
+    if n < 3:
+        return 0
+    _check_enum_budget(n, 3)
+    out, tmp, band = np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=bool)
     total = 0
     for b in range(n):
         u = pts - pts[b]
-        u[b] = np.nan  # NaN rows fail every comparison, excluding index b
-        det = u[:, 0][:, None] * u[:, 1][None, :] - u[:, 1][:, None] * u[:, 0][None, :]
-        m = np.abs(np.abs(det) - t) <= delta
-        np.fill_diagonal(m, False)
-        total += int(np.count_nonzero(m))
+        u[b] = np.nan
+        legs(u, out, tmp)
+        np.less_equal(np.abs(np.subtract(out, t, out=out), out=out), delta, out=band)
+        np.fill_diagonal(band, False)
+        total += int(np.count_nonzero(band))
     return total
+
+
+def _det2_legs(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """|det(u_i, u_j)| for plane legs."""
+    np.subtract(np.multiply.outer(u[:, 0], u[:, 1], out=out),
+                np.multiply.outer(u[:, 1], u[:, 0], out=tmp), out=out)
+    np.abs(out, out=out)
 
 
 def _volume_fast_3d(pts: np.ndarray, t: float, delta: float, chunk: int = 64) -> int:
@@ -509,43 +523,7 @@ def count_area2(
     """Ordered triples of distinct points with the parallelogram area
     sqrt(det Gram(x^1-x^3, x^2-x^3)) within delta of t (bare), or the
     triangle area (that value / 2) under the simplex convention."""
-    query = ConfigQuery(family="area2", k=2, t=(float(t),), delta=float(delta),
-                        volume_convention=convention)
-    scale = 2.0 if convention == "simplex" else 1.0
-    t_bare = query.t[0] * scale
-    delta_bare = query.delta * scale
-    if algorithm == "pruned":
-        count, elapsed = _timed(lambda: _area2_fast(ps.points, t_bare, delta_bare))
-    elif algorithm == "brute":
-        count, elapsed = _timed(lambda: _area2_brute(ps.points, t_bare, delta_bare))
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm,
-                       elapsed_seconds=elapsed, d=ps.dim, seed=ps.meta.seed)
-
-
-def count_area2_brute(ps: PointSet, t: float, delta: float,
-                      convention: str = "bare_determinant") -> CountReport:
-    return count_area2(ps, t, delta, convention=convention, algorithm="brute")
-
-
-def _area2_fast(pts: np.ndarray, t: float, delta: float) -> int:
-    n = pts.shape[0]
-    if n < 3:
-        return 0
-    _check_enum_budget(n, 3)
-    total = 0
-    for b in range(n):
-        u = pts - pts[b]
-        u[b] = np.nan
-        sq = (u * u).sum(axis=1)
-        g = np.einsum("id,jd->ij", u, u)
-        gram = sq[:, None] * sq[None, :] - g * g
-        area = np.sqrt(np.maximum(gram, 0.0))
-        m = np.abs(area - t) <= delta
-        np.fill_diagonal(m, False)
-        total += int(np.count_nonzero(m))
-    return total
+    return _count(ps, ConfigQuery("area2", 2, t, delta, convention), algorithm)
 
 
 def _area2_brute(pts: np.ndarray, t: float, delta: float) -> int:
@@ -567,6 +545,20 @@ def _area2_brute(pts: np.ndarray, t: float, delta: float) -> int:
     return int(total)
 
 
+def _area2_legs(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """sqrt(det Gram(u_i, u_j)), clamped at 0 against rounding."""
+    sq = (u * u).sum(axis=1)
+    g = np.einsum("id,jd->ij", u, u, out=tmp)
+    np.subtract(np.multiply.outer(sq, sq, out=out), np.multiply(g, g, out=g), out=out)
+    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
+
+
+def _area2_map(pts: np.ndarray) -> tuple[float, ...]:
+    u, v = pts[0] - pts[2], pts[1] - pts[2]
+    gram = float((u * u).sum()) * float((v * v).sum()) - float((u * v).sum()) ** 2
+    return (math.sqrt(max(gram, 0.0)),)
+
+
 # ---------------------------------------------------------------------------
 # angle family
 
@@ -577,40 +569,7 @@ def count_angle(ps: PointSet, theta0: float, delta: float, algorithm: str = "pru
     The cosine is clamped to [-1, 1] before arccos; triples whose apex legs
     are shorter than 1e-12 have no defined angle and are skipped.
     """
-    query = ConfigQuery(family="angle", k=2, t=(float(theta0),), delta=float(delta))
-    if algorithm == "pruned":
-        count, elapsed = _timed(lambda: _angle_fast(ps.points, query.t[0], query.delta))
-    elif algorithm == "brute":
-        count, elapsed = _timed(lambda: _angle_brute(ps.points, query.t[0], query.delta))
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm,
-                       elapsed_seconds=elapsed, d=ps.dim, seed=ps.meta.seed)
-
-
-def count_angle_brute(ps: PointSet, theta0: float, delta: float) -> CountReport:
-    return count_angle(ps, theta0, delta, algorithm="brute")
-
-
-def _angle_fast(pts: np.ndarray, theta0: float, delta: float) -> int:
-    n = pts.shape[0]
-    _check_enum_budget(n, 3)
-    total = 0
-    for a in range(n):
-        v = np.delete(pts, a, axis=0) - pts[a]
-        norms = np.sqrt((v * v).sum(axis=1))
-        good = norms >= DEGENERATE_APEX_TOL
-        v = v[good]
-        norms = norms[good]
-        if v.shape[0] < 2:
-            continue
-        inner = np.einsum("id,jd->ij", v, v)
-        cosv = np.clip(inner / (norms[:, None] * norms[None, :]), -1.0, 1.0)
-        theta = np.arccos(cosv)
-        m = np.abs(theta - theta0) <= delta
-        np.fill_diagonal(m, False)
-        total += int(np.count_nonzero(m))
-    return total
+    return _count(ps, ConfigQuery("angle", 2, theta0, delta), algorithm)
 
 
 def _angle_brute(pts: np.ndarray, theta0: float, delta: float) -> int:
@@ -631,6 +590,52 @@ def _angle_brute(pts: np.ndarray, theta0: float, delta: float) -> int:
     return total
 
 
+def _angle_legs(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """The angle between u_i and u_j; NaN where a leg is shorter than
+    DEGENERATE_APEX_TOL."""
+    norms = np.sqrt((u * u).sum(axis=1))
+    norms[norms < DEGENERATE_APEX_TOL] = np.nan
+    np.divide(np.einsum("id,jd->ij", u, u, out=out), np.multiply.outer(norms, norms, out=tmp), out=out)
+    np.arccos(np.clip(out, -1.0, 1.0, out=out), out=out)
+
+
+def _angle_map(pts: np.ndarray) -> tuple[float, ...]:
+    u, w = pts[1] - pts[0], pts[2] - pts[0]
+    cosv = float(np.clip((u * w).sum() / (np.linalg.norm(u) * np.linalg.norm(w)), -1, 1))
+    return (float(np.arccos(cosv)),)
+
+
+def _one_target(kernel, *extra):
+    """kernel(points, t, delta, *extra) as a row kernel (points, k, t, delta)."""
+    return lambda pts, k, t, delta: kernel(pts, t[0], delta, *extra)
+
+
+FAMILIES: dict[str, Family] = {row.name: row for row in (
+    Family(name="simplex", fixed_k=None, targets=lambda k: len(pair_order(k)),
+           t_ok=lambda x: x > 0, t_domain="positive", zero_delta=False,
+           config_map=_distances, scale=lambda d: 1.0, fast=_simplex_band,
+           brute=lambda pts, k, t, delta: _simplex_brute(pts, k, _target_matrix(k, t), delta),
+           threshold=lambda k, d: d - Fraction(d - 1, 2 * k), counter_args=("k", "t", "delta")),
+    Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
+           t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
+           config_map=lambda pts: (abs(float(np.linalg.det(pts[:-1] - pts[-1]))),),
+           scale=math.factorial, fast=_one_target(_volume_fast), brute=_one_target(_volume_brute),
+           threshold=lambda k, d: d - 1 + Fraction(1, 2 * d if d % 2 == 0 else 2 * (d - 1)),
+           counter_args=("t", "delta", "volume_convention")),
+    Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,
+           t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
+           config_map=_area2_map, scale=lambda d: 2.0,
+           fast=_one_target(_per_apex, _area2_legs), brute=_one_target(_area2_brute),
+           threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4),
+           counter_args=("t", "delta", "volume_convention")),
+    Family(name="angle", fixed_k=lambda d: 2, targets=lambda k: 1,
+           t_ok=lambda x: 0.0 <= x <= math.pi, t_domain="in [0, pi]", zero_delta=False,
+           config_map=_angle_map, scale=lambda d: 1.0,
+           fast=_one_target(_per_apex, _angle_legs), brute=_one_target(_angle_brute),
+           threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
+)}
+
+
 # ---------------------------------------------------------------------------
 # generic Phi-configurations
 
@@ -638,15 +643,13 @@ def _angle_brute(pts: np.ndarray, theta0: float, delta: float) -> int:
 def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:
     """Ordered distinct (arity)-tuples with |Phi(tuple) - t| < delta in the
     max norm on R^m.  Full enumeration; no structural assumptions on Phi."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    query = ConfigQuery("custom", phi.arity - 1, t, delta)
+    t_arr = np.array(query.t)
     if t_arr.shape != (phi.output_dim,):
         raise ValueError(f"target length {t_arr.size} != output_dim {phi.output_dim}")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
     n = ps.n
     if n**phi.arity > PHI_EVAL_BUDGET:
         raise CapacityError(f"{n}^{phi.arity} evaluations exceed the Phi budget")
-    query = ConfigQuery(family="custom", k=phi.arity - 1, t=tuple(t_arr), delta=float(delta))
     pts = ps.points
 
     def run() -> int:
@@ -662,17 +665,6 @@ def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:
     count, elapsed = _timed(run)
     return CountReport(query=query, n=n, count=count, algorithm="brute",
                        elapsed_seconds=elapsed, d=ps.dim, seed=ps.meta.seed)
-
-
-def pairwise_distance_phi(k: int, d: int) -> PhiFunction:
-    """The distance-vector configuration map matching the simplex family."""
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        return np.array(
-            [np.sqrt(((points[i] - points[j]) ** 2).sum()) for i, j in pair_order(k)]
-        )
-
-    return PhiFunction(arity=k + 1, output_dim=len(pair_order(k)), evaluator=evaluator)
 
 
 # ---------------------------------------------------------------------------
@@ -761,18 +753,13 @@ def box_dim(points, scales) -> BoxDimReport:
 
 def run_query(ps: PointSet, query: ConfigQuery, algorithm: str = "pruned",
               phi: PhiFunction | None = None) -> CountReport:
-    """Route a ConfigQuery to its counting operation (validating k against d)."""
-    query.validate_for(ps)
-    if query.family == "simplex":
-        return count_simplex(ps, query.k, query.t, query.delta, algorithm=algorithm)
-    if query.family == "volume":
-        return count_volume(ps, query.t[0], query.delta,
-                            convention=query.volume_convention, algorithm=algorithm)
-    if query.family == "area2":
-        return count_area2(ps, query.t[0], query.delta,
-                           convention=query.volume_convention, algorithm=algorithm)
-    if query.family == "angle":
-        return count_angle(ps, query.t[0], query.delta, algorithm=algorithm)
-    if phi is None:
-        raise ValueError("custom family needs a PhiFunction")
-    return count_phi(ps, phi, query.t, query.delta)
+    """Route a ConfigQuery to its counting operation (validating k against d).
+    count_<family> is looked up at every call, so wrappers installed on this
+    module's attribute see each query."""
+    if query.family == "custom":
+        if phi is None:
+            raise ValueError("custom family needs a PhiFunction")
+        return count_phi(ps, phi, query.t, query.delta)
+    FAMILIES[query.family].check_k(query.k, ps.dim)
+    args = [getattr(query, name) for name in FAMILIES[query.family].counter_args]
+    return globals()[f"count_{query.family}"](ps, *args, algorithm=algorithm)

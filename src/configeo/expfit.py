@@ -1,19 +1,12 @@
-"""Dimension-threshold registry and count-growth scan harness.
+"""Dimension thresholds, predicted count exponents and the count-growth scan.
 
-Closed forms, per configuration family (k+1 points in R^d, nominal set
-dimension s):
+Both closed forms come from the family's row in configcount.FAMILIES (its
+module docstring has the table): the threshold s0(k, d) is the row's own,
+and the predicted growth exponent of the count in n at set dimension s is
+arity - len(t)/s, with arity = k+1 points and len(t) target values.
+Thresholds and exponents are exact rationals when the inputs are exact.
 
-    simplex : threshold  s0(k, d) = d - (d-1)/(2k),   1 <= k <= d
-              exponent   k+1 - C(k+1,2)/s
-    volume  : threshold  d-1 + 1/(2d)   (d even),  d-1 + 1/(2(d-1))  (d odd)
-              exponent   d+1 - 1/s
-    area2   : threshold  d/2 + 1/4      (2-dimensional volumes in R^d)
-              exponent   3 - 1/s
-    angle   : threshold  (d+1)/2
-              exponent   3 - 1/s
-
-Thresholds and exponents are exact rationals when the inputs are exact.  A
-scan generates a point family over an increasing n schedule, counts one
+A scan generates a point family over an increasing n schedule, counts one
 fixed configuration at tolerance delta_n = n^(-1/s), checks the bounded-
 energy condition at the same s, and compares the fitted log-log growth
 slope against the predicted exponent.
@@ -25,23 +18,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable
 
 import numpy as np
 
 from ._ols import ols_line
 from .configcount import (
+    FAMILIES,
     ConfigQuery,
     CountReport,
     PhiFunction,
-    pair_order,
+    family_row,
     run_query,
 )
 from .energy import DEFAULT_ADAPTABILITY_C, EnergyReport, is_adaptable
 from .errors import InfeasibleError
 from .pointgen import GeneratorSpec, PointSet, generate
-
-SCAN_FAMILIES = ("simplex", "volume", "area2", "angle", "custom")
 
 
 def threshold(family: str, k: int, d: int):
@@ -49,71 +40,20 @@ def threshold(family: str, k: int, d: int):
     positive measure; exact Fraction."""
     if d < 2:
         raise ValueError("thresholds are defined for d >= 2")
-    if family == "simplex":
-        if not (1 <= k <= d):
-            raise ValueError(f"simplex thresholds need 1 <= k <= d, got k={k}, d={d}")
-        return Fraction(d) - Fraction(d - 1, 2 * k)
-    if family == "volume":
-        if k != d:
-            raise ValueError("volume family has k = d")
-        if d % 2 == 0:
-            return Fraction(d - 1) + Fraction(1, 2 * d)
-        return Fraction(d - 1) + Fraction(1, 2 * (d - 1))
-    if family == "area2":
-        if k != 2:
-            raise ValueError("area2 family has k = 2")
-        return Fraction(d, 2) + Fraction(1, 4)
-    if family == "angle":
-        if k != 2:
-            raise ValueError("angle family has k = 2")
-        return Fraction(d + 1, 2)
-    raise ValueError(f"no threshold formula for family {family!r}")
+    row = family_row(family)
+    row.check_k(k, d)
+    return row.threshold(k, d)
 
 
 def count_exponent(family: str, k: int, d: int, s):
-    """Predicted growth exponent of the count in n at set dimension s.
-
-    Exact (Fraction) when s is an int or Fraction; float otherwise.
-    """
-    if isinstance(s, Rational):
-        s = Fraction(s)
-    else:
-        s = float(s)
+    """Predicted growth exponent (k+1) - len(t)/s of the count in n at set
+    dimension s; exact (Fraction) when s is an int or Fraction, else float."""
+    s = Fraction(s) if isinstance(s, Rational) else float(s)
     if s <= 0:
         raise ValueError("s must be positive")
-    if family == "simplex":
-        pairs = len(pair_order(k))
-        return (k + 1) - Fraction(pairs) / s if isinstance(s, Fraction) else (k + 1) - pairs / s
-    if family == "volume":
-        if k != d:
-            raise ValueError("volume family has k = d")
-        one = Fraction(1) if isinstance(s, Fraction) else 1.0
-        return (d + 1) - one / s
-    if family in ("area2", "angle"):
-        one = Fraction(1) if isinstance(s, Fraction) else 1.0
-        return 3 - one / s
-    raise ValueError(f"no exponent formula for family {family!r}")
-
-
-@dataclass(frozen=True)
-class ThresholdEntry:
-    """A registry row: the threshold plus the exponent as a function of s."""
-
-    family: str
-    k: int
-    d: int
-    s_threshold: Fraction
-    predicted_count_exponent: Callable[[float], float]
-
-
-def threshold_entry(family: str, k: int, d: int) -> ThresholdEntry:
-    return ThresholdEntry(
-        family=family,
-        k=k,
-        d=d,
-        s_threshold=threshold(family, k, d),
-        predicted_count_exponent=lambda s: count_exponent(family, k, d, s),
-    )
+    row = family_row(family)
+    row.check_k(k, d)
+    return (k + 1) - row.targets(k) / s
 
 
 def fit_slope(samples) -> tuple[float, float]:
@@ -157,17 +97,17 @@ class ScanSpec:
     phi: PhiFunction | None = None
 
     def __post_init__(self):
-        if self.family not in SCAN_FAMILIES:
-            raise ValueError(f"unknown scan family {self.family!r}")
         sched = tuple(int(n) for n in self.schedule)
         if len(sched) < 3:
             raise ValueError("schedule needs at least 3 sizes")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
-        if self.family == "custom" and self.phi is None:
+        if self.family != "custom":
+            family_row(self.family)  # ValueError for an unknown family
+        elif self.phi is None:
             raise ValueError("custom scans need a PhiFunction")
-        if self.family == "custom" and self.predicted is None:
+        elif self.predicted is None:
             raise ValueError("custom scans need an explicit predicted exponent")
 
 
@@ -220,39 +160,15 @@ def _sized_generator(template: GeneratorSpec, n: int, seed: int) -> GeneratorSpe
 def _sample_target(ps: PointSet, spec: ScanSpec) -> tuple[float, ...]:
     """A target realized by an actual configuration of ps (seeded draw)."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    arity = spec.k + 1 if spec.family != "volume" else ps.dim + 1
-    if spec.family in ("area2", "angle"):
-        arity = 3
-    if spec.phi is not None:
-        arity = spec.phi.arity
+    arity = spec.phi.arity if spec.family == "custom" else spec.k + 1
     if ps.n < arity:
         raise InfeasibleError("point set too small to realize a target configuration")
-    idx = rng.choice(ps.n, size=arity, replace=False)
-    pts = ps.points[idx]
-    if spec.family == "simplex":
-        return tuple(
-            float(np.sqrt(((pts[i] - pts[j]) ** 2).sum())) for i, j in pair_order(spec.k)
-        )
-    if spec.family == "volume":
-        d = ps.dim
-        rows = pts[:d] - pts[d]
-        value = abs(float(np.linalg.det(rows)))
-        if spec.volume_convention == "simplex":
-            value /= math.factorial(d)
-        return (value,)
-    if spec.family == "area2":
-        u, v = pts[0] - pts[2], pts[1] - pts[2]
-        gram = float((u * u).sum()) * float((v * v).sum()) - float((u * v).sum()) ** 2
-        value = math.sqrt(max(gram, 0.0))
-        if spec.volume_convention == "simplex":
-            value /= 2.0
-        return (value,)
-    if spec.family == "angle":
-        u, w = pts[1] - pts[0], pts[2] - pts[0]
-        cosv = float(np.clip((u * w).sum() / (np.linalg.norm(u) * np.linalg.norm(w)), -1, 1))
-        return (float(np.arccos(cosv)),)
-    val = np.atleast_1d(np.asarray(spec.phi.evaluator(pts), dtype=float))
-    return tuple(float(x) for x in val)
+    pts = ps.points[rng.choice(ps.n, size=arity, replace=False)]
+    if spec.family == "custom":
+        return tuple(float(x) for x in np.atleast_1d(np.asarray(spec.phi.evaluator(pts), dtype=float)))
+    row = FAMILIES[spec.family]
+    scale = row.scale(ps.dim) if spec.volume_convention == "simplex" else 1
+    return tuple(value / scale for value in row.config_map(pts))
 
 
 def run_scan(spec: ScanSpec) -> ScanReport:
@@ -289,7 +205,7 @@ def run_scan(spec: ScanSpec) -> ScanReport:
         delta_n = spec.delta if spec.delta is not None else ps.n ** (-1.0 / s)
         query = ConfigQuery(
             family=spec.family,
-            k=spec.k if spec.family != "volume" else d,
+            k=spec.k,
             t=t,
             delta=float(delta_n),
             volume_convention=spec.volume_convention,

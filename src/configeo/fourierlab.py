@@ -290,46 +290,36 @@ def ft_montecarlo(
     epsilon: float,
     samples: int,
     seed: int,
-    streams: int = 1,
     chunk: int = 1 << 18,
 ) -> tuple[complex, float]:
     """Thickened-shell Monte Carlo estimate of the measure transform at Xi.
 
     Samples the ambient product of spheres (or the cutoff ball), weights by
     (2*eps)^(-c) * indicator(|constraints| < eps), and averages the phases.
-    Returns (estimate, standard error).  Runs `streams` independent seeded
-    substreams of equal size and combines them with equal weights, so the
-    result is reproducible for a fixed (seed, streams).
+    Returns (estimate, standard error).  All samples come from one PCG64
+    stream, the first child of SeedSequence(seed), so the result is
+    reproducible for a fixed seed.
     """
     if not (0.0 < epsilon <= 0.2):
         raise ValueError("epsilon must lie in (0, 0.2]")
     if samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
     fp = as_frequency_point(Xi, spec)
-    per_stream = samples // streams
-    if per_stream < 1:
-        raise ValueError("more streams than samples")
 
-    seeds = np.random.SeedSequence(seed).spawn(streams)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     total_n = 0
     sum_v = 0.0 + 0.0j
     sum_re2 = 0.0
     sum_im2 = 0.0
     accepted = 0
-    for ss in seeds:
-        rng = np.random.Generator(np.random.PCG64(ss))
-        done = 0
-        while done < per_stream:
-            m = min(chunk, per_stream - done)
-            v, n_acc = _mc_chunk(spec, fp, epsilon, rng, m)
-            sum_v += v.sum()
-            sum_re2 += float((v.real**2).sum())
-            sum_im2 += float((v.imag**2).sum())
-            accepted += n_acc
-            total_n += m
-            done += m
+    while total_n < samples:
+        m = min(chunk, samples - total_n)
+        v, n_acc = _mc_chunk(spec, fp, epsilon, rng, m)
+        sum_v += v.sum()
+        sum_re2 += float((v.real**2).sum())
+        sum_im2 += float((v.imag**2).sum())
+        accepted += n_acc
+        total_n += m
     if accepted == 0:
         raise InfeasibleError("no sample satisfied the constraints; measure infeasible at this epsilon")
     mean = sum_v / total_n

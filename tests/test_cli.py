@@ -252,6 +252,50 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["run", "--config", str(nocmd)]) == 2
 
 
+def test_failed_command_leaves_no_artefacts(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["count", "--family", "simplex", "--out", str(out)]) == 2
+    assert main(["scan", "--kind", "uniform_random", "--d", "2", "--family", "simplex",
+                 "--k", "3", "--schedule", "20;40;80", "--out", str(out)]) == 2
+    assert list(out.iterdir()) == []
+
+
+SCAN_D2 = ["scan", "--kind", "uniform_random", "--d", "2", "--schedule", "20;40;80", "--s", "2"]
+
+
+def test_scan_usage_errors_exit_2(tmp_path):
+    out = str(tmp_path / "out")
+    assert main(SCAN_D2 + ["--family", "simplex", "--k", "3", "--out", out]) == 2  # k > d
+    assert main(SCAN_D2 + ["--family", "simplex", "--out", out]) == 2  # simplex needs k
+    assert main(SCAN_D2 + ["--family", "nope", "--out", out]) == 2
+    assert main(SCAN_D2 + ["--family", "angle", "--delta", "nan", "--out", out]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("family", ["volume", "area2", "angle"])
+def test_scan_takes_k_from_the_family(tmp_path, family):
+    out = tmp_path / "out"
+    # a stray --k is ignored, as count ignores it
+    assert main(SCAN_D2 + ["--family", family, "--k", "3", "--out", str(out)]) in (0, 1)
+    assert (out / f"scan_{family}_k2_d2_s2_seed0.txt").exists()
+
+
+@pytest.mark.parametrize("flags", [["--family", "simplex", "--k", "1", "--t", "0.5", "--delta", "nan"],
+                                   ["--family", "volume", "--t", "inf", "--delta", "0.1"]])
+def test_non_finite_query_exit_2(tmp_path, flags):
+    pts = _write_square(tmp_path)
+    assert main(["count", "--input", str(pts), *flags, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_threads_key_removed(tmp_path):
+    cfg_path = _write(tmp_path, "count.cfg", "threads = 2\n" + COUNT_CFG)
+    with pytest.raises(UsageError, match="threads"):
+        parse_config(["run", "--config", str(cfg_path)])
+    with pytest.raises(SystemExit):
+        parse_config(["count", "--threads", "2"])
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "configeo.cli", "--version"],

@@ -12,18 +12,14 @@ from configeo.configcount import (
     PhiFunction,
     box_dim,
     count_angle,
-    count_angle_brute,
     count_area2,
-    count_area2_brute,
     count_phi,
     count_report_row,
     count_simplex,
     count_simplex_brute,
     count_volume,
-    count_volume_brute,
     distinct_classes,
     pair_order,
-    pairwise_distance_phi,
     run_query,
     _distance_rows,
     _pair_distance_matrix,
@@ -308,7 +304,8 @@ def test_volume_fast_equals_brute(d, n):
         t = abs(float(np.linalg.det(rows)))
         for delta in (0.0005, 0.01):
             assert (
-                count_volume(ps, t, delta).count == count_volume_brute(ps, t, delta).count
+                count_volume(ps, t, delta).count
+                == count_volume(ps, t, delta, algorithm="brute").count
             )
 
 
@@ -323,7 +320,7 @@ def test_volume_d4_generic_path():
     idx = rng.choice(7, size=5, replace=False)
     rows = ps.points[idx[:-1]] - ps.points[idx[-1]]
     t = abs(float(np.linalg.det(rows)))
-    assert count_volume(ps, t, 1e-4).count == count_volume_brute(ps, t, 1e-4).count
+    assert count_volume(ps, t, 1e-4).count == count_volume(ps, t, 1e-4, algorithm="brute").count
     assert count_volume(ps, t, 1e-4).count >= 24  # the realizing tuple's relabelings
 
 
@@ -347,7 +344,7 @@ def test_area2_unit_triangle_in_3d():
 def test_area2_fast_equals_brute(d):
     ps = gen_random(d, 11, seed=25)
     for t, delta in ((0.1, 0.02), (0.25, 0.06)):
-        assert count_area2(ps, t, delta).count == count_area2_brute(ps, t, delta).count
+        assert count_area2(ps, t, delta).count == count_area2(ps, t, delta, algorithm="brute").count
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +372,11 @@ def test_angle_degenerate_apex_skipped():
     ps = PointSet(dim=2, points=[[0.5, 0.5], [0.5, 0.5], [0.9, 0.5], [0.5, 0.9]])
     # apex legs to the duplicate point are skipped, never an error
     report = count_angle(ps, math.pi / 2.0, 0.01)
-    assert report.count == count_angle_brute(ps, math.pi / 2.0, 0.01).count
+    assert report.count == count_angle(ps, math.pi / 2.0, 0.01, algorithm="brute").count
+    # so is a leg shorter than DEGENERATE_APEX_TOL that is not zero
+    near = PointSet(dim=2, points=[[0.5, 0.5], [0.5 + 1e-13, 0.5], [0.9, 0.5], [0.5, 0.9]])
+    for theta0 in (0.0, math.pi / 4.0, math.pi / 2.0):
+        assert count_angle(near, theta0, 0.01).count == count_angle(near, theta0, 0.01, algorithm="brute").count
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -386,7 +387,7 @@ def test_angle_fast_equals_brute(d):
             for delta in (0.01, 0.1):
                 assert (
                     count_angle(ps, theta0, delta).count
-                    == count_angle_brute(ps, theta0, delta).count
+                    == count_angle(ps, theta0, delta, algorithm="brute").count
                 )
 
 
@@ -397,12 +398,83 @@ def test_angle_fewer_than_three_points_count_zero():
             assert count_angle(ps, 1.0, 0.01, algorithm=algo).count == 0
 
 
+# differential checks of the per-apex counters (volume d=2, area2, angle)
+# against their oracles
+
+TRIPLE_COUNTERS = {"volume": count_volume, "area2": count_area2, "angle": count_angle}
+
+
+def _triple_values(family, pts):
+    """Every value the family's oracle evaluates on pts, by the oracle's own
+    formulas, so bands built from them have exact ties |value - t| = delta."""
+    values = set()
+    for i, j, b in itertools.permutations(range(len(pts)), 3):
+        u, v = pts[i] - pts[b], pts[j] - pts[b]
+        if family == "volume":
+            values.add(abs(u[0] * v[1] - u[1] * v[0]))
+        elif family == "area2":
+            g = float(np.einsum("d,d->", u, v))
+            values.add(float(np.sqrt(np.maximum(float((u * u).sum()) * float((v * v).sum()) - g * g, 0.0))))
+        else:
+            nu, nv = np.sqrt((u * u).sum()), np.sqrt((v * v).sum())
+            if nu >= configcount.DEGENERATE_APEX_TOL and nv >= configcount.DEGENERATE_APEX_TOL:
+                values.add(float(np.arccos(np.clip(np.einsum("d,d->", u, v) / (nu * nv), -1.0, 1.0))))
+    return sorted(values) or [0.0, 0.5]
+
+
+def _assert_triple_matches_brute(data, family, ps):
+    """Draw t and t + delta among the realized values (delta = 0 when both
+    draws coincide) and compare the fast counter with the oracle."""
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(_triple_values(family, ps.points)),
+                                       min_size=2, max_size=2)))
+    delta = hi - lo
+    if delta == 0.0 and family == "angle":  # angle queries need delta > 0
+        delta = 0.25
+    count = TRIPLE_COUNTERS[family]
+    assert count(ps, lo, delta).count == count(ps, lo, delta, algorithm="brute").count
+
+
+def _triple_dim(data, family):
+    return 2 if family == "volume" else data.draw(st.sampled_from([2, 3]))
+
+
+@pytest.mark.parametrize("family", sorted(TRIPLE_COUNTERS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_triple_lattice_ties_match_brute(family, data):
+    d = _triple_dim(data, family)
+    m = data.draw(st.integers(3, 4)) if d == 2 else 2  # 16 or 27 points cost seconds at d = 3
+    _assert_triple_matches_brute(data, family, gen_lattice(d, m))
+
+
+@pytest.mark.parametrize("family", sorted(TRIPLE_COUNTERS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_triple_degenerate_sets_match_brute(family, data):
+    d = _triple_dim(data, family)
+    shape = data.draw(st.sampled_from(["coincident", "diagonal", "coplanar"]))
+    n = data.draw(st.integers(1, 9))  # n < 3 leaves no triple
+    if shape == "coplanar":  # on the hyperplane x_d = 1/2: collinear for d = 2
+        ps = gen_coplanar(d, n, seed=data.draw(st.integers(0, 99)))
+    else:
+        distinct = data.draw(st.lists(st.lists(COARSE, min_size=d, max_size=d), min_size=1, max_size=4))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+        points = [distinct[i] for i in picks]  # repeats are coincident points
+        if shape == "diagonal":  # collinear, with coincident points
+            points = [[p[0]] * d for p in points]
+        ps = PointSet(dim=d, points=points)
+    _assert_triple_matches_brute(data, family, ps)
+
+
 # ---------------------------------------------------------------------------
 # generic Phi
 
 
+DISTANCE_PHI = PhiFunction(arity=2, output_dim=1, evaluator=configcount.FAMILIES["simplex"].config_map)
+
+
 def test_phi_matches_simplex_on_square():
-    phi = pairwise_distance_phi(1, 2)
+    phi = DISTANCE_PHI
     # strict vs closed interval boundary is immaterial away from ties
     assert count_phi(SQUARE, phi, [1.0], 0.01).count == 8
 
@@ -418,7 +490,7 @@ def test_phi_always_false():
 
 
 def test_phi_validation():
-    phi = pairwise_distance_phi(1, 2)
+    phi = DISTANCE_PHI
     with pytest.raises(ValueError):
         count_phi(SQUARE, phi, [1.0, 2.0], 0.01)  # t length mismatch
     bad = PhiFunction(arity=2, output_dim=2, evaluator=lambda pts: np.array([1.0]))
@@ -530,6 +602,16 @@ def test_count_report_csv_row():
     assert row == "simplex,1,2,4,1,0.01,8,pruned,,"
     live = count_report_row(report)
     assert live.split(",")[8] != ""  # measured timing present by default
+
+
+NON_FINITE = [(math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)]
+
+
+@pytest.mark.parametrize("family,k", [("simplex", 1), ("volume", 2), ("area2", 2), ("angle", 2), ("custom", 1)])
+@pytest.mark.parametrize("t,delta", NON_FINITE)
+def test_non_finite_t_or_delta_rejected(family, k, t, delta):
+    with pytest.raises(ValueError, match="finite"):
+        ConfigQuery(family=family, k=k, t=(t,), delta=delta)
 
 
 def test_query_validation():

@@ -12,7 +12,6 @@ from configeo.expfit import (
     fit_slope,
     run_scan,
     threshold,
-    threshold_entry,
 )
 from configeo.pointgen import GeneratorSpec
 
@@ -102,10 +101,9 @@ def test_count_exponent_validation():
         count_exponent("custom", 2, 3, 1.0)
 
 
-def test_threshold_entry_bundle():
-    entry = threshold_entry("simplex", 2, 2)
-    assert entry.s_threshold == Fraction(7, 4)
-    assert float(entry.predicted_count_exponent(2.0)) == pytest.approx(3 - 3 / 2.0)
+def test_simplex_k2_threshold_and_exponent_in_plane():
+    assert threshold("simplex", 2, 2) == Fraction(7, 4)
+    assert float(count_exponent("simplex", 2, 2, 2.0)) == pytest.approx(3 - 3 / 2.0)
 
 
 # ---------------------------------------------------------------------------
