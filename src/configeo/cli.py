@@ -59,6 +59,14 @@ class UsageError(Exception):
     """Bad flags or config contents; maps to exit code 2."""
 
 
+# (section, key) of config keys that no longer exist -> why; naming one is a usage error
+_REMOVED_KEYS = {
+    ("", "threads"): "Monte Carlo draws one seeded stream",
+    ("ft", "envelope"): "decay fits always run on the envelope of local maxima",
+    ("generator", "input"): "name the point-set file with the top-level input key or --input",
+}
+
+
 @dataclass
 class ExperimentConfig:
     """The fully merged, effective configuration of one experiment."""
@@ -68,7 +76,6 @@ class ExperimentConfig:
     seed: int
     out_dir: Path
     algorithm: str = "pruned"
-    config_path: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +150,6 @@ _get_floats = _typed(lambda raw: tuple(float(x) for x in raw.split(";") if x != 
                      ";-separated numbers")
 _get_ints = _typed(lambda raw: tuple(int(x) for x in raw.split(";") if x != ""),
                    ";-separated integers")
-
-
-def _get_bool(sections, section, key, default=False) -> bool:
-    raw = _get(sections, section, key)
-    if raw is None:
-        return default
-    low = raw.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"field [{section}] {key}: expected boolean, got {raw!r}")
 
 
 def _parse_direction(raw: str) -> FrequencyPoint:
@@ -234,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ft.add_argument("--epsilon", dest="ft.epsilon")
     p_ft.add_argument("--samples", dest="ft.samples")
     p_ft.add_argument("--nodes", dest="ft.nodes")
-    p_ft.add_argument("--envelope", dest="ft.envelope")
     p_ft.add_argument("--sphere-radii", dest="ft.sphere_radii")
     p_ft.add_argument("--gaps", dest="ft.gaps")
     p_ft.add_argument("--level", dest="ft.t")
@@ -287,8 +281,10 @@ def parse_config(argv=None) -> ExperimentConfig:
         seed = int(os.environ.get(ENV_SEED, "0"))
     sections[""]["seed"] = str(seed)
 
-    if _get(sections, "", "threads") is not None:
-        raise UsageError("config key threads was removed: Monte Carlo draws one seeded stream")
+    for (section, key), why in _REMOVED_KEYS.items():
+        if _get(sections, section, key) is not None:
+            name = f"[{section}] {key}" if section else key
+            raise UsageError(f"config key {name} was removed: {why}")
     out_dir = Path(ns.out or _get(sections, "", "out", default="reports"))
     algorithm = ns.algorithm or _get(sections, "", "algorithm", default="pruned")
     if algorithm not in ("brute", "pruned"):
@@ -302,7 +298,6 @@ def parse_config(argv=None) -> ExperimentConfig:
         seed=seed,
         out_dir=out_dir,
         algorithm=algorithm,
-        config_path=ns.config,
     )
 
 
@@ -330,7 +325,7 @@ def _write_manifest(cfg: ExperimentConfig) -> Path:
 def _load_points(cfg: ExperimentConfig) -> PointSet:
     """The input point set: from `input = <path>` or the [generator] section."""
     sections = cfg.sections
-    input_path = _get(sections, "", "input") or _get(sections, "generator", "input")
+    input_path = _get(sections, "", "input")
     if input_path:
         try:
             return load_pointset(input_path)
@@ -445,7 +440,7 @@ def _cmd_count(cfg: ExperimentConfig) -> int:
             f"# generator={ps.meta.generator}",
             f"# seed={cfg.seed}",
             COUNT_CSV_HEADER,
-            count_report_row(report, deterministic_body=True),
+            count_report_row(report),
         ]
     )
     path = cfg.out_dir / f"count_{query.family}_k{query.k}_d{ps.dim}_seed{cfg.seed}.csv"
@@ -571,7 +566,6 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
 
     default_method = "closed" if spec.kind in ("sphere", "triangle2d") else "mc"
     method = _get(sections, "ft", "method", default_method)
-    envelope = _get_bool(sections, "ft", "envelope", True)
 
     if method == "closed":
         if spec.kind == "sphere":
@@ -586,17 +580,11 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
     elif method == "mc":
         epsilon = _get_float(sections, "ft", "epsilon", 0.05)
         samples = _get_int(sections, "ft", "samples", 10**6)
-        seed = cfg.seed
-
-        def evaluator(p, _eps=epsilon, _n=samples):
-            return ft_montecarlo(spec, p, _eps, _n, seed)
-
+        evaluator = lambda p: ft_montecarlo(spec, p, epsilon, samples, cfg.seed)  # noqa: E731
     else:
         raise UsageError(f"unknown ft method {method!r}")
 
-    report = decay_fit(
-        evaluator, direction, radii, reference=spec.reference_exponent, envelope=envelope
-    )
+    report = decay_fit(evaluator, direction, radii, reference=spec.reference_exponent)
 
     dir_txt = "|".join(";".join(format_float(x) for x in b) for b in report.direction.blocks)
     head = [

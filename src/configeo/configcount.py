@@ -37,7 +37,9 @@ held whole; k >= 3 restricts each later slot to the neighbours of one anchor,
 A_ij[N_i][:, N_j], and recurses down to the k=2 product.  Volume in the
 plane, area2 and angle share one loop over apexes x^b that band-tests the
 map of every leg pair (x^i - x^b, x^j - x^b) in reused n x n buffers.
-Volumes in d >= 3 are vectorized exhaustive evaluations.
+Volume in d = 3 evaluates the oracle's triple product u_i . (u_j x u_l) over
+(rows, n, n) blocks per apex, term by term in the oracle's order, so the two
+agree bit for bit at ties; d >= 4 runs np.linalg.det over chunks of tuples.
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
 SIMPLEX_BLOCK_ENTRIES = 1 << 16  # dense entries per row block of D or of a product
 PHI_EVAL_BUDGET = 10**8
 DEGENERATE_APEX_TOL = 1e-12
+_VOLUME3_ROWS = 64  # leg rows i per (rows, n, n) determinant block at d = 3
+_VOLUME_TUPLES = 1 << 14  # tuples per np.linalg.det call at d >= 4
 
 VOLUME_CONVENTIONS = ("bare_determinant", "simplex")
 
@@ -179,14 +183,13 @@ class BoxDimReport:
 COUNT_CSV_HEADER = "family,k,d,n,t,delta,count,algorithm,elapsed_seconds,seed"
 
 
-def count_report_row(report: CountReport, deterministic_body: bool = False) -> str:
-    """One CSV row per run.  With deterministic_body the volatile wall-time
-    field is left empty so identical runs serialize byte-identically."""
+def count_report_row(report: CountReport) -> str:
+    """One CSV row per run.  The volatile elapsed_seconds field is left empty
+    so identical runs serialize byte-identically."""
     from .pointgen import format_float
 
     q = report.query
     tfield = ";".join(format_float(x) for x in q.t)
-    elapsed = "" if deterministic_body else format_float(report.elapsed_seconds)
     seed = "" if report.seed is None else str(report.seed)
     return ",".join(
         [
@@ -198,7 +201,7 @@ def count_report_row(report: CountReport, deterministic_body: bool = False) -> s
             format_float(q.delta),
             str(report.count),
             report.algorithm,
-            elapsed,
+            "",
             seed,
         ]
     )
@@ -234,10 +237,11 @@ def _timed(fn):
 
 
 def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
-    """Count a family query with the row's fast counter ("pruned") or its
-    oracle ("brute").  The simplex convention is the bare count over the
-    rescaled target and tolerance."""
+    """Check k against d, then count a family query with the row's fast
+    counter ("pruned") or its oracle ("brute").  The simplex convention is
+    the bare count over the rescaled target and tolerance."""
     row = FAMILIES[query.family]
+    row.check_k(query.k, ps.dim)
     kernels = {"pruned": row.fast, "brute": row.brute}
     if algorithm not in kernels:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -398,7 +402,7 @@ def _volume_fast(pts: np.ndarray, t: float, delta: float) -> int:
         return _per_apex(pts, t, delta, _det2_legs)
     if d == 3:
         return _volume_fast_3d(pts, t, delta)
-    return _volume_generic(pts, t, delta, chunk=1 << 14)
+    return _volume_generic(pts, t, delta)
 
 
 def _per_apex(pts: np.ndarray, t: float, delta: float, legs) -> int:
@@ -429,20 +433,23 @@ def _det2_legs(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
     np.abs(out, out=out)
 
 
-def _volume_fast_3d(pts: np.ndarray, t: float, delta: float, chunk: int = 64) -> int:
+def _volume_fast_3d(pts: np.ndarray, t: float, delta: float) -> int:
     n = pts.shape[0]
     total = 0
+    idx = np.arange(n)
     for b in range(n):
         u = pts - pts[b]
         u[b] = np.nan
-        cross = np.empty((n, n, 3))
-        cross[:, :, 0] = u[:, 1][:, None] * u[:, 2][None, :] - u[:, 2][:, None] * u[:, 1][None, :]
-        cross[:, :, 1] = u[:, 2][:, None] * u[:, 0][None, :] - u[:, 0][:, None] * u[:, 2][None, :]
-        cross[:, :, 2] = u[:, 0][:, None] * u[:, 1][None, :] - u[:, 1][:, None] * u[:, 0][None, :]
-        idx = np.arange(n)
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            det = np.einsum("ia,jla->ijl", u[start:stop], cross)
+        x, y, z = u.T
+        cross = (np.multiply.outer(y, z) - np.multiply.outer(z, y),
+                 np.multiply.outer(z, x) - np.multiply.outer(x, z),
+                 np.multiply.outer(x, y) - np.multiply.outer(y, x))
+        for start in range(0, n, _VOLUME3_ROWS):
+            stop = min(start + _VOLUME3_ROWS, n)
+            legs = u[start:stop, :, None, None]
+            det = legs[:, 0] * cross[0]  # the oracle's u0[0]*c0 + u0[1]*c1 + u0[2]*c2
+            det += legs[:, 1] * cross[1]
+            det += legs[:, 2] * cross[2]
             m = np.abs(np.abs(det) - t) <= delta
             rows = idx[start:stop]
             m[rows - start, rows, :] = False  # i == j
@@ -452,7 +459,7 @@ def _volume_fast_3d(pts: np.ndarray, t: float, delta: float, chunk: int = 64) ->
     return total
 
 
-def _volume_generic(pts: np.ndarray, t: float, delta: float, chunk: int) -> int:
+def _volume_generic(pts: np.ndarray, t: float, delta: float) -> int:
     """Chunked exhaustive evaluation for ambient dimension >= 4."""
     n, d = pts.shape
     total = 0
@@ -460,8 +467,8 @@ def _volume_generic(pts: np.ndarray, t: float, delta: float, chunk: int) -> int:
     size = n**d
     for b in range(n):
         u = pts - pts[b]
-        for start in range(0, size, chunk):
-            flat = np.arange(start, min(start + chunk, size))
+        for start in range(0, size, _VOLUME_TUPLES):
+            flat = np.arange(start, min(start + _VOLUME_TUPLES, size))
             idx = np.stack(np.unravel_index(flat, shape), axis=1)  # (m, d)
             ok = idx[:, 0] != b
             for a in range(1, d):
@@ -717,8 +724,6 @@ def box_dim(points, scales) -> BoxDimReport:
         pts = points.points
     else:
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a nonempty (n, d) point array")
     scales = [float(s) for s in scales]
@@ -753,13 +758,12 @@ def box_dim(points, scales) -> BoxDimReport:
 
 def run_query(ps: PointSet, query: ConfigQuery, algorithm: str = "pruned",
               phi: PhiFunction | None = None) -> CountReport:
-    """Route a ConfigQuery to its counting operation (validating k against d).
-    count_<family> is looked up at every call, so wrappers installed on this
-    module's attribute see each query."""
+    """Route a ConfigQuery to its counting operation.  count_<family> is
+    looked up at every call, so wrappers installed on this module's attribute
+    see each query."""
     if query.family == "custom":
         if phi is None:
             raise ValueError("custom family needs a PhiFunction")
         return count_phi(ps, phi, query.t, query.delta)
-    FAMILIES[query.family].check_k(query.k, ps.dim)
     args = [getattr(query, name) for name in FAMILIES[query.family].counter_args]
     return globals()[f"count_{query.family}"](ps, *args, algorithm=algorithm)

@@ -10,9 +10,10 @@ counts as adaptable at exponent s and level C when E_s(P) <= C; boundedness of
 this sum is the finite stand-in for the finiteness of the s-energy integral of
 the set thickened at scale n^{-1/s}.
 
-Summation contract: each row sum and the final reduction use numpy's pairwise
-summation over a layout independent of the internal block size, so repeated
-runs agree to well under 1e-12 relative error.
+Summation contract: each row of n distances is computed and summed whole
+(numpy's pairwise summation along the row), and the final reduction runs over
+the n row sums, so the value does not depend on how many rows a block holds;
+repeated runs agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .pointgen import PointSet
 COINCIDENCE_TOL = 1e-12
 DEFAULT_ADAPTABILITY_C = 10.0
 
-_ROW_BLOCK = 256  # fixed so the reduction tree never depends on input size
+_BLOCK_ENTRIES = 1 << 16  # pairs per block: max(1, _BLOCK_ENTRIES // n) whole rows
 
 
 @dataclass(frozen=True)
@@ -50,8 +51,9 @@ def discrete_energy(ps: PointSet, s: float) -> float:
     if n == 1:
         return 0.0
     row_sums = np.empty(n)
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, n)
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
         diff = pts[start:stop, None, :] - pts[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         block_rows = np.arange(start, stop)

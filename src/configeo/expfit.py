@@ -103,8 +103,8 @@ class ScanSpec:
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
-        if self.family != "custom":
-            family_row(self.family)  # ValueError for an unknown family
+        if self.family != "custom":  # the template's d fixes k's range before any generation
+            family_row(self.family).check_k(self.k, int(self.generator.as_dict()["d"]))
         elif self.phi is None:
             raise ValueError("custom scans need a PhiFunction")
         elif self.predicted is None:

@@ -42,6 +42,7 @@ MAGNITUDE_FLOOR = 1e-14
 CURVATURE_STEP = 1e-4
 CURVATURE_REL_TOL = 1e-6
 _SQ3 = math.sqrt(3.0)
+_MC_CHUNK = 1 << 18  # samples per draw from the seeded stream (see ft_montecarlo)
 
 
 def sphere_area(d: int) -> float:
@@ -113,15 +114,6 @@ class MeasureSpec:
         raise ValueError(f"unknown measure kind {self.kind!r}")
 
     @property
-    def mass(self) -> float | None:
-        """Analytic total mass where known."""
-        if self.kind == "sphere":
-            return sphere_area(self.d)
-        if self.kind == "triangle2d":
-            return 4.0 * math.pi
-        return None
-
-    @property
     def reference_exponent(self) -> float:
         """Fourier decay order expected for this measure."""
         if self.kind in ("sphere", "chain_spheres"):
@@ -154,30 +146,6 @@ class FrequencyPoint:
     def matches(self, spec: MeasureSpec) -> bool:
         dims = tuple(b.size for b in self.blocks)
         return dims == spec.block_dims
-
-
-def as_frequency_point(xi, spec: MeasureSpec | None = None) -> FrequencyPoint:
-    if isinstance(xi, FrequencyPoint):
-        fp = xi
-    elif spec is not None and np.ndim(xi) == 1:
-        flat = np.asarray(xi, dtype=float)
-        dims = spec.block_dims
-        if flat.size == sum(dims):
-            parts, pos = [], 0
-            for dlen in dims:
-                parts.append(flat[pos : pos + dlen])
-                pos += dlen
-            fp = FrequencyPoint(blocks=tuple(parts))
-        else:
-            fp = FrequencyPoint(blocks=(flat,))
-    else:
-        fp = FrequencyPoint(blocks=tuple(np.atleast_1d(b) for b in np.atleast_2d(xi)))
-    if spec is not None and not fp.matches(spec):
-        raise ValueError(
-            f"frequency blocks {tuple(b.size for b in fp.blocks)} do not match "
-            f"measure blocks {spec.block_dims}"
-        )
-    return fp
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +253,7 @@ def ft_quadrature(spec: MeasureSpec, xi, node_count: int = 2048) -> complex:
 
 
 def ft_montecarlo(
-    spec: MeasureSpec,
-    Xi,
-    epsilon: float,
-    samples: int,
-    seed: int,
-    chunk: int = 1 << 18,
+    spec: MeasureSpec, Xi: FrequencyPoint, epsilon: float, samples: int, seed: int
 ) -> tuple[complex, float]:
     """Thickened-shell Monte Carlo estimate of the measure transform at Xi.
 
@@ -298,13 +261,17 @@ def ft_montecarlo(
     (2*eps)^(-c) * indicator(|constraints| < eps), and averages the phases.
     Returns (estimate, standard error).  All samples come from one PCG64
     stream, the first child of SeedSequence(seed), so the result is
-    reproducible for a fixed seed.
+    reproducible for a fixed seed.  Kinds that draw several arrays per sample
+    interleave them per chunk of _MC_CHUNK samples, so the chunk is a
+    constant: another size would change every seeded estimate.
     """
     if not (0.0 < epsilon <= 0.2):
         raise ValueError("epsilon must lie in (0, 0.2]")
     if samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    fp = as_frequency_point(Xi, spec)
+    if not Xi.matches(spec):
+        raise ValueError(f"frequency blocks {tuple(b.size for b in Xi.blocks)} do not match "
+                         f"measure blocks {spec.block_dims}")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     total_n = 0
@@ -313,8 +280,8 @@ def ft_montecarlo(
     sum_im2 = 0.0
     accepted = 0
     while total_n < samples:
-        m = min(chunk, samples - total_n)
-        v, n_acc = _mc_chunk(spec, fp, epsilon, rng, m)
+        m = min(_MC_CHUNK, samples - total_n)
+        v, n_acc = _mc_chunk(spec, Xi, epsilon, rng, m)
         sum_v += v.sum()
         sum_re2 += float((v.real**2).sum())
         sum_im2 += float((v.imag**2).sum())
@@ -411,25 +378,20 @@ class DecayReport:
 
 
 def decay_fit(
-    evaluator: Callable,
-    direction,
-    radii,
-    reference: float | None = None,
-    envelope: bool = True,
+    evaluator: Callable, direction: FrequencyPoint, radii, reference: float | None = None
 ) -> DecayReport:
     """Fit the decay order of |F| along a ray of frequency points.
 
     evaluator maps a FrequencyPoint to a complex value or to a
-    (value, stderr) pair.  Magnitudes below 1e-14 are dropped.  With
-    envelope=True the fit runs on the local maxima of |F| over the radius
-    grid (pointwise fits are corrupted by transform zeros); when fewer than
-    3 maxima exist (monotone profiles) all surviving points are used.
+    (value, stderr) pair.  Magnitudes below 1e-14 are dropped.  The fit runs
+    on the envelope, the local maxima of |F| over the radius grid (pointwise
+    fits are corrupted by transform zeros); when fewer than 3 maxima exist
+    (monotone profiles) all surviving points are used.
     """
-    fp = as_frequency_point(direction)
-    norm = fp.norm
+    norm = direction.norm
     if norm == 0.0:
         raise ValueError("direction must be nonzero")
-    unit = fp.scaled(1.0 / norm)
+    unit = direction.scaled(1.0 / norm)
     radii = [float(r) for r in radii]
     if len(radii) < 5:
         raise ValueError("need at least 5 radii")
@@ -462,12 +424,9 @@ def decay_fit(
             inconclusive=True, fit_radii=(),
         )
 
-    if envelope:
-        peaks = _local_maxima(m_kept)
-        if peaks.size >= 3:
-            r_fit, m_fit = r_kept[peaks], m_kept[peaks]
-        else:
-            r_fit, m_fit = r_kept, m_kept
+    peaks = _local_maxima(m_kept)
+    if peaks.size >= 3:
+        r_fit, m_fit = r_kept[peaks], m_kept[peaks]
     else:
         r_fit, m_fit = r_kept, m_kept
 
@@ -542,13 +501,13 @@ def level_set_curvatures(F: Callable, t: float, x0, h: float = CURVATURE_STEP) -
     return eigs[np.argsort(-np.abs(eigs), kind="stable")]
 
 
-def nonzero_curvature_count(eigs, rel_tol: float = CURVATURE_REL_TOL) -> int:
+def nonzero_curvature_count(eigs) -> int:
     """Eigenvalues that are nonzero relative to the largest magnitude."""
     eigs = np.asarray(eigs, dtype=float)
     top = float(np.abs(eigs).max()) if eigs.size else 0.0
     if top == 0.0:
         return 0
-    return int((np.abs(eigs) > rel_tol * top).sum())
+    return int((np.abs(eigs) > CURVATURE_REL_TOL * top).sum())
 
 
 def circulant_check(d: int) -> float:

@@ -87,8 +87,7 @@ class GeneratorSpec:
     """A generator family plus its parameters.
 
     kind is one of lattice, cantor_product, homogeneous, uniform_random,
-    coplanar, from_file; params are kind-specific and validated before
-    generation.
+    coplanar; params are kind-specific and validated before generation.
     """
 
     kind: str
@@ -102,17 +101,17 @@ class GeneratorSpec:
         return dict(self.params)
 
 
-def _check_budget(n: int, budget: int) -> None:
-    if n > budget:
-        raise CapacityError(f"requested {n} points exceeds the budget of {budget}")
+def _check_budget(n: int) -> None:
+    if n > DEFAULT_POINT_BUDGET:
+        raise CapacityError(f"requested {n} points exceeds the budget of {DEFAULT_POINT_BUDGET}")
 
 
-def gen_lattice(d: int, m: int, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
+def gen_lattice(d: int, m: int) -> PointSet:
     """The grid {0, 1/(m-1), ..., 1}^d; m = 1 gives the single origin point."""
     if d < 1 or m < 1:
         raise ValueError("need d >= 1 and m >= 1")
     n = m**d
-    _check_budget(n, budget)
+    _check_budget(n)
     axis = np.linspace(0.0, 1.0, m) if m >= 2 else np.array([0.0])
     pts = _product_points(axis, d)
     sep = 1.0 / (m - 1) if m >= 2 else None
@@ -129,7 +128,7 @@ def cantor_endpoints(r: float, level: int) -> np.ndarray:
     return e
 
 
-def gen_cantor(d: int, r: float, level: int, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
+def gen_cantor(d: int, r: float, level: int) -> PointSet:
     """d-fold product of the ratio-r Cantor set, truncated at `level`.
 
     Emits the left endpoints of the surviving intervals (exactly
@@ -143,7 +142,7 @@ def gen_cantor(d: int, r: float, level: int, budget: int = DEFAULT_POINT_BUDGET)
     if level < 0:
         raise ValueError("level must be >= 0")
     n = 2 ** (d * level)
-    _check_budget(n, budget)
+    _check_budget(n)
     axis = cantor_endpoints(r, level)
     pts = _product_points(axis, d)
     sep = float(np.diff(axis).min()) if level >= 1 else None
@@ -155,24 +154,24 @@ def gen_cantor(d: int, r: float, level: int, budget: int = DEFAULT_POINT_BUDGET)
     return PointSet(dim=d, points=pts, meta=meta)
 
 
-def gen_random(d: int, n: int, seed: int, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
+def gen_random(d: int, n: int, seed: int) -> PointSet:
     """n i.i.d. uniform points in [0,1]^d (PCG64 stream of `seed`)."""
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
-    _check_budget(n, budget)
+    _check_budget(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = rng.random((n, d))
     meta = PointSetMeta(generator="uniform_random", seed=seed, nominal_dimension=float(d))
     return PointSet(dim=d, points=pts, meta=meta)
 
 
-def gen_coplanar(d: int, n: int, seed: int, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
+def gen_coplanar(d: int, n: int, seed: int) -> PointSet:
     """n uniform points in the degenerate slice {x_d = 1/2} of [0,1]^d."""
     if d < 2:
         raise ValueError("coplanar sets need d >= 2")
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_budget(n, budget)
+    _check_budget(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     pts = np.empty((n, d))
     pts[:, : d - 1] = rng.random((n, d - 1))
@@ -181,9 +180,7 @@ def gen_coplanar(d: int, n: int, seed: int, budget: int = DEFAULT_POINT_BUDGET) 
     return PointSet(dim=d, points=pts, meta=meta)
 
 
-def gen_homogeneous(
-    d: int, m: int, seed: int, jitter: float = 0.25, budget: int = DEFAULT_POINT_BUDGET
-) -> PointSet:
+def gen_homogeneous(d: int, m: int, seed: int, jitter: float = 0.25) -> PointSet:
     """A jittered lattice: one uniform point per grid cell, confined to the
     central sub-cube of side 2*jitter so the set stays (1-2*jitter)/m separated."""
     if d < 1 or m < 1:
@@ -191,7 +188,7 @@ def gen_homogeneous(
     if not (0.0 <= jitter < 0.5):
         raise ValueError("jitter must lie in [0, 1/2)")
     n = m**d
-    _check_budget(n, budget)
+    _check_budget(n)
     rng = np.random.Generator(np.random.PCG64(seed))
     cells = _product_points(np.arange(m, dtype=float), d)
     offsets = (rng.random((n, d)) - 0.5) * (2.0 * jitter)
@@ -206,28 +203,21 @@ def _product_points(axis: np.ndarray, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def generate(spec: GeneratorSpec, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
+def generate(spec: GeneratorSpec) -> PointSet:
     """Dispatch a GeneratorSpec to the matching generator."""
     p = spec.as_dict()
     try:
         if spec.kind == "lattice":
-            return gen_lattice(int(p["d"]), int(p["m"]), budget=budget)
+            return gen_lattice(int(p["d"]), int(p["m"]))
         if spec.kind == "cantor_product":
-            return gen_cantor(int(p["d"]), float(p["r"]), int(p["L"]), budget=budget)
+            return gen_cantor(int(p["d"]), float(p["r"]), int(p["L"]))
         if spec.kind == "uniform_random":
-            return gen_random(int(p["d"]), int(p["n"]), int(p["seed"]), budget=budget)
+            return gen_random(int(p["d"]), int(p["n"]), int(p["seed"]))
         if spec.kind == "coplanar":
-            return gen_coplanar(int(p["d"]), int(p["n"]), int(p["seed"]), budget=budget)
+            return gen_coplanar(int(p["d"]), int(p["n"]), int(p["seed"]))
         if spec.kind == "homogeneous":
-            return gen_homogeneous(
-                int(p["d"]),
-                int(p["m"]),
-                int(p["seed"]),
-                jitter=float(p.get("jitter", 0.25)),
-                budget=budget,
-            )
-        if spec.kind == "from_file":
-            return load_pointset(p["path"])
+            return gen_homogeneous(int(p["d"]), int(p["m"]), int(p["seed"]),
+                                   jitter=float(p.get("jitter", 0.25)))
     except KeyError as exc:
         raise ValueError(f"generator '{spec.kind}' is missing parameter {exc}") from None
     raise ValueError(f"unknown generator kind '{spec.kind}'")

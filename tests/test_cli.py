@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -294,6 +295,21 @@ def test_threads_key_removed(tmp_path):
         parse_config(["run", "--config", str(cfg_path)])
     with pytest.raises(SystemExit):
         parse_config(["count", "--threads", "2"])
+
+
+@pytest.mark.parametrize("body,name", [
+    ("command = ft\n[ft]\nkind = sphere\nd = 3\nenvelope = false\n", "[ft] envelope"),
+    ("command = dim\n[generator]\ninput = points.txt\n[dim]\nscales = 0.5;0.25;0.125\n", "[generator] input"),
+])
+def test_removed_config_keys(tmp_path, body, name):
+    cfg_path = _write(tmp_path, "removed.cfg", body)
+    with pytest.raises(UsageError, match=re.escape(f"config key {name} was removed")):
+        parse_config(["run", "--config", str(cfg_path)])
+
+
+def test_envelope_flag_removed():
+    with pytest.raises(SystemExit):
+        parse_config(["ft", "--envelope", "0"])
 
 
 def test_console_entry_point(tmp_path):

@@ -257,6 +257,9 @@ def test_simplex_validation():
         count_simplex(SQUARE, 1, [1.0], 0.0)  # delta <= 0
     with pytest.raises(ValueError):
         count_simplex(SQUARE, 1, [1.0], 0.01, algorithm="magic")
+    for count in (count_simplex, count_simplex_brute):
+        with pytest.raises(ValueError, match="k <= d"):
+            count(SQUARE, 3, [1.0] * 6, 0.1)  # k > d
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +469,40 @@ def test_triple_degenerate_sets_match_brute(family, data):
     _assert_triple_matches_brute(data, family, ps)
 
 
+# differential checks of the d = 3 volume counter against its oracle
+
+
+def _assert_volume3_matches_brute(ps, t, delta):
+    assert count_volume(ps, t, delta).count == count_volume(ps, t, delta, algorithm="brute").count
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_volume_d3_lattice_ties_match_brute(data):
+    # determinants on the grid {0, 1/3, 2/3, 1}^3 are multiples of 1/27, so every
+    # tuple with |det| = t +- delta sits on the band edge, where rounding decides
+    lattice = gen_lattice(3, 4).points
+    idx = data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=4, max_size=8, unique=True))
+    t = data.draw(st.sampled_from([1 / 27, 2 / 27, 1 / 9]))
+    delta = data.draw(st.sampled_from([0.0, 1 / 27, 2 / 27]))
+    _assert_volume3_matches_brute(PointSet(dim=3, points=lattice[idx]), t, delta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_volume_d3_degenerate_sets_match_brute(data):
+    n = data.draw(st.integers(1, 8))  # n < 4 leaves no tuple
+    if data.draw(st.booleans()):  # coplanar: every determinant is 0
+        ps = gen_coplanar(3, n, seed=data.draw(st.integers(0, 99)))
+    else:
+        distinct = data.draw(st.lists(st.lists(COARSE, min_size=3, max_size=3), min_size=1, max_size=5))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+        ps = PointSet(dim=3, points=[distinct[i] for i in picks])  # repeats are coincident points
+    t = data.draw(st.sampled_from([0.0, 0.0625, 0.125, 0.25]))
+    delta = data.draw(st.sampled_from([0.0, 0.0625, 0.125]))
+    _assert_volume3_matches_brute(ps, t, delta)
+
+
 # ---------------------------------------------------------------------------
 # generic Phi
 
@@ -581,6 +618,8 @@ def test_box_dim_validation():
         box_dim(np.array([[0.1, 0.1]]), [0.5, 0.25, 1.5])  # scale out of range
     with pytest.raises(ValueError):
         box_dim(np.empty((0, 2)), [0.5, 0.25, 0.125])
+    with pytest.raises(ValueError):
+        box_dim(np.array([0.1, 0.2, 0.3]), [0.5, 0.25, 0.125])  # not an (n, d) array
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +637,7 @@ def test_run_query_dispatch():
 
 def test_count_report_csv_row():
     report = count_simplex(SQUARE, 1, [1.0], 0.01)
-    row = count_report_row(report, deterministic_body=True)
-    assert row == "simplex,1,2,4,1,0.01,8,pruned,,"
-    live = count_report_row(report)
-    assert live.split(",")[8] != ""  # measured timing present by default
+    assert count_report_row(report) == "simplex,1,2,4,1,0.01,8,pruned,,"
 
 
 NON_FINITE = [(math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from configeo import energy
 from configeo.energy import discrete_energy, energy_profile, is_adaptable
 from configeo.errors import CoincidentPointsError
 from configeo.pointgen import PointSet, gen_lattice, gen_random
@@ -36,6 +37,14 @@ def test_matches_double_loop_oracle(n, seed):
         got = discrete_energy(ps, s)
         want = naive_energy(ps.points, s)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("entries", [1, 7 * 300, 10**6])  # 1, 7 and all 300 rows per block
+def test_block_size_leaves_values_bit_identical(monkeypatch, entries):
+    ps = gen_random(3, 300, seed=5)
+    want = [discrete_energy(ps, s) for s in (1.0, 1.9, 2.0)]
+    monkeypatch.setattr(energy, "_BLOCK_ENTRIES", entries)
+    assert [discrete_energy(ps, s) for s in (1.0, 1.9, 2.0)] == want
 
 
 def test_lattice_1_3_hand_value():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from configeo import expfit
 from configeo.configcount import PhiFunction
 from configeo.errors import InfeasibleError
 from configeo.expfit import (
@@ -245,6 +246,13 @@ def test_scan_spec_validation():
         ScanSpec(generator=gen, family="custom", k=1, schedule=(10, 20, 40))
     with pytest.raises(ValueError):
         ScanSpec(generator=gen, family="nope", k=1, schedule=(10, 20, 40))
+
+
+def test_scan_checks_k_before_generating(monkeypatch):
+    monkeypatch.setattr(expfit, "generate", lambda spec: pytest.fail("generated a point set"))
+    template = GeneratorSpec.make("uniform_random", d=2)
+    with pytest.raises(ValueError, match="k <= d"):
+        run_scan(ScanSpec(generator=template, family="simplex", k=3, schedule=(20, 40, 80)))
 
 
 def test_scan_verdict_margin_rule():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from configeo import pointgen
 from configeo.errors import CapacityError
 from configeo.pointgen import (
     GeneratorSpec,
@@ -56,6 +57,21 @@ def test_lattice_budget():
     with pytest.raises(CapacityError):
         gen_lattice(2, 1001)  # 1001^2 > 1e6
     gen_lattice(2, 1000)  # exactly at the budget
+
+
+@pytest.mark.parametrize("spec", [
+    GeneratorSpec.make("lattice", d=2, m=4),
+    GeneratorSpec.make("cantor_product", d=2, r=0.3, L=2),
+    GeneratorSpec.make("homogeneous", d=2, m=4, seed=0),
+    GeneratorSpec.make("uniform_random", d=2, n=16, seed=0),
+    GeneratorSpec.make("coplanar", d=2, n=16, seed=0),
+])
+def test_every_generator_checks_the_point_budget(monkeypatch, spec):
+    monkeypatch.setattr(pointgen, "DEFAULT_POINT_BUDGET", 16)
+    assert generate(spec).n == 16
+    monkeypatch.setattr(pointgen, "DEFAULT_POINT_BUDGET", 15)
+    with pytest.raises(CapacityError):
+        generate(spec)
 
 
 def test_lattice_distance_multiset_cube_symmetries():
@@ -212,10 +228,3 @@ def test_pointset_validates():
     with pytest.raises(ValueError):
         ps.points[0, 0] = 0.1  # read-only
 
-
-def test_from_file_generator(tmp_path):
-    ps = gen_cantor(1, 0.4, 3)
-    path = tmp_path / "c.txt"
-    save_pointset(ps, path)
-    spec = GeneratorSpec.make("from_file", path=str(path))
-    np.testing.assert_array_equal(generate(spec).points, ps.points)
