@@ -29,9 +29,9 @@ from .configcount import (
     family_row,
     run_query,
 )
-from .energy import DEFAULT_ADAPTABILITY_C, energy_profile, is_adaptable
+from .energy import DEFAULT_ADAPTABILITY_C, energy_profile
 from .errors import ConfigeoError, InfeasibleError
-from .expfit import ScanSpec, count_exponent, run_scan
+from .expfit import ScanSpec, run_scan
 from .fourierlab import (
     FrequencyPoint,
     MeasureSpec,
@@ -569,18 +569,18 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
 
     if method == "closed":
         if spec.kind == "sphere":
-            evaluator = lambda p: ft_sphere(spec.d, p.blocks[0])  # noqa: E731
+            evaluator = lambda ps: [ft_sphere(spec.d, p.blocks[0]) for p in ps]  # noqa: E731
         elif spec.kind == "triangle2d":
-            evaluator = lambda p: ft_triangle(p.blocks[0], p.blocks[1])  # noqa: E731
+            evaluator = lambda ps: [ft_triangle(p.blocks[0], p.blocks[1]) for p in ps]  # noqa: E731
         else:
             raise UsageError(f"no closed form for kind {spec.kind!r}; use method = mc")
     elif method == "quadrature":
         nodes = _get_int(sections, "ft", "nodes", 2048)
-        evaluator = lambda p: ft_quadrature(spec, p.blocks[0], nodes)  # noqa: E731
+        evaluator = lambda ps: [ft_quadrature(spec, p.blocks[0], nodes) for p in ps]  # noqa: E731
     elif method == "mc":
         epsilon = _get_float(sections, "ft", "epsilon", 0.05)
         samples = _get_int(sections, "ft", "samples", 10**6)
-        evaluator = lambda p: ft_montecarlo(spec, p, epsilon, samples, cfg.seed)  # noqa: E731
+        evaluator = lambda ps: ft_montecarlo(spec, ps, epsilon, samples, cfg.seed)  # noqa: E731
     else:
         raise UsageError(f"unknown ft method {method!r}")
 

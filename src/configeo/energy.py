@@ -13,7 +13,14 @@ the set thickened at scale n^{-1/s}.
 Summation contract: each row of n distances is computed and summed whole
 (numpy's pairwise summation along the row), and the final reduction runs over
 the n row sums, so the value does not depend on how many rows a block holds;
-repeated runs agree bit for bit.
+repeated runs agree bit for bit.  The contract covers the whole s-grid: a
+profile computes each block's distances once and reduces them for every s in
+the grid, row by row, so each of its values equals the single-exponent
+discrete_energy bit for bit, whatever the grid holds besides.
+
+Budget: a set with more than ENERGY_PAIR_BUDGET ordered pairs n(n-1) is
+refused with CapacityError before any distance is computed.  At the budget,
+10^9 pairs (n = 31,623), one exponent at d = 2 takes ~18 s on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -22,11 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentPointsError
+from .errors import CapacityError, CoincidentPointsError
 from .pointgen import PointSet
 
 COINCIDENCE_TOL = 1e-12
 DEFAULT_ADAPTABILITY_C = 10.0
+ENERGY_PAIR_BUDGET = 10**9  # ordered pairs n(n-1)
 
 _BLOCK_ENTRIES = 1 << 16  # pairs per block: max(1, _BLOCK_ENTRIES // n) whole rows
 
@@ -44,17 +52,40 @@ class EnergyReport:
 
 def discrete_energy(ps: PointSet, s: float) -> float:
     """E_s(ps) as defined above; raises on coincident points."""
-    if s <= 0:
+    [(_, value)] = energy_profile(ps, (s,))
+    return value
+
+
+def energy_profile(ps: PointSet, s_grid) -> list[tuple[float, float]]:
+    """(s, E_s(ps)) for every s of the grid, in grid order, from one
+    distance pass.
+
+    Each block's distance rows are computed once and reduced for every s.
+    Coincident points raise before any s sums the block that holds them, and a
+    set with more than ENERGY_PAIR_BUDGET ordered pairs is refused before the
+    first block.
+    """
+    grid = [float(s) for s in s_grid]
+    if any(s <= 0 for s in grid):
         raise ValueError("energy exponent s must be positive")
     pts = ps.points
     n = ps.n
-    if n == 1:
-        return 0.0
-    row_sums = np.empty(n)
+    if n == 1 or not grid:
+        return [(s, 0.0) for s in grid]
+    if n * (n - 1) > ENERGY_PAIR_BUDGET:
+        raise CapacityError(f"{n} points make {n * (n - 1)} ordered pairs, "
+                            f"over the energy budget of {ENERGY_PAIR_BUDGET}")
+    row_sums = np.empty((len(grid), n))
     rows = max(1, _BLOCK_ENTRIES // n)
+    coords = np.ascontiguousarray(pts.T)
+    buf = np.empty((rows, n, ps.dim))
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        diff = pts[start:stop, None, :] - pts[None, :, :]
+        # p - p' one coordinate at a time: the entries of the broadcast
+        # pts[start:stop, None, :] - pts[None, :, :], several times faster
+        diff = buf[: stop - start]
+        for k, col in enumerate(coords):
+            np.subtract(col[start:stop, None], col[None, :], out=diff[:, :, k])
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         block_rows = np.arange(start, stop)
         dist[block_rows - start, block_rows] = np.inf  # exclude p == p'
@@ -63,8 +94,9 @@ def discrete_energy(ps: PointSet, s: float) -> float:
                 f"pair closer than {COINCIDENCE_TOL:g} encountered; "
                 "|p-p'|^{-s} is not evaluable"
             )
-        row_sums[start:stop] = np.sum(dist**-s, axis=1)
-    return float(np.sum(row_sums)) / (n * n)
+        for sums, s in zip(row_sums, grid):
+            sums[start:stop] = np.sum(dist**-s, axis=1)
+    return [(s, float(np.sum(sums)) / (n * n)) for s, sums in zip(grid, row_sums)]
 
 
 def is_adaptable(ps: PointSet, s: float, C: float = DEFAULT_ADAPTABILITY_C) -> EnergyReport:
@@ -74,7 +106,3 @@ def is_adaptable(ps: PointSet, s: float, C: float = DEFAULT_ADAPTABILITY_C) -> E
     value = discrete_energy(ps, s)
     return EnergyReport(s=float(s), value=value, n=ps.n, adaptable_at=float(C), verdict=value <= C)
 
-
-def energy_profile(ps: PointSet, s_grid) -> list[tuple[float, float]]:
-    """Pointwise E_s over a grid of exponents, in input order."""
-    return [(float(s), discrete_energy(ps, s)) for s in s_grid]

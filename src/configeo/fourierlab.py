@@ -22,6 +22,12 @@ density; decay exponents are invariant under such densities.  For
 triangle2d that density is the constant sqrt(3)/2, which the estimator
 applies so it matches ft_triangle exactly; the other kinds are compared by
 exponent only.
+
+ft_montecarlo evaluates a whole list of frequency points from one seeded
+draw: each chunk of samples is drawn and tested against the constraints
+once, and every point sums its own phases over it.  A point's estimate and
+standard error are therefore the same whether it is evaluated alone or in a
+ray with others, and decay_fit hands the evaluator the whole ray at once.
 """
 
 from __future__ import annotations
@@ -253,47 +259,59 @@ def ft_quadrature(spec: MeasureSpec, xi, node_count: int = 2048) -> complex:
 
 
 def ft_montecarlo(
-    spec: MeasureSpec, Xi: FrequencyPoint, epsilon: float, samples: int, seed: int
-) -> tuple[complex, float]:
-    """Thickened-shell Monte Carlo estimate of the measure transform at Xi.
+    spec: MeasureSpec, points, epsilon: float, samples: int, seed: int
+) -> list[tuple[complex, float]]:
+    """Thickened-shell Monte Carlo estimates of the measure transform at each
+    of the frequency points, as one (estimate, standard error) per point.
 
     Samples the ambient product of spheres (or the cutoff ball), weights by
     (2*eps)^(-c) * indicator(|constraints| < eps), and averages the phases.
-    Returns (estimate, standard error).  All samples come from one PCG64
-    stream, the first child of SeedSequence(seed), so the result is
-    reproducible for a fixed seed.  Kinds that draw several arrays per sample
-    interleave them per chunk of _MC_CHUNK samples, so the chunk is a
-    constant: another size would change every seeded estimate.
+    All samples come from one PCG64 stream, the first child of
+    SeedSequence(seed), so the result is reproducible for a fixed seed.  Kinds
+    that draw several arrays per sample interleave them per chunk of _MC_CHUNK
+    samples, so the chunk is a constant: another size would change every
+    seeded estimate.  The loop is chunk-major: each chunk is drawn and tested
+    against the constraints once, then every point adds that chunk's phases to
+    its own sums, so a point's estimate is the same whether it is evaluated
+    alone or together with others, and memory stays bounded by the chunk.
     """
     if not (0.0 < epsilon <= 0.2):
         raise ValueError("epsilon must lie in (0, 0.2]")
     if samples < 10**4:
         raise ValueError("need at least 1e4 samples")
-    if not Xi.matches(spec):
-        raise ValueError(f"frequency blocks {tuple(b.size for b in Xi.blocks)} do not match "
-                         f"measure blocks {spec.block_dims}")
+    points = list(points)
+    for fp in points:
+        if not fp.matches(spec):
+            raise ValueError(f"frequency blocks {tuple(b.size for b in fp.blocks)} do not match "
+                             f"measure blocks {spec.block_dims}")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     total_n = 0
-    sum_v = 0.0 + 0.0j
-    sum_re2 = 0.0
-    sum_im2 = 0.0
+    sum_v = [0.0 + 0.0j] * len(points)
+    sum_re2 = [0.0] * len(points)
+    sum_im2 = [0.0] * len(points)
     accepted = 0
     while total_n < samples:
         m = min(_MC_CHUNK, samples - total_n)
-        v, n_acc = _mc_chunk(spec, Xi, epsilon, rng, m)
-        sum_v += v.sum()
-        sum_re2 += float((v.real**2).sum())
-        sum_im2 += float((v.imag**2).sum())
-        accepted += n_acc
+        blocks, acc, weight = _mc_draw(spec, epsilon, rng, m)
+        v = np.zeros(m, dtype=complex)  # rejected rows stay zero for every point
+        for i, fp in enumerate(points):
+            phase = sum(b @ xi for b, xi in zip(blocks, fp.blocks))
+            v[acc] = weight * np.exp(-2j * math.pi * phase)
+            sum_v[i] += v.sum()
+            sum_re2[i] += float((v.real**2).sum())
+            sum_im2[i] += float((v.imag**2).sum())
+        accepted += int(acc.sum())
         total_n += m
     if accepted == 0:
         raise InfeasibleError("no sample satisfied the constraints; measure infeasible at this epsilon")
-    mean = sum_v / total_n
-    var_re = max(sum_re2 / total_n - mean.real**2, 0.0)
-    var_im = max(sum_im2 / total_n - mean.imag**2, 0.0)
-    stderr = math.sqrt((var_re + var_im) / total_n)
-    return complex(mean), stderr
+    out = []
+    for s_v, s_re2, s_im2 in zip(sum_v, sum_re2, sum_im2):
+        mean = s_v / total_n
+        var_re = max(s_re2 / total_n - mean.real**2, 0.0)
+        var_im = max(s_im2 / total_n - mean.imag**2, 0.0)
+        out.append((complex(mean), math.sqrt((var_re + var_im) / total_n)))
+    return out
 
 
 def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
@@ -303,42 +321,34 @@ def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     return g / norms
 
 
-def _mc_chunk(
-    spec: MeasureSpec, fp: FrequencyPoint, epsilon: float, rng: np.random.Generator, m: int
-) -> tuple[np.ndarray, int]:
-    """One chunk of weighted phase samples (zeros where rejected)."""
+def _mc_draw(
+    spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int
+) -> tuple[list[np.ndarray], np.ndarray, float]:
+    """One chunk of m samples: the accepted rows of each frequency block's
+    sample array, the acceptance mask over the chunk, and the weight."""
     if spec.kind == "sphere":
         x = _unit_vectors(rng, m, spec.d)
-        phase = x @ fp.blocks[0]
-        weight = sphere_area(spec.d)
-        values = weight * np.exp(-2j * math.pi * phase)
-        return values, m
+        return [x], np.ones(m, dtype=bool), sphere_area(spec.d)
 
     if spec.kind == "triangle2d":
         u = _unit_vectors(rng, m, 2)
         v = _unit_vectors(rng, m, 2)
-        resid = np.abs(np.linalg.norm(u - v, axis=1) - 1.0)
-        acc = resid < epsilon
-        phase = u @ fp.blocks[0] + v @ fp.blocks[1]
+        acc = np.abs(np.linalg.norm(u - v, axis=1) - 1.0) < epsilon
         ambient = (2.0 * math.pi) ** 2
         # constant shell->parametrized density: |grad over the torus| = sqrt(3)/2
         weight = ambient / (2.0 * epsilon) * (_SQ3 / 2.0)
-        values = np.where(acc, weight * np.exp(-2j * math.pi * phase), 0.0)
-        return values, int(acc.sum())
+        return [u[acc], v[acc]], acc, weight
 
     if spec.kind == "chain_spheres":
         blocks = [r * _unit_vectors(rng, m, spec.d) for r in spec.radii]
         acc = np.ones(m, dtype=bool)
         for x, y, g in zip(blocks, blocks[1:], spec.gaps):
             acc &= np.abs(np.linalg.norm(x - y, axis=1) - g) < epsilon
-        phase = sum(b @ xi for b, xi in zip(blocks, fp.blocks))
         ambient = math.prod(
             sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii
         )
-        c = len(spec.gaps)
-        weight = ambient / (2.0 * epsilon) ** c
-        values = np.where(acc, weight * np.exp(-2j * math.pi * phase), 0.0)
-        return values, int(acc.sum())
+        weight = ambient / (2.0 * epsilon) ** len(spec.gaps)
+        return [b[acc] for b in blocks], acc, weight
 
     if spec.kind == "determinant_variety":
         dd = spec.d
@@ -348,12 +358,10 @@ def _mc_chunk(
         y = dirs * radius[:, None]
         mats = y.reshape(m, dd, dd)
         acc = np.abs(np.linalg.det(mats) - spec.t) < epsilon
-        phase = sum(mats[:, j, :] @ xi for j, xi in enumerate(fp.blocks))
+        mats = mats[acc]
         ball_vol = math.pi ** (ambient_dim / 2.0) / gamma_fn(ambient_dim / 2.0 + 1.0)
         ambient = ball_vol * spec.cutoff**ambient_dim
-        weight = ambient / (2.0 * epsilon)
-        values = np.where(acc, weight * np.exp(-2j * math.pi * phase), 0.0)
-        return values, int(acc.sum())
+        return [mats[:, j, :] for j in range(dd)], acc, ambient / (2.0 * epsilon)
 
     raise ValueError(f"unknown measure kind {spec.kind!r}")
 
@@ -382,11 +390,12 @@ def decay_fit(
 ) -> DecayReport:
     """Fit the decay order of |F| along a ray of frequency points.
 
-    evaluator maps a FrequencyPoint to a complex value or to a
-    (value, stderr) pair.  Magnitudes below 1e-14 are dropped.  The fit runs
-    on the envelope, the local maxima of |F| over the radius grid (pointwise
-    fits are corrupted by transform zeros); when fewer than 3 maxima exist
-    (monotone profiles) all surviving points are used.
+    evaluator is called once with the ray's list of FrequencyPoints and
+    returns one value per point, each a complex value or a (value, stderr)
+    pair.  Magnitudes below 1e-14 are dropped.  The fit runs on the
+    envelope, the local maxima of |F| over the radius grid (pointwise fits are
+    corrupted by transform zeros); when fewer than 3 maxima exist (monotone
+    profiles) all surviving points are used.
     """
     norm = direction.norm
     if norm == 0.0:
@@ -400,10 +409,12 @@ def decay_fit(
     if radii[-1] < 10.0 * radii[0] * (1.0 - 1e-12):
         raise ValueError("radii must span at least one decade")
 
+    outs = list(evaluator([unit.scaled(r) for r in radii]))
+    if len(outs) != len(radii):
+        raise ValueError(f"evaluator returned {len(outs)} values for {len(radii)} points")
     mags, errs = [], []
     has_err = False
-    for r in radii:
-        out = evaluator(unit.scaled(r))
+    for out in outs:
         if isinstance(out, tuple):
             value, err = out
             has_err = True

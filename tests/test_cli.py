@@ -1,4 +1,3 @@
-import os
 import re
 import subprocess
 import sys
@@ -6,7 +5,6 @@ import sys
 import pytest
 
 from configeo.cli import (
-    ExperimentConfig,
     UsageError,
     main,
     parse_config,

@@ -5,7 +5,7 @@ import pytest
 
 from configeo import energy
 from configeo.energy import discrete_energy, energy_profile, is_adaptable
-from configeo.errors import CoincidentPointsError
+from configeo.errors import CapacityError, CoincidentPointsError
 from configeo.pointgen import PointSet, gen_lattice, gen_random
 
 
@@ -45,6 +45,63 @@ def test_block_size_leaves_values_bit_identical(monkeypatch, entries):
     want = [discrete_energy(ps, s) for s in (1.0, 1.9, 2.0)]
     monkeypatch.setattr(energy, "_BLOCK_ENTRIES", entries)
     assert [discrete_energy(ps, s) for s in (1.0, 1.9, 2.0)] == want
+
+
+def broadcast_energy(pts, s):
+    """The whole distance matrix from one broadcast difference, reduced with
+    the module's summation: row sums, then their sum."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(dist, np.inf)
+    return float(np.sum(np.sum(dist**-s, axis=1))) / len(pts) ** 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_blocked_distances_equal_the_broadcast_bit_for_bit(d):
+    ps = gen_random(d, 400, seed=d)
+    grid = [0.5, 1.0, 1.9, 2.0]
+    want = [broadcast_energy(ps.points, s) for s in grid]
+    assert [v for _, v in energy_profile(ps, grid)] == want
+
+
+@pytest.mark.parametrize("n,grid", [
+    (300, [1.0, 1.9, 2.0]),
+    (301, [1.9, 0.5, 1.9, 1.0, 0.5]),  # repeated s; 301 rows is not a multiple of 217
+    (1000, [1.0, 1.9]),  # 65 rows per block, the last block holds 25
+    (1, [1.0, 1.0, 2.5]),
+])
+def test_profile_equals_pointwise_energies_bit_for_bit(n, grid):
+    ps = gen_random(2, n, seed=n)
+    assert [v for _, v in energy_profile(ps, grid)] == [discrete_energy(ps, s) for s in grid]
+    assert [s for s, _ in energy_profile(ps, grid)] == grid
+
+
+def test_profile_coincident_points_raise_before_any_sum(monkeypatch):
+    # the coincident pair sits in the first block, so no s may be summed
+    ps = PointSet(dim=2, points=[[0.5, 0.5], [0.1, 0.2], [0.5, 0.5], [0.9, 0.3]])
+    summed = []
+    real_sum = np.sum
+    monkeypatch.setattr(np, "sum", lambda *a, **k: summed.append(1) or real_sum(*a, **k))
+    with pytest.raises(CoincidentPointsError):
+        energy_profile(ps, [1.0, 1.9])
+    assert summed == []
+
+
+def test_pair_budget_refuses_before_the_first_block(monkeypatch):
+    ps = gen_random(2, 50, seed=3)
+    monkeypatch.setattr(energy, "ENERGY_PAIR_BUDGET", 50 * 49 - 1)
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: pytest.fail("distance pass ran"))
+    with pytest.raises(CapacityError):
+        discrete_energy(ps, 1.0)
+    with pytest.raises(CapacityError):
+        energy_profile(ps, [1.0, 1.9])
+    monkeypatch.undo()
+    monkeypatch.setattr(energy, "ENERGY_PAIR_BUDGET", 50 * 49)  # exactly at the budget
+    assert discrete_energy(ps, 1.0) > 0.0
+
+
+def test_pair_budget_leaves_room_for_the_largest_benchmark_set():
+    assert 8000 * 7999 * 10 <= energy.ENERGY_PAIR_BUDGET
 
 
 def test_lattice_1_3_hand_value():

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from configeo import fourierlab
 from configeo.errors import InfeasibleError
 from configeo.fourierlab import (
-    DecayReport,
     FrequencyPoint,
     MeasureSpec,
     circulant_check,
@@ -146,8 +146,8 @@ def test_triangle_diagonal_reduces_to_circle():
 
 def test_mc_sphere_mass_and_shrinking_error():
     spec = MeasureSpec.sphere(3)
-    est1, se1 = ft_montecarlo(spec, FrequencyPoint.of([0.5, 0, 0]), 0.05, 10**4, seed=6)
-    est2, se2 = ft_montecarlo(spec, FrequencyPoint.of([0.5, 0, 0]), 0.05, 9 * 10**4, seed=6)
+    [(est1, se1)] = ft_montecarlo(spec, [FrequencyPoint.of([0.5, 0, 0])], 0.05, 10**4, seed=6)
+    [(est2, se2)] = ft_montecarlo(spec, [FrequencyPoint.of([0.5, 0, 0])], 0.05, 9 * 10**4, seed=6)
     exact = ft_sphere(3, [0.5, 0, 0])
     assert abs(est2 - exact) <= 4 * se2
     assert se2 < se1
@@ -157,8 +157,8 @@ def test_mc_triangle_matches_closed_form():
     spec = MeasureSpec.triangle2d()
     for point in ((0.0, 0.0, 0.0, 0.0), (0.4, 0.2, -0.3, 0.1), (1.5, 0.5, -1.0, 0.8)):
         xi, eta = point[:2], point[2:]
-        est, se = ft_montecarlo(
-            spec, FrequencyPoint.of(xi, eta), epsilon=0.01, samples=2 * 10**5, seed=7
+        [(est, se)] = ft_montecarlo(
+            spec, [FrequencyPoint.of(xi, eta)], epsilon=0.01, samples=2 * 10**5, seed=7
         )
         exact = ft_triangle(xi, eta)
         assert abs(est - exact) <= 3.5 * se
@@ -166,7 +166,8 @@ def test_mc_triangle_matches_closed_form():
 
 def test_mc_mass_positive():
     spec = MeasureSpec.chain_spheres(3)
-    est, se = ft_montecarlo(spec, FrequencyPoint.of([0, 0, 0], [0, 0, 0]), 0.05, 10**5, seed=8)
+    zero = FrequencyPoint.of([0, 0, 0], [0, 0, 0])
+    [(est, se)] = ft_montecarlo(spec, [zero], 0.05, 10**5, seed=8)
     assert est.real > 0 and se > 0
     # analytic Leray mass of the two-sphere unit chain in R^3 is 8 pi^2
     assert est.real == pytest.approx(8 * math.pi**2, rel=0.05)
@@ -175,9 +176,9 @@ def test_mc_mass_positive():
 def test_mc_epsilon_bias_check():
     spec = MeasureSpec.chain_spheres(3)
     zero = FrequencyPoint.of([0, 0, 0], [0, 0, 0])
-    est1, se1 = ft_montecarlo(spec, zero, 0.1, 4 * 10**5, seed=9)
-    est2, se2 = ft_montecarlo(spec, zero, 0.05, 4 * 10**5, seed=10)
-    est3, se3 = ft_montecarlo(spec, zero, 0.025, 4 * 10**5, seed=11)
+    [(est1, se1)] = ft_montecarlo(spec, [zero], 0.1, 4 * 10**5, seed=9)
+    [(est2, se2)] = ft_montecarlo(spec, [zero], 0.05, 4 * 10**5, seed=10)
+    [(est3, se3)] = ft_montecarlo(spec, [zero], 0.025, 4 * 10**5, seed=11)
     assert abs(est1 - est2) <= 3 * math.hypot(se1, se2)
     assert abs(est2 - est3) <= 3 * math.hypot(se2, se3)
 
@@ -185,22 +186,22 @@ def test_mc_epsilon_bias_check():
 def test_mc_reproducible():
     spec = MeasureSpec.triangle2d()
     fp = FrequencyPoint.of([0.3, 0.1], [-0.2, 0.4])
-    a = ft_montecarlo(spec, fp, 0.05, 4 * 10**4, seed=12)
-    b = ft_montecarlo(spec, fp, 0.05, 4 * 10**4, seed=12)
+    a = ft_montecarlo(spec, [fp], 0.05, 4 * 10**4, seed=12)
+    b = ft_montecarlo(spec, [fp], 0.05, 4 * 10**4, seed=12)
     assert a == b
 
 
 def test_mc_infeasible_error():
     spec = MeasureSpec.determinant_variety(3, t=1.5)  # near the attainable edge
     with pytest.raises(InfeasibleError):
-        ft_montecarlo(spec, FrequencyPoint.of([0, 0, 0], [0, 0, 0], [0, 0, 0]),
+        ft_montecarlo(spec, [FrequencyPoint.of([0, 0, 0], [0, 0, 0], [0, 0, 0])],
                       epsilon=1e-6, samples=10**4, seed=13)
 
 
 def test_mc_determinant_variety_mass():
     spec = MeasureSpec.determinant_variety(3, t=0.2)
-    est, se = ft_montecarlo(
-        spec, FrequencyPoint.of([0, 0, 0], [0, 0, 0], [0, 0, 0]), 0.05, 2 * 10**5, seed=14
+    [(est, se)] = ft_montecarlo(
+        spec, [FrequencyPoint.of([0, 0, 0], [0, 0, 0], [0, 0, 0])], 0.05, 2 * 10**5, seed=14
     )
     assert est.real > 0
     assert abs(est.imag) <= 3 * se
@@ -210,11 +211,79 @@ def test_mc_validation():
     spec = MeasureSpec.sphere(2)
     fp = FrequencyPoint.of([1.0, 0.0])
     with pytest.raises(ValueError):
-        ft_montecarlo(spec, fp, 0.5, 10**4, seed=0)  # epsilon too large
+        ft_montecarlo(spec, [fp], 0.5, 10**4, seed=0)  # epsilon too large
     with pytest.raises(ValueError):
-        ft_montecarlo(spec, fp, 0.05, 10**3, seed=0)  # too few samples
+        ft_montecarlo(spec, [fp], 0.05, 10**3, seed=0)  # too few samples
     with pytest.raises(ValueError):
-        ft_montecarlo(spec, FrequencyPoint.of([1.0, 0.0, 0.0]), 0.05, 10**4, seed=0)
+        ft_montecarlo(spec, [FrequencyPoint.of([1.0, 0.0, 0.0])], 0.05, 10**4, seed=0)
+    with pytest.raises(ValueError):  # one mismatched point fails the whole call
+        ft_montecarlo(spec, [fp, FrequencyPoint.of([1.0, 0.0, 0.0])], 0.05, 10**4, seed=0)
+
+
+# Seeded estimates pinned at the per-point implementation (one draw per
+# point), over two chunks of _MC_CHUNK samples with a partial last one.
+# Compared with ==: evaluating a ray from one draw must not move a bit.
+GOLDEN_SAMPLES = 270_000
+GOLDEN_MC = {
+    "sphere": (
+        MeasureSpec.sphere(3), 21,
+        [([0.5, 0.0, 0.0],), ([2.0, -1.0, 0.5],)],
+        [(complex(0.005255379739091543, 0.010703533121323059), 0.024183980635551133),
+         (complex(0.8470266257941473, 0.030542836433671658), 0.024128919443486323)],
+    ),
+    "triangle2d": (
+        MeasureSpec.triangle2d(), 22,
+        [([0.3, 0.1], [-0.2, 0.4]), ([1.5, 0.5], [-1.0, 0.8])],
+        [(complex(2.058439828636069, 0.011488707280499343), 0.12549639963878928),
+         (complex(1.0276877091248766, 0.08653914197484844), 0.12554322234148538)],
+    ),
+    "chain_spheres": (
+        MeasureSpec.chain_spheres(3), 23,
+        [([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
+         ([3.5, 0.2, 0.0], [-3.5, 0.0, 0.1])],
+        [(complex(78.31348321812536, 0.0), 0.6597830567349644),
+         (complex(-0.6983705385843058, 0.40874184351061343), 0.676776239049061),
+         (complex(-0.3947181520602262, -0.1831854662954825), 0.676777512601815)],
+    ),
+    # phases come from the strided mats[:, j, :] views of the accepted rows
+    "determinant_variety": (
+        MeasureSpec.determinant_variety(3, t=0.2), 24,
+        [([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+         ([0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]),
+         ([0.3, -0.7, 0.2], [1.1, 0.0, -0.4], [-0.6, 0.9, 0.8])],
+        [(complex(1392.351917984495, 0.0), 8.939281673485521),
+         (complex(15.806407405887523, 1.3322725414431702), 9.332201636207804),
+         (complex(7.655576811463105, 3.2544215123045985), 9.332237834643754)],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_MC))
+def test_mc_golden_estimates_and_single_point_calls(kind):
+    spec, seed, blocks, want = GOLDEN_MC[kind]
+    points = [FrequencyPoint.of(*b) for b in blocks]
+    assert ft_montecarlo(spec, points, 0.05, GOLDEN_SAMPLES, seed) == want
+    for fp, one in zip(points, want):
+        assert ft_montecarlo(spec, [fp], 0.05, GOLDEN_SAMPLES, seed) == [one]
+
+
+@pytest.mark.parametrize("kind,draws_per_chunk", [
+    ("sphere", 1), ("triangle2d", 2), ("chain_spheres", 2), ("determinant_variety", 1),
+])
+def test_mc_draws_once_per_chunk_whatever_the_point_count(monkeypatch, kind, draws_per_chunk):
+    spec, seed, blocks, _ = GOLDEN_MC[kind]
+    points = [FrequencyPoint.of(*b) for b in blocks]
+    monkeypatch.setattr(fourierlab, "_MC_CHUNK", 4096)
+    calls = []
+    draw = fourierlab._unit_vectors
+    monkeypatch.setattr(fourierlab, "_unit_vectors",
+                        lambda *args: calls.append(args[1:]) or draw(*args))
+    samples = 3 * 4096 + 100  # three full chunks and a partial one
+    for batch in ([points[0]], points, points * 4):
+        calls.clear()
+        ft_montecarlo(spec, batch, 0.05, samples, seed)
+        assert len(calls) == 4 * draws_per_chunk
+        assert [m for m, _ in calls[::draws_per_chunk]] == [4096, 4096, 4096, 100]
 
 
 def test_measure_spec_validation():
@@ -238,7 +307,7 @@ def test_measure_spec_validation():
 
 def test_decay_fit_synthetic_power_law():
     radii = np.geomspace(1.0, 100.0, 40)
-    report = decay_fit(lambda p: p.norm**-0.5, FrequencyPoint.of([1.0, 0.0]), radii)
+    report = decay_fit(lambda ps: [p.norm**-0.5 for p in ps], FrequencyPoint.of([1.0, 0.0]), radii)
     assert report.fitted_exponent == pytest.approx(0.5, abs=1e-9)
     assert not report.inconclusive
 
@@ -246,7 +315,7 @@ def test_decay_fit_synthetic_power_law():
 def test_decay_fit_sphere_d3():
     radii = np.geomspace(10.0, 1000.0, 20000)
     report = decay_fit(
-        lambda p: ft_sphere(3, p.blocks[0]),
+        lambda ps: [ft_sphere(3, p.blocks[0]) for p in ps],
         FrequencyPoint.of([0.3, -0.5, 0.81]),
         radii,
         reference=1.0,
@@ -257,7 +326,9 @@ def test_decay_fit_sphere_d3():
 
 def test_decay_fit_sphere_d2():
     radii = np.geomspace(10.0, 1000.0, 20000)
-    report = decay_fit(lambda p: ft_sphere(2, p.blocks[0]), FrequencyPoint.of([1.0, 0.4]), radii)
+    report = decay_fit(
+        lambda ps: [ft_sphere(2, p.blocks[0]) for p in ps], FrequencyPoint.of([1.0, 0.4]), radii
+    )
     assert abs(report.fitted_exponent - 0.5) <= 0.1
 
 
@@ -265,7 +336,7 @@ def test_decay_fit_triangle_paired_direction():
     radii = np.geomspace(10.0, 300.0, 8000)
     xi = np.array([0.6, 0.8])
     report = decay_fit(
-        lambda p: ft_triangle(p.blocks[0], p.blocks[1]),
+        lambda ps: [ft_triangle(p.blocks[0], p.blocks[1]) for p in ps],
         FrequencyPoint.of(xi, -xi),
         radii,
         reference=0.5,
@@ -275,7 +346,7 @@ def test_decay_fit_triangle_paired_direction():
 
 def test_decay_fit_direction_normalized():
     radii = np.geomspace(1.0, 20.0, 6)
-    report = decay_fit(lambda p: p.norm**-1.0, FrequencyPoint.of([3.0, 4.0]), radii)
+    report = decay_fit(lambda ps: [p.norm**-1.0 for p in ps], FrequencyPoint.of([3.0, 4.0]), radii)
     assert report.direction.norm == pytest.approx(1.0, rel=1e-12)
     assert report.fitted_exponent == pytest.approx(1.0, abs=1e-9)
 
@@ -283,24 +354,28 @@ def test_decay_fit_direction_normalized():
 def test_decay_fit_validation():
     fp = FrequencyPoint.of([1.0, 0.0])
     with pytest.raises(ValueError):
-        decay_fit(lambda p: 1.0, fp, [1, 2, 3, 40])  # too few radii
+        decay_fit(lambda ps: [1.0] * len(ps), fp, [1, 2, 3, 40])  # too few radii
     with pytest.raises(ValueError):
-        decay_fit(lambda p: 1.0, fp, [1, 2, 3, 4, 5])  # less than a decade
+        decay_fit(lambda ps: [1.0] * len(ps), fp, [1, 2, 3, 4, 5])  # less than a decade
     with pytest.raises(ValueError):
-        decay_fit(lambda p: 1.0, fp, [1, 2, 2, 4, 40])  # not increasing
+        decay_fit(lambda ps: [1.0] * len(ps), fp, [1, 2, 2, 4, 40])  # not increasing
     with pytest.raises(ValueError):
-        decay_fit(lambda p: 1.0, FrequencyPoint.of([0.0, 0.0]), [1, 2, 4, 8, 40])
+        decay_fit(lambda ps: [1.0] * len(ps), FrequencyPoint.of([0.0, 0.0]), [1, 2, 4, 8, 40])
+    with pytest.raises(ValueError):  # one value per point
+        decay_fit(lambda ps: [1.0], fp, [1, 2, 4, 8, 40])
 
 
 def test_decay_fit_floor_gives_inconclusive():
     radii = np.geomspace(1.0, 100.0, 8)
-    report = decay_fit(lambda p: 0.0, FrequencyPoint.of([1.0]), radii)
+    report = decay_fit(lambda ps: [0.0] * len(ps), FrequencyPoint.of([1.0]), radii)
     assert report.inconclusive and report.fitted_exponent is None
 
 
 def test_decay_fit_mc_error_bars_recorded():
     radii = np.geomspace(1.0, 20.0, 6)
-    report = decay_fit(lambda p: (p.norm**-1.0, 0.01), FrequencyPoint.of([1.0, 0.0]), radii)
+    report = decay_fit(
+        lambda ps: [(p.norm**-1.0, 0.01) for p in ps], FrequencyPoint.of([1.0, 0.0]), radii
+    )
     assert report.mc_error_bars == (0.01,) * 6
 
 
