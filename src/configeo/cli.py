@@ -580,7 +580,11 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
     elif method == "mc":
         epsilon = _get_float(sections, "ft", "epsilon", 0.05)
         samples = _get_int(sections, "ft", "samples", 10**6)
-        evaluator = lambda ps: ft_montecarlo(spec, ps, epsilon, samples, cfg.seed)  # noqa: E731
+        # one call per radius, each an estimate over `samples` samples (as
+        # perfbench counts fourierlab.mc); the radii share one remembered draw
+        evaluator = lambda ps: [  # noqa: E731
+            ft_montecarlo(spec, [p], epsilon, samples, cfg.seed)[0] for p in ps
+        ]
     else:
         raise UsageError(f"unknown ft method {method!r}")
 

@@ -13,10 +13,9 @@ the set thickened at scale n^{-1/s}.
 Summation contract: each row of n distances is computed and summed whole
 (numpy's pairwise summation along the row), and the final reduction runs over
 the n row sums, so the value does not depend on how many rows a block holds;
-repeated runs agree bit for bit.  The contract covers the whole s-grid: a
-profile computes each block's distances once and reduces them for every s in
-the grid, row by row, so each of its values equals the single-exponent
-discrete_energy bit for bit, whatever the grid holds besides.
+repeated runs agree bit for bit.  A profile over an s-grid is one
+discrete_energy call per s, so each of its values is the single-exponent
+energy bit for bit, whatever the grid holds besides.
 
 Budget: a set with more than ENERGY_PAIR_BUDGET ordered pairs n(n-1) is
 refused with CapacityError before any distance is computed.  At the budget,
@@ -51,52 +50,60 @@ class EnergyReport:
 
 
 def discrete_energy(ps: PointSet, s: float) -> float:
-    """E_s(ps) as defined above; raises on coincident points."""
-    [(_, value)] = energy_profile(ps, (s,))
-    return value
-
-
-def energy_profile(ps: PointSet, s_grid) -> list[tuple[float, float]]:
-    """(s, E_s(ps)) for every s of the grid, in grid order, from one
-    distance pass.
-
-    Each block's distance rows are computed once and reduced for every s.
-    Coincident points raise before any s sums the block that holds them, and a
-    set with more than ENERGY_PAIR_BUDGET ordered pairs is refused before the
-    first block.
-    """
-    grid = [float(s) for s in s_grid]
-    if any(s <= 0 for s in grid):
+    """E_s(ps) as defined above; raises on coincident points, and refuses a
+    set with more than ENERGY_PAIR_BUDGET ordered pairs before the first
+    block."""
+    if s <= 0:
         raise ValueError("energy exponent s must be positive")
-    pts = ps.points
     n = ps.n
-    if n == 1 or not grid:
-        return [(s, 0.0) for s in grid]
+    if n == 1:
+        return 0.0
     if n * (n - 1) > ENERGY_PAIR_BUDGET:
         raise CapacityError(f"{n} points make {n * (n - 1)} ordered pairs, "
                             f"over the energy budget of {ENERGY_PAIR_BUDGET}")
-    row_sums = np.empty((len(grid), n))
     rows = max(1, _BLOCK_ENTRIES // n)
-    coords = np.ascontiguousarray(pts.T)
-    buf = np.empty((rows, n, ps.dim))
+    coords = np.ascontiguousarray(ps.points.T)
+    dist_buf = np.empty((rows, n))
+    # d <= 2: one coordinate at a time in place; a sum of at most two squares
+    # has one rounding, so it equals the einsum below bit for bit, ~2.5x faster
+    term_buf = np.empty((rows, n)) if ps.dim <= 2 else np.empty((rows, n, ps.dim))
+    row_sums = np.empty(n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        # p - p' one coordinate at a time: the entries of the broadcast
-        # pts[start:stop, None, :] - pts[None, :, :], several times faster
-        diff = buf[: stop - start]
-        for k, col in enumerate(coords):
-            np.subtract(col[start:stop, None], col[None, :], out=diff[:, :, k])
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = dist_buf[: stop - start]
+        term = term_buf[: stop - start]
+        if ps.dim <= 2:
+            np.subtract(coords[0, start:stop, None], coords[0], out=dist)
+            dist *= dist
+            for col in coords[1:]:
+                np.subtract(col[start:stop, None], col, out=term)
+                term *= term
+                dist += term
+        else:
+            # the entries of pts[start:stop, None, :] - pts[None, :, :]
+            for k, col in enumerate(coords):
+                np.subtract(col[start:stop, None], col, out=term[:, :, k])
+            np.einsum("ijk,ijk->ij", term, term, out=dist)
+        np.sqrt(dist, out=dist)
         block_rows = np.arange(start, stop)
         dist[block_rows - start, block_rows] = np.inf  # exclude p == p'
-        if np.any(dist < COINCIDENCE_TOL):
+        if dist.min() < COINCIDENCE_TOL:
             raise CoincidentPointsError(
                 f"pair closer than {COINCIDENCE_TOL:g} encountered; "
                 "|p-p'|^{-s} is not evaluable"
             )
-        for sums, s in zip(row_sums, grid):
-            sums[start:stop] = np.sum(dist**-s, axis=1)
-    return [(s, float(np.sum(sums)) / (n * n)) for s, sums in zip(grid, row_sums)]
+        dist **= -s
+        row_sums[start:stop] = np.sum(dist, axis=1)
+    return float(np.sum(row_sums)) / (n * n)
+
+
+def energy_profile(ps: PointSet, s_grid) -> list[tuple[float, float]]:
+    """(s, E_s(ps)) for every s of the grid, in grid order: one
+    discrete_energy call per s, after every s is checked."""
+    grid = [float(s) for s in s_grid]
+    if any(s <= 0 for s in grid):
+        raise ValueError("energy exponent s must be positive")
+    return [(s, discrete_energy(ps, s)) for s in grid]
 
 
 def is_adaptable(ps: PointSet, s: float, C: float = DEFAULT_ADAPTABILITY_C) -> EnergyReport:

@@ -64,6 +64,20 @@ def test_blocked_distances_equal_the_broadcast_bit_for_bit(d):
     assert [v for _, v in energy_profile(ps, grid)] == want
 
 
+@pytest.mark.parametrize("d,n,seed,s", [(3, 300, 8, 1.0), (4, 400, 8, 1.0)])
+def test_three_or_more_coordinates_keep_the_einsum_rounding(d, n, seed, s):
+    # sets where summing the squares in coordinate order rounds differently
+    ps = gen_random(d, n, seed=seed)
+    diff = ps.points[:, None, :] - ps.points[None, :, :]
+    in_order = diff[..., 0] * diff[..., 0]
+    for k in range(1, d):
+        in_order = in_order + diff[..., k] * diff[..., k]
+    dist = np.sqrt(in_order)
+    np.fill_diagonal(dist, np.inf)
+    assert float(np.sum(np.sum(dist**-s, axis=1))) / n**2 != broadcast_energy(ps.points, s)
+    assert discrete_energy(ps, s) == broadcast_energy(ps.points, s)
+
+
 @pytest.mark.parametrize("n,grid", [
     (300, [1.0, 1.9, 2.0]),
     (301, [1.9, 0.5, 1.9, 1.0, 0.5]),  # repeated s; 301 rows is not a multiple of 217
@@ -90,7 +104,7 @@ def test_profile_coincident_points_raise_before_any_sum(monkeypatch):
 def test_pair_budget_refuses_before_the_first_block(monkeypatch):
     ps = gen_random(2, 50, seed=3)
     monkeypatch.setattr(energy, "ENERGY_PAIR_BUDGET", 50 * 49 - 1)
-    monkeypatch.setattr(np, "einsum", lambda *a, **k: pytest.fail("distance pass ran"))
+    monkeypatch.setattr(np, "subtract", lambda *a, **k: pytest.fail("distance pass ran"))
     with pytest.raises(CapacityError):
         discrete_energy(ps, 1.0)
     with pytest.raises(CapacityError):
