@@ -580,8 +580,9 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
     elif method == "mc":
         epsilon = _get_float(sections, "ft", "epsilon", 0.05)
         samples = _get_int(sections, "ft", "samples", 10**6)
-        # one call per radius, each an estimate over `samples` samples (as
-        # perfbench counts fourierlab.mc); the radii share one remembered draw
+        # one call per radius: perfbench's fourierlab.mc.samples adds the
+        # `samples` argument of each call and its layer test pins that total,
+        # so the ray goes in one call once the counter counts drawn samples
         evaluator = lambda ps: [  # noqa: E731
             ft_montecarlo(spec, [p], epsilon, samples, cfg.seed)[0] for p in ps
         ]

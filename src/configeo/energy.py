@@ -62,29 +62,28 @@ def discrete_energy(ps: PointSet, s: float) -> float:
         raise CapacityError(f"{n} points make {n * (n - 1)} ordered pairs, "
                             f"over the energy budget of {ENERGY_PAIR_BUDGET}")
     rows = max(1, _BLOCK_ENTRIES // n)
-    coords = np.ascontiguousarray(ps.points.T)
+    pts = ps.points
+    coords = np.ascontiguousarray(pts.T)
     dist_buf = np.empty((rows, n))
-    # d <= 2: one coordinate at a time in place; a sum of at most two squares
-    # has one rounding, so it equals the einsum below bit for bit, ~2.5x faster
-    term_buf = np.empty((rows, n)) if ps.dim <= 2 else np.empty((rows, n, ps.dim))
+    term_buf = np.empty((rows, n)) if ps.dim == 2 else None
     row_sums = np.empty(n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        dist = dist_buf[: stop - start]
-        term = term_buf[: stop - start]
         if ps.dim <= 2:
+            # one coordinate at a time in place: a sum of at most two squares
+            # has one rounding, so it equals the einsum below bit for bit
+            dist = dist_buf[: stop - start]
             np.subtract(coords[0, start:stop, None], coords[0], out=dist)
             dist *= dist
-            for col in coords[1:]:
-                np.subtract(col[start:stop, None], col, out=term)
+            if term_buf is not None:
+                term = term_buf[: stop - start]
+                np.subtract(coords[1, start:stop, None], coords[1], out=term)
                 term *= term
                 dist += term
+            np.sqrt(dist, out=dist)
         else:
-            # the entries of pts[start:stop, None, :] - pts[None, :, :]
-            for k, col in enumerate(coords):
-                np.subtract(col[start:stop, None], col, out=term[:, :, k])
-            np.einsum("ijk,ijk->ij", term, term, out=dist)
-        np.sqrt(dist, out=dist)
+            diff = pts[start:stop, None, :] - pts[None, :, :]
+            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
         block_rows = np.arange(start, stop)
         dist[block_rows - start, block_rows] = np.inf  # exclude p == p'
         if dist.min() < COINCIDENCE_TOL:

@@ -24,20 +24,16 @@ applies so it matches ft_triangle exactly; the other kinds are compared by
 exponent only.
 
 ft_montecarlo evaluates a whole list of frequency points from one seeded
-draw: each chunk of samples is drawn and tested against the constraints
-once, and every point sums its own phases over it.  It also remembers the
-accepted rows of its last draw (when they are few, see _MC_MEMO_ENTRIES), so
-repeated calls with the same measure, epsilon, samples and seed -- the CLI
-makes one per radius of a ray -- share one draw.  A point's estimate and
-standard error are therefore the same whether it is evaluated alone, in a
-list with others, or from a remembered draw; decay_fit hands the evaluator
-the whole ray at once.
+draw: the loop runs over chunks of samples, each drawn and tested against the
+constraints once, and over the points inside each chunk.  A point's estimate
+and standard error are therefore the same whether it is evaluated alone or in
+a list with others; decay_fit hands the evaluator the whole ray at once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,8 +49,6 @@ CURVATURE_STEP = 1e-4
 CURVATURE_REL_TOL = 1e-6
 _SQ3 = math.sqrt(3.0)
 _MC_CHUNK = 1 << 18  # samples per draw from the seeded stream (see ft_montecarlo)
-_MC_MEMO_ENTRIES = 1 << 20  # accepted-row floats (8 MiB) a remembered draw may hold
-_mc_memo: dict[tuple, list] = {}  # the last draw small enough to keep: key -> its chunks
 
 
 def sphere_area(d: int) -> float:
@@ -279,10 +273,7 @@ def ft_montecarlo(
     seeded estimate.  The loop is chunk-major: each chunk is drawn and tested
     against the constraints once, then every point adds that chunk's phases to
     its own sums, so a point's estimate is the same whether it is evaluated
-    alone or together with others, and memory stays bounded by the chunk.  A
-    draw whose accepted rows hold at most _MC_MEMO_ENTRIES floats is
-    remembered until the next draw, and a call that repeats its (spec,
-    epsilon, samples, seed) reads it instead of drawing again.
+    alone or together with others, and memory stays bounded by the chunk.
     """
     if not (0.0 < epsilon <= 0.2):
         raise ValueError("epsilon must lie in (0, 0.2]")
@@ -294,13 +285,14 @@ def ft_montecarlo(
             raise ValueError(f"frequency blocks {tuple(b.size for b in fp.blocks)} do not match "
                              f"measure blocks {spec.block_dims}")
 
-    total_n = 0
     sum_v = [0.0 + 0.0j] * len(points)
     sum_re2 = [0.0] * len(points)
     sum_im2 = [0.0] * len(points)
     accepted = 0
-    for blocks, acc, weight in _mc_chunks(spec, epsilon, samples, seed):
-        m = acc.size
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
+    for start in range(0, samples, _MC_CHUNK):
+        m = min(_MC_CHUNK, samples - start)
+        blocks, acc, weight = _mc_draw(spec, epsilon, rng, m)
         v = np.zeros(m, dtype=complex)  # rejected rows stay zero for every point
         for i, fp in enumerate(points):
             phase = sum(b @ xi for b, xi in zip(blocks, fp.blocks))
@@ -309,38 +301,15 @@ def ft_montecarlo(
             sum_re2[i] += float((v.real**2).sum())
             sum_im2[i] += float((v.imag**2).sum())
         accepted += int(acc.sum())
-        total_n += m
     if accepted == 0:
         raise InfeasibleError("no sample satisfied the constraints; measure infeasible at this epsilon")
     out = []
     for s_v, s_re2, s_im2 in zip(sum_v, sum_re2, sum_im2):
-        mean = s_v / total_n
-        var_re = max(s_re2 / total_n - mean.real**2, 0.0)
-        var_im = max(s_im2 / total_n - mean.imag**2, 0.0)
-        out.append((complex(mean), math.sqrt((var_re + var_im) / total_n)))
+        mean = s_v / samples
+        var_re = max(s_re2 / samples - mean.real**2, 0.0)
+        var_im = max(s_im2 / samples - mean.imag**2, 0.0)
+        out.append((complex(mean), math.sqrt((var_re + var_im) / samples)))
     return out
-
-
-def _mc_chunks(spec: MeasureSpec, epsilon: float, samples: int, seed: int):
-    """The chunks (accepted blocks, acceptance mask, weight) of the seeded
-    draw of `samples` samples, in order: read from _mc_memo when the last
-    remembered draw has the same key, else drawn one chunk at a time and
-    remembered if its accepted rows stay within _MC_MEMO_ENTRIES floats."""
-    key = (astuple(spec), epsilon, samples, seed)
-    if key in _mc_memo:
-        yield from _mc_memo[key]
-        return
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
-    kept, entries = [], 0
-    for start in range(0, samples, _MC_CHUNK):
-        chunk = _mc_draw(spec, epsilon, rng, min(_MC_CHUNK, samples - start))
-        if kept is not None:
-            entries += sum(b.size for b in chunk[0])
-            kept = kept + [chunk] if entries <= _MC_MEMO_ENTRIES else None
-        yield chunk
-    if kept is not None:
-        _mc_memo.clear()
-        _mc_memo[key] = kept
 
 
 def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:

@@ -28,12 +28,6 @@ from configeo.fourierlab import (
 SQ3 = math.sqrt(3.0)
 
 
-@pytest.fixture(autouse=True)
-def fresh_mc_memo():
-    # every test starts without a remembered Monte Carlo draw
-    fourierlab._mc_memo.clear()
-
-
 # ---------------------------------------------------------------------------
 # sphere closed form
 
@@ -287,56 +281,9 @@ def test_mc_draws_once_per_chunk_whatever_the_point_count(monkeypatch, kind, dra
     samples = 3 * 4096 + 100  # three full chunks and a partial one
     for batch in ([points[0]], points, points * 4):
         calls.clear()
-        fourierlab._mc_memo.clear()
         ft_montecarlo(spec, batch, 0.05, samples, seed)
         assert len(calls) == 4 * draws_per_chunk
         assert [m for m, _ in calls[::draws_per_chunk]] == [4096, 4096, 4096, 100]
-
-
-@pytest.mark.parametrize("kind", sorted(GOLDEN_MC))
-def test_mc_repeated_call_reads_the_remembered_draw(monkeypatch, kind):
-    spec, seed, blocks, want = GOLDEN_MC[kind]
-    points = [FrequencyPoint.of(*b) for b in blocks]
-    calls = []
-    draw = fourierlab._unit_vectors
-    monkeypatch.setattr(fourierlab, "_unit_vectors",
-                        lambda *args: calls.append(args[1:]) or draw(*args))
-    assert ft_montecarlo(spec, points[:1], 0.05, GOLDEN_SAMPLES, seed) == want[:1]
-    assert calls and len(fourierlab._mc_memo) == 1
-    calls.clear()
-    for fp, one in zip(points, want):  # an equal spec, not the same object
-        same = MeasureSpec(**vars(spec))
-        assert ft_montecarlo(same, [fp], 0.05, GOLDEN_SAMPLES, seed) == [one]
-    assert calls == []
-    ft_montecarlo(spec, points[:1], 0.05, GOLDEN_SAMPLES, seed + 1)  # another key draws
-    assert calls and len(fourierlab._mc_memo) == 1
-
-
-@pytest.mark.parametrize("kind", sorted(GOLDEN_MC))
-def test_mc_draw_over_the_memo_bound_is_not_remembered(monkeypatch, kind):
-    spec, seed, blocks, want = GOLDEN_MC[kind]
-    points = [FrequencyPoint.of(*b) for b in blocks]
-    monkeypatch.setattr(fourierlab, "_MC_MEMO_ENTRIES", 0)
-    calls = []
-    draw = fourierlab._unit_vectors
-    monkeypatch.setattr(fourierlab, "_unit_vectors",
-                        lambda *args: calls.append(args[1:]) or draw(*args))
-    for fp, one in zip(points, want):
-        calls.clear()
-        assert ft_montecarlo(spec, [fp], 0.05, GOLDEN_SAMPLES, seed) == [one]
-        assert calls and fourierlab._mc_memo == {}
-
-
-def test_mc_memo_bound_counts_the_accepted_floats(monkeypatch):
-    spec, seed, blocks, _ = GOLDEN_MC["sphere"]  # every sample is accepted
-    fp = FrequencyPoint.of(*blocks[0])
-    monkeypatch.setattr(fourierlab, "_MC_MEMO_ENTRIES", 3 * GOLDEN_SAMPLES)
-    ft_montecarlo(spec, [fp], 0.05, GOLDEN_SAMPLES, seed)
-    assert len(fourierlab._mc_memo) == 1
-    fourierlab._mc_memo.clear()
-    monkeypatch.setattr(fourierlab, "_MC_MEMO_ENTRIES", 3 * GOLDEN_SAMPLES - 1)
-    ft_montecarlo(spec, [fp], 0.05, GOLDEN_SAMPLES, seed)
-    assert fourierlab._mc_memo == {}
 
 
 def test_measure_spec_validation():
