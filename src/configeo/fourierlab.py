@@ -285,11 +285,11 @@ def ft_montecarlo(
             raise ValueError(f"frequency blocks {tuple(b.size for b in fp.blocks)} do not match "
                              f"measure blocks {spec.block_dims}")
 
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     sum_v = [0.0 + 0.0j] * len(points)
     sum_re2 = [0.0] * len(points)
     sum_im2 = [0.0] * len(points)
     accepted = 0
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     for start in range(0, samples, _MC_CHUNK):
         m = min(_MC_CHUNK, samples - start)
         blocks, acc, weight = _mc_draw(spec, epsilon, rng, m)
