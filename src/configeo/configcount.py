@@ -34,12 +34,15 @@ distinct indices; the build raises CapacityError as soon as its projected
 nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  k=1 counts nnz(A_01); k=2 sums
 (A_01[blk] @ A_12) * A_02[blk] over row blocks, so the n x n product is never
 held whole; k >= 3 restricts each later slot to the neighbours of one anchor,
-A_ij[N_i][:, N_j], and recurses down to the k=2 product.  Volume in the
-plane, area2 and angle share one loop over apexes x^b that band-tests the
-map of every leg pair (x^i - x^b, x^j - x^b) in reused n x n buffers.
-Volume in d = 3 evaluates the oracle's triple product u_i . (u_j x u_l) over
-(rows, n, n) blocks per apex, term by term in the oracle's order, so the two
-agree bit for bit at ties; d >= 4 runs np.linalg.det over chunks of tuples.
+A_ij[N_i][:, N_j], and recurses down to the k=2 product.  area2 and angle
+share one loop over apexes x^b that band-tests the map of every leg pair
+(x^i - x^b, x^j - x^b) in reused n x n buffers.  Volume in d = 2 and 3
+values each unordered (d+1)-point set once, from its smallest index, in
+BLAS row blocks of at most _VOLUME_BLOCK_ENTRIES values.  A proven rounding
+margin splits the sets into those that count for all (d+1)! orderings,
+those that count for none, and those near a band edge, whose orderings are
+valued again by the oracle's formula in the oracle's order, so the two agree
+bit for bit at ties.  Other d run np.linalg.det over chunks of tuples.
 """
 
 from __future__ import annotations
@@ -63,7 +66,8 @@ SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
 SIMPLEX_BLOCK_ENTRIES = 1 << 16  # dense entries per row block of D or of a product
 PHI_EVAL_BUDGET = 10**8
 DEGENERATE_APEX_TOL = 1e-12
-_VOLUME3_ROWS = 64  # leg rows i per (rows, n, n) determinant block at d = 3
+_VOLUME_BLOCK_ENTRIES = 1 << 16  # values per row block of the d = 2, 3 volume kernel
+_VOLUME_MARGIN_C = 32  # rounding margin constant of _volume_margin
 _VOLUME_TUPLES = 1 << 14  # tuples per np.linalg.det call at d >= 4
 
 VOLUME_CONVENTIONS = ("bare_determinant", "simplex")
@@ -384,7 +388,12 @@ def count_volume(
 ) -> CountReport:
     """Ordered (d+1)-tuples of distinct points with
     |vol_d(x^1,...,x^{d+1}) - t| <= delta, where vol_d is the absolute
-    determinant of the edge matrix at x^{d+1} (bare) or that value / d!."""
+    determinant of the edge matrix at x^{d+1} (bare) or that value / d!.
+
+    The (d+1)! orderings of a point set round differently, and the count is
+    the oracle's, ordering by ordering.  In d = 2 and 3 the fast counter
+    values each point set once and re-values ordering by ordering only the
+    sets within its rounding margin of the band's edges."""
     return _count(ps, ConfigQuery("volume", ps.dim, t, delta, convention), algorithm)
 
 
@@ -393,69 +402,119 @@ def _check_enum_budget(n: int, arity: int) -> None:
         raise CapacityError(f"enumeration of {n}^{arity} tuples exceeds the budget")
 
 
-def _volume_fast(pts: np.ndarray, t: float, delta: float) -> int:
+def _volume_sets(pts: np.ndarray, t: float, delta: float) -> int:
+    """Ordered distinct (d+1)-tuples with |det| within delta of t, valuing each
+    unordered point set once (d = 2, 3; other d go to `_volume_generic`).
+
+    A set's apex is its smallest index b and its legs are U = pts[b+1:] -
+    pts[b].  Each row of a block is a leg set short of its last leg, with
+    normal vector nu: a leg i at d = 2, with nu = (-U_i[1], U_i[0]) so that
+    nu . U_l = det(U_i, U_l); a leg pair i < j at d = 3, with nu =
+    cross(U_i, U_j).  Rows are sorted by their last leg e, and a block of
+    rows is valued against every column l > e as nu @ U_l in BLAS.  A block
+    holds at most _VOLUME_BLOCK_ENTRIES values; its columns start at the
+    first one any of its rows takes, and the values at l <= e are NaN, no
+    set.  Each value V lies within `_volume_margin` B of every one of the
+    set's (d+1)! oracle values.  So a set with ||V| - t| < delta - B counts
+    (d+1)!, one with ||V| - t| > delta + B counts 0, and the sets between
+    are valued again by `_volume_orderings` before the next block.
+    """
     n, d = pts.shape
     if n < d + 1:
         return 0
     _check_enum_budget(n, d + 1)
-    if d == 2:
-        return _per_apex(pts, t, delta, _det2_legs)
-    if d == 3:
-        return _volume_fast_3d(pts, t, delta)
-    return _volume_generic(pts, t, delta)
-
-
-def _per_apex(pts: np.ndarray, t: float, delta: float, legs) -> int:
-    """Ordered distinct triples (i, j, b) with |legs(u)[i, j] - t| <= delta for
-    the legs u = pts - pts[b] at apex b.  legs(u, out, tmp) writes its n x n
-    map into out (tmp is scratch); both are reused for every apex.  Row b of
-    u is NaN, so every value on the apex's own leg fails the band test."""
-    n = pts.shape[0]
-    if n < 3:
-        return 0
-    _check_enum_budget(n, 3)
-    out, tmp, band = np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=bool)
+    if d not in (2, 3):
+        return _volume_generic(pts, t, delta)
+    margin = _volume_margin(pts, t, delta)
+    inner, outer = delta - margin, delta + margin
+    orderings = math.factorial(d + 1)
     total = 0
-    for b in range(n):
-        u = pts - pts[b]
-        u[b] = np.nan
-        legs(u, out, tmp)
-        np.less_equal(np.abs(np.subtract(out, t, out=out), out=out), delta, out=band)
-        np.fill_diagonal(band, False)
-        total += int(np.count_nonzero(band))
+    for b in range(n - d):
+        legs = pts[b + 1:] - pts[b]
+        m = legs.shape[0]
+        if d == 2:
+            last = np.arange(m - 1)
+            row_legs = (last,)
+            normals = legs[:-1, ::-1] * [-1.0, 1.0]
+        else:
+            last, first = np.tril_indices(m - 1, -1)  # pairs first < last, by last
+            row_legs = (first, last)
+            normals = np.cross(legs[first], legs[last])
+        start = 0
+        while start < last.size:
+            col = last[start] + 1
+            stop = min(last.size, start + max(1, _VOLUME_BLOCK_ENTRIES // (m - col)))
+            vals = np.abs(normals[start:stop] @ legs[col:].T)
+            e = last[start:stop, None]
+            width = last[stop - 1] + 1 - col
+            if width > 0:
+                vals[:, :width][np.arange(col, col + width) <= e] = np.nan
+            inside = 0
+            if inner > 0:
+                inside = int(np.count_nonzero(vals < t + inner)) - int(np.count_nonzero(vals <= t - inner))
+            total += orderings * inside
+            if int(np.count_nonzero(vals <= t + outer)) - int(np.count_nonzero(vals < t - outer)) > inside:
+                near = (vals >= t - outer) & (vals <= t + outer) & ~((vals > t - inner) & (vals < t + inner))
+                rows, cols = np.nonzero(near)
+                rows += start
+                sets = np.column_stack([np.full(rows.size, b)] + [b + 1 + leg[rows] for leg in row_legs]
+                                       + [b + 1 + col + cols])
+                total += _volume_orderings(pts, sets, t, delta)
+            start = stop
     return total
 
 
-def _det2_legs(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """|det(u_i, u_j)| for plane legs."""
-    np.subtract(np.multiply.outer(u[:, 0], u[:, 1], out=out),
-                np.multiply.outer(u[:, 1], u[:, 0], out=tmp), out=out)
-    np.abs(out, out=out)
+def _volume_margin(pts: np.ndarray, t: float, delta: float) -> float:
+    """B = c eps (R^d + |t| + delta) + c tiny (1 + R)^(d-1) for d = 2, 3, with
+    c = _VOLUME_MARGIN_C, eps the machine epsilon, tiny the smallest
+    subnormal and R = sum_k (max_k - min_k) over the coordinates.
+
+    Every leg x - y has l1 norm <= R, so the Leibniz terms of any d legs sum
+    to <= R^d in absolute value.  Roundings, each a factor (1 + e), |e| <=
+    eps/2, on every term below them:
+    - legs: each entry of fl(x - y) is one rounding, so a term carries d and
+      the det of the rounded legs is within 1.01 d eps/2 R^d of the exact
+      |det| Delta of the points;
+    - formula: a term of the oracle's u0[0]*u1[1] - u0[1]*u1[0] passes 2,
+      one of its u0 . (u1 x u2) passes 5 (product and difference in the
+      cross product, outer product, two additions).  The kernel's 2- and
+      3-term dots in dgemm add at most a product and d-1 additions, in any
+      order, fused (FMA) or not, to its exact negation at d = 2 and to
+      np.cross's two roundings at d = 3: 2 and 5 again.
+    So the kernel's value and each of the (d+1)! oracle values lie within
+    1.01 (3d - 1) eps/2 R^d of Delta, within 8.1 eps R^d of each other at
+    d <= 3.  The oracle's abs(abs(det) - t) <= delta is monotone in its one
+    rounding, so it differs from the exact test only within one ulp of
+    delta above it (<= eps delta).  The kernel's bounds t -+ (delta -+ B)
+    round twice (<= eps (|t| + delta + B)).  That is <= 9 eps (R^d + |t| +
+    delta) + eps B; c = 32 also covers the rounding of R, R^d and B.  A
+    product that underflows is off by <= tiny/2, then scaled by <= R per
+    later factor: < 9 (1 + R)^(d-1) tiny over two values and the tests.
+    """
+    d = pts.shape[1]
+    spread = float(np.sum(pts.max(axis=0) - pts.min(axis=0)))
+    return _VOLUME_MARGIN_C * (np.finfo(float).eps * (spread**d + abs(t) + delta)
+                               + np.finfo(float).smallest_subnormal * (1.0 + spread) ** (d - 1))
 
 
-def _volume_fast_3d(pts: np.ndarray, t: float, delta: float) -> int:
-    n = pts.shape[0]
+def _volume_orderings(pts: np.ndarray, sets: np.ndarray, t: float, delta: float) -> int:
+    """Ordered tuples over the rows of sets (each d+1 point indices) that the
+    oracle `_volume_brute` accepts, each valued by its formula in its order."""
+    d = pts.shape[1]
     total = 0
-    idx = np.arange(n)
-    for b in range(n):
-        u = pts - pts[b]
-        u[b] = np.nan
-        x, y, z = u.T
-        cross = (np.multiply.outer(y, z) - np.multiply.outer(z, y),
-                 np.multiply.outer(z, x) - np.multiply.outer(x, z),
-                 np.multiply.outer(x, y) - np.multiply.outer(y, x))
-        for start in range(0, n, _VOLUME3_ROWS):
-            stop = min(start + _VOLUME3_ROWS, n)
-            legs = u[start:stop, :, None, None]
-            det = legs[:, 0] * cross[0]  # the oracle's u0[0]*c0 + u0[1]*c1 + u0[2]*c2
-            det += legs[:, 1] * cross[1]
-            det += legs[:, 2] * cross[2]
-            m = np.abs(np.abs(det) - t) <= delta
-            rows = idx[start:stop]
-            m[rows - start, rows, :] = False  # i == j
-            m[rows - start, :, rows] = False  # i == l
-            m[:, idx, idx] = False  # j == l
-            total += int(np.count_nonzero(m))
+    for order in itertools.permutations(range(d + 1)):
+        tup = pts[sets[:, order]]  # (sets, d+1, d), the apex last
+        u = tup[:, :-1] - tup[:, -1:]
+        if d == 2:
+            u0, u1 = u[:, 0].T, u[:, 1].T
+            det = u0[0] * u1[1] - u0[1] * u1[0]
+        else:
+            u0, u1, u2 = u[:, 0].T, u[:, 1].T, u[:, 2].T
+            c0 = u1[1] * u2[2] - u1[2] * u2[1]
+            c1 = u1[2] * u2[0] - u1[0] * u2[2]
+            c2 = u1[0] * u2[1] - u1[1] * u2[0]
+            det = u0[0] * c0 + u0[1] * c1 + u0[2] * c2
+        total += int(np.count_nonzero(np.abs(np.abs(det) - t) <= delta))
     return total
 
 
@@ -531,6 +590,27 @@ def count_area2(
     sqrt(det Gram(x^1-x^3, x^2-x^3)) within delta of t (bare), or the
     triangle area (that value / 2) under the simplex convention."""
     return _count(ps, ConfigQuery("area2", 2, t, delta, convention), algorithm)
+
+
+def _per_apex(pts: np.ndarray, t: float, delta: float, legs) -> int:
+    """Ordered distinct triples (i, j, b) with |legs(u)[i, j] - t| <= delta for
+    the legs u = pts - pts[b] at apex b.  legs(u, out, tmp) writes its n x n
+    map into out (tmp is scratch); both are reused for every apex.  Row b of
+    u is NaN, so every value on the apex's own leg fails the band test."""
+    n = pts.shape[0]
+    if n < 3:
+        return 0
+    _check_enum_budget(n, 3)
+    out, tmp, band = np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=bool)
+    total = 0
+    for b in range(n):
+        u = pts - pts[b]
+        u[b] = np.nan
+        legs(u, out, tmp)
+        np.less_equal(np.abs(np.subtract(out, t, out=out), out=out), delta, out=band)
+        np.fill_diagonal(band, False)
+        total += int(np.count_nonzero(band))
+    return total
 
 
 def _area2_brute(pts: np.ndarray, t: float, delta: float) -> int:
@@ -626,7 +706,7 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
            config_map=lambda pts: (abs(float(np.linalg.det(pts[:-1] - pts[-1]))),),
-           scale=math.factorial, fast=_one_target(_volume_fast), brute=_one_target(_volume_brute),
+           scale=math.factorial, fast=_one_target(_volume_sets), brute=_one_target(_volume_brute),
            threshold=lambda k, d: d - 1 + Fraction(1, 2 * d if d % 2 == 0 else 2 * (d - 1)),
            counter_args=("t", "delta", "volume_convention")),
     Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,

@@ -401,16 +401,26 @@ def test_angle_fewer_than_three_points_count_zero():
             assert count_angle(ps, 1.0, 0.01, algorithm=algo).count == 0
 
 
-# differential checks of the per-apex counters (volume d=2, area2, angle)
-# against their oracles
+# differential checks of the triple counters (volume d=2, area2, angle) and
+# of the d = 3 volume counter against their oracles
 
-TRIPLE_COUNTERS = {"volume": count_volume, "area2": count_area2, "angle": count_angle}
+TRIPLE_FAMILIES = ["angle", "area2", "volume"]
+# (shift, scale) of a lattice: a moved lattice's legs x - y round, unlike the grid's
+LATTICE_MOVES = [(0.0, 1.0), (1e3, 1.0), (0.0, 1e-3)]
 
 
-def _triple_values(family, pts):
+def _oracle_values(family, pts):
     """Every value the family's oracle evaluates on pts, by the oracle's own
     formulas, so bands built from them have exact ties |value - t| = delta."""
     values = set()
+    if family == "volume" and pts.shape[1] == 3:
+        for i, j, l, b in itertools.permutations(range(len(pts)), 4):
+            u0, u1, u2 = pts[i] - pts[b], pts[j] - pts[b], pts[l] - pts[b]
+            c0 = u1[1] * u2[2] - u1[2] * u2[1]
+            c1 = u1[2] * u2[0] - u1[0] * u2[2]
+            c2 = u1[0] * u2[1] - u1[1] * u2[0]
+            values.add(abs(u0[0] * c0 + u0[1] * c1 + u0[2] * c2))
+        return sorted(values) or [0.0, 0.5]
     for i, j, b in itertools.permutations(range(len(pts)), 3):
         u, v = pts[i] - pts[b], pts[j] - pts[b]
         if family == "volume":
@@ -425,32 +435,39 @@ def _triple_values(family, pts):
     return sorted(values) or [0.0, 0.5]
 
 
-def _assert_triple_matches_brute(data, family, ps):
+def _assert_matches_brute(data, family, pts):
     """Draw t and t + delta among the realized values (delta = 0 when both
-    draws coincide) and compare the fast counter with the oracle."""
-    lo, hi = sorted(data.draw(st.lists(st.sampled_from(_triple_values(family, ps.points)),
+    draws coincide) and compare the family's fast kernel with its oracle.
+    The kernels take raw arrays, so a moved lattice may leave [0, 1]^d."""
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(_oracle_values(family, pts)),
                                        min_size=2, max_size=2)))
     delta = hi - lo
     if delta == 0.0 and family == "angle":  # angle queries need delta > 0
         delta = 0.25
-    count = TRIPLE_COUNTERS[family]
-    assert count(ps, lo, delta).count == count(ps, lo, delta, algorithm="brute").count
+    row = configcount.FAMILIES[family]
+    k = pts.shape[1] if family == "volume" else 2
+    assert row.fast(pts, k, (lo,), delta) == row.brute(pts, k, (lo,), delta)
 
 
 def _triple_dim(data, family):
     return 2 if family == "volume" else data.draw(st.sampled_from([2, 3]))
 
 
-@pytest.mark.parametrize("family", sorted(TRIPLE_COUNTERS))
-@settings(max_examples=15, deadline=None)
+def _moved(data, points):
+    shift, scale = data.draw(st.sampled_from(LATTICE_MOVES))
+    return points * scale + shift
+
+
+@pytest.mark.parametrize("family", TRIPLE_FAMILIES)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_triple_lattice_ties_match_brute(family, data):
     d = _triple_dim(data, family)
     m = data.draw(st.integers(3, 4)) if d == 2 else 2  # 16 or 27 points cost seconds at d = 3
-    _assert_triple_matches_brute(data, family, gen_lattice(d, m))
+    _assert_matches_brute(data, family, _moved(data, gen_lattice(d, m).points))
 
 
-@pytest.mark.parametrize("family", sorted(TRIPLE_COUNTERS))
+@pytest.mark.parametrize("family", TRIPLE_FAMILIES)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_triple_degenerate_sets_match_brute(family, data):
@@ -466,26 +483,21 @@ def test_triple_degenerate_sets_match_brute(family, data):
         if shape == "diagonal":  # collinear, with coincident points
             points = [[p[0]] * d for p in points]
         ps = PointSet(dim=d, points=points)
-    _assert_triple_matches_brute(data, family, ps)
-
-
-# differential checks of the d = 3 volume counter against its oracle
+    _assert_matches_brute(data, family, ps.points)
 
 
 def _assert_volume3_matches_brute(ps, t, delta):
     assert count_volume(ps, t, delta).count == count_volume(ps, t, delta, algorithm="brute").count
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_volume_d3_lattice_ties_match_brute(data):
-    # determinants on the grid {0, 1/3, 2/3, 1}^3 are multiples of 1/27, so every
-    # tuple with |det| = t +- delta sits on the band edge, where rounding decides
+    # determinants on the grid {0, 1/3, 2/3, 1}^3 are multiples of 1/27 and t, t + delta
+    # are values the oracle rounds to, so many tuples sit on a band edge
     lattice = gen_lattice(3, 4).points
     idx = data.draw(st.lists(st.integers(0, len(lattice) - 1), min_size=4, max_size=8, unique=True))
-    t = data.draw(st.sampled_from([1 / 27, 2 / 27, 1 / 9]))
-    delta = data.draw(st.sampled_from([0.0, 1 / 27, 2 / 27]))
-    _assert_volume3_matches_brute(PointSet(dim=3, points=lattice[idx]), t, delta)
+    _assert_matches_brute(data, "volume", _moved(data, lattice[idx]))
 
 
 @settings(max_examples=30, deadline=None)
@@ -501,6 +513,55 @@ def test_volume_d3_degenerate_sets_match_brute(data):
     t = data.draw(st.sampled_from([0.0, 0.0625, 0.125, 0.25]))
     delta = data.draw(st.sampled_from([0.0, 0.0625, 0.125]))
     _assert_volume3_matches_brute(ps, t, delta)
+
+
+@pytest.mark.parametrize("points,t,want", [
+    # one point set whose orderings round to two values; delta = 0 splits them
+    (gen_lattice(3, 4).points[[17, 32, 51, 39]], 4 / 27, 22),
+    (gen_lattice(3, 4).points[[17, 32, 51, 39]], 0.14814814814814817, 2),
+    (gen_lattice(2, 4).points[[0, 1, 7]], 1 / 9, 4),
+    (gen_lattice(2, 4).points[[0, 1, 7]], 0.11111111111111108, 2),
+])
+def test_volume_counts_each_ordering_of_a_split_set(points, t, want):
+    ps = PointSet(dim=points.shape[1], points=points)
+    for algo in ("pruned", "brute"):
+        count = count_volume(ps, t, 0.0, algorithm=algo).count
+        assert count == want and type(count) is int  # reports serialize Python ints
+
+
+def _spy_rechecks(monkeypatch):
+    """Record the number of point sets of each `_volume_orderings` call."""
+    rechecked = []
+    orderings = configcount._volume_orderings
+
+    def spy(pts, sets, t, delta):
+        rechecked.append(len(sets))
+        return orderings(pts, sets, t, delta)
+
+    monkeypatch.setattr(configcount, "_volume_orderings", spy)
+    return rechecked
+
+
+@pytest.mark.parametrize("d,n", [(2, 9), (3, 7)])
+def test_volume_zero_band_on_a_hyperplane_rechecks_every_set(monkeypatch, d, n):
+    # every |det| is exactly 0 and t = delta = 0, so every set is within the margin
+    rechecked = _spy_rechecks(monkeypatch)
+    assert count_volume(gen_coplanar(d, n, seed=3), 0.0, 0.0).count == math.perm(n, d + 1)
+    assert sum(rechecked) == math.comb(n, d + 1)
+
+
+@pytest.mark.parametrize("entries", [1, 37])
+def test_volume_block_size_leaves_counts_unchanged(monkeypatch, entries):
+    # moved lattices put rechecked sets in many blocks; entries = 1 is one row per block
+    cases = [(gen_lattice(2, 5).points + 1e3, 0.125, 0.0625),
+             (gen_lattice(3, 3).points * 1e-3, 1.25e-10, 0.0),
+             (gen_random(3, 20, seed=4).points, 0.02, 0.01)]
+    rechecked = _spy_rechecks(monkeypatch)
+    want = [configcount._volume_sets(pts, t, delta) for pts, t, delta in cases]
+    want_rechecked, rechecked[:] = sum(rechecked), []
+    monkeypatch.setattr(configcount, "_VOLUME_BLOCK_ENTRIES", entries)
+    assert [configcount._volume_sets(pts, t, delta) for pts, t, delta in cases] == want
+    assert sum(rechecked) == want_rechecked > 0
 
 
 # ---------------------------------------------------------------------------
