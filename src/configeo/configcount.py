@@ -34,15 +34,16 @@ distinct indices; the build raises CapacityError as soon as its projected
 nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  k=1 counts nnz(A_01); k=2 sums
 (A_01[blk] @ A_12) * A_02[blk] over row blocks, so the n x n product is never
 held whole; k >= 3 restricts each later slot to the neighbours of one anchor,
-A_ij[N_i][:, N_j], and recurses down to the k=2 product.  area2 and angle
-share one loop over apexes x^b that band-tests the map of every leg pair
-(x^i - x^b, x^j - x^b) in reused n x n buffers.  Volume in d = 2 and 3
-values each unordered (d+1)-point set once, from its smallest index, in
-BLAS row blocks of at most _VOLUME_BLOCK_ENTRIES values.  A proven rounding
-margin splits the sets into those that count for all (d+1)! orderings,
-those that count for none, and those near a band edge, whose orderings are
-valued again by the oracle's formula in the oracle's order, so the two agree
-bit for bit at ties.  Other d run np.linalg.det over chunks of tuples.
+A_ij[N_i][:, N_j], and recurses down to the k=2 product.  Volume in d = 2
+and 3 and area2 in any d value each unordered point set once, from its
+smallest index, by |det| and by the Gram determinant of its legs; angle
+values each unordered leg pair at an apex once, by its cosine.  All three
+compute their values in BLAS row blocks of at most _SET_BLOCK_ENTRIES.  A
+proven rounding margin per family splits the values into those that count
+for all of their orderings ((d+1)!, 6 and 2), those that count for none, and
+those near a band edge, whose orderings are valued again by the oracle's
+formula in the oracle's order, so the two agree bit for bit at ties.  Volume
+in other d runs np.linalg.det over chunks of tuples.
 """
 
 from __future__ import annotations
@@ -66,8 +67,10 @@ SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
 SIMPLEX_BLOCK_ENTRIES = 1 << 16  # dense entries per row block of D or of a product
 PHI_EVAL_BUDGET = 10**8
 DEGENERATE_APEX_TOL = 1e-12
-_VOLUME_BLOCK_ENTRIES = 1 << 16  # values per row block of the d = 2, 3 volume kernel
+_SET_BLOCK_ENTRIES = 1 << 16  # values per row block of the volume, area2 and angle kernels
 _VOLUME_MARGIN_C = 32  # rounding margin constant of _volume_margin
+_AREA2_MARGIN_C = 8  # rounding margin constant of _area2_margin
+_ANGLE_MARGIN_C = 16  # rounding margin constant of _angle_margin
 _VOLUME_TUPLES = 1 << 14  # tuples per np.linalg.det call at d >= 4
 
 VOLUME_CONVENTIONS = ("bare_determinant", "simplex")
@@ -238,6 +241,40 @@ def _timed(fn):
     start = time.perf_counter()
     value = fn()
     return value, time.perf_counter() - start
+
+
+def _row_blocks(last: np.ndarray, m: int):
+    """Row blocks (start, stop, col) of the volume, area2 and angle kernels.
+    Rows are leg sets sorted by their last leg e, and each pairs with the
+    legs l > e of m legs, so a block is valued against the legs col..m-1,
+    where col is the first leg any of its rows pairs with.  A block holds at
+    most _SET_BLOCK_ENTRIES values (at least one row)."""
+    start = 0
+    while start < last.size:
+        col = last[start] + 1
+        stop = min(last.size, start + max(1, _SET_BLOCK_ENTRIES // (m - col)))
+        yield start, stop, col
+        start = stop
+
+
+def _band_split(vals: np.ndarray, last: np.ndarray, col: int, inner, outer):
+    """Sort a block of values into three groups.  The block's rows have last
+    legs `last` and its columns are the legs col.., so the values at a leg
+    l <= e are no set; they are set to NaN here, which is in no band.
+
+    Returns the number of values inside the open band inner = (lo, hi) and
+    None, or, when some values lie in the closed band outer = [lo', hi'] but
+    not inside inner, that number and their (rows, legs): block rows and leg
+    indices.  outer must contain inner; an empty inner band has lo >= hi."""
+    width = last[-1] + 1 - col
+    if width > 0:
+        np.copyto(vals[:, :width], np.nan, where=np.arange(col, col + width) <= last[:, None])
+    (lo, hi), (lo_out, hi_out) = inner, outer
+    inside = int(np.count_nonzero(vals < hi)) - int(np.count_nonzero(vals <= lo)) if lo < hi else 0
+    if int(np.count_nonzero(vals <= hi_out)) - int(np.count_nonzero(vals < lo_out)) == inside:
+        return inside, None
+    rows, cols = np.nonzero((vals >= lo_out) & (vals <= hi_out) & ~((vals > lo) & (vals < hi)))
+    return inside, (rows, cols + col)
 
 
 def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
@@ -411,13 +448,11 @@ def _volume_sets(pts: np.ndarray, t: float, delta: float) -> int:
     normal vector nu: a leg i at d = 2, with nu = (-U_i[1], U_i[0]) so that
     nu . U_l = det(U_i, U_l); a leg pair i < j at d = 3, with nu =
     cross(U_i, U_j).  Rows are sorted by their last leg e, and a block of
-    rows is valued against every column l > e as nu @ U_l in BLAS.  A block
-    holds at most _VOLUME_BLOCK_ENTRIES values; its columns start at the
-    first one any of its rows takes, and the values at l <= e are NaN, no
-    set.  Each value V lies within `_volume_margin` B of every one of the
-    set's (d+1)! oracle values.  So a set with ||V| - t| < delta - B counts
-    (d+1)!, one with ||V| - t| > delta + B counts 0, and the sets between
-    are valued again by `_volume_orderings` before the next block.
+    rows (`_row_blocks`) is valued against every leg l > e as nu @ U_l in
+    BLAS.  Each value V lies within `_volume_margin` B of every one of the
+    set's (d+1)! oracle values.  So `_band_split` counts a set with
+    ||V| - t| < delta - B for (d+1)!, one with ||V| - t| > delta + B for 0,
+    and the sets between are valued again by `_volume_orderings`.
     """
     n, d = pts.shape
     if n < d + 1:
@@ -427,6 +462,7 @@ def _volume_sets(pts: np.ndarray, t: float, delta: float) -> int:
         return _volume_generic(pts, t, delta)
     margin = _volume_margin(pts, t, delta)
     inner, outer = delta - margin, delta + margin
+    bands = (t - inner, t + inner), (t - outer, t + outer)
     orderings = math.factorial(d + 1)
     total = 0
     for b in range(n - d):
@@ -440,27 +476,15 @@ def _volume_sets(pts: np.ndarray, t: float, delta: float) -> int:
             last, first = np.tril_indices(m - 1, -1)  # pairs first < last, by last
             row_legs = (first, last)
             normals = np.cross(legs[first], legs[last])
-        start = 0
-        while start < last.size:
-            col = last[start] + 1
-            stop = min(last.size, start + max(1, _VOLUME_BLOCK_ENTRIES // (m - col)))
-            vals = np.abs(normals[start:stop] @ legs[col:].T)
-            e = last[start:stop, None]
-            width = last[stop - 1] + 1 - col
-            if width > 0:
-                vals[:, :width][np.arange(col, col + width) <= e] = np.nan
-            inside = 0
-            if inner > 0:
-                inside = int(np.count_nonzero(vals < t + inner)) - int(np.count_nonzero(vals <= t - inner))
+        for start, stop, col in _row_blocks(last, m):
+            inside, near = _band_split(np.abs(normals[start:stop] @ legs[col:].T), last[start:stop], col, *bands)
             total += orderings * inside
-            if int(np.count_nonzero(vals <= t + outer)) - int(np.count_nonzero(vals < t - outer)) > inside:
-                near = (vals >= t - outer) & (vals <= t + outer) & ~((vals > t - inner) & (vals < t + inner))
-                rows, cols = np.nonzero(near)
+            if near is not None:
+                rows, cols = near
                 rows += start
                 sets = np.column_stack([np.full(rows.size, b)] + [b + 1 + leg[rows] for leg in row_legs]
-                                       + [b + 1 + col + cols])
+                                       + [b + 1 + cols])
                 total += _volume_orderings(pts, sets, t, delta)
-            start = stop
     return total
 
 
@@ -588,28 +612,103 @@ def count_area2(
 ) -> CountReport:
     """Ordered triples of distinct points with the parallelogram area
     sqrt(det Gram(x^1-x^3, x^2-x^3)) within delta of t (bare), or the
-    triangle area (that value / 2) under the simplex convention."""
+    triangle area (that value / 2) under the simplex convention.
+
+    The 6 orderings of a triple round differently, and the count is the
+    oracle's, ordering by ordering.  The fast counter values each triple
+    once, by its Gram determinant, and re-values ordering by ordering only
+    the triples within its rounding margin of the band's edges."""
     return _count(ps, ConfigQuery("area2", 2, t, delta, convention), algorithm)
 
 
-def _per_apex(pts: np.ndarray, t: float, delta: float, legs) -> int:
-    """Ordered distinct triples (i, j, b) with |legs(u)[i, j] - t| <= delta for
-    the legs u = pts - pts[b] at apex b.  legs(u, out, tmp) writes its n x n
-    map into out (tmp is scratch); both are reused for every apex.  Row b of
-    u is NaN, so every value on the apex's own leg fails the band test."""
+def _area2_sets(pts: np.ndarray, t: float, delta: float) -> int:
+    """Ordered distinct triples with area within delta of t, valuing each
+    unordered triple once, as the Gram determinant G of its legs.
+
+    A triple's apex is its smallest index b and its legs are U = pts[b+1:] -
+    pts[b].  A row block of legs i (`_row_blocks`) is valued against every
+    leg j > i as G = |U_i|^2 |U_j|^2 - (U_i . U_j)^2, the dots in BLAS.  The
+    area sqrt(max(G, 0)) lies within delta of t when G lies in [(t - delta)^2,
+    (t + delta)^2]; for t <= delta the lower edge is -inf, since every area is
+    >= 0 >= t - delta.  Each G lies within `_area2_margin` M of that band
+    test on every one of the triple's 6 oracle values.  So `_band_split`
+    counts a triple for 6 when G is inside the band shrunk by M, for 0 when
+    G is outside the band grown by M, and the triples between are valued
+    again by `_area2_orderings`.
+    """
     n = pts.shape[0]
     if n < 3:
         return 0
     _check_enum_budget(n, 3)
-    out, tmp, band = np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=bool)
+    margin = _area2_margin(pts, t, delta)
+    low = -np.inf if t <= delta else (t - delta) ** 2
+    high = (t + delta) ** 2
+    bands = (low + margin, high - margin), (low - margin, high + margin)
     total = 0
-    for b in range(n):
-        u = pts - pts[b]
-        u[b] = np.nan
-        legs(u, out, tmp)
-        np.less_equal(np.abs(np.subtract(out, t, out=out), out=out), delta, out=band)
-        np.fill_diagonal(band, False)
-        total += int(np.count_nonzero(band))
+    for b in range(n - 2):
+        legs = pts[b + 1:] - pts[b]
+        sq = (legs * legs).sum(axis=1)
+        last = np.arange(legs.shape[0] - 1)
+        for start, stop, col in _row_blocks(last, legs.shape[0]):
+            dots = legs[start:stop] @ legs[col:].T
+            gram = np.multiply.outer(sq[start:stop], sq[col:])
+            gram -= np.multiply(dots, dots, out=dots)
+            inside, near = _band_split(gram, last[start:stop], col, *bands)
+            total += 6 * inside
+            if near is not None:
+                rows, cols = near
+                sets = np.column_stack([np.full(rows.size, b), b + 1 + start + rows, b + 1 + cols])
+                total += _area2_orderings(pts, sets, t, delta)
+    return total
+
+
+def _area2_margin(pts: np.ndarray, t: float, delta: float) -> float:
+    """M = c eps ((d + 3) R^4 + (t + delta)^2) + c d tiny (1 + R)^2, with
+    c = _AREA2_MARGIN_C, eps the machine epsilon, tiny the smallest
+    subnormal and R = sum_k (max_k - min_k) over the coordinates.
+
+    Every leg x - y has l2 norm <= its l1 norm <= R.  The exact Gram G* of a
+    triple's points is the same at each apex, and the terms of its expansion
+    sum_kl u_k^2 v_l^2 - u_k v_k u_l v_l have absolute sum |u|^2 |v|^2 +
+    (sum_k |u_k v_k|)^2 <= 2 R^4.  Roundings, each a factor (1 + e), |e| <=
+    eps/2, on every term below them:
+    - legs: each entry of fl(x - y) is one rounding, so a term carries 4;
+    - formula: a squared norm sums d products in any order (d), its product
+      with the other one adds 1; a dot product (the oracle's einsum, the
+      kernel's dgemm in any order, fused or not) carries d, its square 1;
+      the difference 1.  So a term of either carries 2d + 2 more.
+    So the kernel's G and each oracle value lie within 1.01 (2d + 6) (eps/2)
+    2 R^4 of G*, within 4.1 (d + 3) eps R^4 of each other.  The oracle
+    accepts fl(|fl(sqrt(max(g, 0))) - t|) <= delta: the sqrt and the
+    difference round once each (the final test is exact, and monotone in
+    the difference), which moves its edges in g, next to (t -+ delta)^2, by
+    <= 2.05 eps (t + delta)^2.  The kernel's edges (t -+ delta)^2 -+ M round
+    three times: <= 2.2 eps (t + delta)^2 + 0.51 eps M.  c = 8 covers the
+    sum, 4.1 (d + 3) eps R^4 + 4.25 eps (t + delta)^2 + 0.51 eps M, and the
+    rounding of R, R^4 and M.  A product that underflows is off by <= tiny/2,
+    then scaled by <= R^2 in a later product: < (4.2 d R^2 + 3) tiny over two
+    values and the edges.
+    """
+    d = pts.shape[1]
+    spread = float(np.sum(pts.max(axis=0) - pts.min(axis=0)))
+    return _AREA2_MARGIN_C * (np.finfo(float).eps * ((d + 3) * spread**4 + (t + delta) ** 2)
+                              + d * np.finfo(float).smallest_subnormal * (1.0 + spread) ** 2)
+
+
+def _area2_orderings(pts: np.ndarray, sets: np.ndarray, t: float, delta: float) -> int:
+    """Ordered triples over the rows of sets (each 3 point indices) that the
+    oracle `_area2_brute` accepts, each valued by its formula in its order.
+    Swapping the two legs of an apex multiplies the same numbers, and its
+    einsum adds the same products in the same order, so both orderings at
+    an apex get one bit-identical value: each apex is valued once, for 2."""
+    total = 0
+    for i, j, b in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
+        u = pts[sets[:, i]] - pts[sets[:, b]]
+        v = pts[sets[:, j]] - pts[sets[:, b]]
+        g = np.einsum("kd,kd->k", u, v)
+        gram = (u * u).sum(axis=1) * (v * v).sum(axis=1) - g * g
+        area = np.sqrt(np.maximum(gram, 0.0))
+        total += 2 * int(np.count_nonzero(np.abs(area - t) <= delta))
     return total
 
 
@@ -632,14 +731,6 @@ def _area2_brute(pts: np.ndarray, t: float, delta: float) -> int:
     return int(total)
 
 
-def _area2_legs(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """sqrt(det Gram(u_i, u_j)), clamped at 0 against rounding."""
-    sq = (u * u).sum(axis=1)
-    g = np.einsum("id,jd->ij", u, u, out=tmp)
-    np.subtract(np.multiply.outer(sq, sq, out=out), np.multiply(g, g, out=g), out=out)
-    np.sqrt(np.maximum(out, 0.0, out=out), out=out)
-
-
 def _area2_map(pts: np.ndarray) -> tuple[float, ...]:
     u, v = pts[0] - pts[2], pts[1] - pts[2]
     gram = float((u * u).sum()) * float((v * v).sum()) - float((u * v).sum()) ** 2
@@ -654,7 +745,11 @@ def count_angle(ps: PointSet, theta0: float, delta: float, algorithm: str = "pru
     """Ordered distinct triples with |angle(x^2-x^1, x^3-x^1) - theta0| <= delta.
 
     The cosine is clamped to [-1, 1] before arccos; triples whose apex legs
-    are shorter than 1e-12 have no defined angle and are skipped.
+    are shorter than 1e-12 have no defined angle and are skipped.  The fast
+    counter values each leg pair at an apex once, by its cosine, for both
+    of its orderings, which the oracle values alike.  It takes the arccos,
+    by the oracle's formula, only of the pairs within its rounding margin of
+    the band's cosine edges.
     """
     return _count(ps, ConfigQuery("angle", 2, theta0, delta), algorithm)
 
@@ -677,13 +772,111 @@ def _angle_brute(pts: np.ndarray, theta0: float, delta: float) -> int:
     return total
 
 
-def _angle_legs(u: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-    """The angle between u_i and u_j; NaN where a leg is shorter than
-    DEGENERATE_APEX_TOL."""
-    norms = np.sqrt((u * u).sum(axis=1))
-    norms[norms < DEGENERATE_APEX_TOL] = np.nan
-    np.divide(np.einsum("id,jd->ij", u, u, out=out), np.multiply.outer(norms, norms, out=tmp), out=out)
-    np.arccos(np.clip(out, -1.0, 1.0, out=out), out=out)
+def _angle_pairs(pts: np.ndarray, theta0: float, delta: float) -> int:
+    """Ordered distinct triples (a, i, j) with the angle at apex a within
+    delta of theta0, valuing each unordered leg pair at an apex once, by its
+    cosine.
+
+    The oracle values (a, i, j) and (a, j, i) bit-identically: its einsum
+    multiplies the same numbers and adds them in the same order, and its
+    norm product is the same.  So a pair counts 2 or 0.  At apex a the legs
+    are pts - pts[a]; those shorter than DEGENERATE_APEX_TOL, by the oracle's
+    norm formula, make no triple.  The others are divided by their norms,
+    and a row block of legs i (`_row_blocks`) is valued against every leg
+    j > i as the dot of the unit legs in BLAS.  `_angle_band` gives the
+    cosine band, each end moved by the margin w of `_angle_margin`: a pair
+    inside the band shrunk by w counts 2, one outside the band grown by w
+    counts 0, and the pairs between are valued again by `_angle_orderings`.
+    No arccos is taken outside them.
+    """
+    n, d = pts.shape
+    if n < 3:
+        return 0
+    _check_enum_budget(n, 3)
+    bands = _angle_band(theta0, delta, _angle_margin(d))
+    total = 0
+    for a in range(n):
+        legs = pts - pts[a]
+        norms = np.sqrt((legs * legs).sum(axis=1))
+        keep = np.flatnonzero(norms >= DEGENERATE_APEX_TOL)  # never a itself
+        unit = legs[keep] / norms[keep, None]
+        last = np.arange(keep.size - 1)
+        for start, stop, col in _row_blocks(last, keep.size):
+            inside, near = _band_split(unit[start:stop] @ unit[col:].T, last[start:stop], col, *bands)
+            total += 2 * inside
+            if near is not None:
+                rows, cols = near
+                triples = np.column_stack([np.full(rows.size, a), keep[start + rows], keep[cols]])
+                total += _angle_orderings(pts, triples, theta0, delta)
+    return total
+
+
+def _angle_margin(d: int) -> float:
+    """w = c (d + 2) eps, with c = _ANGLE_MARGIN_C and eps the machine
+    epsilon: the margin of the cosine bands of `_angle_pairs`.
+
+    Assumed accuracy: np.arccos is within 4 ulps of arccos on [-1, 1], so
+    within alpha = 8 eps (its values are <= pi < 4), and its values lie in
+    [0, math.pi]; math.cos is within 4 ulps of cos, so within kappa = 4 eps.
+    A rounding is a factor (1 + e), |e| <= eps/2.
+
+    Cosines.  The kernel and the oracle use the same legs u, v and the same
+    norms |u| (1 + eta), |eta| <= 1.01 (d/2 + 1) eps/2 (d squares summed,
+    then sqrt).  The kernel's cosine is the dgemm dot of fl(u / |u|') and
+    fl(v / |v|'): per term d roundings in any order, fused or not, one per
+    division, and eta twice.  The oracle's is its einsum (d roundings) over
+    the rounded product of the norms (eta twice and 1), rounded once more.
+    As sum_k |u_k v_k| <= |u| |v|, each lies within 1.02 (2d + 4) eps/2 of
+    the exact cosine of u and v, so the two lie within beta = 2.04 (d + 2)
+    eps of each other.  A kernel cosine classified against edges inside
+    (-1, 1) is classified alike when clipped to [-1, 1], as the oracle's is.
+
+    Angles.  arccos is decreasing and |d arccos/dc| = 1/sqrt(1 - c^2) >= 1,
+    so for C and C + g in [-1, 1], arccos(C + g) <= arccos(C) - g.  A cosine
+    edge is off from cos(theta0 -+ delta) by <= eps pi/2 from rounding
+    theta0 -+ delta (cos is 1-Lipschitz), kappa from math.cos and 0.51 eps
+    from moving it by w.  Let g = w - beta - kappa - 2.1 eps.  A kernel
+    cosine w inside an edge puts the oracle's clipped cosine g inside the
+    exact edge, so its exact angle lies g inside theta0 -+ delta, and its
+    np.arccos value g - alpha inside: the oracle accepts when g >= alpha
+    (its rounded difference from theta0 is monotone in the angle).  A kernel
+    cosine w outside an edge puts the oracle's angle more than g - alpha
+    outside, and the oracle's difference (<= pi + alpha in size) rounds by
+    <= 1.6 eps: it rejects when g > alpha + 1.6 eps.  Both hold when w >
+    beta + kappa + alpha + 3.7 eps = 2.04 (d + 2) eps + 15.7 eps, which c = 16
+    gives for every d >= 1 (at d = 1: 48 eps > 21.9 eps).  Legs are at least
+    DEGENERATE_APEX_TOL long, so products that underflow move a cosine by
+    <= d tiny / 1e-24, far below eps.
+    """
+    return _ANGLE_MARGIN_C * (d + 2) * np.finfo(float).eps
+
+
+def _angle_band(theta0: float, delta: float, w: float):
+    """The cosine bands of `_band_split` for |angle - theta0| <= delta, each
+    end moved by w: (cos(theta0 + delta) + w, cos(theta0 - delta) - w) inside
+    and [cos(theta0 + delta) - w, cos(theta0 - delta) + w] outside, with the
+    angles clamped to [0, pi].  An inner end opens to -+inf when the oracle
+    accepts every angle past it: theta0 <= delta passes the angle 0, and
+    math.pi - theta0 <= delta passes math.pi, the largest np.arccos value;
+    its test is monotone in the angle on each side of theta0.  An outer end
+    past -+1 opens too, as the oracle clips every cosine into [-1, 1]."""
+    c_lo, c_hi = math.cos(min(theta0 + delta, math.pi)), math.cos(max(theta0 - delta, 0.0))
+    inner = (-np.inf if math.pi - theta0 <= delta else c_lo + w,
+             np.inf if theta0 <= delta else c_hi - w)
+    outer = (-np.inf if c_lo - w <= -1.0 else c_lo - w, np.inf if c_hi + w >= 1.0 else c_hi + w)
+    return inner, outer
+
+
+def _angle_orderings(pts: np.ndarray, triples: np.ndarray, theta0: float, delta: float) -> int:
+    """Ordered triples over the rows (a, i, j) of triples that the oracle
+    `_angle_brute` accepts, each row valued once by its formula for both of
+    its bit-identical orderings (a, i, j) and (a, j, i)."""
+    u = pts[triples[:, 1]] - pts[triples[:, 0]]
+    w = pts[triples[:, 2]] - pts[triples[:, 0]]
+    nu = np.sqrt((u * u).sum(axis=1))
+    nw = np.sqrt((w * w).sum(axis=1))
+    theta = np.arccos(np.clip(np.einsum("kd,kd->k", u, w) / (nu * nw), -1.0, 1.0))
+    return 2 * int(np.count_nonzero(np.abs(theta - theta0) <= delta))
 
 
 def _angle_map(pts: np.ndarray) -> tuple[float, ...]:
@@ -692,9 +885,9 @@ def _angle_map(pts: np.ndarray) -> tuple[float, ...]:
     return (float(np.arccos(cosv)),)
 
 
-def _one_target(kernel, *extra):
-    """kernel(points, t, delta, *extra) as a row kernel (points, k, t, delta)."""
-    return lambda pts, k, t, delta: kernel(pts, t[0], delta, *extra)
+def _one_target(kernel):
+    """kernel(points, t, delta) as a row kernel (points, k, t, delta)."""
+    return lambda pts, k, t, delta: kernel(pts, t[0], delta)
 
 
 FAMILIES: dict[str, Family] = {row.name: row for row in (
@@ -712,13 +905,13 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
            config_map=_area2_map, scale=lambda d: 2.0,
-           fast=_one_target(_per_apex, _area2_legs), brute=_one_target(_area2_brute),
+           fast=_one_target(_area2_sets), brute=_one_target(_area2_brute),
            threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4),
            counter_args=("t", "delta", "volume_convention")),
     Family(name="angle", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: 0.0 <= x <= math.pi, t_domain="in [0, pi]", zero_delta=False,
            config_map=_angle_map, scale=lambda d: 1.0,
-           fast=_one_target(_per_apex, _angle_legs), brute=_one_target(_angle_brute),
+           fast=_one_target(_angle_pairs), brute=_one_target(_angle_brute),
            threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
 )}
 

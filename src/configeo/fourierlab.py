@@ -312,11 +312,29 @@ def ft_montecarlo(
     return out
 
 
+def _row_norms(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.linalg.norm(a, axis=1), bit for bit, without its (m, d) square.
+    Below 8 columns numpy's pairwise sum adds a row in coordinate order, so
+    the squares are summed column by column into out; from 8 on it unrolls
+    by 8, and the rows go to np.add.reduce as in np.linalg.norm."""
+    d = a.shape[1]
+    if d >= 8:
+        return np.sqrt(np.add.reduce(a * a, axis=1), out=out)
+    out = np.multiply(a[:, 0], a[:, 0], out=out)
+    square = np.empty_like(out)
+    for k in range(1, d):
+        out += np.multiply(a[:, k], a[:, k], out=square)
+    return np.sqrt(out, out=out)
+
+
 def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """m standard normal rows divided in place by their norms; zero rows
+    stay zero."""
     g = rng.standard_normal((m, d))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = _row_norms(g)
     norms[norms == 0.0] = 1.0
-    return g / norms
+    g /= norms[:, None]
+    return g
 
 
 def _mc_draw(
@@ -338,10 +356,14 @@ def _mc_draw(
         return [u[acc], v[acc]], acc, weight
 
     if spec.kind == "chain_spheres":
-        blocks = [r * _unit_vectors(rng, m, spec.d) for r in spec.radii]
+        blocks = [_unit_vectors(rng, m, spec.d) for _ in spec.radii]
+        for x, r in zip(blocks, spec.radii):
+            x *= r
         acc = np.ones(m, dtype=bool)
+        diff, dist = np.empty((m, spec.d)), np.empty(m)  # reused for every gap
         for x, y, g in zip(blocks, blocks[1:], spec.gaps):
-            acc &= np.abs(np.linalg.norm(x - y, axis=1) - g) < epsilon
+            _row_norms(np.subtract(x, y, out=diff), out=dist)
+            acc &= np.abs(np.subtract(dist, g, out=dist), out=dist) < epsilon
         ambient = math.prod(
             sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii
         )

@@ -529,16 +529,20 @@ def test_volume_counts_each_ordering_of_a_split_set(points, t, want):
         assert count == want and type(count) is int  # reports serialize Python ints
 
 
-def _spy_rechecks(monkeypatch):
-    """Record the number of point sets of each `_volume_orderings` call."""
+RECHECKS = {"volume": "_volume_orderings", "area2": "_area2_orderings", "angle": "_angle_orderings"}
+
+
+def _spy_rechecks(monkeypatch, family="volume"):
+    """Record the number of rows (point sets, or apex and leg pair) of each
+    call of the family's recheck."""
     rechecked = []
-    orderings = configcount._volume_orderings
+    recheck = getattr(configcount, RECHECKS[family])
 
     def spy(pts, sets, t, delta):
         rechecked.append(len(sets))
-        return orderings(pts, sets, t, delta)
+        return recheck(pts, sets, t, delta)
 
-    monkeypatch.setattr(configcount, "_volume_orderings", spy)
+    monkeypatch.setattr(configcount, RECHECKS[family], spy)
     return rechecked
 
 
@@ -550,18 +554,80 @@ def test_volume_zero_band_on_a_hyperplane_rechecks_every_set(monkeypatch, d, n):
     assert sum(rechecked) == math.comb(n, d + 1)
 
 
+@pytest.mark.parametrize("points,t,want", [
+    # one triple whose orderings round to two (three) values; delta = 0 splits them
+    (gen_lattice(2, 4).points[[0, 1, 12]], 1 / 3, 4),
+    (gen_lattice(2, 4).points[[0, 1, 12]], 0.3333333333333334, 2),
+    (gen_lattice(3, 4).points[[0, 1, 7]], 1 / 9, 2),
+])
+def test_area2_counts_each_ordering_of_a_split_set(points, t, want):
+    ps = PointSet(dim=points.shape[1], points=points)
+    for algo in ("pruned", "brute"):
+        count = count_area2(ps, t, 0.0, algorithm=algo).count
+        assert count == want and type(count) is int
+
+
+@pytest.mark.parametrize("d,n", [(2, 9), (3, 8)])
+def test_area2_zero_band_on_a_line_rechecks_every_set(monkeypatch, d, n):
+    # dyadic collinear points: every Gram determinant is exactly 0 and t = delta = 0
+    rechecked = _spy_rechecks(monkeypatch, "area2")
+    line = np.arange(n)[:, None] / 16 * [1.0, 0.5, 0.25][:d] + 0.125
+    assert count_area2(PointSet(dim=d, points=line), 0.0, 0.0).count == math.perm(n, 3)
+    assert sum(rechecked) == math.comb(n, 3)
+
+
+@pytest.mark.parametrize("d,m", [(2, 4), (3, 3)])
+@pytest.mark.parametrize("delta", [1e-15, math.pi / 4])
+def test_angle_right_angles_on_a_lattice_are_rechecked(monkeypatch, d, m, delta):
+    # at delta = 1e-15 the cosine margin spans the band, and the right angles lie in
+    # it; at pi/4 the lattice's 45 and 135 degree angles sit on the band's edges
+    pts = gen_lattice(d, m).points
+    rechecked = _spy_rechecks(monkeypatch, "angle")
+    count = configcount._angle_pairs(pts, math.pi / 2, delta)
+    assert sum(rechecked) > 0
+    assert count == configcount._angle_brute(pts, math.pi / 2, delta)
+
+
+@pytest.mark.parametrize("family,d", [("volume", 2), ("volume", 3), ("area2", 2), ("area2", 3),
+                                      ("area2", 4), ("angle", 2), ("angle", 3), ("angle", 4)])
+def test_rechecks_value_every_ordering_like_the_oracle(family, d):
+    # batched rechecks must round as the oracle's one-tuple formulas: with delta = 0 and
+    # t each oracle value, one rounding apart changes a count (einsum's order at d = 3
+    # differs from a coordinate-order sum in many random values)
+    pts = gen_random(d, 8, seed=d).points
+    if family == "angle":  # an apex and a leg pair
+        rows = [(a, *pair) for a in range(8) for pair in itertools.combinations(range(8), 2) if a not in pair]
+    else:
+        rows = list(itertools.combinations(range(8), d + 1 if family == "volume" else 3))
+    values = _oracle_values(family, pts)
+    recheck = getattr(configcount, RECHECKS[family])
+    for t in values[::max(1, len(values) // 20)]:
+        assert recheck(pts, np.array(rows), t, 0.0) == configcount.FAMILIES[family].brute(pts, d, (t,), 0.0)
+
+
 @pytest.mark.parametrize("entries", [1, 37])
-def test_volume_block_size_leaves_counts_unchanged(monkeypatch, entries):
+def test_block_size_leaves_counts_unchanged(monkeypatch, entries):
     # moved lattices put rechecked sets in many blocks; entries = 1 is one row per block
-    cases = [(gen_lattice(2, 5).points + 1e3, 0.125, 0.0625),
-             (gen_lattice(3, 3).points * 1e-3, 1.25e-10, 0.0),
-             (gen_random(3, 20, seed=4).points, 0.02, 0.01)]
-    rechecked = _spy_rechecks(monkeypatch)
-    want = [configcount._volume_sets(pts, t, delta) for pts, t, delta in cases]
-    want_rechecked, rechecked[:] = sum(rechecked), []
-    monkeypatch.setattr(configcount, "_VOLUME_BLOCK_ENTRIES", entries)
-    assert [configcount._volume_sets(pts, t, delta) for pts, t, delta in cases] == want
-    assert sum(rechecked) == want_rechecked > 0
+    cases = {
+        "volume": [(gen_lattice(2, 5).points + 1e3, 0.125, 0.0625),
+                   (gen_lattice(3, 3).points * 1e-3, 1.25e-10, 0.0),
+                   (gen_random(3, 20, seed=4).points, 0.02, 0.01)],
+        "area2": [(gen_lattice(2, 5).points + 1e3, 0.125, 0.0625),
+                  (gen_lattice(3, 3).points * 1e-3, 0.5e-6, 0.0),
+                  (gen_random(3, 20, seed=4).points, 0.1, 0.02)],
+        "angle": [(gen_lattice(2, 5).points + 1e3, math.pi / 4, math.pi / 4),
+                  (gen_lattice(3, 3).points * 1e-3, math.pi / 2, 0.25),
+                  (gen_random(3, 20, seed=4).points, 1.0, 0.1)],
+    }
+    for family, family_cases in cases.items():
+        kernel = configcount.FAMILIES[family].fast
+        with monkeypatch.context() as patch:
+            rechecked = _spy_rechecks(patch, family)
+            want = [kernel(pts, 2, (t,), delta) for pts, t, delta in family_cases]
+            want_rechecked, rechecked[:] = sum(rechecked), []
+            patch.setattr(configcount, "_SET_BLOCK_ENTRIES", entries)
+            assert [kernel(pts, 2, (t,), delta) for pts, t, delta in family_cases] == want
+            assert sum(rechecked) == want_rechecked > 0
 
 
 # ---------------------------------------------------------------------------

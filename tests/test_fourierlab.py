@@ -286,6 +286,28 @@ def test_mc_draws_once_per_chunk_whatever_the_point_count(monkeypatch, kind, dra
         assert [m for m, _ in calls[::draws_per_chunk]] == [4096, 4096, 4096, 100]
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 9])
+def test_unit_vectors_equal_the_norm_division_bit_for_bit(d):
+    # below 8 coordinates the norms are a coordinate-order sum, from 8 on np.add.reduce
+    g = np.random.default_rng(d).standard_normal((5000, d))
+    want = g / np.linalg.norm(g, axis=1, keepdims=True)
+    got = fourierlab._unit_vectors(np.random.default_rng(d), 5000, d)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 9])
+def test_unit_vectors_leave_zero_rows_unchanged(d):
+    class Draw:  # a stream whose normal rows include zero rows
+        def standard_normal(self, shape):
+            rows = np.arange(1.0, shape[0] * shape[1] + 1.0).reshape(shape)
+            rows[::2] = 0.0
+            return rows
+
+    got = fourierlab._unit_vectors(Draw(), 6, d)
+    assert np.array_equal(got[::2], np.zeros((3, d)))
+    assert np.allclose(np.linalg.norm(got[1::2], axis=1), 1.0)
+
+
 def test_measure_spec_validation():
     with pytest.raises(ValueError):
         MeasureSpec.chain_spheres(3, radii=(1.0, 1.0), gaps=(2.5,))  # unreachable gap
