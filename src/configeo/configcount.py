@@ -24,26 +24,28 @@ arity - len(t)/s with arity = k+1.
 The ``simplex`` convention divides volume and area2 by d! and 2 (the row's
 scale).  ``custom`` queries count any PhiFunction by full enumeration.
 
-The optimized counters ("pruned") and the exhaustive oracles ("brute") must
-agree exactly; the oracles share only the distance formula with the fast
-paths.  The simplex fast path counts labelled homomorphisms of K_{k+1} into
-the band graphs A_ij = [|D - t_ij| <= delta].  D is computed in row blocks of
-SIMPLEX_BLOCK_ENTRIES // n anchors by the oracle's formula, bit for bit.  Each
-distinct target gets one CSR band matrix, whose zero diagonal enforces
-distinct indices; the build raises CapacityError as soon as its projected
-nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  k=1 counts nnz(A_01); k=2 sums
-(A_01[blk] @ A_12) * A_02[blk] over row blocks, so the n x n product is never
-held whole; k >= 3 restricts each later slot to the neighbours of one anchor,
-A_ij[N_i][:, N_j], and recurses down to the k=2 product.  Volume in d = 2
-and 3 and area2 in any d value each unordered point set once, from its
+One map per row defines the family: config_map takes a batch of tuples and
+returns their values, and the exhaustive oracle ("brute") enumerates every
+ordered distinct tuple in chunks (`_tuples`) and counts the values in the
+closed band (`_accepted`).  The optimized counters ("pruned") must agree with
+the oracles exactly.  The simplex fast path counts labelled homomorphisms of
+K_{k+1} into the band graphs A_ij = [|D - t_ij| <= delta].  D is computed in
+row blocks of SIMPLEX_BLOCK_ENTRIES // n anchors by the map's formula, bit
+for bit.  Each distinct target gets one CSR band matrix, whose zero diagonal
+enforces distinct indices; the build raises CapacityError as soon as its
+projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  k=1 counts nnz(A_01); k=2
+sums (A_01[blk] @ A_12) * A_02[blk] over row blocks, so the n x n product is
+never held whole; k >= 3 restricts each later slot to the neighbours of one
+anchor, A_ij[N_i][:, N_j], and recurses down to the k=2 product.  Volume in
+d = 2 and 3 and area2 in any d value each unordered point set once, from its
 smallest index, by |det| and by the Gram determinant of its legs; angle
 values each unordered leg pair at an apex once, by its cosine.  All three
 compute their values in BLAS row blocks of at most _SET_BLOCK_ENTRIES.  A
 proven rounding margin per family splits the values into those that count
 for all of their orderings ((d+1)!, 6 and 2), those that count for none, and
-those near a band edge, whose orderings are valued again by the oracle's
-formula in the oracle's order, so the two agree bit for bit at ties.  Volume
-in other d runs np.linalg.det over chunks of tuples.
+those near a band edge, whose orderings `_recheck` values by the row's map,
+so the two agree bit for bit at ties.  Volume in other d is counted by the
+oracle.
 """
 
 from __future__ import annotations
@@ -65,13 +67,11 @@ from .pointgen import PointSet
 BRUTE_EVAL_BUDGET = 10**9
 SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
 SIMPLEX_BLOCK_ENTRIES = 1 << 16  # dense entries per row block of D or of a product
-PHI_EVAL_BUDGET = 10**8
 DEGENERATE_APEX_TOL = 1e-12
-_SET_BLOCK_ENTRIES = 1 << 16  # values per row block of the volume, area2 and angle kernels
+_SET_BLOCK_ENTRIES = 1 << 16  # values per row block of the set kernels, tuples per chunk of `_tuples`
 _VOLUME_MARGIN_C = 32  # rounding margin constant of _volume_margin
 _AREA2_MARGIN_C = 8  # rounding margin constant of _area2_margin
 _ANGLE_MARGIN_C = 16  # rounding margin constant of _angle_margin
-_VOLUME_TUPLES = 1 << 14  # tuples per np.linalg.det call at d >= 4
 
 VOLUME_CONVENTIONS = ("bare_determinant", "simplex")
 
@@ -92,7 +92,7 @@ class Family:
     t_ok: Callable[[float], bool]
     t_domain: str
     zero_delta: bool  # whether the closed band of width 0 is a query
-    config_map: Callable[[np.ndarray], tuple[float, ...]]  # one (k+1, d) tuple -> bare values
+    config_map: Callable[[np.ndarray], np.ndarray]  # (m, k+1, d) tuples -> (m, len(t)) bare values
     scale: Callable[[int], float]  # bare value of a unit simplex-convention value, in R^d
     fast: Callable[..., int]
     brute: Callable[..., int]
@@ -163,7 +163,9 @@ class CountReport:
 
 @dataclass(frozen=True)
 class PhiFunction:
-    """A deterministic configuration map on (arity) points with values in R^m."""
+    """A deterministic configuration map on (arity) points with values in
+    R^output_dim.  evaluator takes a batch of tuples, an (m, arity, d) array,
+    and returns their values as an (m, output_dim) array."""
 
     arity: int
     output_dim: int
@@ -275,6 +277,42 @@ def _band_split(vals: np.ndarray, last: np.ndarray, col: int, inner, outer):
         return inside, None
     rows, cols = np.nonzero((vals >= lo_out) & (vals <= hi_out) & ~((vals > lo) & (vals < hi)))
     return inside, (rows, cols + col)
+
+
+def _tuples(n: int, arity: int):
+    """The ordered distinct arity-tuples of range(n), as chunks of index rows:
+    a run of combinations, each in all of its arity! orders, of at most
+    _SET_BLOCK_ENTRIES rows (at least one combination).  The call raises
+    CapacityError when n^arity exceeds BRUTE_EVAL_BUDGET, before any chunk;
+    the set kernels, which value the same tuples, call it for that check."""
+    if n**arity > BRUTE_EVAL_BUDGET:
+        raise CapacityError(f"enumeration of {n}^{arity} tuples exceeds the budget")
+    orders = np.array(list(itertools.permutations(range(arity))))
+    combos = itertools.combinations(range(n), arity)
+    sets = (np.fromiter(itertools.islice(combos, max(1, _SET_BLOCK_ENTRIES // len(orders))),
+                        np.dtype((np.intp, arity))) for _ in itertools.count())
+    return (chunk[:, orders].reshape(-1, arity) for chunk in itertools.takewhile(len, sets))
+
+
+def _accepted(values: np.ndarray, t, delta: float) -> int:
+    """Rows of values, (m, len(t)), with every |value - t| <= delta.  NaN is
+    in no band."""
+    return int(np.count_nonzero((np.abs(values - np.asarray(t)) <= delta).all(axis=1)))
+
+
+def _oracle(config_map):
+    """A row's exhaustive oracle kernel(points, k, t, delta): every ordered
+    distinct (k+1)-tuple, valued by config_map."""
+    def brute(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
+        return sum(_accepted(config_map(pts[idx]), t, delta) for idx in _tuples(len(pts), k + 1))
+    return brute
+
+
+def _recheck(pts: np.ndarray, config_map, sets: np.ndarray, orders, t: float, delta: float) -> int:
+    """Ordered tuples over the rows of sets (point indices), each taken in
+    every one of the orders (column permutations), that the oracle accepts:
+    each is valued by the row's config_map, as the oracle values it."""
+    return sum(_accepted(config_map(pts[sets[:, list(order)]]), (t,), delta) for order in orders)
 
 
 def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
@@ -407,9 +445,12 @@ def _simplex_brute(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> i
     return int(round(total))
 
 
-def _distances(pts: np.ndarray) -> tuple[float, ...]:
-    """The simplex map of one tuple: its pairwise distances in pair order."""
-    return tuple(float(np.sqrt(((pts[i] - pts[j]) ** 2).sum())) for i, j in pair_order(len(pts) - 1))
+def _simplex_values(tuples: np.ndarray) -> np.ndarray:
+    """The simplex map: pairwise distances in pair order, each by
+    `_pair_distance_matrix`'s formula."""
+    i, j = np.array(pair_order(tuples.shape[1] - 1)).T
+    diff = tuples[:, j] - tuples[:, i]
+    return np.sqrt((diff * diff).sum(axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +475,9 @@ def count_volume(
     return _count(ps, ConfigQuery("volume", ps.dim, t, delta, convention), algorithm)
 
 
-def _check_enum_budget(n: int, arity: int) -> None:
-    if n**arity > BRUTE_EVAL_BUDGET:
-        raise CapacityError(f"enumeration of {n}^{arity} tuples exceeds the budget")
-
-
 def _volume_sets(pts: np.ndarray, t: float, delta: float) -> int:
     """Ordered distinct (d+1)-tuples with |det| within delta of t, valuing each
-    unordered point set once (d = 2, 3; other d go to `_volume_generic`).
+    unordered point set once (d = 2, 3; other d go to the oracle).
 
     A set's apex is its smallest index b and its legs are U = pts[b+1:] -
     pts[b].  Each row of a block is a leg set short of its last leg, with
@@ -452,18 +488,19 @@ def _volume_sets(pts: np.ndarray, t: float, delta: float) -> int:
     BLAS.  Each value V lies within `_volume_margin` B of every one of the
     set's (d+1)! oracle values.  So `_band_split` counts a set with
     ||V| - t| < delta - B for (d+1)!, one with ||V| - t| > delta + B for 0,
-    and the sets between are valued again by `_volume_orderings`.
+    and the sets between are valued again, ordering by ordering, by
+    `_recheck`.
     """
     n, d = pts.shape
+    if d not in (2, 3):
+        return FAMILIES["volume"].brute(pts, d, (t,), delta)
     if n < d + 1:
         return 0
-    _check_enum_budget(n, d + 1)
-    if d not in (2, 3):
-        return _volume_generic(pts, t, delta)
+    _tuples(n, d + 1)  # CapacityError over the enumeration budget
     margin = _volume_margin(pts, t, delta)
     inner, outer = delta - margin, delta + margin
     bands = (t - inner, t + inner), (t - outer, t + outer)
-    orderings = math.factorial(d + 1)
+    orderings = list(itertools.permutations(range(d + 1)))
     total = 0
     for b in range(n - d):
         legs = pts[b + 1:] - pts[b]
@@ -478,13 +515,13 @@ def _volume_sets(pts: np.ndarray, t: float, delta: float) -> int:
             normals = np.cross(legs[first], legs[last])
         for start, stop, col in _row_blocks(last, m):
             inside, near = _band_split(np.abs(normals[start:stop] @ legs[col:].T), last[start:stop], col, *bands)
-            total += orderings * inside
+            total += len(orderings) * inside
             if near is not None:
                 rows, cols = near
                 rows += start
                 sets = np.column_stack([np.full(rows.size, b)] + [b + 1 + leg[rows] for leg in row_legs]
                                        + [b + 1 + cols])
-                total += _volume_orderings(pts, sets, t, delta)
+                total += _recheck(pts, _volume_values, sets, orderings, t, delta)
     return total
 
 
@@ -521,82 +558,22 @@ def _volume_margin(pts: np.ndarray, t: float, delta: float) -> float:
                                + np.finfo(float).smallest_subnormal * (1.0 + spread) ** (d - 1))
 
 
-def _volume_orderings(pts: np.ndarray, sets: np.ndarray, t: float, delta: float) -> int:
-    """Ordered tuples over the rows of sets (each d+1 point indices) that the
-    oracle `_volume_brute` accepts, each valued by its formula in its order."""
-    d = pts.shape[1]
-    total = 0
-    for order in itertools.permutations(range(d + 1)):
-        tup = pts[sets[:, order]]  # (sets, d+1, d), the apex last
-        u = tup[:, :-1] - tup[:, -1:]
-        if d == 2:
-            u0, u1 = u[:, 0].T, u[:, 1].T
-            det = u0[0] * u1[1] - u0[1] * u1[0]
-        else:
-            u0, u1, u2 = u[:, 0].T, u[:, 1].T, u[:, 2].T
-            c0 = u1[1] * u2[2] - u1[2] * u2[1]
-            c1 = u1[2] * u2[0] - u1[0] * u2[2]
-            c2 = u1[0] * u2[1] - u1[1] * u2[0]
-            det = u0[0] * c0 + u0[1] * c1 + u0[2] * c2
-        total += int(np.count_nonzero(np.abs(np.abs(det) - t) <= delta))
-    return total
-
-
-def _volume_generic(pts: np.ndarray, t: float, delta: float) -> int:
-    """Chunked exhaustive evaluation for ambient dimension >= 4."""
-    n, d = pts.shape
-    total = 0
-    shape = (n,) * d
-    size = n**d
-    for b in range(n):
-        u = pts - pts[b]
-        for start in range(0, size, _VOLUME_TUPLES):
-            flat = np.arange(start, min(start + _VOLUME_TUPLES, size))
-            idx = np.stack(np.unravel_index(flat, shape), axis=1)  # (m, d)
-            ok = idx[:, 0] != b
-            for a in range(1, d):
-                ok &= idx[:, a] != b
-                for a2 in range(a):
-                    ok &= idx[:, a] != idx[:, a2]
-            if not ok.any():
-                continue
-            rows = u[idx[ok]]  # (m_ok, d, d)
-            det = np.abs(np.linalg.det(rows))
-            total += int(np.count_nonzero(np.abs(det - t) <= delta))
-    return total
-
-
-def _volume_brute(pts: np.ndarray, t: float, delta: float) -> int:
-    n, d = pts.shape
-    if n < d + 1:
-        return 0
-    _check_enum_budget(n, d + 1)
-    total = 0
-    if d == 2:
-        for i, j, b in itertools.permutations(range(n), 3):
-            u0 = pts[i] - pts[b]
-            u1 = pts[j] - pts[b]
-            det = u0[0] * u1[1] - u0[1] * u1[0]
-            if abs(abs(det) - t) <= delta:
-                total += 1
-        return total
-    if d == 3:
-        for i, j, l, b in itertools.permutations(range(n), 4):
-            u0 = pts[i] - pts[b]
-            u1 = pts[j] - pts[b]
-            u2 = pts[l] - pts[b]
-            c0 = u1[1] * u2[2] - u1[2] * u2[1]
-            c1 = u1[2] * u2[0] - u1[0] * u2[2]
-            c2 = u1[0] * u2[1] - u1[1] * u2[0]
-            det = u0[0] * c0 + u0[1] * c1 + u0[2] * c2
-            if abs(abs(det) - t) <= delta:
-                total += 1
-        return total
-    for tup in itertools.permutations(range(n), d + 1):
-        rows = pts[list(tup[:-1])] - pts[tup[-1]]
-        if abs(abs(float(np.linalg.det(rows))) - t) <= delta:
-            total += 1
-    return total
+def _volume_values(tuples: np.ndarray) -> np.ndarray:
+    """The volume map: |det| of the legs u_a = x^a - x^{d+1}, by the Leibniz
+    terms u0[0]*u1[1] - u0[1]*u1[0] at d = 2 and u0 . (u1 x u2) at d = 3,
+    and by np.linalg.det at other d."""
+    legs = tuples[:, :-1] - tuples[:, -1:]
+    u = np.moveaxis(legs, 0, -1)  # u[a][c]: coordinate c of leg a, over the tuples
+    if len(u) == 2:
+        det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
+    elif len(u) == 3:
+        c0 = u[1][1] * u[2][2] - u[1][2] * u[2][1]
+        c1 = u[1][2] * u[2][0] - u[1][0] * u[2][2]
+        c2 = u[1][0] * u[2][1] - u[1][1] * u[2][0]
+        det = u[0][0] * c0 + u[0][1] * c1 + u[0][2] * c2
+    else:
+        det = np.linalg.det(legs)
+    return np.abs(det)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -634,12 +611,12 @@ def _area2_sets(pts: np.ndarray, t: float, delta: float) -> int:
     test on every one of the triple's 6 oracle values.  So `_band_split`
     counts a triple for 6 when G is inside the band shrunk by M, for 0 when
     G is outside the band grown by M, and the triples between are valued
-    again by `_area2_orderings`.
+    again, ordering by ordering, by `_recheck`.
     """
     n = pts.shape[0]
     if n < 3:
         return 0
-    _check_enum_budget(n, 3)
+    _tuples(n, 3)  # CapacityError over the enumeration budget
     margin = _area2_margin(pts, t, delta)
     low = -np.inf if t <= delta else (t - delta) ** 2
     high = (t + delta) ** 2
@@ -658,7 +635,7 @@ def _area2_sets(pts: np.ndarray, t: float, delta: float) -> int:
             if near is not None:
                 rows, cols = near
                 sets = np.column_stack([np.full(rows.size, b), b + 1 + start + rows, b + 1 + cols])
-                total += _area2_orderings(pts, sets, t, delta)
+                total += _recheck(pts, _area2_values, sets, itertools.permutations(range(3)), t, delta)
     return total
 
 
@@ -695,46 +672,14 @@ def _area2_margin(pts: np.ndarray, t: float, delta: float) -> float:
                               + d * np.finfo(float).smallest_subnormal * (1.0 + spread) ** 2)
 
 
-def _area2_orderings(pts: np.ndarray, sets: np.ndarray, t: float, delta: float) -> int:
-    """Ordered triples over the rows of sets (each 3 point indices) that the
-    oracle `_area2_brute` accepts, each valued by its formula in its order.
-    Swapping the two legs of an apex multiplies the same numbers, and its
-    einsum adds the same products in the same order, so both orderings at
-    an apex get one bit-identical value: each apex is valued once, for 2."""
-    total = 0
-    for i, j, b in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
-        u = pts[sets[:, i]] - pts[sets[:, b]]
-        v = pts[sets[:, j]] - pts[sets[:, b]]
-        g = np.einsum("kd,kd->k", u, v)
-        gram = (u * u).sum(axis=1) * (v * v).sum(axis=1) - g * g
-        area = np.sqrt(np.maximum(gram, 0.0))
-        total += 2 * int(np.count_nonzero(np.abs(area - t) <= delta))
-    return total
-
-
-def _area2_brute(pts: np.ndarray, t: float, delta: float) -> int:
-    n = pts.shape[0]
-    if n < 3:
-        return 0
-    _check_enum_budget(n, 3)
-    total = 0
-    for i, j, b in itertools.permutations(range(n), 3):
-        u = pts[i] - pts[b]
-        v = pts[j] - pts[b]
-        sq_u = float((u * u).sum())
-        sq_v = float((v * v).sum())
-        g = float(np.einsum("d,d->", u, v))
-        gram = sq_u * sq_v - g * g
-        area = np.sqrt(np.maximum(gram, 0.0))
-        if abs(area - t) <= delta:
-            total += 1
-    return int(total)
-
-
-def _area2_map(pts: np.ndarray) -> tuple[float, ...]:
-    u, v = pts[0] - pts[2], pts[1] - pts[2]
-    gram = float((u * u).sum()) * float((v * v).sum()) - float((u * v).sum()) ** 2
-    return (math.sqrt(max(gram, 0.0)),)
+def _area2_values(tuples: np.ndarray) -> np.ndarray:
+    """The area2 map: sqrt(max(G, 0)) of the Gram determinant G = |u|^2 |v|^2
+    - (u . v)^2 of the legs u = x^1 - x^3 and v = x^2 - x^3, the dot by
+    einsum."""
+    u, v = tuples[:, 0] - tuples[:, 2], tuples[:, 1] - tuples[:, 2]
+    g = np.einsum("kd,kd->k", u, v)
+    gram = (u * u).sum(axis=1) * (v * v).sum(axis=1) - g * g
+    return np.sqrt(np.maximum(gram, 0.0))[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -747,29 +692,10 @@ def count_angle(ps: PointSet, theta0: float, delta: float, algorithm: str = "pru
     The cosine is clamped to [-1, 1] before arccos; triples whose apex legs
     are shorter than 1e-12 have no defined angle and are skipped.  The fast
     counter values each leg pair at an apex once, by its cosine, for both
-    of its orderings, which the oracle values alike.  It takes the arccos,
-    by the oracle's formula, only of the pairs within its rounding margin of
-    the band's cosine edges.
+    of its orderings.  It takes the arccos, by the oracle's map, only of the
+    pairs within its rounding margin of the band's cosine edges.
     """
     return _count(ps, ConfigQuery("angle", 2, theta0, delta), algorithm)
-
-
-def _angle_brute(pts: np.ndarray, theta0: float, delta: float) -> int:
-    n = pts.shape[0]
-    _check_enum_budget(n, 3)
-    total = 0
-    for a, i, j in itertools.permutations(range(n), 3):
-        u = pts[i] - pts[a]
-        w = pts[j] - pts[a]
-        nu = np.sqrt((u * u).sum())
-        nw = np.sqrt((w * w).sum())
-        if nu < DEGENERATE_APEX_TOL or nw < DEGENERATE_APEX_TOL:
-            continue
-        cosv = np.clip(np.einsum("d,d->", u, w) / (nu * nw), -1.0, 1.0)
-        theta = float(np.arccos(cosv))
-        if abs(theta - theta0) <= delta:
-            total += 1
-    return total
 
 
 def _angle_pairs(pts: np.ndarray, theta0: float, delta: float) -> int:
@@ -777,22 +703,20 @@ def _angle_pairs(pts: np.ndarray, theta0: float, delta: float) -> int:
     delta of theta0, valuing each unordered leg pair at an apex once, by its
     cosine.
 
-    The oracle values (a, i, j) and (a, j, i) bit-identically: its einsum
-    multiplies the same numbers and adds them in the same order, and its
-    norm product is the same.  So a pair counts 2 or 0.  At apex a the legs
-    are pts - pts[a]; those shorter than DEGENERATE_APEX_TOL, by the oracle's
-    norm formula, make no triple.  The others are divided by their norms,
-    and a row block of legs i (`_row_blocks`) is valued against every leg
-    j > i as the dot of the unit legs in BLAS.  `_angle_band` gives the
-    cosine band, each end moved by the margin w of `_angle_margin`: a pair
-    inside the band shrunk by w counts 2, one outside the band grown by w
-    counts 0, and the pairs between are valued again by `_angle_orderings`.
-    No arccos is taken outside them.
+    At apex a the legs are pts - pts[a]; those shorter than
+    DEGENERATE_APEX_TOL, by the map's norm formula, make no triple.  The
+    others are divided by their norms, and a row block of legs i
+    (`_row_blocks`) is valued against every leg j > i as the dot of the unit
+    legs in BLAS.  `_angle_band` gives the cosine band, each end moved by the
+    margin w of `_angle_margin`: a pair inside the band shrunk by w counts 2,
+    for (a, i, j) and (a, j, i), one outside the band grown by w counts 0,
+    and the pairs between are valued again, in both leg orders, by
+    `_recheck`.  No arccos is taken outside them.
     """
     n, d = pts.shape
     if n < 3:
         return 0
-    _check_enum_budget(n, 3)
+    _tuples(n, 3)  # CapacityError over the enumeration budget
     bands = _angle_band(theta0, delta, _angle_margin(d))
     total = 0
     for a in range(n):
@@ -807,7 +731,7 @@ def _angle_pairs(pts: np.ndarray, theta0: float, delta: float) -> int:
             if near is not None:
                 rows, cols = near
                 triples = np.column_stack([np.full(rows.size, a), keep[start + rows], keep[cols]])
-                total += _angle_orderings(pts, triples, theta0, delta)
+                total += _recheck(pts, _angle_values, triples, ((0, 1, 2), (0, 2, 1)), theta0, delta)
     return total
 
 
@@ -867,22 +791,18 @@ def _angle_band(theta0: float, delta: float, w: float):
     return inner, outer
 
 
-def _angle_orderings(pts: np.ndarray, triples: np.ndarray, theta0: float, delta: float) -> int:
-    """Ordered triples over the rows (a, i, j) of triples that the oracle
-    `_angle_brute` accepts, each row valued once by its formula for both of
-    its bit-identical orderings (a, i, j) and (a, j, i)."""
-    u = pts[triples[:, 1]] - pts[triples[:, 0]]
-    w = pts[triples[:, 2]] - pts[triples[:, 0]]
-    nu = np.sqrt((u * u).sum(axis=1))
-    nw = np.sqrt((w * w).sum(axis=1))
-    theta = np.arccos(np.clip(np.einsum("kd,kd->k", u, w) / (nu * nw), -1.0, 1.0))
-    return 2 * int(np.count_nonzero(np.abs(theta - theta0) <= delta))
-
-
-def _angle_map(pts: np.ndarray) -> tuple[float, ...]:
-    u, w = pts[1] - pts[0], pts[2] - pts[0]
-    cosv = float(np.clip((u * w).sum() / (np.linalg.norm(u) * np.linalg.norm(w)), -1, 1))
-    return (float(np.arccos(cosv)),)
+def _angle_values(tuples: np.ndarray) -> np.ndarray:
+    """The angle map: arccos of the cosine of the legs u = x^2 - x^1 and
+    w = x^3 - x^1, their dot by einsum over the product of their norms,
+    clipped to [-1, 1].  NaN, in no band, when a leg is shorter than
+    DEGENERATE_APEX_TOL; only the other rows are divided, so no 0/0 warns."""
+    u, w = tuples[:, 1] - tuples[:, 0], tuples[:, 2] - tuples[:, 0]
+    nu, nw = np.sqrt((u * u).sum(axis=1)), np.sqrt((w * w).sum(axis=1))
+    keep = (nu >= DEGENERATE_APEX_TOL) & (nw >= DEGENERATE_APEX_TOL)
+    theta = np.full((len(tuples), 1), np.nan)
+    cosv = np.einsum("kd,kd->k", u[keep], w[keep]) / (nu[keep] * nw[keep])
+    theta[keep, 0] = np.arccos(np.clip(cosv, -1.0, 1.0))
+    return theta
 
 
 def _one_target(kernel):
@@ -893,25 +813,25 @@ def _one_target(kernel):
 FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="simplex", fixed_k=None, targets=lambda k: len(pair_order(k)),
            t_ok=lambda x: x > 0, t_domain="positive", zero_delta=False,
-           config_map=_distances, scale=lambda d: 1.0, fast=_simplex_band,
+           config_map=_simplex_values, scale=lambda d: 1.0, fast=_simplex_band,
            brute=lambda pts, k, t, delta: _simplex_brute(pts, k, _target_matrix(k, t), delta),
            threshold=lambda k, d: d - Fraction(d - 1, 2 * k), counter_args=("k", "t", "delta")),
     Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
-           config_map=lambda pts: (abs(float(np.linalg.det(pts[:-1] - pts[-1]))),),
-           scale=math.factorial, fast=_one_target(_volume_sets), brute=_one_target(_volume_brute),
+           config_map=_volume_values, scale=math.factorial,
+           fast=_one_target(_volume_sets), brute=_oracle(_volume_values),
            threshold=lambda k, d: d - 1 + Fraction(1, 2 * d if d % 2 == 0 else 2 * (d - 1)),
            counter_args=("t", "delta", "volume_convention")),
     Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
-           config_map=_area2_map, scale=lambda d: 2.0,
-           fast=_one_target(_area2_sets), brute=_one_target(_area2_brute),
+           config_map=_area2_values, scale=lambda d: 2.0,
+           fast=_one_target(_area2_sets), brute=_oracle(_area2_values),
            threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4),
            counter_args=("t", "delta", "volume_convention")),
     Family(name="angle", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: 0.0 <= x <= math.pi, t_domain="in [0, pi]", zero_delta=False,
-           config_map=_angle_map, scale=lambda d: 1.0,
-           fast=_one_target(_angle_pairs), brute=_one_target(_angle_brute),
+           config_map=_angle_values, scale=lambda d: 1.0,
+           fast=_one_target(_angle_pairs), brute=_oracle(_angle_values),
            threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
 )}
 
@@ -922,28 +842,25 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
 
 def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:
     """Ordered distinct (arity)-tuples with |Phi(tuple) - t| < delta in the
-    max norm on R^m.  Full enumeration; no structural assumptions on Phi."""
+    max norm on R^output_dim.  Full enumeration by `_tuples`, under
+    BRUTE_EVAL_BUDGET: the evaluator values each chunk of tuples, an
+    (m, arity, d) array, as an (m, output_dim) array.  No structural
+    assumptions on Phi."""
     query = ConfigQuery("custom", phi.arity - 1, t, delta)
     t_arr = np.array(query.t)
     if t_arr.shape != (phi.output_dim,):
         raise ValueError(f"target length {t_arr.size} != output_dim {phi.output_dim}")
-    n = ps.n
-    if n**phi.arity > PHI_EVAL_BUDGET:
-        raise CapacityError(f"{n}^{phi.arity} evaluations exceed the Phi budget")
-    pts = ps.points
+    chunks = _tuples(ps.n, phi.arity)
 
-    def run() -> int:
-        total = 0
-        for tup in itertools.permutations(range(n), phi.arity):
-            val = np.atleast_1d(np.asarray(phi.evaluator(pts[list(tup)]), dtype=float))
-            if val.shape != (phi.output_dim,):
-                raise ValueError("evaluator output length differs from output_dim")
-            if np.max(np.abs(val - t_arr)) < delta:
-                total += 1
-        return total
+    def inside(idx: np.ndarray) -> int:
+        val = np.asarray(phi.evaluator(ps.points[idx]), dtype=float)
+        if val.shape != (len(idx), phi.output_dim):
+            raise ValueError(f"evaluator returned shape {val.shape} for {len(idx)} tuples, "
+                             f"not ({len(idx)}, {phi.output_dim})")
+        return int(np.count_nonzero(np.max(np.abs(val - t_arr), axis=1) < delta))
 
-    count, elapsed = _timed(run)
-    return CountReport(query=query, n=n, count=count, algorithm="brute",
+    count, elapsed = _timed(lambda: sum(inside(idx) for idx in chunks))
+    return CountReport(query=query, n=ps.n, count=count, algorithm="brute",
                        elapsed_seconds=elapsed, d=ps.dim, seed=ps.meta.seed)
 
 

@@ -165,10 +165,11 @@ def _sample_target(ps: PointSet, spec: ScanSpec) -> tuple[float, ...]:
         raise InfeasibleError("point set too small to realize a target configuration")
     pts = ps.points[rng.choice(ps.n, size=arity, replace=False)]
     if spec.family == "custom":
-        return tuple(float(x) for x in np.atleast_1d(np.asarray(spec.phi.evaluator(pts), dtype=float)))
-    row = FAMILIES[spec.family]
-    scale = row.scale(ps.dim) if spec.volume_convention == "simplex" else 1
-    return tuple(value / scale for value in row.config_map(pts))
+        fn, scale = spec.phi.evaluator, 1
+    else:
+        row = FAMILIES[spec.family]
+        fn, scale = row.config_map, row.scale(ps.dim) if spec.volume_convention == "simplex" else 1
+    return tuple(float(value) / scale for value in fn(pts[None])[0])
 
 
 def run_scan(spec: ScanSpec) -> ScanReport:

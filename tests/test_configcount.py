@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -410,36 +411,41 @@ LATTICE_MOVES = [(0.0, 1.0), (1e3, 1.0), (0.0, 1e-3)]
 
 
 def _oracle_values(family, pts):
-    """Every value the family's oracle evaluates on pts, by the oracle's own
-    formulas, so bands built from them have exact ties |value - t| = delta."""
-    values = set()
-    if family == "volume" and pts.shape[1] == 3:
-        for i, j, l, b in itertools.permutations(range(len(pts)), 4):
-            u0, u1, u2 = pts[i] - pts[b], pts[j] - pts[b], pts[l] - pts[b]
-            c0 = u1[1] * u2[2] - u1[2] * u2[1]
-            c1 = u1[2] * u2[0] - u1[0] * u2[2]
-            c2 = u1[0] * u2[1] - u1[1] * u2[0]
-            values.add(abs(u0[0] * c0 + u0[1] * c1 + u0[2] * c2))
-        return sorted(values) or [0.0, 0.5]
+    """Every value the family's oracle evaluates on pts, with the number of
+    ordered tuples that take it, by one-tuple formulas written here, so bands
+    built from them have exact ties |value - t| = delta."""
+    values = Counter()
+    d = pts.shape[1]
+    if family == "volume" and d != 2:
+        for *legs, b in itertools.permutations(range(len(pts)), d + 1):
+            u = [pts[a] - pts[b] for a in legs]
+            if d == 3:
+                c0 = u[1][1] * u[2][2] - u[1][2] * u[2][1]
+                c1 = u[1][2] * u[2][0] - u[1][0] * u[2][2]
+                c2 = u[1][0] * u[2][1] - u[1][1] * u[2][0]
+                values[abs(u[0][0] * c0 + u[0][1] * c1 + u[0][2] * c2)] += 1
+            else:
+                values[abs(float(np.linalg.det(np.array(u))))] += 1
+        return values
     for i, j, b in itertools.permutations(range(len(pts)), 3):
         u, v = pts[i] - pts[b], pts[j] - pts[b]
         if family == "volume":
-            values.add(abs(u[0] * v[1] - u[1] * v[0]))
+            values[abs(u[0] * v[1] - u[1] * v[0])] += 1
         elif family == "area2":
             g = float(np.einsum("d,d->", u, v))
-            values.add(float(np.sqrt(np.maximum(float((u * u).sum()) * float((v * v).sum()) - g * g, 0.0))))
+            values[float(np.sqrt(np.maximum(float((u * u).sum()) * float((v * v).sum()) - g * g, 0.0)))] += 1
         else:
             nu, nv = np.sqrt((u * u).sum()), np.sqrt((v * v).sum())
             if nu >= configcount.DEGENERATE_APEX_TOL and nv >= configcount.DEGENERATE_APEX_TOL:
-                values.add(float(np.arccos(np.clip(np.einsum("d,d->", u, v) / (nu * nv), -1.0, 1.0))))
-    return sorted(values) or [0.0, 0.5]
+                values[float(np.arccos(np.clip(np.einsum("d,d->", u, v) / (nu * nv), -1.0, 1.0)))] += 1
+    return values
 
 
 def _assert_matches_brute(data, family, pts):
     """Draw t and t + delta among the realized values (delta = 0 when both
     draws coincide) and compare the family's fast kernel with its oracle.
     The kernels take raw arrays, so a moved lattice may leave [0, 1]^d."""
-    lo, hi = sorted(data.draw(st.lists(st.sampled_from(_oracle_values(family, pts)),
+    lo, hi = sorted(data.draw(st.lists(st.sampled_from(sorted(_oracle_values(family, pts)) or [0.0, 0.5]),
                                        min_size=2, max_size=2)))
     delta = hi - lo
     if delta == 0.0 and family == "angle":  # angle queries need delta > 0
@@ -529,20 +535,18 @@ def test_volume_counts_each_ordering_of_a_split_set(points, t, want):
         assert count == want and type(count) is int  # reports serialize Python ints
 
 
-RECHECKS = {"volume": "_volume_orderings", "area2": "_area2_orderings", "angle": "_angle_orderings"}
-
-
 def _spy_rechecks(monkeypatch, family="volume"):
     """Record the number of rows (point sets, or apex and leg pair) of each
-    call of the family's recheck."""
+    call of the recheck that values by the family's map."""
     rechecked = []
-    recheck = getattr(configcount, RECHECKS[family])
+    recheck = configcount._recheck
 
-    def spy(pts, sets, t, delta):
-        rechecked.append(len(sets))
-        return recheck(pts, sets, t, delta)
+    def spy(pts, config_map, sets, orders, t, delta):
+        if config_map is configcount.FAMILIES[family].config_map:
+            rechecked.append(len(sets))
+        return recheck(pts, config_map, sets, orders, t, delta)
 
-    monkeypatch.setattr(configcount, RECHECKS[family], spy)
+    monkeypatch.setattr(configcount, "_recheck", spy)
     return rechecked
 
 
@@ -585,24 +589,20 @@ def test_angle_right_angles_on_a_lattice_are_rechecked(monkeypatch, d, m, delta)
     rechecked = _spy_rechecks(monkeypatch, "angle")
     count = configcount._angle_pairs(pts, math.pi / 2, delta)
     assert sum(rechecked) > 0
-    assert count == configcount._angle_brute(pts, math.pi / 2, delta)
+    assert count == configcount.FAMILIES["angle"].brute(pts, 2, (math.pi / 2,), delta)
 
 
-@pytest.mark.parametrize("family,d", [("volume", 2), ("volume", 3), ("area2", 2), ("area2", 3),
-                                      ("area2", 4), ("angle", 2), ("angle", 3), ("angle", 4)])
+@pytest.mark.parametrize("family,d", [("volume", 2), ("volume", 3), ("volume", 4), ("area2", 2),
+                                      ("area2", 3), ("area2", 4), ("angle", 2), ("angle", 3), ("angle", 4)])
 def test_rechecks_value_every_ordering_like_the_oracle(family, d):
-    # batched rechecks must round as the oracle's one-tuple formulas: with delta = 0 and
-    # t each oracle value, one rounding apart changes a count (einsum's order at d = 3
-    # differs from a coordinate-order sum in many random values)
+    # the rechecks and the oracle value tuples by the row's map; the oracle must round as
+    # the one-tuple formulas of _oracle_values: with delta = 0 and t each of their values,
+    # one rounding apart changes a count (einsum's order at d = 3 differs from a
+    # coordinate-order sum in many random values)
     pts = gen_random(d, 8, seed=d).points
-    if family == "angle":  # an apex and a leg pair
-        rows = [(a, *pair) for a in range(8) for pair in itertools.combinations(range(8), 2) if a not in pair]
-    else:
-        rows = list(itertools.combinations(range(8), d + 1 if family == "volume" else 3))
     values = _oracle_values(family, pts)
-    recheck = getattr(configcount, RECHECKS[family])
-    for t in values[::max(1, len(values) // 20)]:
-        assert recheck(pts, np.array(rows), t, 0.0) == configcount.FAMILIES[family].brute(pts, d, (t,), 0.0)
+    for t in sorted(values)[::max(1, len(values) // 20)]:
+        assert configcount.FAMILIES[family].brute(pts, d if family == "volume" else 2, (t,), 0.0) == values[t]
 
 
 @pytest.mark.parametrize("entries", [1, 37])
@@ -644,12 +644,12 @@ def test_phi_matches_simplex_on_square():
 
 
 def test_phi_constant_counts_all_tuples():
-    phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda pts: np.array([0.7]))
+    phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda tuples: np.full((len(tuples), 1), 0.7))
     assert count_phi(SQUARE, phi, [0.7], 1e-9).count == 12
 
 
 def test_phi_always_false():
-    phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda pts: np.array([1.0]))
+    phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda tuples: np.ones((len(tuples), 1)))
     assert count_phi(SQUARE, phi, [1.0 + 10 * 0.01], 0.01).count == 0
 
 
@@ -657,9 +657,28 @@ def test_phi_validation():
     phi = DISTANCE_PHI
     with pytest.raises(ValueError):
         count_phi(SQUARE, phi, [1.0, 2.0], 0.01)  # t length mismatch
-    bad = PhiFunction(arity=2, output_dim=2, evaluator=lambda pts: np.array([1.0]))
+    bad = PhiFunction(arity=2, output_dim=2, evaluator=lambda tuples: np.ones((len(tuples), 1)))
     with pytest.raises(ValueError):
         count_phi(SQUARE, bad, [1.0, 1.0], 0.01)  # evaluator output mismatch
+    per_tuple = PhiFunction(arity=2, output_dim=1, evaluator=lambda tuples: np.array([1.0]))
+    with pytest.raises(ValueError):
+        count_phi(SQUARE, per_tuple, [1.0], 0.01)  # one tuple's output, not the batch's
+
+
+def test_phi_budget_refuses_before_the_first_evaluation(monkeypatch):
+    calls = []
+
+    def spy(tuples):
+        calls.append(len(tuples))
+        return np.zeros((len(tuples), 1))
+
+    phi = PhiFunction(arity=3, output_dim=1, evaluator=spy)
+    monkeypatch.setattr(configcount, "BRUTE_EVAL_BUDGET", 4**3 - 1)
+    with pytest.raises(CapacityError):
+        count_phi(SQUARE, phi, [0.0], 0.5)
+    assert calls == []
+    monkeypatch.setattr(configcount, "BRUTE_EVAL_BUDGET", 4**3)  # exactly at the budget
+    assert count_phi(SQUARE, phi, [0.0], 0.5).count == 24 == sum(calls)
 
 
 # ---------------------------------------------------------------------------

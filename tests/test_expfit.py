@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from configeo import expfit
-from configeo.configcount import PhiFunction
+from configeo.configcount import ConfigQuery, PhiFunction, run_query
 from configeo.errors import InfeasibleError
 from configeo.expfit import (
     ScanSpec,
@@ -13,7 +13,7 @@ from configeo.expfit import (
     run_scan,
     threshold,
 )
-from configeo.pointgen import GeneratorSpec
+from configeo.pointgen import GeneratorSpec, gen_lattice, gen_random
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,7 @@ def test_coplanar_volume_scan_inconclusive():
 
 
 def test_constant_phi_scan_exceeds():
-    phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda pts: np.array([0.0]))
+    phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda tuples: np.zeros((len(tuples), 1)))
     spec = ScanSpec(
         generator=GeneratorSpec.make("uniform_random", d=2),
         family="custom",
@@ -235,6 +235,24 @@ def test_scan_sampled_target_realized():
     assert report.rows[-1].count >= 1 or report.verdict == "inconclusive"
 
 
+@pytest.mark.parametrize("family,ps,seeds", [
+    ("volume", gen_lattice(2, 6), range(4)), ("volume", gen_random(2, 40, seed=5), range(4)),
+    ("volume", gen_lattice(3, 4), range(4)), ("volume", gen_lattice(3, 5), [1]),
+    ("volume", gen_random(3, 30, seed=5), range(4)),
+    ("area2", gen_lattice(3, 5), range(4)), ("area2", gen_random(3, 40, seed=5), range(4)),
+])
+def test_sampled_target_counts_its_own_tuple(family, ps, seeds):
+    # the target is the oracle's value of the drawn tuple, so a delta = 0 count includes it;
+    # on gen_lattice(3, 5) at seed 1 that is 0.015625, which 11,418,240 tuples take, while
+    # np.linalg.det of the same tuple gives 0.015625000000000007, which none take
+    k = ps.dim if family == "volume" else 2
+    for seed in seeds:
+        spec = ScanSpec(generator=GeneratorSpec.make("lattice", d=ps.dim), family=family, k=k,
+                        schedule=(10, 20, 40), seed=seed)
+        t = expfit._sample_target(ps, spec)
+        assert run_query(ps, ConfigQuery(family, k, t, 0.0)).count >= 1, (seed, t)
+
+
 def test_scan_spec_validation():
     gen = GeneratorSpec.make("lattice", d=2)
     with pytest.raises(ValueError):
@@ -256,7 +274,7 @@ def test_scan_checks_k_before_generating(monkeypatch):
 
 def test_scan_verdict_margin_rule():
     # verdict is `exceeds` only when slope - 2*stderr > predicted
-    phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda pts: np.array([0.0]))
+    phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda tuples: np.zeros((len(tuples), 1)))
     spec = ScanSpec(
         generator=GeneratorSpec.make("uniform_random", d=2),
         family="custom",
