@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 from dataclasses import dataclass
@@ -33,14 +34,13 @@ from .energy import DEFAULT_ADAPTABILITY_C, energy_profile
 from .errors import ConfigeoError, InfeasibleError
 from .expfit import ScanSpec, run_scan
 from .fourierlab import (
+    MEASURES,
     FrequencyPoint,
     MeasureSpec,
     circulant_check,
     decay_fit,
     ft_montecarlo,
     ft_quadrature,
-    ft_sphere,
-    ft_triangle,
     level_set_curvatures,
     nonzero_curvature_count,
     phase_hessian,
@@ -48,7 +48,8 @@ from .fourierlab import (
     phase_plane_form,
     phase_plane_xi,
 )
-from .pointgen import GeneratorSpec, PointSet, format_float, generate, load_pointset, save_pointset
+from .pointgen import (GENERATORS, GeneratorSpec, PointSet, format_float, generate,
+                       load_pointset, save_pointset)
 
 COMMANDS = ("gen", "energy", "count", "scan", "ft", "curvature", "dim")
 
@@ -331,40 +332,40 @@ def _load_points(cfg: ExperimentConfig) -> PointSet:
             return load_pointset(input_path)
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load point set {input_path!r}: {exc}") from exc
-    return generate(_generator_spec(cfg, sized=True))
+    return _generated(cfg)
 
 
-# generator kind -> (its size key in [generator], the GeneratorSpec parameter, seeded)
-_GENERATOR_SIZES = {
-    "lattice": ("m", "m", False),
-    "cantor_product": ("l", "L", False),
-    "homogeneous": ("m", "m", True),
-    "uniform_random": ("n", "n", True),
-    "coplanar": ("n", "n", True),
-}
+def _generated(cfg: ExperimentConfig) -> PointSet:
+    """The point set of the [generator] section."""
+    try:
+        return generate(_generator_spec(cfg, sized=True))
+    except ValueError as exc:
+        raise UsageError(f"bad [generator]: {exc}") from exc
 
 
 def _generator_spec(cfg: ExperimentConfig, sized: bool) -> GeneratorSpec:
-    """The [generator] section; unsized, a scan template without a size key."""
+    """The [generator] section as the parameters its kind's row reads, each
+    keyed by its name lower-cased; unsized, a scan template without the size
+    and seed that the scan sets per step."""
     sections = cfg.sections
     kind = _get(sections, "generator", "kind", required=True)
     params = {"d": _get_int(sections, "generator", "d", required=True)}
-    if kind not in _GENERATOR_SIZES:
+    if kind not in GENERATORS:
         raise UsageError(f"unknown generator kind {kind!r}")
-    if kind == "cantor_product":
-        params["r"] = _get_float(sections, "generator", "r", required=True)
-    if kind == "homogeneous":
-        params["jitter"] = _get_float(sections, "generator", "jitter", 0.25)
-    key, param, seeded = _GENERATOR_SIZES[kind]
-    if not sized:
-        if _get(sections, "generator", key) is not None:
-            raise UsageError(
-                f"field [generator] {key}: scans derive sizes from the schedule; drop this key"
-            )
-        return GeneratorSpec.make(kind, **params)
-    params[param] = _get_int(sections, "generator", key, required=True)
-    if seeded:
-        params["seed"] = _get_int(sections, "generator", "seed", cfg.seed)
+    row = GENERATORS[kind]
+    names = {name.lower(): name for name in row.params}
+    for key in sorted(sections["generator"].keys() - {"kind", "d"}):
+        if key not in names:
+            raise UsageError(f"field [generator] {key}: {kind} reads only kind, {', '.join(names)}")
+        if not sized and key in (row.size.lower(), "seed"):
+            raise UsageError(f"field [generator] {key}: scans set each step's size and seed; "
+                             "drop this key")
+        get = _get_float if names[key] in row.extras else _get_int
+        params[names[key]] = get(sections, "generator", key)
+    if sized:
+        params[row.size] = _get_int(sections, "generator", row.size.lower(), required=True)
+        if row.seeded:
+            params.setdefault("seed", cfg.seed)
     return GeneratorSpec.make(kind, **params)
 
 
@@ -377,7 +378,7 @@ def _fmt_bool(value: bool) -> str:
 
 
 def _cmd_gen(cfg: ExperimentConfig) -> int:
-    ps = generate(_generator_spec(cfg, sized=True))
+    ps = _generated(cfg)
     kind = _get(cfg.sections, "generator", "kind", required=True)
     path = cfg.out_dir / f"pointset_{kind}_d{ps.dim}_n{ps.n}_seed{cfg.seed}.txt"
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -394,7 +395,10 @@ def _cmd_energy(cfg: ExperimentConfig) -> int:
         s = _get_float(sections, "energy", "s", required=True)
         grid = (s,)
     c_level = _get_float(sections, "energy", "c", DEFAULT_ADAPTABILITY_C)
-    values = energy_profile(ps, grid)
+    try:
+        values = energy_profile(ps, grid)
+    except ValueError as exc:
+        raise UsageError(f"bad [energy]: {exc}") from exc
     rows = ["s,n,value,adaptable_at,verdict"]
     for s, value in values:
         rows.append(
@@ -513,29 +517,34 @@ def _cmd_scan(cfg: ExperimentConfig) -> int:
     return 1 if report.verdict == "inconclusive" else 0
 
 
+# MeasureSpec constructor parameter -> its [ft] key and getter
+_MEASURE_KEYS = {
+    "d": ("d", _get_int),
+    "radii": ("sphere_radii", _get_floats),
+    "gaps": ("gaps", _get_floats),
+    "t": ("t", _get_float),
+    "cutoff": ("cutoff", _get_float),
+}
+
+
 def _measure_from_config(cfg: ExperimentConfig) -> MeasureSpec:
+    """The [ft] measure from the keys its row's constructor takes; a key is
+    required where the constructor gives no default."""
     sections = cfg.sections
     kind = _get(sections, "ft", "kind", required=True)
+    if kind not in MEASURES:
+        raise UsageError(f"unknown measure kind {kind!r}")
+    make = MEASURES[kind].make
+    params = {}
+    for name, param in inspect.signature(make).parameters.items():
+        key, get = _MEASURE_KEYS[name]
+        value = get(sections, "ft", key, required=param.default is param.empty)
+        if value is not None:
+            params[name] = value
     try:
-        if kind == "sphere":
-            return MeasureSpec.sphere(_get_int(sections, "ft", "d", required=True))
-        if kind == "triangle2d":
-            return MeasureSpec.triangle2d()
-        if kind == "chain_spheres":
-            return MeasureSpec.chain_spheres(
-                _get_int(sections, "ft", "d", required=True),
-                radii=_get_floats(sections, "ft", "sphere_radii", (1.0, 1.0)),
-                gaps=_get_floats(sections, "ft", "gaps", (1.0,)),
-            )
-        if kind == "determinant_variety":
-            return MeasureSpec.determinant_variety(
-                _get_int(sections, "ft", "d", required=True),
-                t=_get_float(sections, "ft", "t", required=True),
-                cutoff=_get_float(sections, "ft", "cutoff", 2.0),
-            )
+        return make(**params)
     except ValueError as exc:
         raise UsageError(f"bad [ft]: {exc}") from exc
-    raise UsageError(f"unknown measure kind {kind!r}")
 
 
 def _default_direction(spec: MeasureSpec) -> FrequencyPoint:
@@ -564,17 +573,15 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
         nradii = _get_int(sections, "ft", "nradii", 2000)
         radii = tuple(np.geomspace(rmin, rmax, nradii))
 
-    default_method = "closed" if spec.kind in ("sphere", "triangle2d") else "mc"
-    method = _get(sections, "ft", "method", default_method)
-
+    row = MEASURES[spec.kind]
+    method = _get(sections, "ft", "method", "mc" if row.closed_form is None else "closed")
     if method == "closed":
-        if spec.kind == "sphere":
-            evaluator = lambda ps: [ft_sphere(spec.d, p.blocks[0]) for p in ps]  # noqa: E731
-        elif spec.kind == "triangle2d":
-            evaluator = lambda ps: [ft_triangle(p.blocks[0], p.blocks[1]) for p in ps]  # noqa: E731
-        else:
+        if row.closed_form is None:
             raise UsageError(f"no closed form for kind {spec.kind!r}; use method = mc")
+        evaluator = lambda ps: [row.closed_form(spec, p) for p in ps]  # noqa: E731
     elif method == "quadrature":
+        if not row.quadrature:
+            raise UsageError(f"bad [ft]: no quadrature oracle for kind {spec.kind!r}")
         nodes = _get_int(sections, "ft", "nodes", 2048)
         evaluator = lambda ps: [ft_quadrature(spec, p.blocks[0], nodes) for p in ps]  # noqa: E731
     elif method == "mc":
@@ -589,7 +596,10 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
     else:
         raise UsageError(f"unknown ft method {method!r}")
 
-    report = decay_fit(evaluator, direction, radii, reference=spec.reference_exponent)
+    try:
+        report = decay_fit(evaluator, direction, radii, reference=spec.reference_exponent)
+    except ValueError as exc:
+        raise UsageError(f"bad [ft]: {exc}") from exc
 
     dir_txt = "|".join(";".join(format_float(x) for x in b) for b in report.direction.blocks)
     head = [

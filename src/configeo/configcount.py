@@ -62,7 +62,7 @@ from scipy import sparse
 
 from ._ols import ols_loglog
 from .errors import CapacityError
-from .pointgen import PointSet
+from .pointgen import PointSet, format_float
 
 BRUTE_EVAL_BUDGET = 10**9
 SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
@@ -195,8 +195,6 @@ COUNT_CSV_HEADER = "family,k,d,n,t,delta,count,algorithm,elapsed_seconds,seed"
 def count_report_row(report: CountReport) -> str:
     """One CSV row per run.  The volatile elapsed_seconds field is left empty
     so identical runs serialize byte-identically."""
-    from .pointgen import format_float
-
     q = report.query
     tfield = ";".join(format_float(x) for x in q.t)
     seed = "" if report.seed is None else str(report.seed)

@@ -14,7 +14,6 @@ slope against the predicted exponent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -32,7 +31,7 @@ from .configcount import (
 )
 from .energy import DEFAULT_ADAPTABILITY_C, EnergyReport, is_adaptable
 from .errors import InfeasibleError
-from .pointgen import GeneratorSpec, PointSet, generate
+from .pointgen import GENERATORS, GeneratorSpec, PointSet, generate
 
 
 def threshold(family: str, k: int, d: int):
@@ -136,25 +135,12 @@ class ScanReport:
 
 def _sized_generator(template: GeneratorSpec, n: int, seed: int) -> GeneratorSpec:
     """Fill a size-free generator template for a target of about n points."""
+    row = GENERATORS[template.kind]
     p = template.as_dict()
-    kind = template.kind
-    if kind == "lattice":
-        d = int(p["d"])
-        return GeneratorSpec.make("lattice", d=d, m=max(1, round(n ** (1.0 / d))))
-    if kind == "cantor_product":
-        d = int(p["d"])
-        level = max(0, round(math.log2(n) / d))
-        return GeneratorSpec.make("cantor_product", d=d, r=float(p["r"]), L=level)
-    if kind == "homogeneous":
-        d = int(p["d"])
-        m = max(1, round(n ** (1.0 / d)))
-        extra = {"jitter": float(p["jitter"])} if "jitter" in p else {}
-        return GeneratorSpec.make("homogeneous", d=d, m=m, seed=seed, **extra)
-    if kind == "uniform_random":
-        return GeneratorSpec.make("uniform_random", d=int(p["d"]), n=n, seed=seed)
-    if kind == "coplanar":
-        return GeneratorSpec.make("coplanar", d=int(p["d"]), n=n, seed=seed)
-    raise ValueError(f"generator kind {kind!r} cannot be used in scans")
+    p[row.size] = row.scan_size(n, int(p["d"]))
+    if row.seeded:
+        p["seed"] = seed
+    return GeneratorSpec.make(template.kind, **p)
 
 
 def _sample_target(ps: PointSet, spec: ScanSpec) -> tuple[float, ...]:

@@ -14,6 +14,9 @@ Fixed normalizations (so the oracles are mutually comparable):
                 (Monte Carlo, gated to d = 3: the ambient dimension d^2
                 makes larger d infeasible at desk scale).
 
+Each kind is one MeasureKind row of MEASURES: its constructor, frequency
+blocks, expected decay order, Monte Carlo draw and exact evaluators.
+
 The Monte Carlo estimator samples the ambient product of spheres (or the
 cutoff ball) and weights by (2*eps)^(-c) on |constraints| < eps, c the
 number of scalar constraints.  Its limit is the thickened-shell measure,
@@ -73,6 +76,10 @@ class MeasureSpec:
     t: float = 0.0
     cutoff: float = 2.0
 
+    def __post_init__(self):
+        if self.kind not in MEASURES:
+            raise ValueError(f"unknown measure kind {self.kind!r}")
+
     @classmethod
     def sphere(cls, d: int) -> "MeasureSpec":
         if d < 2:
@@ -109,24 +116,12 @@ class MeasureSpec:
 
     @property
     def block_dims(self) -> tuple[int, ...]:
-        if self.kind == "sphere":
-            return (self.d,)
-        if self.kind == "triangle2d":
-            return (2, 2)
-        if self.kind == "chain_spheres":
-            return (self.d,) * len(self.radii)
-        if self.kind == "determinant_variety":
-            return (self.d,) * self.d
-        raise ValueError(f"unknown measure kind {self.kind!r}")
+        return MEASURES[self.kind].block_dims(self)
 
     @property
     def reference_exponent(self) -> float:
         """Fourier decay order expected for this measure."""
-        if self.kind in ("sphere", "chain_spheres"):
-            return (self.d - 1) / 2.0
-        if self.kind == "triangle2d":
-            return 0.5
-        return (self.d**2 - 1) / 2.0
+        return MEASURES[self.kind].reference_exponent(self.d)
 
 
 @dataclass(eq=False)
@@ -165,7 +160,6 @@ def ft_sphere_radial(d: int, r) -> np.ndarray:
         raise ValueError("need d >= 2")
     r = np.asarray(r, dtype=float)
     nu = (d - 2) / 2.0
-    out = np.empty_like(r)
     small = r < 1e-300
     rs = np.where(small, 1.0, r)
     out = 2.0 * math.pi * rs ** (-nu) * jv(nu, 2.0 * math.pi * rs)
@@ -215,8 +209,8 @@ def ft_quadrature(spec: MeasureSpec, xi, node_count: int = 2048) -> complex:
     """Product-quadrature oracle for the sphere transform: trapezoid in the
     azimuth (spectrally accurate on the periodic circle) and Gauss-Legendre
     in each polar angle; cost node_count^(d-1)."""
-    if spec.kind != "sphere":
-        raise ValueError("the quadrature oracle covers sphere measures only")
+    if not MEASURES[spec.kind].quadrature:
+        raise ValueError(f"the quadrature oracle does not cover {spec.kind} measures")
     if node_count < 16:
         raise ValueError("node_count must be >= 16")
     d = spec.d
@@ -285,6 +279,7 @@ def ft_montecarlo(
             raise ValueError(f"frequency blocks {tuple(b.size for b in fp.blocks)} do not match "
                              f"measure blocks {spec.block_dims}")
 
+    draw = MEASURES[spec.kind].draw
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     sum_v = [0.0 + 0.0j] * len(points)
     sum_re2 = [0.0] * len(points)
@@ -292,7 +287,7 @@ def ft_montecarlo(
     accepted = 0
     for start in range(0, samples, _MC_CHUNK):
         m = min(_MC_CHUNK, samples - start)
-        blocks, acc, weight = _mc_draw(spec, epsilon, rng, m)
+        blocks, acc, weight = draw(spec, epsilon, rng, m)
         v = np.zeros(m, dtype=complex)  # rejected rows stay zero for every point
         for i, fp in enumerate(points):
             phase = sum(b @ xi for b, xi in zip(blocks, fp.blocks))
@@ -337,53 +332,85 @@ def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     return g
 
 
-def _mc_draw(
-    spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int
-) -> tuple[list[np.ndarray], np.ndarray, float]:
-    """One chunk of m samples: the accepted rows of each frequency block's
-    sample array, the acceptance mask over the chunk, and the weight."""
-    if spec.kind == "sphere":
-        x = _unit_vectors(rng, m, spec.d)
-        return [x], np.ones(m, dtype=bool), sphere_area(spec.d)
+# One chunk of m samples per draw: the accepted rows of each frequency
+# block's sample array, the acceptance mask over the chunk, and the weight.
 
-    if spec.kind == "triangle2d":
-        u = _unit_vectors(rng, m, 2)
-        v = _unit_vectors(rng, m, 2)
-        acc = np.abs(np.linalg.norm(u - v, axis=1) - 1.0) < epsilon
-        ambient = (2.0 * math.pi) ** 2
-        # constant shell->parametrized density: |grad over the torus| = sqrt(3)/2
-        weight = ambient / (2.0 * epsilon) * (_SQ3 / 2.0)
-        return [u[acc], v[acc]], acc, weight
 
-    if spec.kind == "chain_spheres":
-        blocks = [_unit_vectors(rng, m, spec.d) for _ in spec.radii]
-        for x, r in zip(blocks, spec.radii):
-            x *= r
-        acc = np.ones(m, dtype=bool)
-        diff, dist = np.empty((m, spec.d)), np.empty(m)  # reused for every gap
-        for x, y, g in zip(blocks, blocks[1:], spec.gaps):
-            _row_norms(np.subtract(x, y, out=diff), out=dist)
-            acc &= np.abs(np.subtract(dist, g, out=dist), out=dist) < epsilon
-        ambient = math.prod(
-            sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii
-        )
-        weight = ambient / (2.0 * epsilon) ** len(spec.gaps)
-        return [b[acc] for b in blocks], acc, weight
+def _draw_sphere(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
+    x = _unit_vectors(rng, m, spec.d)
+    return [x], np.ones(m, dtype=bool), sphere_area(spec.d)
 
-    if spec.kind == "determinant_variety":
-        dd = spec.d
-        ambient_dim = dd * dd
-        dirs = _unit_vectors(rng, m, ambient_dim)
-        radius = spec.cutoff * rng.random(m) ** (1.0 / ambient_dim)
-        y = dirs * radius[:, None]
-        mats = y.reshape(m, dd, dd)
-        acc = np.abs(np.linalg.det(mats) - spec.t) < epsilon
-        mats = mats[acc]
-        ball_vol = math.pi ** (ambient_dim / 2.0) / gamma_fn(ambient_dim / 2.0 + 1.0)
-        ambient = ball_vol * spec.cutoff**ambient_dim
-        return [mats[:, j, :] for j in range(dd)], acc, ambient / (2.0 * epsilon)
 
-    raise ValueError(f"unknown measure kind {spec.kind!r}")
+def _draw_triangle2d(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
+    u = _unit_vectors(rng, m, 2)
+    v = _unit_vectors(rng, m, 2)
+    acc = np.abs(np.linalg.norm(u - v, axis=1) - 1.0) < epsilon
+    ambient = (2.0 * math.pi) ** 2
+    # constant shell->parametrized density: |grad over the torus| = sqrt(3)/2
+    weight = ambient / (2.0 * epsilon) * (_SQ3 / 2.0)
+    return [u[acc], v[acc]], acc, weight
+
+
+def _draw_chain_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
+    blocks = [_unit_vectors(rng, m, spec.d) for _ in spec.radii]
+    for x, r in zip(blocks, spec.radii):
+        x *= r
+    acc = np.ones(m, dtype=bool)
+    diff, dist = np.empty((m, spec.d)), np.empty(m)  # reused for every gap
+    for x, y, g in zip(blocks, blocks[1:], spec.gaps):
+        _row_norms(np.subtract(x, y, out=diff), out=dist)
+        acc &= np.abs(np.subtract(dist, g, out=dist), out=dist) < epsilon
+    ambient = math.prod(
+        sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii
+    )
+    weight = ambient / (2.0 * epsilon) ** len(spec.gaps)
+    return [b[acc] for b in blocks], acc, weight
+
+
+def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
+    dd = spec.d
+    ambient_dim = dd * dd
+    dirs = _unit_vectors(rng, m, ambient_dim)
+    radius = spec.cutoff * rng.random(m) ** (1.0 / ambient_dim)
+    y = dirs * radius[:, None]
+    mats = y.reshape(m, dd, dd)
+    acc = np.abs(np.linalg.det(mats) - spec.t) < epsilon
+    mats = mats[acc]
+    ball_vol = math.pi ** (ambient_dim / 2.0) / gamma_fn(ambient_dim / 2.0 + 1.0)
+    ambient = ball_vol * spec.cutoff**ambient_dim
+    return [mats[:, j, :] for j in range(dd)], acc, ambient / (2.0 * epsilon)
+
+
+# ---------------------------------------------------------------------------
+# the measure table
+
+
+@dataclass(frozen=True)
+class MeasureKind:
+    """One row of MEASURES (see the module docstring)."""
+
+    make: Callable[..., MeasureSpec]
+    block_dims: Callable[[MeasureSpec], tuple[int, ...]]
+    reference_exponent: Callable[[int], float]  # in dimension d
+    draw: Callable[..., tuple[list[np.ndarray], np.ndarray, float]]  # (spec, epsilon, rng, m)
+    closed_form: Callable[[MeasureSpec, FrequencyPoint], complex] | None
+    quadrature: bool  # whether ft_quadrature covers the kind
+
+
+MEASURES: dict[str, MeasureKind] = {
+    "sphere": MeasureKind(
+        MeasureSpec.sphere, lambda spec: (spec.d,), lambda d: (d - 1) / 2.0, _draw_sphere,
+        lambda spec, fp: ft_sphere(spec.d, fp.blocks[0]), quadrature=True),
+    "triangle2d": MeasureKind(
+        MeasureSpec.triangle2d, lambda spec: (2, 2), lambda d: 0.5, _draw_triangle2d,
+        lambda spec, fp: ft_triangle(*fp.blocks), quadrature=False),
+    "chain_spheres": MeasureKind(
+        MeasureSpec.chain_spheres, lambda spec: (spec.d,) * len(spec.radii),
+        lambda d: (d - 1) / 2.0, _draw_chain_spheres, None, quadrature=False),
+    "determinant_variety": MeasureKind(
+        MeasureSpec.determinant_variety, lambda spec: (spec.d,) * spec.d,
+        lambda d: (d**2 - 1) / 2.0, _draw_determinant_variety, None, quadrature=False),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -84,14 +85,18 @@ class PointSet:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """A generator family plus its parameters.
+    """A generator kind plus its parameters.
 
-    kind is one of lattice, cantor_product, homogeneous, uniform_random,
-    coplanar; params are kind-specific and validated before generation.
+    kind names a row of GENERATORS, which says which params the kind reads;
+    they are validated before generation.
     """
 
     kind: str
     params: tuple[tuple[str, object], ...]
+
+    def __post_init__(self):
+        if self.kind not in GENERATORS:
+            raise ValueError(f"unknown generator kind '{self.kind}'")
 
     @classmethod
     def make(cls, kind: str, **params) -> "GeneratorSpec":
@@ -203,24 +208,49 @@ def _product_points(axis: np.ndarray, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _per_axis(n: int, d: int) -> int:
+    """Points per axis of a grid of about n points."""
+    return max(1, round(n ** (1.0 / d)))
+
+
+@dataclass(frozen=True)
+class GeneratorKind:
+    """One row of GENERATORS, called as build(d, <size>[, seed], *extras)
+    with the GeneratorSpec parameters of those names.  An extra with default
+    None is required."""
+
+    build: Callable[..., PointSet]
+    size: str  # the GeneratorSpec parameter that sets the size
+    seeded: bool
+    scan_size: Callable[[int, int], int]  # the size giving about n points in dimension d
+    extras: dict[str, float | None] = field(default_factory=dict)  # float parameter -> default or None
+
+    @property
+    def params(self) -> tuple[str, ...]:
+        """Every GeneratorSpec parameter the kind reads."""
+        return ("d", self.size) + ("seed",) * self.seeded + tuple(self.extras)
+
+
+GENERATORS: dict[str, GeneratorKind] = {
+    "lattice": GeneratorKind(gen_lattice, "m", False, _per_axis),
+    "cantor_product": GeneratorKind(lambda d, level, r: gen_cantor(d, r, level), "L", False,
+                                    lambda n, d: max(0, round(math.log2(n) / d)), {"r": None}),
+    "homogeneous": GeneratorKind(gen_homogeneous, "m", True, _per_axis, {"jitter": 0.25}),
+    "uniform_random": GeneratorKind(gen_random, "n", True, lambda n, d: n),
+    "coplanar": GeneratorKind(gen_coplanar, "n", True, lambda n, d: n),
+}
+
+
 def generate(spec: GeneratorSpec) -> PointSet:
-    """Dispatch a GeneratorSpec to the matching generator."""
-    p = spec.as_dict()
+    """Build the point set of a GeneratorSpec from its kind's row; an absent
+    extra parameter takes the row's default."""
+    row = GENERATORS[spec.kind]
+    p = {name: default for name, default in row.extras.items() if default is not None} | spec.as_dict()
     try:
-        if spec.kind == "lattice":
-            return gen_lattice(int(p["d"]), int(p["m"]))
-        if spec.kind == "cantor_product":
-            return gen_cantor(int(p["d"]), float(p["r"]), int(p["L"]))
-        if spec.kind == "uniform_random":
-            return gen_random(int(p["d"]), int(p["n"]), int(p["seed"]))
-        if spec.kind == "coplanar":
-            return gen_coplanar(int(p["d"]), int(p["n"]), int(p["seed"]))
-        if spec.kind == "homogeneous":
-            return gen_homogeneous(int(p["d"]), int(p["m"]), int(p["seed"]),
-                                   jitter=float(p.get("jitter", 0.25)))
+        args = [float(p[name]) if name in row.extras else int(p[name]) for name in row.params]
     except KeyError as exc:
         raise ValueError(f"generator '{spec.kind}' is missing parameter {exc}") from None
-    raise ValueError(f"unknown generator kind '{spec.kind}'")
+    return row.build(*args)
 
 
 def format_pointset(ps: PointSet) -> str:

@@ -124,12 +124,16 @@ def test_scan_lattice_writes_csv_and_text(tmp_path):
     assert "verdict = consistent" in txt and "adaptable=" in txt
 
 
-def test_scan_rejects_size_keys(tmp_path):
+@pytest.mark.parametrize("key", ["m", "seed"])
+def test_scan_rejects_size_keys(tmp_path, capsys, key):
+    # scan step i is sized by the schedule and seeded with seed + i
+    cfg_path = _write(tmp_path, "scan.cfg", f"[generator]\nkind = homogeneous\nd = 2\n{key} = 10\n")
     code = main(
-        ["scan", "--kind", "lattice", "--d", "2", "--m", "10", "--family", "simplex",
-         "--k", "1", "--schedule", "100;400;1600", "--s", "2", "--out", str(tmp_path)]
+        ["scan", "--config", str(cfg_path), "--family", "simplex", "--k", "1",
+         "--schedule", "100;400;1600", "--s", "2", "--out", str(tmp_path / "out")]
     )
     assert code == 2
+    assert f"field [generator] {key}: scans set" in capsys.readouterr().err
 
 
 def test_ft_sphere_decay(tmp_path, capsys):
@@ -241,7 +245,28 @@ def test_config_file_with_flag_override(tmp_path):
     assert "simplex,1,2,4,1,0.01,8,pruned,,7" in body  # t and m overridden
 
 
-def test_usage_errors_exit_2(tmp_path):
+FT_SPHERE = ["ft", "--kind", "sphere", "--d", "3", "--rmin", "1", "--rmax", "20"]
+FT_CHAIN = ["ft", "--kind", "chain_spheres", "--d", "3", "--rmin", "1", "--rmax", "20", "--nradii", "6"]
+COUNT_LATTICE = ["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "simplex",
+                 "--k", "1", "--t", "0.5", "--delta", "0.1"]
+BAD_INPUTS = [
+    (FT_SPHERE + ["--nradii", "3"], "bad [ft]: need at least 5 radii"),
+    (FT_CHAIN + ["--epsilon", "0.5"], "bad [ft]: epsilon"),
+    (FT_CHAIN + ["--samples", "100"], "bad [ft]: need at least 1e4 samples"),
+    (["ft", "--kind", "triangle2d", "--method", "quadrature", "--rmin", "1", "--rmax", "20",
+      "--nradii", "6"], "bad [ft]: no quadrature oracle"),
+    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid=-1;1"], "bad [energy]: "),
+    (COUNT_LATTICE + ["--r", "0.3"], "field [generator] r: lattice reads only kind, d, m"),
+    (COUNT_LATTICE + ["--jitter", "0.1"], "field [generator] jitter"),
+    (COUNT_LATTICE + ["--n", "99"], "field [generator] n"),
+    (["count", "--kind", "uniform_random", "--d", "2", "--n", "9", "--jitter", "0.1", "--family",
+      "simplex", "--k", "1", "--t", "0.5", "--delta", "0.1"], "field [generator] jitter"),
+    (["dim", "--kind", "cantor_product", "--d", "2", "--r", "0.7", "--level", "2",
+      "--scales", "0.5;0.25;0.125"], "bad [generator]: contraction ratio"),
+]
+
+
+def test_usage_errors_exit_2(tmp_path, capsys):
     # no generator/input
     assert main(["count", "--family", "simplex", "--out", str(tmp_path)]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
@@ -249,6 +274,13 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
     nocmd = _write(tmp_path, "nocmd.cfg", "seed = 1\n")
     assert main(["run", "--config", str(nocmd)]) == 2
+    unseeded = _write(tmp_path, "unseeded.cfg", "command = gen\n[generator]\nkind = lattice\n"
+                                                "d = 2\nm = 3\nseed = 5\n")
+    assert main(["run", "--config", str(unseeded), "--out", str(tmp_path)]) == 2
+    assert "field [generator] seed: lattice reads only" in capsys.readouterr().err
+    for argv, message in BAD_INPUTS:
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2, argv
+        assert f"configeo: error: {message}" in capsys.readouterr().err, argv
 
 
 def test_failed_command_leaves_no_artefacts(tmp_path):
@@ -257,6 +289,8 @@ def test_failed_command_leaves_no_artefacts(tmp_path):
     assert main(["count", "--family", "simplex", "--out", str(out)]) == 2
     assert main(["scan", "--kind", "uniform_random", "--d", "2", "--family", "simplex",
                  "--k", "3", "--schedule", "20;40;80", "--out", str(out)]) == 2
+    for argv, _ in BAD_INPUTS:
+        assert main(argv + ["--out", str(out)]) == 2, argv
     assert list(out.iterdir()) == []
 
 

@@ -13,7 +13,7 @@ from configeo.expfit import (
     run_scan,
     threshold,
 )
-from configeo.pointgen import GeneratorSpec, gen_lattice, gen_random
+from configeo.pointgen import GENERATORS, GeneratorSpec, gen_lattice, gen_random, generate
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,19 @@ def test_sampled_target_counts_its_own_tuple(family, ps, seeds):
                         schedule=(10, 20, 40), seed=seed)
         t = expfit._sample_target(ps, spec)
         assert run_query(ps, ConfigQuery(family, k, t, 0.0)).count >= 1, (seed, t)
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+@pytest.mark.parametrize("n,d", [(100, 2), (500, 3)])
+def test_scan_template_sized_for_n_generates_its_rule_size(kind, n, d):
+    row = GENERATORS[kind]
+    # a required extra gets a value its builder accepts; the others keep their defaults
+    extras = {name: 0.3 for name, default in row.extras.items() if default is None}
+    spec = expfit._sized_generator(GeneratorSpec.make(kind, d=d, **extras), n, seed=7)
+    assert spec.as_dict()[row.size] == row.scan_size(n, d)
+    ps = generate(spec)
+    assert ps.dim == d and n / 2 <= ps.n <= 2 * n
+    assert ps.meta.seed == (7 if row.seeded else None)
 
 
 def test_scan_spec_validation():

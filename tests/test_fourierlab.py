@@ -267,6 +267,14 @@ def test_mc_golden_estimates_and_single_point_calls(kind):
         assert ft_montecarlo(spec, [fp], 0.05, GOLDEN_SAMPLES, seed) == [one]
 
 
+@pytest.mark.parametrize("kind", sorted(fourierlab.MEASURES))
+def test_each_draw_returns_accepted_blocks_of_the_row_widths(kind):
+    spec = GOLDEN_MC[kind][0]
+    blocks, acc, weight = fourierlab.MEASURES[kind].draw(spec, 0.05, np.random.default_rng(0), 4096)
+    assert acc.shape == (4096,) and acc.dtype == bool and acc.any() and weight > 0.0
+    assert tuple(b.shape for b in blocks) == tuple((acc.sum(), w) for w in spec.block_dims)
+
+
 @pytest.mark.parametrize("kind,draws_per_chunk", [
     ("sphere", 1), ("triangle2d", 2), ("chain_spheres", 2), ("determinant_variety", 1),
 ])
