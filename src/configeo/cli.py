@@ -60,6 +60,8 @@ class UsageError(Exception):
     """Bad flags or config contents; maps to exit code 2."""
 
 
+_INPUT_COMMANDS = ("energy", "count", "dim")  # the commands that read `input`
+
 # (section, key) of config keys that no longer exist -> why; naming one is a usage error
 _REMOVED_KEYS = {
     ("", "threads"): "Monte Carlo draws one seeded stream",
@@ -286,6 +288,8 @@ def parse_config(argv=None) -> ExperimentConfig:
         if _get(sections, section, key) is not None:
             name = f"[{section}] {key}" if section else key
             raise UsageError(f"config key {name} was removed: {why}")
+    if _get(sections, "", "input") is not None and command not in _INPUT_COMMANDS:
+        raise UsageError(f"input: {command} reads no point-set file; drop input")
     out_dir = Path(ns.out or _get(sections, "", "out", default="reports"))
     algorithm = ns.algorithm or _get(sections, "", "algorithm", default="pruned")
     if algorithm not in ("brute", "pruned"):
@@ -328,6 +332,9 @@ def _load_points(cfg: ExperimentConfig) -> PointSet:
     sections = cfg.sections
     input_path = _get(sections, "", "input")
     if input_path:
+        if sections.get("generator"):
+            raise UsageError(f"input and [generator] {', '.join(sorted(sections['generator']))} "
+                             "both name a point set; keep one")
         try:
             return load_pointset(input_path)
         except (OSError, ValueError) as exc:
@@ -517,6 +524,9 @@ def _cmd_scan(cfg: ExperimentConfig) -> int:
     return 1 if report.verdict == "inconclusive" else 0
 
 
+# the [ft] keys each method reads
+_METHOD_KEYS = {"closed": (), "quadrature": ("nodes",), "mc": ("epsilon", "samples")}
+
 # MeasureSpec constructor parameter -> its [ft] key and getter
 _MEASURE_KEYS = {
     "d": ("d", _get_int),
@@ -575,6 +585,14 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
 
     row = MEASURES[spec.kind]
     method = _get(sections, "ft", "method", "mc" if row.closed_form is None else "closed")
+    if method not in _METHOD_KEYS:
+        raise UsageError(f"unknown ft method {method!r}")
+    read = {"kind", "direction", "method", *_METHOD_KEYS[method],
+            *(("radii",) if "radii" in sections["ft"] else ("rmin", "rmax", "nradii")),
+            *(_MEASURE_KEYS[name][0] for name in inspect.signature(row.make).parameters)}
+    for key in sorted(sections["ft"].keys() - read):
+        raise UsageError(f"field [ft] {key}: {spec.kind} by method {method} reads only "
+                         f"{', '.join(sorted(read))}")
     if method == "closed":
         if row.closed_form is None:
             raise UsageError(f"no closed form for kind {spec.kind!r}; use method = mc")
@@ -584,7 +602,7 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
             raise UsageError(f"bad [ft]: no quadrature oracle for kind {spec.kind!r}")
         nodes = _get_int(sections, "ft", "nodes", 2048)
         evaluator = lambda ps: [ft_quadrature(spec, p.blocks[0], nodes) for p in ps]  # noqa: E731
-    elif method == "mc":
+    else:  # mc
         epsilon = _get_float(sections, "ft", "epsilon", 0.05)
         samples = _get_int(sections, "ft", "samples", 10**6)
         # one call per radius: perfbench's fourierlab.mc.samples adds the
@@ -593,8 +611,6 @@ def _cmd_ft(cfg: ExperimentConfig) -> int:
         evaluator = lambda ps: [  # noqa: E731
             ft_montecarlo(spec, [p], epsilon, samples, cfg.seed)[0] for p in ps
         ]
-    else:
-        raise UsageError(f"unknown ft method {method!r}")
 
     try:
         report = decay_fit(evaluator, direction, radii, reference=spec.reference_exponent)

@@ -31,12 +31,14 @@ closed band (`_accepted`).  The optimized counters ("pruned") must agree with
 the oracles exactly.  The simplex fast path counts labelled homomorphisms of
 K_{k+1} into the band graphs A_ij = [|D - t_ij| <= delta].  D is computed in
 row blocks of SIMPLEX_BLOCK_ENTRIES // n anchors by the map's formula, bit
-for bit.  Each distinct target gets one CSR band matrix, whose zero diagonal
-enforces distinct indices; the build raises CapacityError as soon as its
-projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  k=1 counts nnz(A_01); k=2
-sums (A_01[blk] @ A_12) * A_02[blk] over row blocks, so the n x n product is
-never held whole; k >= 3 restricts each later slot to the neighbours of one
-anchor, A_ij[N_i][:, N_j], and recurses down to the k=2 product.  Volume in
+for bit.  Each distinct target gets one packed bit row per point, ceil(n/64)
+uint64 words, whose clear diagonal enforces distinct indices; the rows are
+refused before any distance when they would take more than 4 *
+SIMPLEX_BAND_NNZ_BUDGET bytes, and during the build as soon as their
+projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  The count extends chunks
+of partial tuples one slot at a time: slot j's candidates are the AND of the
+rows of A_ij at x_i over i < j, unpacked into the next chunk for an inner
+slot and summed by popcount for the last.  Volume in
 d = 2 and 3 and area2 in any d value each unordered point set once, from its
 smallest index, by |det| and by the Gram determinant of its legs; angle
 values each unordered leg pair at an apex once, by its cosine.  All three
@@ -58,7 +60,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from ._ols import ols_loglog
 from .errors import CapacityError
@@ -348,68 +349,83 @@ def count_simplex_brute(ps: PointSet, k: int, t, delta: float) -> CountReport:
 
 
 def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of `_pair_distance_matrix(pts)`, bit for bit."""
-    diff = pts[None, :, :] - pts[start:stop, None, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    """Rows start:stop of `_pair_distance_matrix(pts)`, bit for bit.  Below 8
+    coordinates numpy's pairwise sum adds a row in coordinate order, so the
+    squares are added one coordinate at a time in place; from 8 on it unrolls
+    by 8, and the block keeps the oracle's .sum(axis=-1)."""
+    d = pts.shape[1]
+    if d >= 8:
+        diff = pts[None, :, :] - pts[start:stop, None, :]
+        return np.sqrt((diff * diff).sum(axis=-1))
+    dist = np.zeros((stop - start, pts.shape[0]))
+    diff = np.empty_like(dist)
+    for c in range(d):
+        np.subtract(pts[None, :, c], pts[start:stop, c, None], out=diff)
+        dist += np.multiply(diff, diff, out=diff)
+    return np.sqrt(dist, out=dist)
 
 
-def _band_matrices(pts: np.ndarray, values: list[float], delta: float) -> list[sparse.csr_array]:
-    """One CSR band matrix [|D - v| <= delta] with a zero diagonal per value v.
-    To keep the heap small, blocks keep only column indices and row lengths,
-    and the matrices share one read-only array of ones as data."""
+def _band_rows(pts: np.ndarray, values: list[float], delta: float) -> np.ndarray:
+    """Packed band rows: (len(values), n, ceil(n/64)) uint64 whose row x of
+    value v holds, from bit 0 of word 0 on, the bits [|D[x] - v| <= delta]
+    with bit x and the padding bits past n clear.  Refuses (CapacityError)
+    before any distance when the rows would take more than 4 *
+    SIMPLEX_BAND_NNZ_BUDGET bytes, and during the build as soon as their
+    projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET."""
     n = pts.shape[0]
+    words = -(-n // 64)
+    if len(values) * n * words * 8 > 4 * SIMPLEX_BAND_NNZ_BUDGET:
+        raise CapacityError(f"simplex band rows take {len(values) * n * words * 8} bytes, "
+                            f"over the budget of {4 * SIMPLEX_BAND_NNZ_BUDGET}")
+    packed = np.empty((len(values), n, words), dtype=np.uint64)
     rows = max(1, SIMPLEX_BLOCK_ENTRIES // n)
-    cols: list[list[np.ndarray]] = [[] for _ in values]
-    indptr = np.zeros((len(values), n + 1), dtype=np.int32)
+    bits = np.zeros((rows, 64 * words), dtype=bool)
     nnz = 0
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         dist = _distance_rows(pts, start, stop)
+        gap = np.empty_like(dist)
+        band = bits[:stop - start]
         own = np.arange(stop - start)
-        for v, col, ptr in zip(values, cols, indptr):
-            band = np.abs(dist - v) <= delta
+        for v, out in zip(values, packed):
+            np.less_equal(np.abs(np.subtract(dist, v, out=gap), out=gap), delta, out=band[:, :n])
             band[own, own + start] = False
-            col.append(np.nonzero(band)[1].astype(np.int32))
-            ptr[start + 1:stop + 1] = np.count_nonzero(band, axis=1)
-            nnz += col[-1].size
+            out[start:stop] = np.packbits(band, axis=1, bitorder="little").view(np.uint64)
+            nnz += int(np.count_nonzero(band))
         if nnz * n > SIMPLEX_BAND_NNZ_BUDGET * stop:
-            raise CapacityError(f"simplex band matrices project to {nnz * n // stop} "
+            raise CapacityError(f"simplex band rows project to {nnz * n // stop} "
                                 f"nonzeros, over the budget of {SIMPLEX_BAND_NNZ_BUDGET}")
-    np.cumsum(indptr, axis=1, out=indptr)
-    ones = np.ones(indptr[:, -1].max(), dtype=np.int32)
-    ones.flags.writeable = False
-    return [sparse.csr_array((ones[:ptr[-1]], np.concatenate(col), ptr), shape=(n, n))
-            for col, ptr in zip(cols, indptr)]
+    return packed
 
 
 def _simplex_band(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
+    """Labelled homomorphisms of K_{k+1} into the band graphs, slot by slot:
+    a chunk of partial tuples (x_0, ..., x_{j-1}) takes as slot j's
+    candidates the AND of the band rows of t_ij at x_i over i < j.  Inner
+    slots unpack them, at most SIMPLEX_BLOCK_ENTRIES bits at a time, into the
+    next chunk; the last slot sums their bits.  Clear diagonals keep the
+    indices distinct."""
     values = sorted(set(t))
-    bands = dict(zip(values, _band_matrices(pts, values, delta)))
-    return _contract({pair: bands[v] for pair, v in zip(pair_order(k), t)}, k)
+    packed = _band_rows(pts, values, delta)
+    edge = {pair: packed[values.index(v)] for pair, v in zip(pair_order(k), t)}
+    n, words = packed.shape[1:]
+    step = max(1, SIMPLEX_BLOCK_ENTRIES // (64 * words))
 
+    def extend(tuples: np.ndarray) -> int:
+        j = tuples.shape[1]
+        cand = edge[0, j][tuples[:, 0]]
+        for i in range(1, j):
+            cand &= edge[i, j][tuples[:, i]]
+        if j == k:
+            return int(np.bitwise_count(cand).sum())
+        total = 0
+        for s in range(0, len(tuples), step):
+            bits = np.unpackbits(cand[s:s + step].view(np.uint8), axis=1, bitorder="little")
+            rows, cols = np.nonzero(bits)
+            total += extend(np.column_stack([tuples[s + rows], cols]))
+        return total
 
-def _contract(A: dict, k: int) -> int:
-    """Sum over (x_0, ..., x_k) of prod_{i<j} A[i, j][x_i, x_j].
-
-    A[i, j] relates the candidates of slot i (rows) to those of slot j
-    (columns).  For k >= 3 each anchor x_0 restricts every later slot j to
-    its neighbours in A[0, j], and the count recurses on those submatrices.
-    """
-    if k == 1:
-        return A[0, 1].nnz
-    if k == 2:  # in row blocks, so the full product is never held
-        rows = max(1, SIMPLEX_BLOCK_ENTRIES // A[1, 2].shape[1])
-        return sum(int((A[0, 1][s:s + rows] @ A[1, 2]).multiply(A[0, 2][s:s + rows]).sum())
-                   for s in range(0, A[0, 1].shape[0], rows))
-    total = 0
-    for a in range(A[0, 1].shape[0]):
-        nbr = [None] + [A[0, j].indices[A[0, j].indptr[a]:A[0, j].indptr[a + 1]]
-                        for j in range(1, k + 1)]
-        if any(x.size == 0 for x in nbr[1:]):
-            continue
-        sub = {(i - 1, j - 1): A[i, j][nbr[i]][:, nbr[j]] for i, j in pair_order(k) if i > 0}
-        total += _contract(sub, k - 1)
-    return total
+    return sum(extend(np.arange(s, min(s + step, n))[:, None]) for s in range(0, n, step))
 
 
 def _simplex_brute(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> int:

@@ -263,6 +263,24 @@ BAD_INPUTS = [
       "simplex", "--k", "1", "--t", "0.5", "--delta", "0.1"], "field [generator] jitter"),
     (["dim", "--kind", "cantor_product", "--d", "2", "--r", "0.7", "--level", "2",
       "--scales", "0.5;0.25;0.125"], "bad [generator]: contraction ratio"),
+    # one point-set source: the check comes before the file is read
+    (["count", "--input", "points.txt", "--kind", "uniform_random", "--d", "3", "--n", "50",
+      "--family", "simplex", "--k", "1", "--t", "0.5", "--delta", "0.1"],
+     "input and [generator] d, kind, n both name a point set"),
+    (["energy", "--input", "points.txt", "--kind", "lattice", "--s", "1"],
+     "input and [generator] kind both name a point set"),
+    (["dim", "--input", "points.txt", "--m", "4", "--scales", "0.5;0.25;0.125"],
+     "input and [generator] m both name a point set"),
+    (["scan", "--input", "points.txt", "--kind", "lattice", "--d", "2", "--family", "simplex",
+      "--k", "1", "--schedule", "100;400;1600", "--s", "2", "--t", "0.5"],
+     "input: scan reads no point-set file"),
+    (["gen", "--input", "points.txt", "--kind", "lattice", "--d", "2", "--m", "3"],
+     "input: gen reads no point-set file"),
+    (["ft", "--kind", "triangle2d", "--d", "5", "--rmin", "1", "--rmax", "20"],
+     "field [ft] d: triangle2d by method closed reads only"),
+    (FT_SPHERE + ["--epsilon", "0.01", "--samples", "5"],
+     "field [ft] epsilon: sphere by method closed reads only"),
+    (FT_SPHERE + ["--radii", "1;2;5;10;20;50"], "field [ft] rmax: sphere by method closed reads only"),
 ]
 
 

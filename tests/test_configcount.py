@@ -229,7 +229,19 @@ def test_simplex_small_row_blocks_match_brute(monkeypatch, d, k):
     _assert_simplex_matches_brute(ps, k, realized_target(ps, k, seed=34), 0.05)
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
+PACKED_T = (0.2, 0.5, 0.6, 0.4, 0.7, 0.45)  # t_01 < delta: coincidence is in the (0, 1) band
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3) for n in (k, k + 1, 63, 64, 65, 129)])
+def test_simplex_packed_rows_at_word_edges_match_brute(monkeypatch, k, n):
+    # 64-bit blocks: one unpacked row per block and one tuple per chunk; n
+    # around 64 puts padding bits past n in the last word or none
+    monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 64)
+    ps = gen_random(3, n, seed=40 + n)
+    _assert_simplex_matches_brute(ps, k, PACKED_T[:len(pair_order(k))], 0.3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9])
 def test_distance_rows_bit_identical_to_oracle(d):
     pts = gen_random(d, 50, seed=35 + d).points
     rows = np.vstack([_distance_rows(pts, s, min(s + 7, 50)) for s in range(0, 50, 7)])
@@ -241,6 +253,41 @@ def test_simplex_band_budget_refusal(monkeypatch):
     monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 1000)
     with pytest.raises(CapacityError):
         count_simplex(gen_random(2, 300, seed=36), 2, [0.5, 0.5, 0.5], 0.05)
+
+
+def _spy_distance_rows(monkeypatch) -> list:
+    """Record the arguments of every `_distance_rows` call."""
+    calls = []
+    distance_rows = configcount._distance_rows
+    monkeypatch.setattr(configcount, "_distance_rows",
+                        lambda *args: calls.append(args) or distance_rows(*args))
+    return calls
+
+
+@pytest.mark.parametrize("budget,refused", [(128, False), (127, True)])
+def test_simplex_packed_rows_refused_before_any_distance(monkeypatch, budget, refused):
+    # one target over 64 points: 64 rows of one 8-byte word, 512 bytes; the
+    # band holds 44 nonzeros, under either budget
+    monkeypatch.setattr(configcount, "SIMPLEX_BAND_NNZ_BUDGET", budget)
+    calls = _spy_distance_rows(monkeypatch)
+    ps = gen_random(2, 64, seed=37)
+    if refused:
+        with pytest.raises(CapacityError, match="512 bytes"):
+            count_simplex(ps, 1, [0.1], 0.01)
+        assert calls == []
+    else:
+        assert count_simplex(ps, 1, [0.1], 0.01).count == count_simplex_brute(ps, 1, [0.1], 0.01).count == 44
+
+
+def test_simplex_band_nonzeros_refused_during_the_build(monkeypatch):
+    # the rows fit (300 x 5 words, 12,000 bytes) but the band holds 12,558
+    # nonzeros, so the build stops after a few of its 100 blocks
+    monkeypatch.setattr(configcount, "SIMPLEX_BAND_NNZ_BUDGET", 3000)
+    monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 1000)
+    calls = _spy_distance_rows(monkeypatch)
+    with pytest.raises(CapacityError, match="nonzeros"):
+        count_simplex(gen_random(2, 300, seed=36), 1, [0.5], 0.05)
+    assert 0 < len(calls) < 100
 
 
 def test_brute_budget_refusal():
