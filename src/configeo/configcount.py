@@ -399,33 +399,36 @@ def _band_rows(pts: np.ndarray, values: list[float], delta: float) -> np.ndarray
 
 
 def _simplex_band(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
-    """Labelled homomorphisms of K_{k+1} into the band graphs, slot by slot:
-    a chunk of partial tuples (x_0, ..., x_{j-1}) takes as slot j's
-    candidates the AND of the band rows of t_ij at x_i over i < j.  Inner
-    slots unpack them, at most SIMPLEX_BLOCK_ENTRIES bits at a time, into the
-    next chunk; the last slot sums their bits.  Clear diagonals keep the
-    indices distinct."""
+    """Labelled homomorphisms of K_{k+1} into the band graphs, extended slot
+    by slot from chunks of anchors (`_extend`)."""
     values = sorted(set(t))
     packed = _band_rows(pts, values, delta)
     edge = {pair: packed[values.index(v)] for pair, v in zip(pair_order(k), t)}
     n, words = packed.shape[1:]
     step = max(1, SIMPLEX_BLOCK_ENTRIES // (64 * words))
+    return sum(_extend(edge, k, step, np.arange(s, min(s + step, n))[:, None])
+               for s in range(0, n, step))
 
-    def extend(tuples: np.ndarray) -> int:
-        j = tuples.shape[1]
-        cand = edge[0, j][tuples[:, 0]]
-        for i in range(1, j):
-            cand &= edge[i, j][tuples[:, i]]
-        if j == k:
-            return int(np.bitwise_count(cand).sum())
-        total = 0
-        for s in range(0, len(tuples), step):
-            bits = np.unpackbits(cand[s:s + step].view(np.uint8), axis=1, bitorder="little")
-            rows, cols = np.nonzero(bits)
-            total += extend(np.column_stack([tuples[s + rows], cols]))
-        return total
 
-    return sum(extend(np.arange(s, min(s + step, n))[:, None]) for s in range(0, n, step))
+def _extend(edge: dict, k: int, step: int, tuples: np.ndarray) -> int:
+    """Completions to k+1 slots of a chunk of partial tuples (x_0, ...,
+    x_{j-1}), the rows of tuples.  Slot j's candidates are the AND of the
+    band rows edge[i, j][x_i] over i < j.  An inner slot unpacks them, step
+    rows (at most SIMPLEX_BLOCK_ENTRIES bits) at a time, into the next chunk;
+    the last slot sums their bits.  Clear diagonals keep the indices
+    distinct."""
+    j = tuples.shape[1]
+    cand = edge[0, j][tuples[:, 0]]
+    for i in range(1, j):
+        cand &= edge[i, j][tuples[:, i]]
+    if j == k:
+        return int(np.bitwise_count(cand).sum())
+    total = 0
+    for s in range(0, len(tuples), step):
+        bits = np.unpackbits(cand[s:s + step].view(np.uint8), axis=1, bitorder="little")
+        rows, cols = np.nonzero(bits)
+        total += _extend(edge, k, step, np.column_stack([tuples[s + rows], cols]))
+    return total
 
 
 def _simplex_brute(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> int:

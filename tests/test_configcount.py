@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -276,7 +278,8 @@ def test_simplex_packed_rows_refused_before_any_distance(monkeypatch, budget, re
             count_simplex(ps, 1, [0.1], 0.01)
         assert calls == []
     else:
-        assert count_simplex(ps, 1, [0.1], 0.01).count == count_simplex_brute(ps, 1, [0.1], 0.01).count == 44
+        assert count_simplex(ps, 1, [0.1], 0.01).count == 44
+        assert count_simplex_brute(ps, 1, [0.1], 0.01).count == 44
 
 
 def test_simplex_band_nonzeros_refused_during_the_build(monkeypatch):
@@ -288,6 +291,25 @@ def test_simplex_band_nonzeros_refused_during_the_build(monkeypatch):
     with pytest.raises(CapacityError, match="nonzeros"):
         count_simplex(gen_random(2, 300, seed=36), 1, [0.5], 0.05)
     assert 0 < len(calls) < 100
+
+
+def test_simplex_band_rows_freed_when_the_count_returns(monkeypatch):
+    # no reference cycle holds the packed rows until a garbage collection
+    built = []
+    band_rows = configcount._band_rows
+
+    def recorded(*args):
+        rows = band_rows(*args)
+        built.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(configcount, "_band_rows", recorded)
+    gc.disable()
+    try:
+        assert count_simplex(gen_random(2, 100, seed=38), 2, [0.3, 0.4, 0.5], 0.05).count > 0
+        assert len(built) == 1 and built[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_brute_budget_refusal():
