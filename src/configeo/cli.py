@@ -6,6 +6,12 @@ file values; the seed falls back to the CONFIGEO_SEED environment variable.
 Report bodies are byte-identical across reruns of the same (config, seed):
 volatile wall-clock data never enters a file body (timings go to stdout).
 
+Each command is one row of COMMANDS.  Its parse function asks the typed
+getters for every key the command reads, and `run` then refuses every key
+present in the configuration that the command did not ask for: an unread key
+is a usage error, checked before any kernel runs and before any file is
+written.  The manifest therefore lists only keys the command read.
+
 Exit codes: 0 success, 1 infeasible/inconclusive result, 2 usage error.
 """
 
@@ -48,10 +54,8 @@ from .fourierlab import (
     phase_plane_form,
     phase_plane_xi,
 )
-from .pointgen import (GENERATORS, GeneratorSpec, PointSet, format_float, generate,
-                       load_pointset, save_pointset)
-
-COMMANDS = ("gen", "energy", "count", "scan", "ft", "curvature", "dim")
+from .pointgen import (GENERATORS, GeneratorSpec, PointSet, format_float, format_pointset,
+                       generate, load_pointset)
 
 ENV_SEED = "CONFIGEO_SEED"
 
@@ -59,8 +63,6 @@ ENV_SEED = "CONFIGEO_SEED"
 class UsageError(Exception):
     """Bad flags or config contents; maps to exit code 2."""
 
-
-_INPUT_COMMANDS = ("energy", "count", "dim")  # the commands that read `input`
 
 # (section, key) of config keys that no longer exist -> why; naming one is a usage error
 _REMOVED_KEYS = {
@@ -72,13 +74,16 @@ _REMOVED_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    """The fully merged, effective configuration of one experiment."""
+    """The fully merged, effective configuration of one experiment, and the
+    (section, key) pairs its command has asked for; top-level keys are in
+    section ''."""
 
     command: str
     sections: dict[str, dict[str, str]]
-    seed: int
-    out_dir: Path
+    seed: int = 0
+    out_dir: Path = Path("reports")
     algorithm: str = "pruned"
+    read: set[tuple[str, str]] = dataclasses.field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +124,20 @@ def _merge_flag_overrides(sections: dict[str, dict[str, str]], overrides: dict[s
         sections.setdefault(section, {})[key] = str(value)
 
 
-# typed getters; all failures name the offending field
+# typed getters; each records the (section, key) it is asked for, present or
+# not, and all failures name the offending field
 
 
-def _get(sections, section, key, default=None, required=False) -> str | None:
-    value = sections.get(section, {}).get(key)
+def _name(section: str, key: str) -> str:
+    return f"[{section}] {key}" if section else key
+
+
+def _get(cfg: ExperimentConfig, section, key, default=None, required=False) -> str | None:
+    cfg.read.add((section, key))
+    value = cfg.sections.get(section, {}).get(key)
     if value is None:
         if required:
-            where = f"[{section}] {key}" if section else key
-            raise UsageError(f"missing required field {where}")
+            raise UsageError(f"missing required field {_name(section, key)}")
         return default
     return value
 
@@ -135,14 +145,14 @@ def _get(sections, section, key, default=None, required=False) -> str | None:
 def _typed(cast, expected: str):
     """A getter like `_get` that converts the value with cast."""
 
-    def get(sections, section, key, default=None, required=False):
-        raw = _get(sections, section, key, None, required)
+    def get(cfg, section, key, default=None, required=False):
+        raw = _get(cfg, section, key, None, required)
         if raw is None:
             return default
         try:
             return cast(raw)
         except ValueError:
-            raise UsageError(f"field [{section}] {key}: expected {expected}, got {raw!r}") from None
+            raise UsageError(f"field {_name(section, key)}: expected {expected}, got {raw!r}") from None
 
     return get
 
@@ -267,43 +277,27 @@ def parse_config(argv=None) -> ExperimentConfig:
     if ns.input is not None:
         sections[""]["input"] = ns.input
 
-    command = ns.command
-    if command == "run":
-        command = _get(sections, "", "command", required=True)
-        if command not in COMMANDS:
-            raise UsageError(f"config names unknown command {command!r}")
-    elif command not in COMMANDS:
-        raise UsageError(f"unknown command {command!r}")
-    sections[""]["command"] = command
-
-    if ns.seed is not None:
-        seed = int(ns.seed)
-    elif _get(sections, "", "seed") is not None:
-        seed = _get_int(sections, "", "seed")
-    else:
-        seed = int(os.environ.get(ENV_SEED, "0"))
-    sections[""]["seed"] = str(seed)
+    cfg = ExperimentConfig(ns.command, sections)
+    if cfg.command == "run":
+        cfg.command = _get(cfg, "", "command", required=True)
+        if cfg.command not in COMMANDS:
+            raise UsageError(f"config names unknown command {cfg.command!r}")
+    seed = ns.seed if ns.seed is not None else _get_int(cfg, "", "seed")
+    cfg.seed = seed if seed is not None else int(os.environ.get(ENV_SEED, "0"))
 
     for (section, key), why in _REMOVED_KEYS.items():
-        if _get(sections, section, key) is not None:
-            name = f"[{section}] {key}" if section else key
-            raise UsageError(f"config key {name} was removed: {why}")
-    if _get(sections, "", "input") is not None and command not in _INPUT_COMMANDS:
-        raise UsageError(f"input: {command} reads no point-set file; drop input")
-    out_dir = Path(ns.out or _get(sections, "", "out", default="reports"))
-    algorithm = ns.algorithm or _get(sections, "", "algorithm", default="pruned")
-    if algorithm not in ("brute", "pruned"):
-        raise UsageError(f"unknown algorithm {algorithm!r}")
-    sections[""]["out"] = str(out_dir)
-    sections[""]["algorithm"] = algorithm
-
-    return ExperimentConfig(
-        command=command,
-        sections=sections,
-        seed=seed,
-        out_dir=out_dir,
-        algorithm=algorithm,
-    )
+        if key in sections.get(section, {}):
+            raise UsageError(f"config key {_name(section, key)} was removed: {why}")
+    cfg.out_dir = Path(ns.out or _get(cfg, "", "out", "reports"))
+    cfg.algorithm = ns.algorithm or _get(cfg, "", "algorithm", "pruned")
+    if cfg.algorithm not in ("brute", "pruned"):
+        raise UsageError(f"unknown algorithm {cfg.algorithm!r}")
+    # resolved here for every command, so every command reads them
+    resolved = {"command": cfg.command, "seed": str(cfg.seed), "out": str(cfg.out_dir),
+                "algorithm": cfg.algorithm}
+    sections[""].update(resolved)
+    cfg.read.update(("", key) for key in resolved)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +323,11 @@ def _write_manifest(cfg: ExperimentConfig) -> Path:
 
 def _load_points(cfg: ExperimentConfig) -> PointSet:
     """The input point set: from `input = <path>` or the [generator] section."""
-    sections = cfg.sections
-    input_path = _get(sections, "", "input")
+    input_path = _get(cfg, "", "input")
     if input_path:
-        if sections.get("generator"):
-            raise UsageError(f"input and [generator] {', '.join(sorted(sections['generator']))} "
+        generator = cfg.sections.get("generator")
+        if generator:
+            raise UsageError(f"input and [generator] {', '.join(sorted(generator))} "
                              "both name a point set; keep one")
         try:
             return load_pointset(input_path)
@@ -354,25 +348,24 @@ def _generator_spec(cfg: ExperimentConfig, sized: bool) -> GeneratorSpec:
     """The [generator] section as the parameters its kind's row reads, each
     keyed by its name lower-cased; unsized, a scan template without the size
     and seed that the scan sets per step."""
-    sections = cfg.sections
-    kind = _get(sections, "generator", "kind", required=True)
-    params = {"d": _get_int(sections, "generator", "d", required=True)}
+    kind = _get(cfg, "generator", "kind", required=True)
+    params = {"d": _get_int(cfg, "generator", "d", required=True)}
     if kind not in GENERATORS:
         raise UsageError(f"unknown generator kind {kind!r}")
     row = GENERATORS[kind]
-    names = {name.lower(): name for name in row.params}
-    for key in sorted(sections["generator"].keys() - {"kind", "d"}):
-        if key not in names:
-            raise UsageError(f"field [generator] {key}: {kind} reads only kind, {', '.join(names)}")
-        if not sized and key in (row.size.lower(), "seed"):
-            raise UsageError(f"field [generator] {key}: scans set each step's size and seed; "
-                             "drop this key")
-        get = _get_float if names[key] in row.extras else _get_int
-        params[names[key]] = get(sections, "generator", key)
-    if sized:
-        params[row.size] = _get_int(sections, "generator", row.size.lower(), required=True)
-        if row.seeded:
-            params.setdefault("seed", cfg.seed)
+    for name in row.params[1:]:
+        key = name.lower()
+        if not sized and name in (row.size, "seed"):
+            if key in cfg.sections["generator"]:
+                raise UsageError(f"field [generator] {key}: scans set each step's size and seed; "
+                                 "drop this key")
+            continue
+        get = _get_float if name in row.extras else _get_int
+        value = get(cfg, "generator", key, required=name == row.size)
+        if value is not None:
+            params[name] = value
+    if sized and row.seeded:
+        params.setdefault("seed", cfg.seed)
     return GeneratorSpec.make(kind, **params)
 
 
@@ -381,151 +374,129 @@ def _fmt_bool(value: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each parses its keys and returns its job; the job returns
+# ({report file name: body}, summary line, exit code)
 
 
-def _cmd_gen(cfg: ExperimentConfig) -> int:
+def _cmd_gen(cfg: ExperimentConfig):
     ps = _generated(cfg)
-    kind = _get(cfg.sections, "generator", "kind", required=True)
-    path = cfg.out_dir / f"pointset_{kind}_d{ps.dim}_n{ps.n}_seed{cfg.seed}.txt"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_pointset(ps, path)
-    print(f"gen: kind={kind} d={ps.dim} n={ps.n} -> {path}")
-    return 0
+    kind = _get(cfg, "generator", "kind")
+
+    def job():
+        name = f"pointset_{kind}_d{ps.dim}_n{ps.n}_seed{cfg.seed}.txt"
+        return {name: format_pointset(ps)}, f"gen: kind={kind} d={ps.dim} n={ps.n} -> {cfg.out_dir / name}", 0
+
+    return job
 
 
-def _cmd_energy(cfg: ExperimentConfig) -> int:
+def _cmd_energy(cfg: ExperimentConfig):
     ps = _load_points(cfg)
-    sections = cfg.sections
-    grid = _get_floats(sections, "energy", "s_grid")
+    grid = _get_floats(cfg, "energy", "s_grid")
     if grid is None:
-        s = _get_float(sections, "energy", "s", required=True)
-        grid = (s,)
-    c_level = _get_float(sections, "energy", "c", DEFAULT_ADAPTABILITY_C)
-    try:
+        grid = (_get_float(cfg, "energy", "s", required=True),)
+    c_level = _get_float(cfg, "energy", "c", DEFAULT_ADAPTABILITY_C)
+
+    def job():
         values = energy_profile(ps, grid)
-    except ValueError as exc:
-        raise UsageError(f"bad [energy]: {exc}") from exc
-    rows = ["s,n,value,adaptable_at,verdict"]
-    for s, value in values:
-        rows.append(
-            f"{format_float(s)},{ps.n},{format_float(value)},"
-            f"{format_float(c_level)},{_fmt_bool(value <= c_level)}"
-        )
-    tag = f"{ps.meta.generator}_d{ps.dim}_n{ps.n}_seed{cfg.seed}"
-    path = cfg.out_dir / f"energy_{tag}.csv"
-    _write_text(path, "\n".join(rows) + "\n")
-    last = values[-1]
-    print(f"energy: n={ps.n} s={last[0]:g} value={last[1]:.6g} C={c_level:g} -> {path}")
-    return 0
+        rows = ["s,n,value,adaptable_at,verdict"]
+        for s, value in values:
+            rows.append(
+                f"{format_float(s)},{ps.n},{format_float(value)},"
+                f"{format_float(c_level)},{_fmt_bool(value <= c_level)}"
+            )
+        name = f"energy_{ps.meta.generator}_d{ps.dim}_n{ps.n}_seed{cfg.seed}.csv"
+        last = values[-1]
+        line = f"energy: n={ps.n} s={last[0]:g} value={last[1]:.6g} C={c_level:g} -> {cfg.out_dir / name}"
+        return {name: "\n".join(rows) + "\n"}, line, 0
+
+    return job
 
 
-def _family_k(sections, section: str, family: str, d: int) -> int:
+def _family_k(cfg: ExperimentConfig, section: str, family: str, d: int) -> int:
     """k in dimension d: fixed by the family's row, else the section's k field."""
     fixed_k = family_row(family).fixed_k
-    return _get_int(sections, section, "k", required=True) if fixed_k is None else fixed_k(d)
+    return _get_int(cfg, section, "k", required=True) if fixed_k is None else fixed_k(d)
 
 
-def _query_from_config(cfg: ExperimentConfig, d: int) -> ConfigQuery:
-    sections = cfg.sections
-    family = _get(sections, "query", "family", required=True)
-    if family == "custom":
-        raise UsageError("custom Phi queries are library-only (no config serialization)")
-    convention = _get(sections, "query", "convention", "bare_determinant")
-    delta = _get_float(sections, "query", "delta", required=True)
-    t = _get_floats(sections, "query", "t", required=True)
-    return ConfigQuery(family, _family_k(sections, "query", family, d), t, delta, convention)
-
-
-def _cmd_count(cfg: ExperimentConfig) -> int:
+def _cmd_count(cfg: ExperimentConfig):
     ps = _load_points(cfg)
-    try:
-        query = _query_from_config(cfg, ps.dim)
+    family = _get(cfg, "query", "family", required=True)
+    convention = _get(cfg, "query", "convention", "bare_determinant")
+    delta = _get_float(cfg, "query", "delta", required=True)
+    t = _get_floats(cfg, "query", "t", required=True)
+    query = ConfigQuery(family, _family_k(cfg, "query", family, ps.dim), t, delta, convention)
+
+    def job():
         report = run_query(ps, query, algorithm=cfg.algorithm)
-    except ValueError as exc:
-        raise UsageError(f"bad [query]: {exc}") from exc
-    if report.seed is None:
-        report = dataclasses.replace(report, seed=cfg.seed)
-    body = "\n".join(
-        [
-            f"# generator={ps.meta.generator}",
-            f"# seed={cfg.seed}",
-            COUNT_CSV_HEADER,
-            count_report_row(report),
-        ]
-    )
-    path = cfg.out_dir / f"count_{query.family}_k{query.k}_d{ps.dim}_seed{cfg.seed}.csv"
-    _write_text(path, body + "\n")
-    print(
-        f"count: family={query.family} k={query.k} n={ps.n} count={report.count} "
-        f"algorithm={report.algorithm} elapsed={report.elapsed_seconds:.3f}s -> {path}"
-    )
-    return 0
+        if report.seed is None:
+            report = dataclasses.replace(report, seed=cfg.seed)
+        body = "\n".join(
+            [
+                f"# generator={ps.meta.generator}",
+                f"# seed={cfg.seed}",
+                COUNT_CSV_HEADER,
+                count_report_row(report),
+            ]
+        )
+        name = f"count_{query.family}_k{query.k}_d{ps.dim}_seed{cfg.seed}.csv"
+        line = (f"count: family={query.family} k={query.k} n={ps.n} count={report.count} "
+                f"algorithm={report.algorithm} elapsed={report.elapsed_seconds:.3f}s -> {cfg.out_dir / name}")
+        return {name: body + "\n"}, line, 0
+
+    return job
 
 
-def _cmd_scan(cfg: ExperimentConfig) -> int:
-    sections = cfg.sections
-    family = _get(sections, "scan", "family", required=True)
-    if family == "custom":
-        raise UsageError("custom Phi scans are library-only")
+def _cmd_scan(cfg: ExperimentConfig):
+    family = _get(cfg, "scan", "family", required=True)
     generator = _generator_spec(cfg, sized=False)
-    try:
-        spec = ScanSpec(
-            generator=generator,
-            family=family,
-            k=_family_k(sections, "scan", family, int(generator.as_dict()["d"])),
-            schedule=_get_ints(sections, "scan", "schedule", required=True),
-            seed=cfg.seed,
-            s=_get_float(sections, "scan", "s"),
-            t=_get_floats(sections, "scan", "t"),
-            delta=_get_float(sections, "scan", "delta"),
-            predicted=_get_float(sections, "scan", "predicted"),
-            adaptability_C=_get_float(sections, "scan", "c", DEFAULT_ADAPTABILITY_C),
-            algorithm=cfg.algorithm,
-            volume_convention=_get(sections, "scan", "convention", "bare_determinant"),
-        )
-        report = run_scan(spec)
-    except ValueError as exc:
-        raise UsageError(f"bad [scan]: {exc}") from exc
-
-    stag = format_float(report.s)
-    base = f"scan_{report.family}_k{report.k}_d{report.d}_s{stag}_seed{report.seed}"
-    csv_rows = ["n,delta,count"] + [
-        f"{r.n},{format_float(r.delta)},{r.count}" for r in report.rows
-    ]
-    _write_text(cfg.out_dir / f"{base}.csv", "\n".join(csv_rows) + "\n")
-
-    txt = [
-        "scan report",
-        f"family = {report.family}",
-        f"k = {report.k}",
-        f"d = {report.d}",
-        f"s = {format_float(report.s)}",
-        f"seed = {report.seed}",
-        f"t = {';'.join(format_float(x) for x in report.t)}",
-        f"predicted_exponent = {format_float(report.predicted)}",
-        f"fitted_slope = {'' if report.fitted_slope is None else format_float(report.fitted_slope)}",
-        f"stderr = {'' if report.stderr is None else format_float(report.stderr)}",
-        f"verdict = {report.verdict}",
-        "rows:",
-    ]
-    for r, e in zip(report.rows, report.energy):
-        txt.append(
-            f"  n={r.n} delta={format_float(r.delta)} count={r.count} "
-            f"energy={format_float(e.value)} adaptable={_fmt_bool(e.verdict)}"
-        )
-    _write_text(cfg.out_dir / f"{base}.txt", "\n".join(txt) + "\n")
-
-    slope_txt = "n/a" if report.fitted_slope is None else f"{report.fitted_slope:.4f}"
-    print(
-        f"scan: family={report.family} k={report.k} d={report.d} slope={slope_txt} "
-        f"predicted={report.predicted:.4f} verdict={report.verdict} -> {cfg.out_dir / base}.txt"
+    spec = ScanSpec(
+        generator=generator,
+        family=family,
+        k=_family_k(cfg, "scan", family, int(generator.as_dict()["d"])),
+        schedule=_get_ints(cfg, "scan", "schedule", required=True),
+        seed=cfg.seed,
+        s=_get_float(cfg, "scan", "s"),
+        t=_get_floats(cfg, "scan", "t"),
+        delta=_get_float(cfg, "scan", "delta"),
+        predicted=_get_float(cfg, "scan", "predicted"),
+        adaptability_C=_get_float(cfg, "scan", "c", DEFAULT_ADAPTABILITY_C),
+        algorithm=cfg.algorithm,
+        volume_convention=_get(cfg, "scan", "convention", "bare_determinant"),
     )
-    return 1 if report.verdict == "inconclusive" else 0
 
+    def job():
+        report = run_scan(spec)
+        base = f"scan_{report.family}_k{report.k}_d{report.d}_s{format_float(report.s)}_seed{report.seed}"
+        csv_rows = ["n,delta,count"] + [
+            f"{r.n},{format_float(r.delta)},{r.count}" for r in report.rows
+        ]
+        txt = [
+            "scan report",
+            f"family = {report.family}",
+            f"k = {report.k}",
+            f"d = {report.d}",
+            f"s = {format_float(report.s)}",
+            f"seed = {report.seed}",
+            f"t = {';'.join(format_float(x) for x in report.t)}",
+            f"predicted_exponent = {format_float(report.predicted)}",
+            f"fitted_slope = {'' if report.fitted_slope is None else format_float(report.fitted_slope)}",
+            f"stderr = {'' if report.stderr is None else format_float(report.stderr)}",
+            f"verdict = {report.verdict}",
+            "rows:",
+        ]
+        for r, e in zip(report.rows, report.energy):
+            txt.append(
+                f"  n={r.n} delta={format_float(r.delta)} count={r.count} "
+                f"energy={format_float(e.value)} adaptable={_fmt_bool(e.verdict)}"
+            )
+        slope_txt = "n/a" if report.fitted_slope is None else f"{report.fitted_slope:.4f}"
+        line = (f"scan: family={report.family} k={report.k} d={report.d} slope={slope_txt} "
+                f"predicted={report.predicted:.4f} verdict={report.verdict} -> {cfg.out_dir / base}.txt")
+        files = {f"{base}.csv": "\n".join(csv_rows) + "\n", f"{base}.txt": "\n".join(txt) + "\n"}
+        return files, line, 1 if report.verdict == "inconclusive" else 0
 
-# the [ft] keys each method reads
-_METHOD_KEYS = {"closed": (), "quadrature": ("nodes",), "mc": ("epsilon", "samples")}
+    return job
+
 
 # MeasureSpec constructor parameter -> its [ft] key and getter
 _MEASURE_KEYS = {
@@ -540,21 +511,17 @@ _MEASURE_KEYS = {
 def _measure_from_config(cfg: ExperimentConfig) -> MeasureSpec:
     """The [ft] measure from the keys its row's constructor takes; a key is
     required where the constructor gives no default."""
-    sections = cfg.sections
-    kind = _get(sections, "ft", "kind", required=True)
+    kind = _get(cfg, "ft", "kind", required=True)
     if kind not in MEASURES:
         raise UsageError(f"unknown measure kind {kind!r}")
     make = MEASURES[kind].make
     params = {}
     for name, param in inspect.signature(make).parameters.items():
         key, get = _MEASURE_KEYS[name]
-        value = get(sections, "ft", key, required=param.default is param.empty)
+        value = get(cfg, "ft", key, required=param.default is param.empty)
         if value is not None:
             params[name] = value
-    try:
-        return make(**params)
-    except ValueError as exc:
-        raise UsageError(f"bad [ft]: {exc}") from exc
+    return make(**params)
 
 
 def _default_direction(spec: MeasureSpec) -> FrequencyPoint:
@@ -568,88 +535,76 @@ def _default_direction(spec: MeasureSpec) -> FrequencyPoint:
     return FrequencyPoint(blocks=tuple(blocks))
 
 
-def _cmd_ft(cfg: ExperimentConfig) -> int:
-    sections = cfg.sections
+def _cmd_ft(cfg: ExperimentConfig):
     spec = _measure_from_config(cfg)
-    raw_dir = _get(sections, "ft", "direction")
+    raw_dir = _get(cfg, "ft", "direction")
     direction = _parse_direction(raw_dir) if raw_dir else _default_direction(spec)
     if not direction.matches(spec):
         raise UsageError("field [ft] direction: block shape does not match the measure")
 
-    radii = _get_floats(sections, "ft", "radii")
+    radii = _get_floats(cfg, "ft", "radii")
     if radii is None:
-        rmin = _get_float(sections, "ft", "rmin", required=True)
-        rmax = _get_float(sections, "ft", "rmax", required=True)
-        nradii = _get_int(sections, "ft", "nradii", 2000)
+        rmin = _get_float(cfg, "ft", "rmin", required=True)
+        rmax = _get_float(cfg, "ft", "rmax", required=True)
+        nradii = _get_int(cfg, "ft", "nradii", 2000)
         radii = tuple(np.geomspace(rmin, rmax, nradii))
 
     row = MEASURES[spec.kind]
-    method = _get(sections, "ft", "method", "mc" if row.closed_form is None else "closed")
-    if method not in _METHOD_KEYS:
-        raise UsageError(f"unknown ft method {method!r}")
-    read = {"kind", "direction", "method", *_METHOD_KEYS[method],
-            *(("radii",) if "radii" in sections["ft"] else ("rmin", "rmax", "nradii")),
-            *(_MEASURE_KEYS[name][0] for name in inspect.signature(row.make).parameters)}
-    for key in sorted(sections["ft"].keys() - read):
-        raise UsageError(f"field [ft] {key}: {spec.kind} by method {method} reads only "
-                         f"{', '.join(sorted(read))}")
+    method = _get(cfg, "ft", "method", "mc" if row.closed_form is None else "closed")
     if method == "closed":
         if row.closed_form is None:
             raise UsageError(f"no closed form for kind {spec.kind!r}; use method = mc")
         evaluator = lambda ps: [row.closed_form(spec, p) for p in ps]  # noqa: E731
     elif method == "quadrature":
         if not row.quadrature:
-            raise UsageError(f"bad [ft]: no quadrature oracle for kind {spec.kind!r}")
-        nodes = _get_int(sections, "ft", "nodes", 2048)
+            raise ValueError(f"no quadrature oracle for kind {spec.kind!r}")
+        nodes = _get_int(cfg, "ft", "nodes", 2048)
         evaluator = lambda ps: [ft_quadrature(spec, p.blocks[0], nodes) for p in ps]  # noqa: E731
-    else:  # mc
-        epsilon = _get_float(sections, "ft", "epsilon", 0.05)
-        samples = _get_int(sections, "ft", "samples", 10**6)
+    elif method == "mc":
+        epsilon = _get_float(cfg, "ft", "epsilon", 0.05)
+        samples = _get_int(cfg, "ft", "samples", 10**6)
         # one call per radius: perfbench's fourierlab.mc.samples adds the
         # `samples` argument of each call and its layer test pins that total,
         # so the ray goes in one call once the counter counts drawn samples
         evaluator = lambda ps: [  # noqa: E731
             ft_montecarlo(spec, [p], epsilon, samples, cfg.seed)[0] for p in ps
         ]
+    else:
+        raise UsageError(f"unknown ft method {method!r}")
 
-    try:
+    def job():
         report = decay_fit(evaluator, direction, radii, reference=spec.reference_exponent)
-    except ValueError as exc:
-        raise UsageError(f"bad [ft]: {exc}") from exc
+        dir_txt = "|".join(";".join(format_float(x) for x in b) for b in report.direction.blocks)
+        head = [
+            f"# kind={spec.kind}",
+            f"# d={spec.d}",
+            f"# method={method}",
+            f"# direction={dir_txt}",
+            f"# fitted_exponent={'' if report.fitted_exponent is None else format_float(report.fitted_exponent)}",
+            f"# stderr={'' if report.stderr is None else format_float(report.stderr)}",
+            f"# reference_exponent={format_float(report.reference_exponent)}",
+            f"# inconclusive={_fmt_bool(report.inconclusive)}",
+            "radius,magnitude,stderr",
+        ]
+        errs = report.mc_error_bars or (0.0,) * len(report.radii)
+        rows = [
+            f"{format_float(r)},{format_float(m)},{format_float(e)}"
+            for r, m, e in zip(report.radii, report.magnitudes, errs)
+        ]
+        name = f"ft_{spec.kind}_d{spec.d}_{method}_seed{cfg.seed}.csv"
+        exp_txt = "n/a" if report.fitted_exponent is None else f"{report.fitted_exponent:.4f}"
+        line = (f"ft: kind={spec.kind} d={spec.d} method={method} exponent={exp_txt} "
+                f"reference={report.reference_exponent:g} -> {cfg.out_dir / name}")
+        return {name: "\n".join(head + rows) + "\n"}, line, 1 if report.inconclusive else 0
 
-    dir_txt = "|".join(";".join(format_float(x) for x in b) for b in report.direction.blocks)
-    head = [
-        f"# kind={spec.kind}",
-        f"# d={spec.d}",
-        f"# method={method}",
-        f"# direction={dir_txt}",
-        f"# fitted_exponent={'' if report.fitted_exponent is None else format_float(report.fitted_exponent)}",
-        f"# stderr={'' if report.stderr is None else format_float(report.stderr)}",
-        f"# reference_exponent={format_float(report.reference_exponent)}",
-        f"# inconclusive={_fmt_bool(report.inconclusive)}",
-        "radius,magnitude,stderr",
-    ]
-    errs = report.mc_error_bars or (0.0,) * len(report.radii)
-    rows = [
-        f"{format_float(r)},{format_float(m)},{format_float(e)}"
-        for r, m, e in zip(report.radii, report.magnitudes, errs)
-    ]
-    path = cfg.out_dir / f"ft_{spec.kind}_d{spec.d}_{method}_seed{cfg.seed}.csv"
-    _write_text(path, "\n".join(head + rows) + "\n")
-
-    exp_txt = "n/a" if report.fitted_exponent is None else f"{report.fitted_exponent:.4f}"
-    print(
-        f"ft: kind={spec.kind} d={spec.d} method={method} exponent={exp_txt} "
-        f"reference={report.reference_exponent:g} -> {path}"
-    )
-    return 1 if report.inconclusive else 0
+    return job
 
 
 def _rotated_block_form(d: int):
     """The nondegenerate paired form sum_j (x_{2j-1} y_{2j} - x_{2j} y_{2j-1})
-    on R^{2d}; defined for even d."""
-    if d % 2 != 0:
-        raise UsageError("the rotated block form exists for even d only")
+    on R^{2d}; defined for even d >= 2."""
+    if d < 2 or d % 2 != 0:
+        raise ValueError("the rotated block form needs even d >= 2")
 
     def F(z: np.ndarray) -> float:
         x, y = z[:d], z[d:]
@@ -664,90 +619,112 @@ def _rotated_block_form(d: int):
     return F, x0
 
 
-def _cmd_curvature(cfg: ExperimentConfig) -> int:
-    sections = cfg.sections
-    check = _get(sections, "curvature", "check", "suite")
-    d = _get_int(sections, "curvature", "d", 3)
-    lines = [f"curvature certificates (d={d})"]
-
-    if check in ("circulant", "suite"):
-        value = circulant_check(d)
-        lines.append(f"circulant_det = {format_float(value)}")
-        lines.append(f"circulant_nonzero = {_fmt_bool(value != 0.0)}")
-    if check in ("detform", "suite"):
-        if d % 2 == 0:
-            F, x0 = _rotated_block_form(d)
-            eigs = level_set_curvatures(F, 1.0, x0)
-            lines.append(
-                "detform_eigs = " + ";".join(format_float(x) for x in eigs)
-            )
-            lines.append(f"detform_nonzero = {nonzero_curvature_count(eigs)} of {2 * d - 1}")
-        else:
-            lines.append("detform_eigs = skipped (rotated form needs even d)")
-    if check in ("phase", "suite"):
-        if d >= 3:
-            eta = np.zeros(d)
-            eta[0], eta[-1] = 0.9, 0.3
-            xi = np.zeros(d)
-            xi[-1], xi[0] = 0.5, 0.2
-            _, rank_generic = phase_hessian(d, xi, eta)
-            _, rank_plane = phase_hessian(d, phase_plane_xi(eta, d), eta)
-            a, b, c = phase_plane_form()
-            disc = phase_plane_discriminant()
-            lines.append(f"phase_rank_generic = {rank_generic} (floor {2 * (d - 2)})")
-            lines.append(f"phase_rank_on_plane = {rank_plane} (floor {d - 1})")
-            lines.append(
-                "phase_plane_form = "
-                + ";".join(format_float(x) for x in (a, b, c))
-            )
-            lines.append(f"phase_plane_discriminant = {format_float(disc)}")
-            lines.append(f"phase_plane_discriminant_sign = {'+' if disc > 0 else '-'}")
-        else:
-            lines.append("phase_hessian = skipped (needs d >= 3)")
+def _cmd_curvature(cfg: ExperimentConfig):
+    check = _get(cfg, "curvature", "check", "suite")
+    d = _get_int(cfg, "curvature", "d", 3)
     if check not in ("circulant", "detform", "phase", "suite"):
         raise UsageError(f"unknown curvature check {check!r}")
 
-    path = cfg.out_dir / f"curvature_{check}_d{d}.txt"
-    _write_text(path, "\n".join(lines) + "\n")
-    print(f"curvature: check={check} d={d} -> {path}")
-    return 0
+    def job():
+        lines = [f"curvature certificates (d={d})"]
+        if check in ("circulant", "suite"):
+            value = circulant_check(d)
+            lines.append(f"circulant_det = {format_float(value)}")
+            lines.append(f"circulant_nonzero = {_fmt_bool(value != 0.0)}")
+        if check in ("detform", "suite"):
+            if d % 2 == 0:
+                F, x0 = _rotated_block_form(d)
+                eigs = level_set_curvatures(F, 1.0, x0)
+                lines.append(
+                    "detform_eigs = " + ";".join(format_float(x) for x in eigs)
+                )
+                lines.append(f"detform_nonzero = {nonzero_curvature_count(eigs)} of {2 * d - 1}")
+            else:
+                lines.append("detform_eigs = skipped (rotated form needs even d)")
+        if check in ("phase", "suite"):
+            if d >= 3:
+                eta = np.zeros(d)
+                eta[0], eta[-1] = 0.9, 0.3
+                xi = np.zeros(d)
+                xi[-1], xi[0] = 0.5, 0.2
+                _, rank_generic = phase_hessian(d, xi, eta)
+                _, rank_plane = phase_hessian(d, phase_plane_xi(eta, d), eta)
+                a, b, c = phase_plane_form()
+                disc = phase_plane_discriminant()
+                lines.append(f"phase_rank_generic = {rank_generic} (floor {2 * (d - 2)})")
+                lines.append(f"phase_rank_on_plane = {rank_plane} (floor {d - 1})")
+                lines.append(
+                    "phase_plane_form = "
+                    + ";".join(format_float(x) for x in (a, b, c))
+                )
+                lines.append(f"phase_plane_discriminant = {format_float(disc)}")
+                lines.append(f"phase_plane_discriminant_sign = {'+' if disc > 0 else '-'}")
+            else:
+                lines.append("phase_hessian = skipped (needs d >= 3)")
+        name = f"curvature_{check}_d{d}.txt"
+        return {name: "\n".join(lines) + "\n"}, f"curvature: check={check} d={d} -> {cfg.out_dir / name}", 0
+
+    return job
 
 
-def _cmd_dim(cfg: ExperimentConfig) -> int:
+def _cmd_dim(cfg: ExperimentConfig):
     ps = _load_points(cfg)
-    scales = _get_floats(cfg.sections, "dim", "scales", required=True)
-    try:
+    scales = _get_floats(cfg, "dim", "scales", required=True)
+
+    def job():
         report = box_dim(ps, scales)
-    except ValueError as exc:
-        raise UsageError(f"bad [dim]: {exc}") from exc
-    head = [
-        f"# slope={format_float(report.slope)}",
-        f"# stderr={format_float(report.stderr)}",
-        f"# degenerate={_fmt_bool(report.degenerate)}",
-        "scale,count",
-    ]
-    rows = [f"{format_float(s)},{c}" for s, c in zip(report.scales, report.counts)]
-    tag = f"{ps.meta.generator}_d{ps.dim}_n{ps.n}_seed{cfg.seed}"
-    path = cfg.out_dir / f"dim_{tag}.csv"
-    _write_text(path, "\n".join(head + rows) + "\n")
-    print(f"dim: n={ps.n} slope={report.slope:.4f} degenerate={report.degenerate} -> {path}")
-    return 0
+        head = [
+            f"# slope={format_float(report.slope)}",
+            f"# stderr={format_float(report.stderr)}",
+            f"# degenerate={_fmt_bool(report.degenerate)}",
+            "scale,count",
+        ]
+        rows = [f"{format_float(s)},{c}" for s, c in zip(report.scales, report.counts)]
+        name = f"dim_{ps.meta.generator}_d{ps.dim}_n{ps.n}_seed{cfg.seed}.csv"
+        line = f"dim: n={ps.n} slope={report.slope:.4f} degenerate={report.degenerate} -> {cfg.out_dir / name}"
+        return {name: "\n".join(head + rows) + "\n"}, line, 0
+
+    return job
 
 
-_DISPATCH = {
-    "gen": _cmd_gen,
-    "energy": _cmd_energy,
-    "count": _cmd_count,
-    "scan": _cmd_scan,
-    "ft": _cmd_ft,
-    "curvature": _cmd_curvature,
-    "dim": _cmd_dim,
+# command -> (the section its ValueErrors are reported under, its parse function)
+COMMANDS = {
+    "gen": ("generator", _cmd_gen),
+    "energy": ("energy", _cmd_energy),
+    "count": ("query", _cmd_count),
+    "scan": ("scan", _cmd_scan),
+    "ft": ("ft", _cmd_ft),
+    "curvature": ("curvature", _cmd_curvature),
+    "dim": ("dim", _cmd_dim),
 }
 
 
+def _refuse_unread(cfg: ExperimentConfig) -> None:
+    """A usage error for the first key, in sorted order, that the command did
+    not ask for."""
+    for section in sorted(cfg.sections):
+        for key in sorted(cfg.sections[section]):
+            if (section, key) not in cfg.read:
+                asked = sorted(k for s, k in cfg.read if s == section)
+                scope = f"[{section}]" if section else "top-level"
+                raise UsageError(f"field {_name(section, key)}: {cfg.command} does not read it "
+                                 f"(it reads {scope} keys: {', '.join(asked) or 'none'})")
+
+
 def run(cfg: ExperimentConfig) -> int:
-    """Run one command; the manifest is written only after it returns."""
-    code = _DISPATCH[cfg.command](cfg)
+    """Parse the command's keys, refuse any key it did not ask for, run its
+    job, then write the reports, print the summary line and write the
+    manifest.  A ValueError from parse or job is a usage error."""
+    section, parse = COMMANDS[cfg.command]
+    try:
+        job = parse(cfg)
+        _refuse_unread(cfg)
+        files, line, code = job()
+    except ValueError as exc:
+        raise UsageError(f"bad [{section}]: {exc}") from exc
+    for name, body in files.items():
+        _write_text(cfg.out_dir / name, body)
+    print(line)
     _write_manifest(cfg)
     return code
 

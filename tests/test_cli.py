@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from configeo import cli
 from configeo.cli import (
     UsageError,
     main,
@@ -100,7 +101,7 @@ def _write_square(tmp_path):
 def test_scan_coplanar_volume_inconclusive_exit_1(tmp_path):
     out = tmp_path / "out"
     code = main(
-        ["scan", "--kind", "coplanar", "--d", "3", "--family", "volume", "--k", "3",
+        ["scan", "--kind", "coplanar", "--d", "3", "--family", "volume",
          "--schedule", "20;40;80", "--s", "2", "--t", "0.2", "--delta", "0.05",
          "--out", str(out), "--seed", "1"]
     )
@@ -219,6 +220,20 @@ def test_manifest_written(tmp_path):
     assert "query.family = simplex" in manifest
 
 
+def test_manifest_lists_only_keys_the_command_read(tmp_path):
+    pts = _write_square(tmp_path)
+    out = tmp_path / "out"
+    cfg = parse_config(["count", "--input", str(pts), "--family", "simplex", "--k", "1",
+                        "--t", "1", "--delta", "0.01", "--out", str(out), "--seed", "11"])
+    assert run(cfg) == 0
+    lines = (out / "count_manifest.txt").read_text().splitlines()
+    assert lines[0].startswith("tool = configeo ")
+    keys = {line.split(" = ")[0] for line in lines[1:]}
+    assert keys <= {f"{section}.{key}" if section else key for section, key in cfg.read}
+    assert keys == {"algorithm", "command", "out", "seed", "input",
+                    "query.delta", "query.family", "query.k", "query.t"}
+
+
 def test_rerun_byte_identical(tmp_path):
     pts = _write_square(tmp_path)
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -247,6 +262,7 @@ def test_config_file_with_flag_override(tmp_path):
 
 FT_SPHERE = ["ft", "--kind", "sphere", "--d", "3", "--rmin", "1", "--rmax", "20"]
 FT_CHAIN = ["ft", "--kind", "chain_spheres", "--d", "3", "--rmin", "1", "--rmax", "20", "--nradii", "6"]
+SCAN_D2 = ["scan", "--kind", "uniform_random", "--d", "2", "--schedule", "20;40;80", "--s", "2"]
 COUNT_LATTICE = ["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "simplex",
                  "--k", "1", "--t", "0.5", "--delta", "0.1"]
 BAD_INPUTS = [
@@ -256,7 +272,8 @@ BAD_INPUTS = [
     (["ft", "--kind", "triangle2d", "--method", "quadrature", "--rmin", "1", "--rmax", "20",
       "--nradii", "6"], "bad [ft]: no quadrature oracle"),
     (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid=-1;1"], "bad [energy]: "),
-    (COUNT_LATTICE + ["--r", "0.3"], "field [generator] r: lattice reads only kind, d, m"),
+    (COUNT_LATTICE + ["--r", "0.3"],
+     "field [generator] r: count does not read it (it reads [generator] keys: d, kind, m)"),
     (COUNT_LATTICE + ["--jitter", "0.1"], "field [generator] jitter"),
     (COUNT_LATTICE + ["--n", "99"], "field [generator] n"),
     (["count", "--kind", "uniform_random", "--d", "2", "--n", "9", "--jitter", "0.1", "--family",
@@ -273,15 +290,55 @@ BAD_INPUTS = [
      "input and [generator] m both name a point set"),
     (["scan", "--input", "points.txt", "--kind", "lattice", "--d", "2", "--family", "simplex",
       "--k", "1", "--schedule", "100;400;1600", "--s", "2", "--t", "0.5"],
-     "input: scan reads no point-set file"),
+     "field input: scan does not read it (it reads top-level keys: algorithm, command, out, seed)"),
     (["gen", "--input", "points.txt", "--kind", "lattice", "--d", "2", "--m", "3"],
-     "input: gen reads no point-set file"),
+     "field input: gen does not read it (it reads top-level keys: algorithm, command, out, seed)"),
     (["ft", "--kind", "triangle2d", "--d", "5", "--rmin", "1", "--rmax", "20"],
-     "field [ft] d: triangle2d by method closed reads only"),
+     "field [ft] d: ft does not read it (it reads [ft] keys: direction, kind, method, nradii, radii, "
+     "rmax, rmin)"),
     (FT_SPHERE + ["--epsilon", "0.01", "--samples", "5"],
-     "field [ft] epsilon: sphere by method closed reads only"),
-    (FT_SPHERE + ["--radii", "1;2;5;10;20;50"], "field [ft] rmax: sphere by method closed reads only"),
+     "field [ft] epsilon: ft does not read it (it reads [ft] keys: d, direction, kind, method, "
+     "nradii, radii, rmax, rmin)"),
+    (FT_SPHERE + ["--radii", "1;2;5;10;20;50"],
+     "field [ft] rmax: ft does not read it (it reads [ft] keys: d, direction, kind, method, radii)"),
+    # the family fixes k, and a grid of s replaces s
+    (["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "volume", "--k", "5",
+      "--t", "0.5", "--delta", "0.1"],
+     "field [query] k: count does not read it (it reads [query] keys: convention, delta, family, t)"),
+    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "1", "--s-grid", "1;2"],
+     "field [energy] s: energy does not read it (it reads [energy] keys: c, s_grid)"),
+    (["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "custom", "--t", "0.5",
+      "--delta", "0.1"], "bad [query]: family 'custom' is not one of simplex, volume, area2, angle"),
+    (SCAN_D2 + ["--family", "custom"],
+     "bad [scan]: family 'custom' is not one of simplex, volume, area2, angle"),
+    (["curvature", "--d", "1"], "bad [curvature]: need d >= 2"),
+    (["curvature", "--d", "0"], "bad [curvature]: need d >= 2"),
+    (["curvature", "--d=-2"], "bad [curvature]: need d >= 2"),
+    (["curvature", "--check", "detform", "--d", "0"],
+     "bad [curvature]: the rotated block form needs even d >= 2"),
 ]
+
+# config files with keys their command does not read: (body, message)
+UNREAD_CONFIGS = [
+    (COUNT_CFG + "bogus = 7\n",
+     "field [query] bogus: count does not read it (it reads [query] keys: convention, delta, family, "
+     "k, t)"),
+    (COUNT_CFG + "bogus = 7\n[energy]\ns = 1\n",
+     "field [energy] s: count does not read it (it reads [energy] keys: none)"),
+    ("colour = red\n" + COUNT_CFG,
+     "field colour: count does not read it (it reads top-level keys: algorithm, command, input, out, "
+     "seed)"),
+    ("command = dim\n[generator]\nkind = lattice\nd = 2\nm = 4\n[dim]\nscales = 0.5;0.25;0.125\n"
+     "foo = 1\n", "field [dim] foo: dim does not read it (it reads [dim] keys: scales)"),
+]
+
+
+def _bad_inputs(tmp_path):
+    """BAD_INPUTS plus one `run --config` argv per UNREAD_CONFIGS body."""
+    return BAD_INPUTS + [
+        (["run", "--config", str(_write(tmp_path, f"unread{i}.cfg", body))], message)
+        for i, (body, message) in enumerate(UNREAD_CONFIGS)
+    ]
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -295,8 +352,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     unseeded = _write(tmp_path, "unseeded.cfg", "command = gen\n[generator]\nkind = lattice\n"
                                                 "d = 2\nm = 3\nseed = 5\n")
     assert main(["run", "--config", str(unseeded), "--out", str(tmp_path)]) == 2
-    assert "field [generator] seed: lattice reads only" in capsys.readouterr().err
-    for argv, message in BAD_INPUTS:
+    assert ("field [generator] seed: gen does not read it (it reads [generator] keys: d, kind, m)"
+            in capsys.readouterr().err)
+    for argv, message in _bad_inputs(tmp_path):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2, argv
         assert f"configeo: error: {message}" in capsys.readouterr().err, argv
 
@@ -307,12 +365,29 @@ def test_failed_command_leaves_no_artefacts(tmp_path):
     assert main(["count", "--family", "simplex", "--out", str(out)]) == 2
     assert main(["scan", "--kind", "uniform_random", "--d", "2", "--family", "simplex",
                  "--k", "3", "--schedule", "20;40;80", "--out", str(out)]) == 2
-    for argv, _ in BAD_INPUTS:
+    for argv, _ in _bad_inputs(tmp_path):
         assert main(argv + ["--out", str(out)]) == 2, argv
     assert list(out.iterdir()) == []
 
 
-SCAN_D2 = ["scan", "--kind", "uniform_random", "--d", "2", "--schedule", "20;40;80", "--s", "2"]
+@pytest.mark.parametrize("argv,kernel", [
+    (COUNT_LATTICE + ["--r", "0.3"], "run_query"),
+    (SCAN_D2 + ["--family", "angle", "--k", "3"], "run_scan"),
+    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "1", "--s-grid", "1;2"],
+     "energy_profile"),
+    (FT_CHAIN + ["--nodes", "64"], "decay_fit"),
+    (["dim", "--kind", "lattice", "--d", "2", "--m", "4", "--n", "9", "--scales", "0.5;0.25;0.125"],
+     "box_dim"),
+    (["curvature", "--input", "points.txt"], "circulant_check"),
+])
+def test_unread_key_refused_before_the_kernel_runs(tmp_path, monkeypatch, argv, kernel):
+    calls = []
+    original = getattr(cli, kernel)
+    monkeypatch.setattr(cli, kernel, lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
 
 
 def test_scan_usage_errors_exit_2(tmp_path):
@@ -325,10 +400,13 @@ def test_scan_usage_errors_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("family", ["volume", "area2", "angle"])
-def test_scan_takes_k_from_the_family(tmp_path, family):
+def test_scan_takes_k_from_the_family(tmp_path, capsys, family):
     out = tmp_path / "out"
-    # a stray --k is ignored, as count ignores it
-    assert main(SCAN_D2 + ["--family", family, "--k", "3", "--out", str(out)]) in (0, 1)
+    # the family fixes k, so the scan does not read a --k
+    assert main(SCAN_D2 + ["--family", family, "--k", "3", "--out", str(out)]) == 2
+    assert "field [scan] k: scan does not read it" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(SCAN_D2 + ["--family", family, "--out", str(out)]) in (0, 1)
     assert (out / f"scan_{family}_k2_d2_s2_seed0.txt").exists()
 
 
