@@ -12,30 +12,26 @@ present in the configuration that the command did not ask for: an unread key
 is a usage error, checked before any kernel runs and before any file is
 written.  The manifest therefore lists only keys the command read.
 
+A command's job hands values to one report writer and formats none itself:
+`_fmt` renders a value, `_csv` writes a CSV report and `_text` a `key = value`
+report or the manifest.
+
 Exit codes: 0 success, 1 infeasible/inconclusive result, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .configcount import (
-    COUNT_CSV_HEADER,
-    ConfigQuery,
-    box_dim,
-    count_report_row,
-    family_row,
-    run_query,
-)
+from .configcount import ConfigQuery, box_dim, family_row, run_query
 from .energy import DEFAULT_ADAPTABILITY_C, energy_profile
 from .errors import ConfigeoError, InfeasibleError
 from .expfit import ScanSpec, run_scan
@@ -53,6 +49,7 @@ from .fourierlab import (
     phase_plane_discriminant,
     phase_plane_form,
     phase_plane_xi,
+    rotated_block_form,
 )
 from .pointgen import (GENERATORS, GeneratorSpec, PointSet, format_float, format_pointset,
                        generate, load_pointset)
@@ -83,7 +80,7 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: Path = Path("reports")
     algorithm: str = "pruned"
-    read: set[tuple[str, str]] = dataclasses.field(default_factory=set)
+    read: set[tuple[str, str]] = field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +280,12 @@ def parse_config(argv=None) -> ExperimentConfig:
         if cfg.command not in COMMANDS:
             raise UsageError(f"config names unknown command {cfg.command!r}")
     seed = ns.seed if ns.seed is not None else _get_int(cfg, "", "seed")
-    cfg.seed = seed if seed is not None else int(os.environ.get(ENV_SEED, "0"))
+    if seed is None:
+        try:
+            seed = int(os.environ.get(ENV_SEED, "0"))
+        except ValueError:
+            raise UsageError(f"{ENV_SEED}: expected integer, got {os.environ[ENV_SEED]!r}") from None
+    cfg.seed = seed
 
     for (section, key), why in _REMOVED_KEYS.items():
         if key in sections.get(section, {}):
@@ -310,15 +312,48 @@ def _write_text(path: Path, body: str) -> None:
         fh.write(body)
 
 
-def _write_manifest(cfg: ExperimentConfig) -> Path:
-    lines = [f"tool = configeo {__version__}"]
-    for section in sorted(cfg.sections):
-        for key in sorted(cfg.sections[section]):
-            name = f"{section}.{key}" if section else key
-            lines.append(f"{name} = {cfg.sections[section][key]}")
-    path = cfg.out_dir / f"{cfg.command}_manifest.txt"
-    _write_text(path, "\n".join(lines) + "\n")
-    return path
+def _write_manifest(cfg: ExperimentConfig) -> None:
+    items = [(f"{section}.{key}" if section else key, cfg.sections[section][key])
+             for section in sorted(cfg.sections) for key in sorted(cfg.sections[section])]
+    body = _text(f"tool = configeo {__version__}", items)
+    _write_text(cfg.out_dir / f"{cfg.command}_manifest.txt", body)
+
+
+def _fmt(value) -> str:
+    """One report value: None (a missing fit) as an empty field, a bool as
+    true/false, a float to 17 significant digits, a frequency point as its
+    blocks joined by '|', a tuple or array as its items joined by ';',
+    anything else by str."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    if isinstance(value, FrequencyPoint):
+        return "|".join(map(_fmt, value.blocks))
+    if isinstance(value, (tuple, np.ndarray)):
+        return ";".join(map(_fmt, value))
+    return str(value)
+
+
+def _csv(header: str, rows, **meta) -> str:
+    """A CSV report: one `# key=value` line per meta item, the header line,
+    then one line per row of values."""
+    lines = [f"# {key}={_fmt(value)}" for key, value in meta.items()] + [header]
+    lines += [",".join(map(_fmt, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _text(title: str, items, rows=None) -> str:
+    """A text report: the title line, one `key = value` line per (key,
+    value) item, then when rows are given a `rows:` line and one indented
+    `key=value ...` line per row (a dict)."""
+    lines = [title] + [f"{key} = {_fmt(value)}" for key, value in items]
+    if rows is not None:
+        lines += ["rows:"] + ["  " + " ".join(f"{key}={_fmt(value)}" for key, value in row.items())
+                              for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _load_points(cfg: ExperimentConfig) -> PointSet:
@@ -369,10 +404,6 @@ def _generator_spec(cfg: ExperimentConfig, sized: bool) -> GeneratorSpec:
     return GeneratorSpec.make(kind, **params)
 
 
-def _fmt_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
 # ---------------------------------------------------------------------------
 # commands: each parses its keys and returns its job; the job returns
 # ({report file name: body}, summary line, exit code)
@@ -398,16 +429,11 @@ def _cmd_energy(cfg: ExperimentConfig):
 
     def job():
         values = energy_profile(ps, grid)
-        rows = ["s,n,value,adaptable_at,verdict"]
-        for s, value in values:
-            rows.append(
-                f"{format_float(s)},{ps.n},{format_float(value)},"
-                f"{format_float(c_level)},{_fmt_bool(value <= c_level)}"
-            )
+        rows = [(s, ps.n, value, c_level, value <= c_level) for s, value in values]
         name = f"energy_{ps.meta.generator}_d{ps.dim}_n{ps.n}_seed{cfg.seed}.csv"
         last = values[-1]
         line = f"energy: n={ps.n} s={last[0]:g} value={last[1]:.6g} C={c_level:g} -> {cfg.out_dir / name}"
-        return {name: "\n".join(rows) + "\n"}, line, 0
+        return {name: _csv("s,n,value,adaptable_at,verdict", rows)}, line, 0
 
     return job
 
@@ -428,20 +454,16 @@ def _cmd_count(cfg: ExperimentConfig):
 
     def job():
         report = run_query(ps, query, algorithm=cfg.algorithm)
-        if report.seed is None:
-            report = dataclasses.replace(report, seed=cfg.seed)
-        body = "\n".join(
-            [
-                f"# generator={ps.meta.generator}",
-                f"# seed={cfg.seed}",
-                COUNT_CSV_HEADER,
-                count_report_row(report),
-            ]
-        )
+        seed = cfg.seed if ps.meta.seed is None else ps.meta.seed
+        # elapsed_seconds is left empty so identical runs write identical bytes
+        row = (query.family, query.k, ps.dim, ps.n, query.t, query.delta, report.count,
+               report.algorithm, None, seed)
+        body = _csv("family,k,d,n,t,delta,count,algorithm,elapsed_seconds,seed", [row],
+                    generator=ps.meta.generator, seed=cfg.seed)
         name = f"count_{query.family}_k{query.k}_d{ps.dim}_seed{cfg.seed}.csv"
         line = (f"count: family={query.family} k={query.k} n={ps.n} count={report.count} "
                 f"algorithm={report.algorithm} elapsed={report.elapsed_seconds:.3f}s -> {cfg.out_dir / name}")
-        return {name: body + "\n"}, line, 0
+        return {name: body}, line, 0
 
     return job
 
@@ -466,33 +488,18 @@ def _cmd_scan(cfg: ExperimentConfig):
 
     def job():
         report = run_scan(spec)
-        base = f"scan_{report.family}_k{report.k}_d{report.d}_s{format_float(report.s)}_seed{report.seed}"
-        csv_rows = ["n,delta,count"] + [
-            f"{r.n},{format_float(r.delta)},{r.count}" for r in report.rows
-        ]
-        txt = [
-            "scan report",
-            f"family = {report.family}",
-            f"k = {report.k}",
-            f"d = {report.d}",
-            f"s = {format_float(report.s)}",
-            f"seed = {report.seed}",
-            f"t = {';'.join(format_float(x) for x in report.t)}",
-            f"predicted_exponent = {format_float(report.predicted)}",
-            f"fitted_slope = {'' if report.fitted_slope is None else format_float(report.fitted_slope)}",
-            f"stderr = {'' if report.stderr is None else format_float(report.stderr)}",
-            f"verdict = {report.verdict}",
-            "rows:",
-        ]
-        for r, e in zip(report.rows, report.energy):
-            txt.append(
-                f"  n={r.n} delta={format_float(r.delta)} count={r.count} "
-                f"energy={format_float(e.value)} adaptable={_fmt_bool(e.verdict)}"
-            )
+        base = f"scan_{report.family}_k{report.k}_d{report.d}_s{_fmt(report.s)}_seed{report.seed}"
+        items = [("family", report.family), ("k", report.k), ("d", report.d), ("s", report.s),
+                 ("seed", report.seed), ("t", report.t), ("predicted_exponent", report.predicted),
+                 ("fitted_slope", report.fitted_slope), ("stderr", report.stderr),
+                 ("verdict", report.verdict)]
+        rows = [dict(n=r.n, delta=r.delta, count=r.count, energy=e.value, adaptable=e.verdict)
+                for r, e in zip(report.rows, report.energy)]
         slope_txt = "n/a" if report.fitted_slope is None else f"{report.fitted_slope:.4f}"
         line = (f"scan: family={report.family} k={report.k} d={report.d} slope={slope_txt} "
                 f"predicted={report.predicted:.4f} verdict={report.verdict} -> {cfg.out_dir / base}.txt")
-        files = {f"{base}.csv": "\n".join(csv_rows) + "\n", f"{base}.txt": "\n".join(txt) + "\n"}
+        files = {f"{base}.csv": _csv("n,delta,count", ((r.n, r.delta, r.count) for r in report.rows)),
+                 f"{base}.txt": _text("scan report", items, rows)}
         return files, line, 1 if report.verdict == "inconclusive" else 0
 
     return job
@@ -574,49 +581,18 @@ def _cmd_ft(cfg: ExperimentConfig):
 
     def job():
         report = decay_fit(evaluator, direction, radii, reference=spec.reference_exponent)
-        dir_txt = "|".join(";".join(format_float(x) for x in b) for b in report.direction.blocks)
-        head = [
-            f"# kind={spec.kind}",
-            f"# d={spec.d}",
-            f"# method={method}",
-            f"# direction={dir_txt}",
-            f"# fitted_exponent={'' if report.fitted_exponent is None else format_float(report.fitted_exponent)}",
-            f"# stderr={'' if report.stderr is None else format_float(report.stderr)}",
-            f"# reference_exponent={format_float(report.reference_exponent)}",
-            f"# inconclusive={_fmt_bool(report.inconclusive)}",
-            "radius,magnitude,stderr",
-        ]
         errs = report.mc_error_bars or (0.0,) * len(report.radii)
-        rows = [
-            f"{format_float(r)},{format_float(m)},{format_float(e)}"
-            for r, m, e in zip(report.radii, report.magnitudes, errs)
-        ]
+        body = _csv("radius,magnitude,stderr", zip(report.radii, report.magnitudes, errs),
+                    kind=spec.kind, d=spec.d, method=method, direction=report.direction,
+                    fitted_exponent=report.fitted_exponent, stderr=report.stderr,
+                    reference_exponent=report.reference_exponent, inconclusive=report.inconclusive)
         name = f"ft_{spec.kind}_d{spec.d}_{method}_seed{cfg.seed}.csv"
         exp_txt = "n/a" if report.fitted_exponent is None else f"{report.fitted_exponent:.4f}"
         line = (f"ft: kind={spec.kind} d={spec.d} method={method} exponent={exp_txt} "
                 f"reference={report.reference_exponent:g} -> {cfg.out_dir / name}")
-        return {name: "\n".join(head + rows) + "\n"}, line, 1 if report.inconclusive else 0
+        return {name: body}, line, 1 if report.inconclusive else 0
 
     return job
-
-
-def _rotated_block_form(d: int):
-    """The nondegenerate paired form sum_j (x_{2j-1} y_{2j} - x_{2j} y_{2j-1})
-    on R^{2d}; defined for even d >= 2."""
-    if d < 2 or d % 2 != 0:
-        raise ValueError("the rotated block form needs even d >= 2")
-
-    def F(z: np.ndarray) -> float:
-        x, y = z[:d], z[d:]
-        total = 0.0
-        for j in range(0, d, 2):
-            total += x[j] * y[j + 1] - x[j + 1] * y[j]
-        return total
-
-    x0 = np.zeros(2 * d)
-    x0[0] = 1.0
-    x0[d + 1] = 1.0
-    return F, x0
 
 
 def _cmd_curvature(cfg: ExperimentConfig):
@@ -626,21 +602,18 @@ def _cmd_curvature(cfg: ExperimentConfig):
         raise UsageError(f"unknown curvature check {check!r}")
 
     def job():
-        lines = [f"curvature certificates (d={d})"]
+        items = []
         if check in ("circulant", "suite"):
             value = circulant_check(d)
-            lines.append(f"circulant_det = {format_float(value)}")
-            lines.append(f"circulant_nonzero = {_fmt_bool(value != 0.0)}")
+            items += [("circulant_det", value), ("circulant_nonzero", value != 0.0)]
         if check in ("detform", "suite"):
             if d % 2 == 0:
-                F, x0 = _rotated_block_form(d)
+                F, x0 = rotated_block_form(d)
                 eigs = level_set_curvatures(F, 1.0, x0)
-                lines.append(
-                    "detform_eigs = " + ";".join(format_float(x) for x in eigs)
-                )
-                lines.append(f"detform_nonzero = {nonzero_curvature_count(eigs)} of {2 * d - 1}")
+                items += [("detform_eigs", eigs),
+                          ("detform_nonzero", f"{nonzero_curvature_count(eigs)} of {2 * d - 1}")]
             else:
-                lines.append("detform_eigs = skipped (rotated form needs even d)")
+                items.append(("detform_eigs", "skipped (rotated form needs even d)"))
         if check in ("phase", "suite"):
             if d >= 3:
                 eta = np.zeros(d)
@@ -649,20 +622,17 @@ def _cmd_curvature(cfg: ExperimentConfig):
                 xi[-1], xi[0] = 0.5, 0.2
                 _, rank_generic = phase_hessian(d, xi, eta)
                 _, rank_plane = phase_hessian(d, phase_plane_xi(eta, d), eta)
-                a, b, c = phase_plane_form()
                 disc = phase_plane_discriminant()
-                lines.append(f"phase_rank_generic = {rank_generic} (floor {2 * (d - 2)})")
-                lines.append(f"phase_rank_on_plane = {rank_plane} (floor {d - 1})")
-                lines.append(
-                    "phase_plane_form = "
-                    + ";".join(format_float(x) for x in (a, b, c))
-                )
-                lines.append(f"phase_plane_discriminant = {format_float(disc)}")
-                lines.append(f"phase_plane_discriminant_sign = {'+' if disc > 0 else '-'}")
+                items += [("phase_rank_generic", f"{rank_generic} (floor {2 * (d - 2)})"),
+                          ("phase_rank_on_plane", f"{rank_plane} (floor {d - 1})"),
+                          ("phase_plane_form", tuple(phase_plane_form())),
+                          ("phase_plane_discriminant", disc),
+                          ("phase_plane_discriminant_sign", "+" if disc > 0 else "-")]
             else:
-                lines.append("phase_hessian = skipped (needs d >= 3)")
+                items.append(("phase_hessian", "skipped (needs d >= 3)"))
         name = f"curvature_{check}_d{d}.txt"
-        return {name: "\n".join(lines) + "\n"}, f"curvature: check={check} d={d} -> {cfg.out_dir / name}", 0
+        body = _text(f"curvature certificates (d={d})", items)
+        return {name: body}, f"curvature: check={check} d={d} -> {cfg.out_dir / name}", 0
 
     return job
 
@@ -673,16 +643,11 @@ def _cmd_dim(cfg: ExperimentConfig):
 
     def job():
         report = box_dim(ps, scales)
-        head = [
-            f"# slope={format_float(report.slope)}",
-            f"# stderr={format_float(report.stderr)}",
-            f"# degenerate={_fmt_bool(report.degenerate)}",
-            "scale,count",
-        ]
-        rows = [f"{format_float(s)},{c}" for s, c in zip(report.scales, report.counts)]
+        body = _csv("scale,count", zip(report.scales, report.counts), slope=report.slope,
+                    stderr=report.stderr, degenerate=report.degenerate)
         name = f"dim_{ps.meta.generator}_d{ps.dim}_n{ps.n}_seed{cfg.seed}.csv"
         line = f"dim: n={ps.n} slope={report.slope:.4f} degenerate={report.degenerate} -> {cfg.out_dir / name}"
-        return {name: "\n".join(head + rows) + "\n"}, line, 0
+        return {name: body}, line, 0
 
     return job
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from ._ols import ols_loglog
 from .errors import CapacityError
-from .pointgen import PointSet, format_float
+from .pointgen import PointSet
 
 BRUTE_EVAL_BUDGET = 10**9
 SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
@@ -148,18 +148,13 @@ class ConfigQuery:
 
 @dataclass(frozen=True)
 class CountReport:
-    """Result of one counting run.
-
-    d and seed are carried for serialization (the CSV schema reports them).
-    """
+    """Result of one counting run."""
 
     query: ConfigQuery
     n: int
     count: int
     algorithm: str
     elapsed_seconds: float
-    d: int
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -188,31 +183,6 @@ class BoxDimReport:
     slope: float
     stderr: float
     degenerate: bool
-
-
-COUNT_CSV_HEADER = "family,k,d,n,t,delta,count,algorithm,elapsed_seconds,seed"
-
-
-def count_report_row(report: CountReport) -> str:
-    """One CSV row per run.  The volatile elapsed_seconds field is left empty
-    so identical runs serialize byte-identically."""
-    q = report.query
-    tfield = ";".join(format_float(x) for x in q.t)
-    seed = "" if report.seed is None else str(report.seed)
-    return ",".join(
-        [
-            q.family,
-            str(q.k),
-            str(report.d),
-            str(report.n),
-            tfield,
-            format_float(q.delta),
-            str(report.count),
-            report.algorithm,
-            "",
-            seed,
-        ]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +296,7 @@ def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
     scale = row.scale(ps.dim) if query.volume_convention == "simplex" else 1.0
     t = tuple(x * scale for x in query.t)
     count, elapsed = _timed(lambda: kernels[algorithm](ps.points, query.k, t, query.delta * scale))
-    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm,
-                       elapsed_seconds=elapsed, d=ps.dim, seed=ps.meta.seed)
+    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm, elapsed_seconds=elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +846,7 @@ def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:
         return int(np.count_nonzero(np.max(np.abs(val - t_arr), axis=1) < delta))
 
     count, elapsed = _timed(lambda: sum(inside(idx) for idx in chunks))
-    return CountReport(query=query, n=ps.n, count=count, algorithm="brute",
-                       elapsed_seconds=elapsed, d=ps.dim, seed=ps.meta.seed)
+    return CountReport(query=query, n=ps.n, count=count, algorithm="brute", elapsed_seconds=elapsed)
 
 
 # ---------------------------------------------------------------------------

@@ -429,7 +429,6 @@ class DecayReport:
     reference_exponent: float | None
     mc_error_bars: tuple[float, ...] | None
     inconclusive: bool
-    fit_radii: tuple[float, ...]
 
 
 def decay_fit(
@@ -478,8 +477,7 @@ def decay_fit(
         return DecayReport(
             direction=unit, radii=tuple(radii), magnitudes=tuple(mags),
             fitted_exponent=None, stderr=None, reference_exponent=reference,
-            mc_error_bars=tuple(errs) if has_err else None,
-            inconclusive=True, fit_radii=(),
+            mc_error_bars=tuple(errs) if has_err else None, inconclusive=True,
         )
 
     peaks = _local_maxima(m_kept)
@@ -492,8 +490,7 @@ def decay_fit(
     return DecayReport(
         direction=unit, radii=tuple(radii), magnitudes=tuple(mags),
         fitted_exponent=-slope, stderr=stderr, reference_exponent=reference,
-        mc_error_bars=tuple(errs) if has_err else None,
-        inconclusive=False, fit_radii=tuple(float(r) for r in r_fit),
+        mc_error_bars=tuple(errs) if has_err else None, inconclusive=False,
     )
 
 
@@ -557,6 +554,25 @@ def level_set_curvatures(F: Callable, t: float, x0, h: float = CURVATURE_STEP) -
     form = 0.5 * (form + form.T)
     eigs = np.linalg.eigvalsh(form)
     return eigs[np.argsort(-np.abs(eigs), kind="stable")]
+
+
+def rotated_block_form(d: int):
+    """The nondegenerate paired form sum_j (x_{2j-1} y_{2j} - x_{2j} y_{2j-1})
+    on R^{2d}; defined for even d >= 2."""
+    if d < 2 or d % 2 != 0:
+        raise ValueError("the rotated block form needs even d >= 2")
+
+    def F(z: np.ndarray) -> float:
+        x, y = z[:d], z[d:]
+        total = 0.0
+        for j in range(0, d, 2):
+            total += x[j] * y[j + 1] - x[j + 1] * y[j]
+        return total
+
+    x0 = np.zeros(2 * d)
+    x0[0] = 1.0
+    x0[d + 1] = 1.0
+    return F, x0
 
 
 def nonzero_curvature_count(eigs) -> int:

@@ -12,7 +12,7 @@ from configeo.cli import (
     parse_config_text,
     run,
 )
-from configeo.pointgen import PointSet, save_pointset
+from configeo.pointgen import PointSet, PointSetMeta, save_pointset
 
 SQUARE_POINTS = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
@@ -75,6 +75,15 @@ def test_seed_precedence_flag_over_file_over_env(tmp_path, monkeypatch):
     assert parse_config(["run", "--config", str(cfg_path), "--seed", "42"]).seed == 42
     cfg_path2 = _write(tmp_path, "noseed.cfg", COUNT_CFG.replace("seed = 7\n", ""))
     assert parse_config(["run", "--config", str(cfg_path2)]).seed == 99  # env fallback
+
+
+def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("CONFIGEO_SEED", "abc")
+    out = tmp_path / "out"
+    assert main(["curvature", "--out", str(out)]) == 2
+    assert "configeo: error: CONFIGEO_SEED: expected integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["curvature", "--seed", "3", "--out", str(out)]) == 0  # a flag seed wins
 
 
 def test_count_on_square_corners_file(tmp_path, capsys):
@@ -207,6 +216,75 @@ def test_curvature_command(tmp_path):
     assert "circulant_nonzero = true" in body
     assert "detform_nonzero = 7 of 7" in body
     assert "phase_plane_discriminant_sign = +" in body
+
+
+# one small report per shape, byte for byte: (argv, exit code, {file: body});
+# SEEDED5 stands for the square corners saved with `# seed=5` in their header
+GOLDEN_REPORTS = {
+    "count": (
+        ["count", "--input", "SEEDED5", "--family", "simplex", "--k", "1", "--t", "1",
+         "--delta", "0.01", "--seed", "0"], 0,
+        {"count_simplex_k1_d2_seed0.csv":
+         "# generator=unknown\n# seed=0\n"
+         "family,k,d,n,t,delta,count,algorithm,elapsed_seconds,seed\n"
+         "simplex,1,2,4,1,0.01,8,pruned,,5\n"}),
+    "energy": (
+        ["energy", "--input", "SEEDED5", "--s-grid", "0.5;1;2", "--c", "0.7", "--seed", "0"], 0,
+        {"energy_unknown_d2_n4_seed0.csv":
+         "s,n,value,adaptable_at,verdict\n"
+         "0.5,4,0.7102241038134286,0.69999999999999996,false\n"
+         "1,4,0.67677669529663687,0.69999999999999996,true\n"
+         "2,4,0.625,0.69999999999999996,true\n"}),
+    "scan": (
+        ["scan", "--kind", "coplanar", "--d", "3", "--family", "volume", "--schedule", "20;40;80",
+         "--s", "2", "--t", "0.2", "--delta", "0.05", "--seed", "1"], 1,
+        {"scan_volume_k3_d3_s2_seed1.csv":
+         "n,delta,count\n20,0.050000000000000003,0\n40,0.050000000000000003,0\n"
+         "80,0.050000000000000003,0\n",
+         "scan_volume_k3_d3_s2_seed1.txt":
+         "scan report\nfamily = volume\nk = 3\nd = 3\ns = 2\nseed = 1\nt = 0.20000000000000001\n"
+         "predicted_exponent = 3.5\nfitted_slope = \nstderr = \nverdict = inconclusive\nrows:\n"
+         "  n=20 delta=0.050000000000000003 count=0 energy=23.654663599603317 adaptable=false\n"
+         "  n=40 delta=0.050000000000000003 count=0 energy=19.816765019897272 adaptable=false\n"
+         "  n=80 delta=0.050000000000000003 count=0 energy=76.95070315075904 adaptable=false\n"}),
+    "ft": (
+        ["ft", "--kind", "triangle2d", "--direction", "1;0|-1;0.5", "--radii", "1;2;4;8;16;32"], 0,
+        {"ft_triangle2d_d2_closed_seed0.csv":
+         "# kind=triangle2d\n# d=2\n# method=closed\n"
+         "# direction=0.66666666666666663;0|-0.66666666666666663;0.33333333333333331\n"
+         "# fitted_exponent=-0.30027633713320595\n# stderr=0.2816270945872601\n"
+         "# reference_exponent=0.5\n# inconclusive=false\nradius,magnitude,stderr\n"
+         "1,0.50782569977185166,0\n2,0.15909372424072132,0\n4,1.5141864473153543,0\n"
+         "8,0.0070196880390037686,0\n16,1.1675713064987976,0\n32,0.75684209490575283,0\n"}),
+    "dim": (
+        ["dim", "--kind", "lattice", "--d", "2", "--m", "8", "--scales", "0.5;0.25;0.125"], 0,
+        {"dim_lattice_d2_n64_seed0.csv":
+         "# slope=2\n# stderr=0\n# degenerate=false\nscale,count\n0.5,4\n0.25,16\n0.125,64\n"}),
+    "curvature": (
+        ["curvature", "--d", "4"], 0,
+        {"curvature_suite_d4.txt":
+         "curvature certificates (d=4)\ncirculant_det = 0.50000000000000011\n"
+         "circulant_nonzero = true\n"
+         "detform_eigs = -0.70710678277705119;-0.70710678081443568;0.70710678081443568;"
+         "-0.70710677885182005;-0.70710677885182005;0.70710677885182005;0.70710677885182005\n"
+         "detform_nonzero = 7 of 7\nphase_rank_generic = 5 (floor 4)\n"
+         "phase_rank_on_plane = 4 (floor 3)\n"
+         "phase_plane_form = -1.4444444444444444;3.2716515254078797;-1\n"
+         "phase_plane_discriminant = 4.9259259259259283\nphase_plane_discriminant_sign = +\n"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(GOLDEN_REPORTS))
+def test_golden_report_bytes(tmp_path, shape):
+    argv, code, files = GOLDEN_REPORTS[shape]
+    seeded = tmp_path / "seeded5.txt"
+    save_pointset(PointSet(dim=2, points=SQUARE_POINTS, meta=PointSetMeta(seed=5)), seeded)
+    out = tmp_path / "out"
+    argv = [str(seeded) if arg == "SEEDED5" else arg for arg in argv]
+    assert main(argv + ["--out", str(out)]) == code
+    written = {p.name: p.read_text(encoding="utf-8") for p in out.iterdir()}
+    assert written.pop(f"{argv[0]}_manifest.txt").startswith("tool = configeo ")
+    assert written == files
 
 
 def test_manifest_written(tmp_path):

@@ -17,7 +17,6 @@ from configeo.configcount import (
     count_angle,
     count_area2,
     count_phi,
-    count_report_row,
     count_simplex,
     count_simplex_brute,
     count_volume,
@@ -838,7 +837,7 @@ def test_box_dim_validation():
 
 
 # ---------------------------------------------------------------------------
-# dispatch and serialization
+# dispatch
 
 
 def test_run_query_dispatch():
@@ -848,11 +847,6 @@ def test_run_query_dispatch():
         run_query(SQUARE, ConfigQuery(family="simplex", k=3, t=(1.0,) * 6, delta=0.01))
     with pytest.raises(ValueError):
         run_query(SQUARE, ConfigQuery(family="custom", k=1, t=(1.0,), delta=0.01))
-
-
-def test_count_report_csv_row():
-    report = count_simplex(SQUARE, 1, [1.0], 0.01)
-    assert count_report_row(report) == "simplex,1,2,4,1,0.01,8,pruned,,"
 
 
 NON_FINITE = [(math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)]

@@ -31,3 +31,33 @@ def test_no_unused_imports(path):
 def test_the_scan_finds_an_unused_import():
     tree = ast.parse("import math\nimport numpy as np\nfrom os import path, sep\nprint(np.pi, sep)\n")
     assert _unused_imports(tree) == ["math (line 1)", "path (line 3)"]
+
+
+def _format_float_users(tree: ast.Module) -> set[str]:
+    """Where tree mentions format_float: 'import' for an import of it, else
+    the top-level function or class that reads it, or '<module>'."""
+    users = set()
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.ImportFrom):
+                users |= {"import" for alias in node.names if alias.name == "format_float"}
+            elif (isinstance(node, ast.Name) and node.id == "format_float"
+                  or isinstance(node, ast.Attribute) and node.attr == "format_float"):
+                users.add(where)
+    return users
+
+
+def test_report_values_are_formatted_in_one_place():
+    # pointgen writes the point-set file format; every report value goes
+    # through cli._fmt, so no other module knows how a float is written
+    users = {p.name: _format_float_users(ast.parse(p.read_text(), filename=str(p)))
+             for p in SOURCES if p.name != "pointgen.py"}
+    assert {name: u for name, u in users.items() if u} == {"cli.py": {"import", "_fmt"}}
+
+
+def test_the_scan_finds_format_float_users():
+    tree = ast.parse("from .pointgen import format_float\nimport pointgen\n"
+                     "def f(x):\n    return pointgen.format_float(x)\n"
+                     "class C:\n    g = format_float\ny = format_float(1.0)\n")
+    assert _format_float_users(tree) == {"import", "f", "C", "<module>"}
