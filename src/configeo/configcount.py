@@ -231,21 +231,29 @@ def _row_blocks(last: np.ndarray, m: int):
 def _band_split(vals: np.ndarray, last: np.ndarray, col: int, inner, outer):
     """Sort a block of values into three groups.  The block's rows have last
     legs `last` and its columns are the legs col.., so the values at a leg
-    l <= e are no set; they are set to NaN here, which is in no band.
+    l <= e are no set.  One pass over the block finds the cells in the outer
+    band; only those are tested further: for l <= e, which drops them, and
+    against the inner band.  NaN is in no band.
 
     Returns the number of values inside the open band inner = (lo, hi) and
     None, or, when some values lie in the closed band outer = [lo', hi'] but
     not inside inner, that number and their (rows, legs): block rows and leg
-    indices.  outer must contain inner; an empty inner band has lo >= hi."""
-    width = last[-1] + 1 - col
-    if width > 0:
-        np.copyto(vals[:, :width], np.nan, where=np.arange(col, col + width) <= last[:, None])
+    indices, in row-major order.  outer must contain inner; an empty inner
+    band has lo >= hi."""
     (lo, hi), (lo_out, hi_out) = inner, outer
-    inside = int(np.count_nonzero(vals < hi)) - int(np.count_nonzero(vals <= lo)) if lo < hi else 0
-    if int(np.count_nonzero(vals <= hi_out)) - int(np.count_nonzero(vals < lo_out)) == inside:
-        return inside, None
-    rows, cols = np.nonzero((vals >= lo_out) & (vals <= hi_out) & ~((vals > lo) & (vals < hi)))
-    return inside, (rows, cols + col)
+    width = vals.shape[1]
+    cells = np.flatnonzero((vals >= lo_out) & (vals <= hi_out))
+    rows = cells // width
+    # cell f of row r is leg col + f - r * width, a set when that is > last[r]
+    sets = cells > (np.arange(len(last)) * width + last - col)[rows]
+    cand = vals.take(cells)
+    near = ~((cand > lo) & (cand < hi))
+    near &= sets
+    in_outer, n_near = int(np.count_nonzero(sets)), int(np.count_nonzero(near))
+    if n_near == 0:
+        return in_outer, None
+    rows, cells = rows[near], cells[near]
+    return in_outer - n_near, (rows, cells - rows * width + col)
 
 
 def _tuples(n: int, arity: int):

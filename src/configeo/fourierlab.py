@@ -31,6 +31,13 @@ draw: the loop runs over chunks of samples, each drawn and tested against the
 constraints once, and over the points inside each chunk.  A point's estimate
 and standard error are therefore the same whether it is evaluated alone or in
 a list with others; decay_fit hands the evaluator the whole ray at once.
+
+scipy.special is imported inside the three functions that need it
+(sphere_area, ft_sphere_radial and _draw_determinant_variety), not at module
+level: its import is most of the package's import time, and every command
+but ft runs without it.  Its gamma, not math.gamma, stays: the two differ in
+the last bit at some half-integers, and the seeded estimates are pinned bit
+for bit.
 """
 
 from __future__ import annotations
@@ -41,8 +48,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gamma as gamma_fn
-from scipy.special import jv
 
 from ._ols import ols_loglog
 from .errors import InfeasibleError
@@ -58,7 +63,8 @@ def sphere_area(d: int) -> float:
     """Surface area of the unit sphere S^{d-1}."""
     if d < 1:
         raise ValueError("need d >= 1")
-    return float(2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0))
+    from scipy.special import gamma
+    return float(2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +164,7 @@ def ft_sphere_radial(d: int, r) -> np.ndarray:
     2*pi*r^{-(d-2)/2} J_{(d-2)/2}(2*pi*r); equals the surface area at r=0."""
     if d < 2:
         raise ValueError("need d >= 2")
+    from scipy.special import jv
     r = np.asarray(r, dtype=float)
     nu = (d - 2) / 2.0
     small = r < 1e-300
@@ -368,6 +375,7 @@ def _draw_chain_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Genera
 
 
 def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
+    from scipy.special import gamma
     dd = spec.d
     ambient_dim = dd * dd
     dirs = _unit_vectors(rng, m, ambient_dim)
@@ -376,7 +384,7 @@ def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.
     mats = y.reshape(m, dd, dd)
     acc = np.abs(np.linalg.det(mats) - spec.t) < epsilon
     mats = mats[acc]
-    ball_vol = math.pi ** (ambient_dim / 2.0) / gamma_fn(ambient_dim / 2.0 + 1.0)
+    ball_vol = math.pi ** (ambient_dim / 2.0) / gamma(ambient_dim / 2.0 + 1.0)
     ambient = ball_vol * spec.cutoff**ambient_dim
     return [mats[:, j, :] for j in range(dd)], acc, ambient / (2.0 * epsilon)
 

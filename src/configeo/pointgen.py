@@ -26,6 +26,9 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+# numpy loads numpy.random on first use; loading it with the package keeps
+# that out of the first draw of every seeded generator
+from numpy.random import PCG64, Generator
 
 from .errors import CapacityError
 
@@ -164,7 +167,7 @@ def gen_random(d: int, n: int, seed: int) -> PointSet:
     if d < 1 or n < 1:
         raise ValueError("need d >= 1 and n >= 1")
     _check_budget(n)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     pts = rng.random((n, d))
     meta = PointSetMeta(generator="uniform_random", seed=seed, nominal_dimension=float(d))
     return PointSet(dim=d, points=pts, meta=meta)
@@ -177,7 +180,7 @@ def gen_coplanar(d: int, n: int, seed: int) -> PointSet:
     if n < 1:
         raise ValueError("need n >= 1")
     _check_budget(n)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     pts = np.empty((n, d))
     pts[:, : d - 1] = rng.random((n, d - 1))
     pts[:, d - 1] = 0.5
@@ -194,7 +197,7 @@ def gen_homogeneous(d: int, m: int, seed: int, jitter: float = 0.25) -> PointSet
         raise ValueError("jitter must lie in [0, 1/2)")
     n = m**d
     _check_budget(n)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = Generator(PCG64(seed))
     cells = _product_points(np.arange(m, dtype=float), d)
     offsets = (rng.random((n, d)) - 0.5) * (2.0 * jitter)
     pts = (cells + 0.5 + offsets) / m

@@ -698,6 +698,45 @@ def test_block_size_leaves_counts_unchanged(monkeypatch, entries):
             assert sum(rechecked) == want_rechecked > 0
 
 
+def _band_split_by_cell(vals, last, col, inner, outer):
+    """_band_split's result, one cell at a time: the count inside inner and the
+    (row, leg) cells in outer but not inside inner, in row-major order."""
+    (lo, hi), (lo_out, hi_out) = inner, outer
+    inside, near = 0, []
+    for r, j in itertools.product(range(vals.shape[0]), range(vals.shape[1])):
+        v = vals[r, j]
+        if col + j > last[r] and lo_out <= v <= hi_out:
+            if lo < v < hi:
+                inside += 1
+            else:
+                near.append((r, col + j))
+    return inside, near
+
+
+EDGES = [-np.inf, 0.0, 0.25, 0.5, 0.75, 1.0, np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_band_split_sorts_every_cell_like_a_cell_by_cell_split(data):
+    # values on the band edges and NaN; row r pairs with the legs past last[r], at least the last one
+    n_rows, width, col = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+    last = np.sort(data.draw(st.lists(st.integers(col - 1, col + width - 2), min_size=n_rows, max_size=n_rows)))
+    cells = st.sampled_from([0.0, 0.25, 0.3, 0.5, 0.75, 1.0, np.nan])
+    vals = np.array(data.draw(st.lists(cells, min_size=n_rows * width, max_size=n_rows * width)))
+    vals = vals.reshape(n_rows, width)
+    lo_out, lo, hi, hi_out = sorted(data.draw(st.lists(st.sampled_from(EDGES), min_size=4, max_size=4)))
+    inner = data.draw(st.sampled_from([(lo, hi), (hi, lo)]))  # (hi, lo) is an empty inner band
+    want_inside, want_near = _band_split_by_cell(vals, last, col, inner, (lo_out, hi_out))
+    inside, near = configcount._band_split(vals, last, col, inner, (lo_out, hi_out))
+    assert inside == want_inside and type(inside) is int
+    if near is None:
+        assert want_near == []
+    else:
+        rows, legs = near
+        assert list(zip(rows.tolist(), legs.tolist())) == want_near != []
+
+
 # ---------------------------------------------------------------------------
 # generic Phi
 

@@ -1,0 +1,63 @@
+"""Which commands load scipy: only `ft` may, through fourierlab's
+function-level imports of scipy.special.  Checked in a fresh interpreter,
+since the test session itself has loaded scipy long before."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import configeo
+
+HEAVY = ("scipy", "numpy.f2py")
+
+# after the imports, after each command in turn, in one interpreter
+SCRIPT = """
+import json, sys, tempfile
+import configeo, configeo.cli
+loaded = {"import": [m for m in HEAVY if m in sys.modules]}
+with tempfile.TemporaryDirectory() as out:
+    for argv in COMMANDS:
+        code = configeo.cli.main(argv + ["--seed", "1", "--out", out])
+        loaded[argv[0]] = [m for m in HEAVY if m in sys.modules] if code == 0 else code
+print(json.dumps(loaded))
+"""
+
+COMMANDS = [
+    ["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "simplex", "--k", "1",
+     "--t", "0.5", "--delta", "0.01"],
+    ["energy", "--kind", "uniform_random", "--d", "2", "--n", "50", "--s-grid", "1;1.9"],
+    ["scan", "--kind", "uniform_random", "--d", "2", "--family", "simplex", "--k", "1",
+     "--schedule", "10;20;40", "--t", "0.3"],
+    ["gen", "--kind", "lattice", "--d", "2", "--m", "3"],
+    ["dim", "--kind", "lattice", "--d", "2", "--m", "10", "--scales", "0.5;0.25;0.125"],
+    ["curvature"],
+    ["ft", "--kind", "chain_spheres", "--d", "3", "--rmin", "1", "--rmax", "10", "--nradii", "5",
+     "--samples", "10000"],
+]
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    src = str(Path(configeo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = f"HEAVY = {HEAVY!r}\nCOMMANDS = {COMMANDS!r}\n{SCRIPT}"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_and_cli_leaves_scipy_out(loaded):
+    assert loaded["import"] == []
+
+
+@pytest.mark.parametrize("command", [argv[0] for argv in COMMANDS[:-1]])
+def test_every_command_but_ft_leaves_scipy_out(loaded, command):
+    assert loaded[command] == []
+
+
+def test_ft_loads_scipy(loaded):
+    assert "scipy" in loaded["ft"]
