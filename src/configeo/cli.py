@@ -55,6 +55,7 @@ from .pointgen import (GENERATORS, GeneratorSpec, PointSet, format_float, format
                        generate, load_pointset)
 
 ENV_SEED = "CONFIGEO_SEED"
+ALGORITHMS = ("brute", "pruned")
 
 
 class UsageError(Exception):
@@ -79,7 +80,6 @@ class ExperimentConfig:
     sections: dict[str, dict[str, str]]
     seed: int = 0
     out_dir: Path = Path("reports")
-    algorithm: str = "pruned"
     read: set[tuple[str, str]] = field(default_factory=set)
 
 
@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="config file (flags override file values)")
     common.add_argument("--out", help="output directory (default: reports)")
     common.add_argument("--seed", type=int, help=f"seed (default: ${ENV_SEED} or 0)")
-    common.add_argument("--algorithm", choices=("brute", "pruned"), help="counting algorithm")
     common.add_argument("--input", help="point-set file (alternative to [generator])")
 
     gen_flags = argparse.ArgumentParser(add_help=False)
@@ -210,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_energy.add_argument("--c", dest="energy.c")
 
     p_count = sub.add_parser("count", parents=[common, gen_flags], help="one counting run")
+    p_count.add_argument("--algorithm", choices=ALGORITHMS, help="counting algorithm")
     p_count.add_argument("--family", dest="query.family")
     p_count.add_argument("--k", dest="query.k")
     p_count.add_argument("--t", dest="query.t")
@@ -217,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--convention", dest="query.convention")
 
     p_scan = sub.add_parser("scan", parents=[common, gen_flags], help="count-growth scan over n")
+    p_scan.add_argument("--algorithm", choices=ALGORITHMS, help="counting algorithm")
     p_scan.add_argument("--family", dest="scan.family")
     p_scan.add_argument("--k", dest="scan.k")
     p_scan.add_argument("--schedule", dest="scan.schedule")
@@ -271,8 +272,9 @@ def parse_config(argv=None) -> ExperimentConfig:
 
     overrides = {k: v for k, v in vars(ns).items() if "." in k}
     _merge_flag_overrides(sections, overrides)
-    if ns.input is not None:
-        sections[""]["input"] = ns.input
+    for key in ("input", "algorithm"):  # top-level flags
+        if getattr(ns, key, None) is not None:
+            sections[""][key] = getattr(ns, key)
 
     cfg = ExperimentConfig(ns.command, sections)
     if cfg.command == "run":
@@ -291,12 +293,8 @@ def parse_config(argv=None) -> ExperimentConfig:
         if key in sections.get(section, {}):
             raise UsageError(f"config key {_name(section, key)} was removed: {why}")
     cfg.out_dir = Path(ns.out or _get(cfg, "", "out", "reports"))
-    cfg.algorithm = ns.algorithm or _get(cfg, "", "algorithm", "pruned")
-    if cfg.algorithm not in ("brute", "pruned"):
-        raise UsageError(f"unknown algorithm {cfg.algorithm!r}")
     # resolved here for every command, so every command reads them
-    resolved = {"command": cfg.command, "seed": str(cfg.seed), "out": str(cfg.out_dir),
-                "algorithm": cfg.algorithm}
+    resolved = {"command": cfg.command, "seed": str(cfg.seed), "out": str(cfg.out_dir)}
     sections[""].update(resolved)
     cfg.read.update(("", key) for key in resolved)
     return cfg
@@ -438,6 +436,15 @@ def _cmd_energy(cfg: ExperimentConfig):
     return job
 
 
+def _algorithm(cfg: ExperimentConfig) -> str:
+    """The counting algorithm of count and scan, resolved into the manifest."""
+    algorithm = _get(cfg, "", "algorithm", "pruned")
+    if algorithm not in ALGORITHMS:
+        raise UsageError(f"unknown algorithm {algorithm!r}")
+    cfg.sections[""]["algorithm"] = algorithm
+    return algorithm
+
+
 def _family_k(cfg: ExperimentConfig, section: str, family: str, d: int) -> int:
     """k in dimension d: fixed by the family's row, else the section's k field."""
     fixed_k = family_row(family).fixed_k
@@ -451,9 +458,10 @@ def _cmd_count(cfg: ExperimentConfig):
     delta = _get_float(cfg, "query", "delta", required=True)
     t = _get_floats(cfg, "query", "t", required=True)
     query = ConfigQuery(family, _family_k(cfg, "query", family, ps.dim), t, delta, convention)
+    algorithm = _algorithm(cfg)
 
     def job():
-        report = run_query(ps, query, algorithm=cfg.algorithm)
+        report = run_query(ps, query, algorithm=algorithm)
         seed = cfg.seed if ps.meta.seed is None else ps.meta.seed
         # elapsed_seconds is left empty so identical runs write identical bytes
         row = (query.family, query.k, ps.dim, ps.n, query.t, query.delta, report.count,
@@ -482,7 +490,7 @@ def _cmd_scan(cfg: ExperimentConfig):
         delta=_get_float(cfg, "scan", "delta"),
         predicted=_get_float(cfg, "scan", "predicted"),
         adaptability_C=_get_float(cfg, "scan", "c", DEFAULT_ADAPTABILITY_C),
-        algorithm=cfg.algorithm,
+        algorithm=_algorithm(cfg),
         volume_convention=_get(cfg, "scan", "convention", "bare_determinant"),
     )
 

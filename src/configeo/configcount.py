@@ -22,7 +22,8 @@ arity - len(t)/s with arity = k+1.
   angle    k = 2      angle(x^2-x^1, x^3-x^1)               t in [0, pi]  s0 = (d+1)/2
 
 The ``simplex`` convention divides volume and area2 by d! and 2 (the row's
-scale).  ``custom`` queries count any PhiFunction by full enumeration.
+scale).  A custom query is a row too, built by `family_row` from its
+PhiFunction (`_phi_row`), with no threshold s0.
 
 One map per row defines the family: config_map takes a batch of tuples and
 returns their values, and the exhaustive oracle ("brute") enumerates every
@@ -84,8 +85,8 @@ def pair_order(k: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Family:
-    """One row of FAMILIES (see the module docstring).  Kernels are called as
-    kernel(points, k, t, delta), t and delta in the bare convention."""
+    """One row of FAMILIES or a custom map's (see the module docstring).
+    Kernels are called as kernel(points, k, t, delta), t and delta bare."""
 
     name: str
     fixed_k: Callable[[int], int] | None  # k in dimension d; None: the query picks 1 <= k <= d
@@ -97,7 +98,7 @@ class Family:
     scale: Callable[[int], float]  # bare value of a unit simplex-convention value, in R^d
     fast: Callable[..., int]
     brute: Callable[..., int]
-    threshold: Callable[[int, int], Fraction]  # s0(k, d)
+    threshold: Callable[[int, int], Fraction] | None  # s0(k, d); None: unknown (a custom map)
     counter_args: tuple[str, ...]  # the ConfigQuery fields count_<name> takes after ps
 
     def check_k(self, k: int, d: int) -> None:
@@ -107,22 +108,30 @@ class Family:
             raise ValueError(f"{self.name} family needs k = {self.fixed_k(d)} in d={d}, got k={k}")
 
 
-def family_row(family: str) -> Family:
-    """The FAMILIES row of a family; ValueError for custom and unknown names."""
+def family_row(family: str, phi: PhiFunction | None = None) -> Family:
+    """The FAMILIES row of a named family, or the row of the custom map phi;
+    ValueError for an unknown name, for custom without a map and for a map
+    with a named family."""
+    if family == "custom" and phi is not None:
+        return _phi_row(phi)
     if family not in FAMILIES:
         raise ValueError(f"family {family!r} is not one of {', '.join(FAMILIES)}")
+    if phi is not None:
+        raise ValueError(f"a PhiFunction makes a custom query, not a {family} one")
     return FAMILIES[family]
 
 
 @dataclass(frozen=True)
 class ConfigQuery:
-    """One counting question: a family, its target, and the tolerance."""
+    """One counting question: a family, its target, and the tolerance; phi
+    is the map of a custom query."""
 
     family: str
     k: int
     t: tuple[float, ...]
     delta: float
     volume_convention: str = "bare_determinant"
+    phi: PhiFunction | None = None
 
     def __post_init__(self):
         if self.volume_convention not in VOLUME_CONVENTIONS:
@@ -133,17 +142,14 @@ class ConfigQuery:
             raise ValueError("k must be >= 1")
         if not all(map(math.isfinite, (*self.t, self.delta))):
             raise ValueError(f"t and delta must be finite, got t={self.t}, delta={self.delta}")
-        zero_ok = False  # custom maps use an open ball
-        if self.family != "custom":
-            row = family_row(self.family)
-            if len(self.t) != row.targets(self.k):
-                raise ValueError(f"{self.family} target needs {row.targets(self.k)} entries, "
-                                 f"got {len(self.t)}")
-            if not all(map(row.t_ok, self.t)):
-                raise ValueError(f"{self.family} targets must be {row.t_domain}, got {self.t}")
-            zero_ok = row.zero_delta
-        if self.delta < 0 or (self.delta == 0 and not zero_ok):
-            raise ValueError(f"delta must be {'nonnegative' if zero_ok else 'positive'}")
+        row = family_row(self.family, self.phi)
+        if len(self.t) != row.targets(self.k):
+            raise ValueError(f"{self.family} target needs {row.targets(self.k)} entries, "
+                             f"got {len(self.t)}")
+        if not all(map(row.t_ok, self.t)):
+            raise ValueError(f"{self.family} targets must be {row.t_domain}, got {self.t}")
+        if self.delta < 0 or (self.delta == 0 and not row.zero_delta):
+            raise ValueError(f"delta must be {'nonnegative' if row.zero_delta else 'positive'}")
 
 
 @dataclass(frozen=True)
@@ -206,12 +212,6 @@ def _target_matrix(k: int, t: tuple[float, ...]) -> np.ndarray:
     for val, (i, j) in zip(t, pair_order(k)):
         tm[i, j] = tm[j, i] = val
     return tm
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - start
 
 
 def _row_blocks(last: np.ndarray, m: int):
@@ -296,15 +296,17 @@ def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
     """Check k against d, then count a family query with the row's fast
     counter ("pruned") or its oracle ("brute").  The simplex convention is
     the bare count over the rescaled target and tolerance."""
-    row = FAMILIES[query.family]
+    row = family_row(query.family, query.phi)
     row.check_k(query.k, ps.dim)
     kernels = {"pruned": row.fast, "brute": row.brute}
     if algorithm not in kernels:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     scale = row.scale(ps.dim) if query.volume_convention == "simplex" else 1.0
     t = tuple(x * scale for x in query.t)
-    count, elapsed = _timed(lambda: kernels[algorithm](ps.points, query.k, t, query.delta * scale))
-    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm, elapsed_seconds=elapsed)
+    start = time.perf_counter()
+    count = kernels[algorithm](ps.points, query.k, t, query.delta * scale)
+    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm,
+                       elapsed_seconds=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +327,24 @@ def count_simplex_brute(ps: PointSet, k: int, t, delta: float) -> CountReport:
     return count_simplex(ps, k, t, delta, algorithm="brute")
 
 
-def _distance_rows(pts: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop of `_pair_distance_matrix(pts)`, bit for bit.  Below 8
-    coordinates numpy's pairwise sum adds a row in coordinate order, so the
-    squares are added one coordinate at a time in place; from 8 on it unrolls
-    by 8, and the block keeps the oracle's .sum(axis=-1)."""
-    d = pts.shape[1]
+def _distance_rows(coords: np.ndarray, start: int, stop: int, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """Rows start:stop of `_pair_distance_matrix(coords.T)`, bit for bit, in
+    out[:stop - start], from the C-contiguous (d, n) coordinates; out and
+    scratch hold at least stop - start rows of n.  Below 8 coordinates
+    numpy's pairwise sum adds a row in coordinate order, so the squares are
+    added one coordinate at a time in place; from 8 on it unrolls by 8, and
+    the block keeps the oracle's .sum(axis=-1) over C-ordered differences."""
+    d, m = coords.shape[0], stop - start
     if d >= 8:
+        pts = np.ascontiguousarray(coords.T)
         diff = pts[None, :, :] - pts[start:stop, None, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
-    dist = np.zeros((stop - start, pts.shape[0]))
-    diff = np.empty_like(dist)
-    for c in range(d):
-        np.subtract(pts[None, :, c], pts[start:stop, c, None], out=diff)
+        return np.sqrt((diff * diff).sum(axis=-1), out=out[:m])
+    dist, diff = out[:m], scratch[:m]
+    np.subtract(coords[0], coords[0, start:stop, None], out=dist)
+    np.multiply(dist, dist, out=dist)
+    for c in range(1, d):
+        np.subtract(coords[c], coords[c, start:stop, None], out=diff)
         dist += np.multiply(diff, diff, out=diff)
     return np.sqrt(dist, out=dist)
 
@@ -356,12 +363,14 @@ def _band_rows(pts: np.ndarray, values: list[float], delta: float) -> np.ndarray
                             f"over the budget of {4 * SIMPLEX_BAND_NNZ_BUDGET}")
     packed = np.empty((len(values), n, words), dtype=np.uint64)
     rows = max(1, SIMPLEX_BLOCK_ENTRIES // n)
+    coords = np.ascontiguousarray(pts.T)
+    dist_buf, gap_buf = np.empty((rows, n)), np.empty((rows, n))
     bits = np.zeros((rows, 64 * words), dtype=bool)
     nnz = 0
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        dist = _distance_rows(pts, start, stop)
-        gap = np.empty_like(dist)
+        dist = _distance_rows(coords, start, stop, dist_buf, gap_buf)
+        gap = gap_buf[:stop - start]  # the kernel's scratch, free once it returns
         band = bits[:stop - start]
         own = np.arange(stop - start)
         for v, out in zip(values, packed):
@@ -834,27 +843,35 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
 # generic Phi-configurations
 
 
+def _phi_row(phi: PhiFunction) -> Family:
+    """The row of a custom map: k = arity - 1, one target per output, any
+    finite target, scale 1 and no threshold.  Its map is the evaluator, which
+    values an (m, arity, d) batch of tuples as an (m, output_dim) array, with
+    that shape checked; its fast counter and its oracle are one enumeration
+    by `_tuples` that counts |Phi(tuple) - t|_inf < delta."""
+
+    def config_map(tuples: np.ndarray) -> np.ndarray:
+        values = np.asarray(phi.evaluator(tuples), dtype=float)
+        if values.shape != (len(tuples), phi.output_dim):
+            raise ValueError(f"evaluator returned shape {values.shape} for {len(tuples)} tuples, "
+                             f"not ({len(tuples)}, {phi.output_dim})")
+        return values
+
+    def ball(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
+        target = np.asarray(t)
+        return sum(int(np.count_nonzero(np.abs(config_map(pts[idx]) - target).max(axis=1) < delta))
+                   for idx in _tuples(len(pts), k + 1))
+
+    return Family(name="custom", fixed_k=lambda d: phi.arity - 1, targets=lambda k: phi.output_dim,
+                  t_ok=math.isfinite, t_domain="finite", zero_delta=False, config_map=config_map,
+                  scale=lambda d: 1.0, fast=ball, brute=ball, threshold=None, counter_args=())
+
+
 def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:
     """Ordered distinct (arity)-tuples with |Phi(tuple) - t| < delta in the
-    max norm on R^output_dim.  Full enumeration by `_tuples`, under
-    BRUTE_EVAL_BUDGET: the evaluator values each chunk of tuples, an
-    (m, arity, d) array, as an (m, output_dim) array.  No structural
-    assumptions on Phi."""
-    query = ConfigQuery("custom", phi.arity - 1, t, delta)
-    t_arr = np.array(query.t)
-    if t_arr.shape != (phi.output_dim,):
-        raise ValueError(f"target length {t_arr.size} != output_dim {phi.output_dim}")
-    chunks = _tuples(ps.n, phi.arity)
-
-    def inside(idx: np.ndarray) -> int:
-        val = np.asarray(phi.evaluator(ps.points[idx]), dtype=float)
-        if val.shape != (len(idx), phi.output_dim):
-            raise ValueError(f"evaluator returned shape {val.shape} for {len(idx)} tuples, "
-                             f"not ({len(idx)}, {phi.output_dim})")
-        return int(np.count_nonzero(np.max(np.abs(val - t_arr), axis=1) < delta))
-
-    count, elapsed = _timed(lambda: sum(inside(idx) for idx in chunks))
-    return CountReport(query=query, n=ps.n, count=count, algorithm="brute", elapsed_seconds=elapsed)
+    max norm on R^output_dim, by the custom row's full enumeration under
+    BRUTE_EVAL_BUDGET.  No structural assumptions on Phi."""
+    return _count(ps, ConfigQuery("custom", phi.arity - 1, t, delta, phi=phi), "brute")
 
 
 # ---------------------------------------------------------------------------
@@ -939,14 +956,12 @@ def box_dim(points, scales) -> BoxDimReport:
 # dispatch
 
 
-def run_query(ps: PointSet, query: ConfigQuery, algorithm: str = "pruned",
-              phi: PhiFunction | None = None) -> CountReport:
+def run_query(ps: PointSet, query: ConfigQuery, algorithm: str = "pruned") -> CountReport:
     """Route a ConfigQuery to its counting operation.  count_<family> is
     looked up at every call, so wrappers installed on this module's attribute
-    see each query."""
-    if query.family == "custom":
-        if phi is None:
-            raise ValueError("custom family needs a PhiFunction")
-        return count_phi(ps, phi, query.t, query.delta)
+    see each query; a custom map's query has no count_<family> and goes to
+    its row's counters directly."""
+    if query.phi is not None:
+        return _count(ps, query, algorithm)
     args = [getattr(query, name) for name in FAMILIES[query.family].counter_args]
     return globals()[f"count_{query.family}"](ps, *args, algorithm=algorithm)

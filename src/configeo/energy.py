@@ -13,9 +13,12 @@ the set thickened at scale n^{-1/s}.
 Summation contract: each row of n distances is computed and summed whole
 (numpy's pairwise summation along the row), and the final reduction runs over
 the n row sums, so the value does not depend on how many rows a block holds;
-repeated runs agree bit for bit.  A profile over an s-grid is one
-discrete_energy call per s, so each of its values is the single-exponent
-energy bit for bit, whatever the grid holds besides.
+repeated runs agree bit for bit.  At d <= 2 the rows come from
+configcount._distance_rows, the kernel of the simplex band rows, which adds
+the squares in coordinate order; at d >= 3 from an einsum of the squares.
+A profile over an s-grid is one discrete_energy call per s, so each of its
+values is the single-exponent energy bit for bit, whatever the grid holds
+besides.
 
 Budget: a set with more than ENERGY_PAIR_BUDGET ordered pairs n(n-1) is
 refused with CapacityError before any distance is computed.  At the budget,
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .configcount import _distance_rows
 from .errors import CapacityError, CoincidentPointsError
 from .pointgen import PointSet
 
@@ -64,23 +68,14 @@ def discrete_energy(ps: PointSet, s: float) -> float:
     rows = max(1, _BLOCK_ENTRIES // n)
     pts = ps.points
     coords = np.ascontiguousarray(pts.T)
-    dist_buf = np.empty((rows, n))
-    term_buf = np.empty((rows, n)) if ps.dim == 2 else None
+    dist_buf, scratch = np.empty((rows, n)), np.empty((rows, n))
     row_sums = np.empty(n)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         if ps.dim <= 2:
-            # one coordinate at a time in place: a sum of at most two squares
-            # has one rounding, so it equals the einsum below bit for bit
-            dist = dist_buf[: stop - start]
-            np.subtract(coords[0, start:stop, None], coords[0], out=dist)
-            dist *= dist
-            if term_buf is not None:
-                term = term_buf[: stop - start]
-                np.subtract(coords[1, start:stop, None], coords[1], out=term)
-                term *= term
-                dist += term
-            np.sqrt(dist, out=dist)
+            # a sum of at most two squares has one rounding, so it equals the
+            # einsum below bit for bit
+            dist = _distance_rows(coords, start, stop, dist_buf, scratch)
         else:
             diff = pts[start:stop, None, :] - pts[None, :, :]
             dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

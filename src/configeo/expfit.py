@@ -20,15 +20,8 @@ from numbers import Rational
 
 import numpy as np
 
-from ._ols import ols_line
-from .configcount import (
-    FAMILIES,
-    ConfigQuery,
-    CountReport,
-    PhiFunction,
-    family_row,
-    run_query,
-)
+from ._ols import ols_loglog
+from .configcount import ConfigQuery, CountReport, PhiFunction, family_row, run_query
 from .energy import DEFAULT_ADAPTABILITY_C, EnergyReport, is_adaptable
 from .errors import InfeasibleError
 from .pointgen import GENERATORS, GeneratorSpec, PointSet, generate
@@ -58,12 +51,10 @@ def count_exponent(family: str, k: int, d: int, s):
 def fit_slope(samples) -> tuple[float, float]:
     """OLS slope and stderr of log y against log n; zero-count samples are
     dropped rather than floored (flooring biases small-n slopes)."""
-    kept = [(float(n), float(y)) for n, y in samples if y > 0]
+    kept = [(n, y) for n, y in samples if y > 0]
     if len(kept) < 3:
         raise InfeasibleError("need at least 3 positive samples to fit a slope")
-    ns, ys = zip(*kept)
-    slope, _, stderr = ols_line(np.log(ns), np.log(ys))
-    return slope, stderr
+    return ols_loglog(*zip(*kept))
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +67,10 @@ class ScanSpec:
 
     generator is a size-free template (no m/L/n key); the per-step size is
     derived from the schedule.  With t=None the target is sampled from a
-    configuration realized by the largest-n point set.  With s=None the
-    generator's nominal dimension drives delta_n = n^(-1/s).  Per-step seeds
-    are base seed + step index.
+    configuration realized by the largest-n point set.  A custom scan names
+    its map phi and its predicted exponent.  With s=None the generator's
+    nominal dimension drives delta_n = n^(-1/s).  Per-step seeds are base
+    seed + step index.
     """
 
     generator: GeneratorSpec
@@ -102,12 +94,10 @@ class ScanSpec:
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
-        if self.family != "custom":  # the template's d fixes k's range before any generation
-            family_row(self.family).check_k(self.k, int(self.generator.as_dict()["d"]))
-        elif self.phi is None:
-            raise ValueError("custom scans need a PhiFunction")
-        elif self.predicted is None:
-            raise ValueError("custom scans need an explicit predicted exponent")
+        row = family_row(self.family, self.phi)
+        row.check_k(self.k, int(self.generator.as_dict()["d"]))  # before any generation
+        if row.threshold is None and self.predicted is None:  # no theory predicts its growth
+            raise ValueError(f"{self.family} scans need an explicit predicted exponent")
 
 
 @dataclass(frozen=True)
@@ -146,16 +136,12 @@ def _sized_generator(template: GeneratorSpec, n: int, seed: int) -> GeneratorSpe
 def _sample_target(ps: PointSet, spec: ScanSpec) -> tuple[float, ...]:
     """A target realized by an actual configuration of ps (seeded draw)."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    arity = spec.phi.arity if spec.family == "custom" else spec.k + 1
-    if ps.n < arity:
+    if ps.n < spec.k + 1:
         raise InfeasibleError("point set too small to realize a target configuration")
-    pts = ps.points[rng.choice(ps.n, size=arity, replace=False)]
-    if spec.family == "custom":
-        fn, scale = spec.phi.evaluator, 1
-    else:
-        row = FAMILIES[spec.family]
-        fn, scale = row.config_map, row.scale(ps.dim) if spec.volume_convention == "simplex" else 1
-    return tuple(float(value) / scale for value in fn(pts[None])[0])
+    pts = ps.points[rng.choice(ps.n, size=spec.k + 1, replace=False)]
+    row = family_row(spec.family, spec.phi)
+    scale = row.scale(ps.dim) if spec.volume_convention == "simplex" else 1
+    return tuple(float(value) / scale for value in row.config_map(pts[None])[0])
 
 
 def run_scan(spec: ScanSpec) -> ScanReport:
@@ -190,14 +176,8 @@ def run_scan(spec: ScanSpec) -> ScanReport:
     energies: list[EnergyReport] = []
     for ps in sets:
         delta_n = spec.delta if spec.delta is not None else ps.n ** (-1.0 / s)
-        query = ConfigQuery(
-            family=spec.family,
-            k=spec.k,
-            t=t,
-            delta=float(delta_n),
-            volume_convention=spec.volume_convention,
-        )
-        report: CountReport = run_query(ps, query, algorithm=spec.algorithm, phi=spec.phi)
+        query = ConfigQuery(spec.family, spec.k, t, float(delta_n), spec.volume_convention, spec.phi)
+        report: CountReport = run_query(ps, query, algorithm=spec.algorithm)
         rows.append(ScanRow(n=ps.n, delta=float(delta_n), count=report.count))
         energies.append(is_adaptable(ps, s, spec.adaptability_C))
 

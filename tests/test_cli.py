@@ -58,7 +58,7 @@ def test_parse_config_builds_experiment(tmp_path):
     cfg = parse_config(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert cfg.command == "count"
     assert cfg.seed == 7
-    assert cfg.algorithm == "pruned"
+    assert ("", "algorithm") not in cfg.read  # only count and scan read it, when they parse
 
 
 def test_missing_field_names_the_field(tmp_path):
@@ -160,6 +160,20 @@ def test_ft_sphere_decay(tmp_path, capsys):
     )
     assert abs(exponent - 1.0) <= 0.05
     assert "radius,magnitude,stderr" in body
+
+
+def test_ft_quadrature_agrees_with_the_closed_form(tmp_path):
+    # quarter-odd radii: the magnitude 2/r at d = 3, away from the zeros of sin(2 pi r)
+    args = ["ft", "--kind", "sphere", "--d", "3", "--radii", "1.25;2.25;4.25;6.25;8.25;12.75"]
+    assert main(args + ["--out", str(tmp_path / "c")]) == 0
+    assert main(args + ["--method", "quadrature", "--nodes", "128", "--out", str(tmp_path / "q")]) == 0
+
+    def magnitudes(path):
+        return [float(line.split(",")[1]) for line in path.read_text().splitlines()[9:]]
+
+    closed = magnitudes(tmp_path / "c" / "ft_sphere_d3_closed_seed0.csv")
+    quadrature = magnitudes(tmp_path / "q" / "ft_sphere_d3_quadrature_seed0.csv")
+    assert len(closed) == 6 and quadrature == pytest.approx(closed, rel=1e-9, abs=1e-12)
 
 
 def test_ft_mc_runs_and_is_seeded(tmp_path):
@@ -370,7 +384,7 @@ BAD_INPUTS = [
       "--k", "1", "--schedule", "100;400;1600", "--s", "2", "--t", "0.5"],
      "field input: scan does not read it (it reads top-level keys: algorithm, command, out, seed)"),
     (["gen", "--input", "points.txt", "--kind", "lattice", "--d", "2", "--m", "3"],
-     "field input: gen does not read it (it reads top-level keys: algorithm, command, out, seed)"),
+     "field input: gen does not read it (it reads top-level keys: command, out, seed)"),
     (["ft", "--kind", "triangle2d", "--d", "5", "--rmin", "1", "--rmax", "20"],
      "field [ft] d: ft does not read it (it reads [ft] keys: direction, kind, method, nradii, radii, "
      "rmax, rmin)"),
@@ -417,6 +431,30 @@ def _bad_inputs(tmp_path):
         (["run", "--config", str(_write(tmp_path, f"unread{i}.cfg", body))], message)
         for i, (body, message) in enumerate(UNREAD_CONFIGS)
     ]
+
+
+@pytest.mark.parametrize("body,message", [
+    ("command = frobnicate\n", "config names unknown command 'frobnicate'"),
+    ("algorithm = fast\n" + COUNT_CFG, "unknown algorithm 'fast'"),
+    ("algorithm = brute\ncommand = gen\n[generator]\nkind = lattice\nd = 2\nm = 3\n",
+     "field algorithm: gen does not read it (it reads top-level keys: command, out, seed)"),
+])
+def test_bad_run_config_exits_2(tmp_path, capsys, body, message):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write(tmp_path, "run.cfg", body)), "--out", str(out)]) == 2
+    assert f"configeo: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_only_count_and_scan_take_the_algorithm_flag(tmp_path):
+    with pytest.raises(SystemExit):
+        parse_config(["gen", "--algorithm", "brute"])
+    pts = _write_square(tmp_path)
+    out = tmp_path / "out"
+    assert main(["count", "--input", str(pts), "--family", "simplex", "--k", "1", "--t", "1",
+                 "--delta", "0.01", "--algorithm", "brute", "--out", str(out), "--seed", "0"]) == 0
+    assert "simplex,1,2,4,1,0.01,8,brute,,0" in (out / "count_simplex_k1_d2_seed0.csv").read_text()
+    assert "algorithm = brute" in (out / "count_manifest.txt").read_text().splitlines()
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):

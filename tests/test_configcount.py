@@ -245,7 +245,10 @@ def test_simplex_packed_rows_at_word_edges_match_brute(monkeypatch, k, n):
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9])
 def test_distance_rows_bit_identical_to_oracle(d):
     pts = gen_random(d, 50, seed=35 + d).points
-    rows = np.vstack([_distance_rows(pts, s, min(s + 7, 50)) for s in range(0, 50, 7)])
+    coords, out, scratch = np.ascontiguousarray(pts.T), np.empty((7, 50)), np.empty((7, 50))
+    # each block is a view of the reused out buffer, so it is copied before the next
+    rows = np.vstack([_distance_rows(coords, s, min(s + 7, 50), out, scratch).copy()
+                      for s in range(0, 50, 7)])
     assert rows.tobytes() == _pair_distance_matrix(pts).tobytes()
 
 
@@ -886,6 +889,17 @@ def test_run_query_dispatch():
         run_query(SQUARE, ConfigQuery(family="simplex", k=3, t=(1.0,) * 6, delta=0.01))
     with pytest.raises(ValueError):
         run_query(SQUARE, ConfigQuery(family="custom", k=1, t=(1.0,), delta=0.01))
+
+
+def test_run_query_counts_a_custom_map_by_its_row():
+    query = ConfigQuery(family="custom", k=1, t=(1.0,), delta=0.01, phi=DISTANCE_PHI)
+    for algo in ("pruned", "brute"):
+        report = run_query(SQUARE, query, algorithm=algo)
+        assert (report.count, report.algorithm) == (8, algo)
+    with pytest.raises(ValueError, match="unknown algorithm"):
+        run_query(SQUARE, query, algorithm="magic")
+    with pytest.raises(ValueError, match="needs k = 1"):
+        run_query(SQUARE, ConfigQuery(family="custom", k=2, t=(1.0,), delta=0.01, phi=DISTANCE_PHI))
 
 
 NON_FINITE = [(math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)]

@@ -201,6 +201,45 @@ def test_coplanar_volume_scan_inconclusive():
     assert report.fitted_slope is None
 
 
+def test_scan_with_one_zero_count_is_inconclusive():
+    # the lattices {0, 1/(m-1), ..., 1} for m = 3, 5, 9 have the distance 0.25 at m = 5 and 9
+    # only; one zero of three is under the half-zero rule, but two counts cannot be fitted
+    spec = ScanSpec(generator=GeneratorSpec.make("lattice", d=1), family="simplex", k=1,
+                    schedule=(3, 5, 9), s=1.0, t=(0.25,), delta=0.01)
+    report = run_scan(spec)
+    assert [r.count for r in report.rows] == [0, 8, 14]
+    assert report.verdict == "inconclusive"
+    assert report.fitted_slope is None and report.stderr is None
+
+
+DISTANCE_PHI = PhiFunction(arity=2, output_dim=1, evaluator=lambda tuples: np.sqrt(
+    ((tuples[:, 1] - tuples[:, 0]) ** 2).sum(axis=-1))[:, None])
+
+
+def test_custom_scan_samples_its_target_through_the_map():
+    # the same seeded tuple, valued by the map, is the simplex scan's target
+    common = dict(generator=GeneratorSpec.make("uniform_random", d=2), k=1,
+                  schedule=(30, 60, 120), s=2.0, seed=3)
+    custom = run_scan(ScanSpec(family="custom", phi=DISTANCE_PHI, predicted=1.5, **common))
+    simplex = run_scan(ScanSpec(family="simplex", **common))
+    assert custom.t == simplex.t
+    assert [r.count for r in custom.rows] == [r.count for r in simplex.rows]
+    batch = PhiFunction(arity=2, output_dim=1, evaluator=lambda tuples: np.zeros(2))
+    with pytest.raises(ValueError, match="evaluator returned shape"):
+        run_scan(ScanSpec(family="custom", phi=batch, predicted=1.5, **common))
+
+
+def test_custom_scan_k_is_the_map_arity_minus_one():
+    gen = GeneratorSpec.make("uniform_random", d=2)
+    with pytest.raises(ValueError, match="custom family needs k = 1"):
+        ScanSpec(generator=gen, family="custom", k=5, schedule=(20, 40, 80), t=(0.0,), delta=0.01,
+                 phi=DISTANCE_PHI, predicted=1.5)
+    with pytest.raises(ValueError, match="explicit predicted exponent"):
+        ScanSpec(generator=gen, family="custom", k=1, schedule=(20, 40, 80), phi=DISTANCE_PHI)
+    with pytest.raises(ValueError, match="custom query"):
+        ScanSpec(generator=gen, family="simplex", k=1, schedule=(20, 40, 80), phi=DISTANCE_PHI)
+
+
 def test_constant_phi_scan_exceeds():
     phi = PhiFunction(arity=2, output_dim=1, evaluator=lambda tuples: np.zeros((len(tuples), 1)))
     spec = ScanSpec(

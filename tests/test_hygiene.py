@@ -61,3 +61,31 @@ def test_the_scan_finds_format_float_users():
                      "def f(x):\n    return pointgen.format_float(x)\n"
                      "class C:\n    g = format_float\ny = format_float(1.0)\n")
     assert _format_float_users(tree) == {"import", "f", "C", "<module>"}
+
+
+def _custom_mentions(tree: ast.Module) -> set[str]:
+    """Where tree holds the string "custom": the top-level function or class
+    it is in, or '<module>', with ' ==' where a comparison reads it."""
+    found = set()
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        compared = {id(operand) for node in ast.walk(top) if isinstance(node, ast.Compare)
+                    for operand in (node.left, *node.comparators)}
+        found |= {where + " ==" * (id(node) in compared) for node in ast.walk(top)
+                  if isinstance(node, ast.Constant) and node.value == "custom"}
+    return found
+
+
+def test_custom_is_compared_only_in_family_row():
+    # a custom map is one more Family row: family_row alone compares a family
+    # name with "custom" and builds the row, which carries it as its name;
+    # count_phi names it as the family of the query it counts
+    found = {p.name: _custom_mentions(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES}
+    assert {name: f for name, f in found.items() if f} == {
+        "configcount.py": {"family_row ==", "_phi_row", "count_phi"}}
+
+
+def test_the_scan_finds_custom_mentions():
+    tree = ast.parse('x = "custom"\ndef f(a):\n    return a == "custom" or a in ("custom",)\n'
+                     'class C:\n    y = "custom" != x\n')
+    assert _custom_mentions(tree) == {"<module>", "f ==", "f", "C =="}
