@@ -100,12 +100,14 @@ class Family:
     brute: Callable[..., int]
     threshold: Callable[[int, int], Fraction] | None  # s0(k, d); None: unknown (a custom map)
     counter_args: tuple[str, ...]  # the ConfigQuery fields count_<name> takes after ps
+    fixed_by: str = "in d={d}"  # what fixes k, as check_k's refusal names it
 
     def check_k(self, k: int, d: int) -> None:
         if self.fixed_k is None and not 1 <= k <= d:
             raise ValueError(f"{self.name} family needs 1 <= k <= d, got k={k}, d={d}")
         if self.fixed_k is not None and k != self.fixed_k(d):
-            raise ValueError(f"{self.name} family needs k = {self.fixed_k(d)} in d={d}, got k={k}")
+            raise ValueError(f"{self.name} family needs k = {self.fixed_k(d)} "
+                             f"{self.fixed_by.format(d=d)}, got k={k}")
 
 
 def family_row(family: str, phi: PhiFunction | None = None) -> Family:
@@ -864,7 +866,8 @@ def _phi_row(phi: PhiFunction) -> Family:
 
     return Family(name="custom", fixed_k=lambda d: phi.arity - 1, targets=lambda k: phi.output_dim,
                   t_ok=math.isfinite, t_domain="finite", zero_delta=False, config_map=config_map,
-                  scale=lambda d: 1.0, fast=ball, brute=ball, threshold=None, counter_args=())
+                  scale=lambda d: 1.0, fast=ball, brute=ball, threshold=None, counter_args=(),
+                  fixed_by=f"for a map of arity {phi.arity}")
 
 
 def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:

@@ -32,12 +32,23 @@ constraints once, and over the points inside each chunk.  A point's estimate
 and standard error are therefore the same whether it is evaluated alone or in
 a list with others; decay_fit hands the evaluator the whole ray at once.
 
+A chunk draws its arrays in stream order.  Every array but the last is drawn
+whole, since the next one follows it in the stream; the last is drawn in
+blocks of _MC_ROWS rows, and each block is normalized, scaled and tested
+against the constraints as soon as it is drawn, keeping only its accepted
+rows.  numpy's Generator gives the same values in consecutive blocks as in
+one call, so the seeded estimates are those of whole-chunk draws, while a
+chunk holds one (m, d) array less: chain_spheres holds the raw normals of
+spheres 1..k-1, determinant_variety its (m, d^2) directions, and sphere, which
+has no constraint, draws its one array whole.
+
 scipy.special is imported inside the three functions that need it
-(sphere_area, ft_sphere_radial and _draw_determinant_variety), not at module
-level: its import is most of the package's import time, and every command
-but ft runs without it.  Its gamma, not math.gamma, stays: the two differ in
-the last bit at some half-integers, and the seeded estimates are pinned bit
-for bit.
+(sphere_area at odd d or d > 50, ft_sphere_radial and _draw_determinant_variety),
+not at module level: its import is most of the package's import time, and every
+command but ft runs without it, as does Monte Carlo at even d.  Its gamma, not
+math.gamma, stays: the two differ in the last bit at some half-integers, and
+the seeded estimates are pinned bit for bit.  At even d <= 50, Gamma(d/2) is a
+factorial, which equals scipy's gamma bit for bit there.
 """
 
 from __future__ import annotations
@@ -57,14 +68,21 @@ CURVATURE_STEP = 1e-4
 CURVATURE_REL_TOL = 1e-6
 _SQ3 = math.sqrt(3.0)
 _MC_CHUNK = 1 << 18  # samples per draw from the seeded stream (see ft_montecarlo)
+_MC_ROWS = 8192  # rows per block of a chunk's streamed last array (see ft_montecarlo)
 
 
 def sphere_area(d: int) -> float:
-    """Surface area of the unit sphere S^{d-1}."""
+    """Surface area of the unit sphere S^{d-1}.  Gamma(d/2) is (d/2 - 1)! at
+    even d <= 50, where that equals scipy's gamma bit for bit, and scipy's
+    gamma otherwise, so only odd d load scipy."""
     if d < 1:
         raise ValueError("need d >= 1")
-    from scipy.special import gamma
-    return float(2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0))
+    if d % 2 == 0 and d <= 50:
+        gamma_half = float(math.factorial(d // 2 - 1))
+    else:
+        from scipy.special import gamma
+        gamma_half = gamma(d / 2.0)
+    return float(2.0 * math.pi ** (d / 2.0) / gamma_half)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +293,18 @@ def ft_montecarlo(
     against the constraints once, then every point adds that chunk's phases to
     its own sums, so a point's estimate is the same whether it is evaluated
     alone or together with others, and memory stays bounded by the chunk.
+
+    Within a chunk, the arrays drawn before the last one are drawn whole, as
+    the stream order demands, and the last is drawn, tested and cut to its
+    accepted rows in blocks of _MC_ROWS rows (see the module docstring); a
+    chunk is freed before the next one is drawn.  Memory budget: for a chain
+    of two spheres in R^d, one call at m = _MC_CHUNK samples allocates at
+    most 1.5 times one (m, d) float64 array (9.4 MB at d = 3, measured 8.0 MB
+    by tracemalloc): the first sphere's raw normals, the acceptance mask, the
+    blocks and the accepted rows while drawing, then the complex (m,) phase
+    sums.  The budget does not cover sphere, whose phase pass runs over all
+    m rows (21 MB at d = 3), nor determinant_variety, which holds its (m, 9)
+    directions (22 MB).
     """
     if not (0.0 < epsilon <= 0.2):
         raise ValueError("epsilon must lie in (0, 0.2]")
@@ -303,6 +333,7 @@ def ft_montecarlo(
             sum_re2[i] += float((v.real**2).sum())
             sum_im2[i] += float((v.imag**2).sum())
         accepted += int(acc.sum())
+        del blocks, acc, v  # free this chunk before the next one is drawn
     if accepted == 0:
         raise InfeasibleError("no sample satisfied the constraints; measure infeasible at this epsilon")
     out = []
@@ -314,33 +345,39 @@ def ft_montecarlo(
     return out
 
 
-def _row_norms(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _row_norms(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm(a, axis=1), bit for bit, without its (m, d) square.
     Below 8 columns numpy's pairwise sum adds a row in coordinate order, so
-    the squares are summed column by column into out; from 8 on it unrolls
-    by 8, and the rows go to np.add.reduce as in np.linalg.norm."""
+    the squares are summed column by column; from 8 on it unrolls by 8, and
+    the rows go to np.add.reduce as in np.linalg.norm."""
     d = a.shape[1]
     if d >= 8:
-        return np.sqrt(np.add.reduce(a * a, axis=1), out=out)
-    out = np.multiply(a[:, 0], a[:, 0], out=out)
+        return np.sqrt(np.add.reduce(a * a, axis=1))
+    out = a[:, 0] * a[:, 0]
     square = np.empty_like(out)
     for k in range(1, d):
         out += np.multiply(a[:, k], a[:, k], out=square)
     return np.sqrt(out, out=out)
 
 
-def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """m standard normal rows divided in place by their norms; zero rows
-    stay zero."""
-    g = rng.standard_normal((m, d))
+def _normalize_rows(g: np.ndarray) -> np.ndarray:
+    """g divided in place by its row norms; zero rows stay zero."""
     norms = _row_norms(g)
     norms[norms == 0.0] = 1.0
     g /= norms[:, None]
     return g
 
 
+def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
+    """m standard normal rows divided in place by their norms; zero rows
+    stay zero."""
+    return _normalize_rows(rng.standard_normal((m, d)))
+
+
 # One chunk of m samples per draw: the accepted rows of each frequency
 # block's sample array, the acceptance mask over the chunk, and the weight.
+# The chunk's last array in stream order is drawn in blocks of _MC_ROWS rows,
+# each block tested at once (see ft_montecarlo).
 
 
 def _draw_sphere(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
@@ -349,41 +386,50 @@ def _draw_sphere(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m:
 
 
 def _draw_triangle2d(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
-    u = _unit_vectors(rng, m, 2)
-    v = _unit_vectors(rng, m, 2)
-    acc = np.abs(np.linalg.norm(u - v, axis=1) - 1.0) < epsilon
-    ambient = (2.0 * math.pi) ** 2
-    # constant shell->parametrized density: |grad over the torus| = sqrt(3)/2
-    weight = ambient / (2.0 * epsilon) * (_SQ3 / 2.0)
-    return [u[acc], v[acc]], acc, weight
+    # the unit chain of two circles at gap 1, times the constant
+    # shell->parametrized density |grad over the torus| = sqrt(3)/2
+    blocks, acc, weight = _draw_chain_spheres(MeasureSpec.chain_spheres(2), epsilon, rng, m)
+    return blocks, acc, weight * (_SQ3 / 2.0)
 
 
 def _draw_chain_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
-    blocks = [_unit_vectors(rng, m, spec.d) for _ in spec.radii]
-    for x, r in zip(blocks, spec.radii):
-        x *= r
-    acc = np.ones(m, dtype=bool)
-    diff, dist = np.empty((m, spec.d)), np.empty(m)  # reused for every gap
-    for x, y, g in zip(blocks, blocks[1:], spec.gaps):
-        _row_norms(np.subtract(x, y, out=diff), out=dist)
-        acc &= np.abs(np.subtract(dist, g, out=dist), out=dist) < epsilon
+    held = [rng.standard_normal((m, spec.d)) for _ in spec.radii[:-1]]  # spheres 1..k-1, raw
+    acc = np.empty(m, dtype=bool)
+    kept = [[] for _ in spec.radii]
+    for lo in range(0, m, _MC_ROWS):
+        rows = [g[lo:lo + _MC_ROWS] for g in held]
+        rows.append(rng.standard_normal(rows[0].shape))  # the last sphere, streamed
+        for x, r in zip(rows, spec.radii):
+            _normalize_rows(x)
+            x *= r
+        ok = acc[lo:lo + _MC_ROWS]
+        ok.fill(True)
+        for x, y, g in zip(rows, rows[1:], spec.gaps):
+            ok &= np.abs(_row_norms(x - y) - g) < epsilon
+        for out, x in zip(kept, rows):
+            out.append(x[ok])
     ambient = math.prod(
         sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii
     )
     weight = ambient / (2.0 * epsilon) ** len(spec.gaps)
-    return [b[acc] for b in blocks], acc, weight
+    return [np.concatenate(b) for b in kept], acc, weight
 
 
 def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
     from scipy.special import gamma
     dd = spec.d
     ambient_dim = dd * dd
-    dirs = _unit_vectors(rng, m, ambient_dim)
-    radius = spec.cutoff * rng.random(m) ** (1.0 / ambient_dim)
-    y = dirs * radius[:, None]
-    mats = y.reshape(m, dd, dd)
-    acc = np.abs(np.linalg.det(mats) - spec.t) < epsilon
-    mats = mats[acc]
+    dirs = rng.standard_normal((m, ambient_dim))  # whole: the radii follow it in the stream
+    acc = np.empty(m, dtype=bool)
+    kept = []
+    for lo in range(0, m, _MC_ROWS):
+        y = _normalize_rows(dirs[lo:lo + _MC_ROWS])
+        y *= (spec.cutoff * rng.random(len(y)) ** (1.0 / ambient_dim))[:, None]
+        mats = y.reshape(-1, dd, dd)
+        ok = acc[lo:lo + _MC_ROWS]
+        ok[:] = np.abs(np.linalg.det(mats) - spec.t) < epsilon
+        kept.append(mats[ok])
+    mats = np.concatenate(kept)
     ball_vol = math.pi ** (ambient_dim / 2.0) / gamma(ambient_dim / 2.0 + 1.0)
     ambient = ball_vol * spec.cutoff**ambient_dim
     return [mats[:, j, :] for j in range(dd)], acc, ambient / (2.0 * epsilon)

@@ -231,7 +231,8 @@ def test_custom_scan_samples_its_target_through_the_map():
 
 def test_custom_scan_k_is_the_map_arity_minus_one():
     gen = GeneratorSpec.make("uniform_random", d=2)
-    with pytest.raises(ValueError, match="custom family needs k = 1"):
+    # the map's arity fixes k, whatever the template's d
+    with pytest.raises(ValueError, match=r"^custom family needs k = 1 for a map of arity 2, got k=5$"):
         ScanSpec(generator=gen, family="custom", k=5, schedule=(20, 40, 80), t=(0.0,), delta=0.01,
                  phi=DISTANCE_PHI, predicted=1.5)
     with pytest.raises(ValueError, match="explicit predicted exponent"):

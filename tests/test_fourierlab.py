@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,10 +41,11 @@ def test_sphere_masses():
 
 
 # sphere_area and the determinant-variety ball volume take gamma from
-# scipy.special.  math.gamma differs from it in the last bit at some
-# half-integers (d = 3, 5, 7, 9 with CPython 3.11 and scipy 1.17), which would
-# move the seeded estimates pinned below, so these pins compare with ==.
-@pytest.mark.parametrize("d", range(1, 13))
+# scipy.special, or from a factorial at even d <= 50.  math.gamma differs from
+# scipy's in the last bit at some half-integers (d = 3, 5, 7, 9 with CPython
+# 3.11 and scipy 1.17), which would move the seeded estimates pinned below,
+# so these pins compare with ==.
+@pytest.mark.parametrize("d", range(1, 51))
 def test_sphere_area_is_the_scipy_gamma_form_bit_for_bit(d):
     from scipy.special import gamma
 
@@ -295,23 +297,65 @@ def test_each_draw_returns_accepted_blocks_of_the_row_widths(kind):
     assert tuple(b.shape for b in blocks) == tuple((acc.sum(), w) for w in spec.block_dims)
 
 
-@pytest.mark.parametrize("kind,draws_per_chunk", [
+# The second value is the number of standard normal arrays per chunk.
+@pytest.mark.parametrize("kind,normal_arrays", [
     ("sphere", 1), ("triangle2d", 2), ("chain_spheres", 2), ("determinant_variety", 1),
 ])
-def test_mc_draws_once_per_chunk_whatever_the_point_count(monkeypatch, kind, draws_per_chunk):
+def test_mc_draws_once_per_chunk_whatever_the_point_count(monkeypatch, kind, normal_arrays):
     spec, seed, blocks, _ = GOLDEN_MC[kind]
     points = [FrequencyPoint.of(*b) for b in blocks]
     monkeypatch.setattr(fourierlab, "_MC_CHUNK", 4096)
-    calls = []
-    draw = fourierlab._unit_vectors
-    monkeypatch.setattr(fourierlab, "_unit_vectors",
-                        lambda *args: calls.append(args[1:]) or draw(*args))
+    monkeypatch.setattr(fourierlab, "_MC_ROWS", 1000)  # the streamed arrays come in blocks
+    make = np.random.Generator
+    records = []
+
+    class Recorded:  # hands out the stream's values and keeps a copy of each
+        def __init__(self, bits):
+            self._rng = make(bits)
+
+        def __getattr__(self, name):
+            def call(*args):
+                out = getattr(self._rng, name)(*args)
+                records[-1].append((name, out.copy()))
+                return out
+            return call
+
+    monkeypatch.setattr(np.random, "Generator", Recorded)
     samples = 3 * 4096 + 100  # three full chunks and a partial one
     for batch in ([points[0]], points, points * 4):
-        calls.clear()
+        records.append([])
         ft_montecarlo(spec, batch, 0.05, samples, seed)
-        assert len(calls) == 4 * draws_per_chunk
-        assert [m for m, _ in calls[::draws_per_chunk]] == [4096, 4096, 4096, 100]
+    first = records[0]
+    assert sum(len(v) for name, v in first if name == "standard_normal") == normal_arrays * samples
+    for other in records[1:]:
+        assert [name for name, _ in other] == [name for name, _ in first]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(first, other))
+
+
+# Drawing a chunk's last array in blocks of _MC_ROWS rows keeps the seeded
+# estimates only because the Generator gives the same values either way.
+@pytest.mark.parametrize("method,row", [("standard_normal", (3,)), ("standard_normal", (9,)),
+                                        ("random", ())])
+def test_generator_gives_the_same_values_in_row_blocks(method, row):
+    m, rows = 3 * fourierlab._MC_ROWS + 100, fourierlab._MC_ROWS
+    whole = getattr(np.random.default_rng(25), method)((m, *row))
+    rng = np.random.default_rng(25)
+    parts = [getattr(rng, method)((min(rows, m - lo), *row)) for lo in range(0, m, rows)]
+    assert np.array_equal(whole, np.concatenate(parts))
+
+
+def test_mc_chunk_stays_within_its_memory_budget():
+    # the budget of the ft_montecarlo docstring: 1.5 times one (m, d) float array
+    m, d = fourierlab._MC_CHUNK, 3
+    point = FrequencyPoint.of([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
+    sphere_area(d)  # loads scipy before the trace starts
+    tracemalloc.start()
+    try:
+        ft_montecarlo(MeasureSpec.chain_spheres(d), [point], 0.05, m, seed=26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * m * d * 8
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 9])

@@ -40,14 +40,19 @@ COMMANDS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def loaded():
+def _fresh(code: str):
+    """The last stdout line of code, run in a fresh interpreter, as JSON."""
     src = str(Path(configeo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = f"HEAVY = {HEAVY!r}\nCOMMANDS = {COMMANDS!r}\n{SCRIPT}"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", f"HEAVY = {HEAVY!r}\n{code}"],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    return _fresh(f"COMMANDS = {COMMANDS!r}\n{SCRIPT}")
 
 
 def test_importing_the_package_and_cli_leaves_scipy_out(loaded):
@@ -61,3 +66,16 @@ def test_every_command_but_ft_leaves_scipy_out(loaded, command):
 
 def test_ft_loads_scipy(loaded):
     assert "scipy" in loaded["ft"]
+
+
+def test_monte_carlo_at_even_d_leaves_scipy_out():
+    # sphere_area takes Gamma(d/2) from a factorial at even d, so these
+    # draws, the triangle2d one among them, do not load scipy.special
+    assert _fresh("""
+import json, sys
+from configeo.fourierlab import FrequencyPoint, MeasureSpec, ft_montecarlo
+for spec in (MeasureSpec.triangle2d(), MeasureSpec.chain_spheres(2), MeasureSpec.sphere(4)):
+    ft_montecarlo(spec, [FrequencyPoint.of(*([1.0] + [0.0] * (w - 1) for w in spec.block_dims))],
+                  0.05, 10**4, 0)
+print(json.dumps([m for m in HEAVY if m in sys.modules]))
+""") == []
