@@ -45,10 +45,9 @@ from .fourierlab import (
     ft_quadrature,
     level_set_curvatures,
     nonzero_curvature_count,
-    phase_hessian,
+    phase_check_ranks,
     phase_plane_discriminant,
     phase_plane_form,
-    phase_plane_xi,
     rotated_block_form,
 )
 from .pointgen import (GENERATORS, GeneratorSpec, PointSet, format_float, format_pointset,
@@ -624,12 +623,7 @@ def _cmd_curvature(cfg: ExperimentConfig):
                 items.append(("detform_eigs", "skipped (rotated form needs even d)"))
         if check in ("phase", "suite"):
             if d >= 3:
-                eta = np.zeros(d)
-                eta[0], eta[-1] = 0.9, 0.3
-                xi = np.zeros(d)
-                xi[-1], xi[0] = 0.5, 0.2
-                _, rank_generic = phase_hessian(d, xi, eta)
-                _, rank_plane = phase_hessian(d, phase_plane_xi(eta, d), eta)
+                rank_generic, rank_plane = phase_check_ranks(d)
                 disc = phase_plane_discriminant()
                 items += [("phase_rank_generic", f"{rank_generic} (floor {2 * (d - 2)})"),
                           ("phase_rank_on_plane", f"{rank_plane} (floor {d - 1})"),

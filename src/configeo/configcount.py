@@ -39,16 +39,19 @@ SIMPLEX_BAND_NNZ_BUDGET bytes, and during the build as soon as their
 projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  The count extends chunks
 of partial tuples one slot at a time: slot j's candidates are the AND of the
 rows of A_ij at x_i over i < j, unpacked into the next chunk for an inner
-slot and summed by popcount for the last.  Volume in
-d = 2 and 3 and area2 in any d value each unordered point set once, from its
-smallest index, by |det| and by the Gram determinant of its legs; angle
-values each unordered leg pair at an apex once, by its cosine.  All three
-compute their values in BLAS row blocks of at most _SET_BLOCK_ENTRIES.  A
-proven rounding margin per family splits the values into those that count
-for all of their orderings ((d+1)!, 6 and 2), those that count for none, and
-those near a band edge, whose orderings `_recheck` values by the row's map,
-so the two agree bit for bit at ties.  Volume in other d is counted by the
-oracle.
+slot and summed by popcount for the last.
+
+Volume in d = 2 and 3, area2 and angle share one set kernel
+(`_set_kernel`), which values each unordered point set once, in BLAS row
+blocks of at most _SET_BLOCK_ENTRIES values.  Each family supplies its
+per-apex views (apex, leg indices, row legs and a value block: |det| by
+normal vectors, the Gram determinant of the legs, or the cosine of unit
+legs), its value-space bands from a proven rounding margin, the orderings
+one set counts for ((d+1)!, 6 and 2), and its map.  The kernel splits each
+block (`_band_split`) into the sets that count for all of their orderings,
+those that count for none, and those near a band edge, whose orderings
+`_recheck` values by the row's map, so the two agree bit for bit at ties.
+Volume in other d is counted by the oracle.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ from .pointgen import PointSet
 
 BRUTE_EVAL_BUDGET = 10**9
 SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
-SIMPLEX_BLOCK_ENTRIES = 1 << 16  # dense entries per row block of D or of a product
+SIMPLEX_BLOCK_ENTRIES = 1 << 16  # distances per row block of D, bits per block of unpacked band rows
 DEGENERATE_APEX_TOL = 1e-12
-_SET_BLOCK_ENTRIES = 1 << 16  # values per row block of the set kernels, tuples per chunk of `_tuples`
+_SET_BLOCK_ENTRIES = 1 << 16  # values per row block of the set kernel, tuples per chunk of `_tuples`
 _VOLUME_MARGIN_C = 32  # rounding margin constant of _volume_margin
 _AREA2_MARGIN_C = 8  # rounding margin constant of _area2_margin
 _ANGLE_MARGIN_C = 16  # rounding margin constant of _angle_margin
@@ -216,20 +219,6 @@ def _target_matrix(k: int, t: tuple[float, ...]) -> np.ndarray:
     return tm
 
 
-def _row_blocks(last: np.ndarray, m: int):
-    """Row blocks (start, stop, col) of the volume, area2 and angle kernels.
-    Rows are leg sets sorted by their last leg e, and each pairs with the
-    legs l > e of m legs, so a block is valued against the legs col..m-1,
-    where col is the first leg any of its rows pairs with.  A block holds at
-    most _SET_BLOCK_ENTRIES values (at least one row)."""
-    start = 0
-    while start < last.size:
-        col = last[start] + 1
-        stop = min(last.size, start + max(1, _SET_BLOCK_ENTRIES // (m - col)))
-        yield start, stop, col
-        start = stop
-
-
 def _band_split(vals: np.ndarray, last: np.ndarray, col: int, inner, outer):
     """Sort a block of values into three groups.  The block's rows have last
     legs `last` and its columns are the legs col.., so the values at a leg
@@ -292,6 +281,48 @@ def _recheck(pts: np.ndarray, config_map, sets: np.ndarray, orders, t: float, de
     every one of the orders (column permutations), that the oracle accepts:
     each is valued by the row's config_map, as the oracle values it."""
     return sum(_accepted(config_map(pts[sets[:, list(order)]]), (t,), delta) for order in orders)
+
+
+def _set_kernel(views, bands, orders, config_map):
+    """The fast counter kernel(points, k, t, delta) of a set family, which
+    values each unordered point set once.  The family supplies:
+    - views(pts): one (apex, index, row_legs, values) per apex: index[l] is
+      the point of leg l, row_legs the legs of each row, with the last leg e
+      of each row, ascending, in row_legs[-1], and values(start, stop, col)
+      the block of rows start:stop against the legs col.., valued in BLAS;
+    - bands(pts, t, delta): the inner and outer bands of `_band_split`;
+    - orders: the orderings one set counts for, as permutations of its
+      columns (apex, row legs, leg), of length k+1;
+    - config_map: the row's map, by which `_recheck` values the near sets.
+    A row pairs with the legs l > e, so a block is valued against the legs
+    from the first one any of its rows pairs with; it holds at most
+    _SET_BLOCK_ENTRIES values (at least one row).  A set inside the inner
+    band counts for every ordering and one outside the outer band for none;
+    the sets between are valued again, ordering by ordering, by `_recheck`.
+    """
+    def fast(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
+        n = pts.shape[0]
+        if n < len(orders[0]):
+            return 0
+        _tuples(n, len(orders[0]))  # CapacityError over the enumeration budget
+        inner, outer = bands(pts, t[0], delta)
+        total = 0
+        for apex, index, row_legs, values in views(pts):
+            last, start = row_legs[-1], 0
+            while start < last.size:
+                col = last[start] + 1
+                stop = min(last.size, start + max(1, _SET_BLOCK_ENTRIES // (index.size - col)))
+                inside, near = _band_split(values(start, stop, col), last[start:stop], col, inner, outer)
+                total += len(orders) * inside
+                if near is not None:
+                    rows, cols = near
+                    rows += start
+                    sets = np.column_stack([np.full(rows.size, apex), *(index[leg[rows]] for leg in row_legs),
+                                            index[cols]])
+                    total += _recheck(pts, config_map, sets, orders, t[0], delta)
+                start = stop
+        return total
+    return fast
 
 
 def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
@@ -480,54 +511,41 @@ def count_volume(
     return _count(ps, ConfigQuery("volume", ps.dim, t, delta, convention), algorithm)
 
 
-def _volume_sets(pts: np.ndarray, t: float, delta: float) -> int:
-    """Ordered distinct (d+1)-tuples with |det| within delta of t, valuing each
-    unordered point set once (d = 2, 3; other d go to the oracle).
+def _volume_fast(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
+    """The volume row's fast counter: `_set_kernel` in d = 2 and 3, where
+    `_volume_margin` is proven, and the oracle in other d.  k is d."""
+    d = pts.shape[1]
+    return _VOLUME_SETS.get(d, FAMILIES["volume"].brute)(pts, d, t, delta)
 
-    A set's apex is its smallest index b and its legs are U = pts[b+1:] -
-    pts[b].  Each row of a block is a leg set short of its last leg, with
-    normal vector nu: a leg i at d = 2, with nu = (-U_i[1], U_i[0]) so that
-    nu . U_l = det(U_i, U_l); a leg pair i < j at d = 3, with nu =
-    cross(U_i, U_j).  Rows are sorted by their last leg e, and a block of
-    rows (`_row_blocks`) is valued against every leg l > e as nu @ U_l in
-    BLAS.  Each value V lies within `_volume_margin` B of every one of the
-    set's (d+1)! oracle values.  So `_band_split` counts a set with
-    ||V| - t| < delta - B for (d+1)!, one with ||V| - t| > delta + B for 0,
-    and the sets between are valued again, ordering by ordering, by
-    `_recheck`.
-    """
+
+def _volume_views(pts: np.ndarray):
+    """The apex views of the volume kernel (d = 2, 3).  A set's apex is its
+    smallest index b and its legs are U = pts[b+1:] - pts[b].  Each row is a
+    leg set short of its last leg, with normal vector nu: a leg i at d = 2,
+    with nu = (-U_i[1], U_i[0]) so that nu . U_l = det(U_i, U_l); a leg pair
+    i < j at d = 3, with nu = cross(U_i, U_j).  A row is valued against a
+    leg l as |nu @ U_l|, which lies within `_volume_margin` of every one of
+    the set's (d+1)! oracle values."""
     n, d = pts.shape
-    if d not in (2, 3):
-        return FAMILIES["volume"].brute(pts, d, (t,), delta)
-    if n < d + 1:
-        return 0
-    _tuples(n, d + 1)  # CapacityError over the enumeration budget
-    margin = _volume_margin(pts, t, delta)
-    inner, outer = delta - margin, delta + margin
-    bands = (t - inner, t + inner), (t - outer, t + outer)
-    orderings = list(itertools.permutations(range(d + 1)))
-    total = 0
     for b in range(n - d):
         legs = pts[b + 1:] - pts[b]
-        m = legs.shape[0]
         if d == 2:
-            last = np.arange(m - 1)
-            row_legs = (last,)
+            row_legs = (np.arange(len(legs) - 1),)
             normals = legs[:-1, ::-1] * [-1.0, 1.0]
         else:
-            last, first = np.tril_indices(m - 1, -1)  # pairs first < last, by last
+            last, first = np.tril_indices(len(legs) - 1, -1)  # pairs first < last, by last
             row_legs = (first, last)
             normals = np.cross(legs[first], legs[last])
-        for start, stop, col in _row_blocks(last, m):
-            inside, near = _band_split(np.abs(normals[start:stop] @ legs[col:].T), last[start:stop], col, *bands)
-            total += len(orderings) * inside
-            if near is not None:
-                rows, cols = near
-                rows += start
-                sets = np.column_stack([np.full(rows.size, b)] + [b + 1 + leg[rows] for leg in row_legs]
-                                       + [b + 1 + cols])
-                total += _recheck(pts, _volume_values, sets, orderings, t, delta)
-    return total
+        yield (b, np.arange(b + 1, n), row_legs,
+               lambda start, stop, col: np.abs(normals[start:stop] @ legs[col:].T))
+
+
+def _volume_bands(pts: np.ndarray, t: float, delta: float):
+    """The bands ||V| - t| < delta - B and ||V| - t| <= delta + B, with B the
+    `_volume_margin`."""
+    margin = _volume_margin(pts, t, delta)
+    inner, outer = delta - margin, delta + margin
+    return (t - inner, t + inner), (t - outer, t + outer)
 
 
 def _volume_margin(pts: np.ndarray, t: float, delta: float) -> float:
@@ -603,45 +621,34 @@ def count_area2(
     return _count(ps, ConfigQuery("area2", 2, t, delta, convention), algorithm)
 
 
-def _area2_sets(pts: np.ndarray, t: float, delta: float) -> int:
-    """Ordered distinct triples with area within delta of t, valuing each
-    unordered triple once, as the Gram determinant G of its legs.
-
-    A triple's apex is its smallest index b and its legs are U = pts[b+1:] -
-    pts[b].  A row block of legs i (`_row_blocks`) is valued against every
-    leg j > i as G = |U_i|^2 |U_j|^2 - (U_i . U_j)^2, the dots in BLAS.  The
-    area sqrt(max(G, 0)) lies within delta of t when G lies in [(t - delta)^2,
-    (t + delta)^2]; for t <= delta the lower edge is -inf, since every area is
-    >= 0 >= t - delta.  Each G lies within `_area2_margin` M of that band
-    test on every one of the triple's 6 oracle values.  So `_band_split`
-    counts a triple for 6 when G is inside the band shrunk by M, for 0 when
-    G is outside the band grown by M, and the triples between are valued
-    again, ordering by ordering, by `_recheck`.
-    """
+def _area2_views(pts: np.ndarray):
+    """The apex views of the area2 kernel.  A triple's apex is its smallest
+    index b and its legs are U = pts[b+1:] - pts[b].  A row is a leg i,
+    valued against a leg j as the Gram determinant G = |U_i|^2 |U_j|^2 -
+    (U_i . U_j)^2, the dots in BLAS."""
     n = pts.shape[0]
-    if n < 3:
-        return 0
-    _tuples(n, 3)  # CapacityError over the enumeration budget
-    margin = _area2_margin(pts, t, delta)
-    low = -np.inf if t <= delta else (t - delta) ** 2
-    high = (t + delta) ** 2
-    bands = (low + margin, high - margin), (low - margin, high + margin)
-    total = 0
     for b in range(n - 2):
         legs = pts[b + 1:] - pts[b]
         sq = (legs * legs).sum(axis=1)
-        last = np.arange(legs.shape[0] - 1)
-        for start, stop, col in _row_blocks(last, legs.shape[0]):
+
+        def values(start, stop, col):
             dots = legs[start:stop] @ legs[col:].T
             gram = np.multiply.outer(sq[start:stop], sq[col:])
             gram -= np.multiply(dots, dots, out=dots)
-            inside, near = _band_split(gram, last[start:stop], col, *bands)
-            total += 6 * inside
-            if near is not None:
-                rows, cols = near
-                sets = np.column_stack([np.full(rows.size, b), b + 1 + start + rows, b + 1 + cols])
-                total += _recheck(pts, _area2_values, sets, itertools.permutations(range(3)), t, delta)
-    return total
+            return gram
+        yield b, np.arange(b + 1, n), (np.arange(len(legs) - 1),), values
+
+
+def _area2_bands(pts: np.ndarray, t: float, delta: float):
+    """The area sqrt(max(G, 0)) lies within delta of t when G lies in
+    [(t - delta)^2, (t + delta)^2]; for t <= delta the lower edge is -inf,
+    since every area is >= 0 >= t - delta.  Each G lies within
+    `_area2_margin` M of that band test on every one of the triple's 6
+    oracle values, so the bands are that band shrunk and grown by M."""
+    margin = _area2_margin(pts, t, delta)
+    low = -np.inf if t <= delta else (t - delta) ** 2
+    high = (t + delta) ** 2
+    return (low + margin, high - margin), (low - margin, high + margin)
 
 
 def _area2_margin(pts: np.ndarray, t: float, delta: float) -> float:
@@ -703,46 +710,23 @@ def count_angle(ps: PointSet, theta0: float, delta: float, algorithm: str = "pru
     return _count(ps, ConfigQuery("angle", 2, theta0, delta), algorithm)
 
 
-def _angle_pairs(pts: np.ndarray, theta0: float, delta: float) -> int:
-    """Ordered distinct triples (a, i, j) with the angle at apex a within
-    delta of theta0, valuing each unordered leg pair at an apex once, by its
-    cosine.
-
-    At apex a the legs are pts - pts[a]; those shorter than
-    DEGENERATE_APEX_TOL, by the map's norm formula, make no triple.  The
-    others are divided by their norms, and a row block of legs i
-    (`_row_blocks`) is valued against every leg j > i as the dot of the unit
-    legs in BLAS.  `_angle_band` gives the cosine band, each end moved by the
-    margin w of `_angle_margin`: a pair inside the band shrunk by w counts 2,
-    for (a, i, j) and (a, j, i), one outside the band grown by w counts 0,
-    and the pairs between are valued again, in both leg orders, by
-    `_recheck`.  No arccos is taken outside them.
-    """
-    n, d = pts.shape
-    if n < 3:
-        return 0
-    _tuples(n, 3)  # CapacityError over the enumeration budget
-    bands = _angle_band(theta0, delta, _angle_margin(d))
-    total = 0
-    for a in range(n):
+def _angle_views(pts: np.ndarray):
+    """The apex views of the angle kernel, one per point a.  The legs are
+    pts - pts[a]; those shorter than DEGENERATE_APEX_TOL, by the map's norm
+    formula, make no triple.  The others are divided by their norms, and a
+    row, a leg i, is valued against a leg j as the dot of the unit legs in
+    BLAS, a cosine.  No arccos is taken outside the rechecks."""
+    for a in range(len(pts)):
         legs = pts - pts[a]
         norms = np.sqrt((legs * legs).sum(axis=1))
         keep = np.flatnonzero(norms >= DEGENERATE_APEX_TOL)  # never a itself
         unit = legs[keep] / norms[keep, None]
-        last = np.arange(keep.size - 1)
-        for start, stop, col in _row_blocks(last, keep.size):
-            inside, near = _band_split(unit[start:stop] @ unit[col:].T, last[start:stop], col, *bands)
-            total += 2 * inside
-            if near is not None:
-                rows, cols = near
-                triples = np.column_stack([np.full(rows.size, a), keep[start + rows], keep[cols]])
-                total += _recheck(pts, _angle_values, triples, ((0, 1, 2), (0, 2, 1)), theta0, delta)
-    return total
+        yield a, keep, (np.arange(keep.size - 1),), lambda start, stop, col: unit[start:stop] @ unit[col:].T
 
 
 def _angle_margin(d: int) -> float:
     """w = c (d + 2) eps, with c = _ANGLE_MARGIN_C and eps the machine
-    epsilon: the margin of the cosine bands of `_angle_pairs`.
+    epsilon: the margin of the angle kernel's cosine bands.
 
     Assumed accuracy: np.arccos is within 4 ulps of arccos on [-1, 1], so
     within alpha = 8 eps (its values are <= pi < 4), and its values lie in
@@ -810,9 +794,8 @@ def _angle_values(tuples: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _one_target(kernel):
-    """kernel(points, t, delta) as a row kernel (points, k, t, delta)."""
-    return lambda pts, k, t, delta: kernel(pts, t[0], delta)
+_VOLUME_SETS = {d: _set_kernel(_volume_views, _volume_bands, list(itertools.permutations(range(d + 1))),
+                               _volume_values) for d in (2, 3)}  # the d of a proven _volume_margin
 
 
 FAMILIES: dict[str, Family] = {row.name: row for row in (
@@ -824,19 +807,23 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
            config_map=_volume_values, scale=math.factorial,
-           fast=_one_target(_volume_sets), brute=_oracle(_volume_values),
+           fast=_volume_fast, brute=_oracle(_volume_values),
            threshold=lambda k, d: d - 1 + Fraction(1, 2 * d if d % 2 == 0 else 2 * (d - 1)),
            counter_args=("t", "delta", "volume_convention")),
     Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
            config_map=_area2_values, scale=lambda d: 2.0,
-           fast=_one_target(_area2_sets), brute=_oracle(_area2_values),
+           fast=_set_kernel(_area2_views, _area2_bands, list(itertools.permutations(range(3))), _area2_values),
+           brute=_oracle(_area2_values),
            threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4),
            counter_args=("t", "delta", "volume_convention")),
     Family(name="angle", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: 0.0 <= x <= math.pi, t_domain="in [0, pi]", zero_delta=False,
            config_map=_angle_values, scale=lambda d: 1.0,
-           fast=_one_target(_angle_pairs), brute=_oracle(_angle_values),
+           fast=_set_kernel(_angle_views,
+                            lambda pts, t, delta: _angle_band(t, delta, _angle_margin(pts.shape[1])),
+                            ((0, 1, 2), (0, 2, 1)), _angle_values),
+           brute=_oracle(_angle_values),
            threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
 )}
 
@@ -929,6 +916,8 @@ def box_dim(points, scales) -> BoxDimReport:
         pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValueError("need a nonempty (n, d) point array")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("coordinates must be finite")
     scales = [float(s) for s in scales]
     if len(scales) < 3:
         raise ValueError("need at least 3 scales")

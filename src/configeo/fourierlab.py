@@ -504,6 +504,9 @@ def decay_fit(
     radii = [float(r) for r in radii]
     if len(radii) < 5:
         raise ValueError("need at least 5 radii")
+    bad = [r for r in radii if not 0.0 < r < math.inf]
+    if bad:
+        raise ValueError(f"radii must be positive and finite, got {', '.join(f'{r:g}' for r in bad)}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly increasing")
     if radii[-1] < 10.0 * radii[0] * (1.0 - 1e-12):
@@ -689,6 +692,17 @@ def phase_plane_xi(eta, d: int) -> np.ndarray:
     xi = np.zeros(d)
     xi[-1] = -(13.0 * _SQ3 / 18.0) * eta[0] + (7.0 / 3.0) * eta[-1]
     return xi
+
+
+def phase_check_ranks(d: int) -> tuple[int, int]:
+    """Numerical ranks of the phase Hessian at the phase checks' test points:
+    the generic point eta = 0.9 e_1 + 0.3 e_d, xi = 0.2 e_1 + 0.5 e_d, and
+    the same eta with xi on the plane p = 0 (`phase_plane_xi`); d >= 3."""
+    eta = np.zeros(d)
+    eta[0], eta[-1] = 0.9, 0.3
+    xi = np.zeros(d)
+    xi[-1], xi[0] = 0.5, 0.2
+    return phase_hessian(d, xi, eta)[1], phase_hessian(d, phase_plane_xi(eta, d), eta)[1]
 
 
 def phase_plane_form() -> tuple[float, float, float]:

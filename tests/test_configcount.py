@@ -658,7 +658,7 @@ def test_angle_right_angles_on_a_lattice_are_rechecked(monkeypatch, d, m, delta)
     # it; at pi/4 the lattice's 45 and 135 degree angles sit on the band's edges
     pts = gen_lattice(d, m).points
     rechecked = _spy_rechecks(monkeypatch, "angle")
-    count = configcount._angle_pairs(pts, math.pi / 2, delta)
+    count = configcount.FAMILIES["angle"].fast(pts, 2, (math.pi / 2,), delta)
     assert sum(rechecked) > 0
     assert count == configcount.FAMILIES["angle"].brute(pts, 2, (math.pi / 2,), delta)
 
@@ -876,6 +876,12 @@ def test_box_dim_validation():
         box_dim(np.empty((0, 2)), [0.5, 0.25, 0.125])
     with pytest.raises(ValueError):
         box_dim(np.array([0.1, 0.2, 0.3]), [0.5, 0.25, 0.125])  # not an (n, d) array
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_box_dim_refuses_non_finite_coordinates(bad):
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        box_dim(np.array([[0.1, 0.2], [bad, 0.3], [0.5, 0.5]]), [0.5, 0.25, 0.125])
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,21 @@ def test_decay_fit_validation():
         decay_fit(lambda ps: [1.0], fp, [1, 2, 4, 8, 40])
 
 
+@pytest.mark.parametrize("radii,named", [([0.0, 1.3, 2.7, 5.1, 10.3, 20.7], "0"),
+                                         ([-2.0, -1.0, 1.0, 4.0, 40.0], "-2, -1"),
+                                         ([1.0, 2.0, 4.0, 8.0, math.inf], "inf")])
+def test_decay_fit_checks_radii_before_evaluating(radii, named):
+    calls = []
+
+    def spy(points):
+        calls.append(points)
+        return [1.0] * len(points)
+
+    with pytest.raises(ValueError, match=f"radii must be positive and finite, got {named}$"):
+        decay_fit(spy, FrequencyPoint.of([1.0, 0.0, 0.0]), radii)
+    assert calls == []
+
+
 def test_decay_fit_floor_gives_inconclusive():
     radii = np.geomspace(1.0, 100.0, 8)
     report = decay_fit(lambda ps: [0.0] * len(ps), FrequencyPoint.of([1.0]), radii)
@@ -546,6 +561,7 @@ def test_phase_hessian_rank_floors(d):
     assert rank_generic >= 2 * (d - 2)
     _, rank_plane = phase_hessian(d, phase_plane_xi(eta, d), eta)
     assert rank_plane >= d - 1
+    assert fourierlab.phase_check_ranks(d) == (rank_generic, rank_plane)  # the curvature command's points
 
 
 def test_phase_plane_restricted_determinant_matches_closed_form():

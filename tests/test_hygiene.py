@@ -89,3 +89,30 @@ def test_the_scan_finds_custom_mentions():
     tree = ast.parse('x = "custom"\ndef f(a):\n    return a == "custom" or a in ("custom",)\n'
                      'class C:\n    y = "custom" != x\n')
     assert _custom_mentions(tree) == {"<module>", "f ==", "f", "C =="}
+
+
+def _callers(tree: ast.Module, names: set[str]) -> dict[str, set[str]]:
+    """For each of names, the top-level functions or classes of tree, or
+    '<module>', that call it by its bare name."""
+    found = {name: set() for name in names}
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
+                found[node.func.id].add(where)
+    return found
+
+
+def test_one_set_kernel_splits_and_rechecks():
+    # volume, area2 and angle supply views, bands, orders and a map; one
+    # driver holds the apex and block loop, the band split and the recheck
+    path = next(p for p in SOURCES if p.name == "configcount.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _callers(tree, {"_band_split", "_recheck"}) == {"_band_split": {"_set_kernel"},
+                                                            "_recheck": {"_set_kernel"}}
+
+
+def test_the_scan_finds_callers():
+    tree = ast.parse("def f(x):\n    def g():\n        return h(x)\n    return g\n"
+                     "class C:\n    y = h(1) + k(2)\nz = h(0)\nm.h(3)\n")
+    assert _callers(tree, {"h", "k", "q"}) == {"h": {"f", "C", "<module>"}, "k": {"C"}, "q": set()}
