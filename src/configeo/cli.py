@@ -422,6 +422,8 @@ def _cmd_energy(cfg: ExperimentConfig):
     grid = _get_floats(cfg, "energy", "s_grid")
     if grid is None:
         grid = (_get_float(cfg, "energy", "s", required=True),)
+    elif not grid:
+        raise ValueError("s_grid names no exponent")
     c_level = _get_float(cfg, "energy", "c", DEFAULT_ADAPTABILITY_C)
 
     def job():

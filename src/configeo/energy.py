@@ -27,6 +27,7 @@ refused with CapacityError before any distance is computed.  At the budget,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,12 +54,17 @@ class EnergyReport:
     verdict: bool
 
 
+def _check_exponent(s) -> None:
+    """Refuse an exponent s that is not positive and finite (NaN included)."""
+    if not 0 < s < math.inf:
+        raise ValueError(f"s must be positive and finite, got s={float(s):g}")
+
+
 def discrete_energy(ps: PointSet, s: float) -> float:
     """E_s(ps) as defined above; raises on coincident points, and refuses a
     set with more than ENERGY_PAIR_BUDGET ordered pairs before the first
     block."""
-    if s <= 0:
-        raise ValueError("energy exponent s must be positive")
+    _check_exponent(s)
     n = ps.n
     if n == 1:
         return 0.0
@@ -95,8 +101,8 @@ def energy_profile(ps: PointSet, s_grid) -> list[tuple[float, float]]:
     """(s, E_s(ps)) for every s of the grid, in grid order: one
     discrete_energy call per s, after every s is checked."""
     grid = [float(s) for s in s_grid]
-    if any(s <= 0 for s in grid):
-        raise ValueError("energy exponent s must be positive")
+    for s in grid:
+        _check_exponent(s)
     return [(s, discrete_energy(ps, s)) for s in grid]
 
 

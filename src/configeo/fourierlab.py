@@ -42,13 +42,15 @@ chunk holds one (m, d) array less: chain_spheres holds the raw normals of
 spheres 1..k-1, determinant_variety its (m, d^2) directions, and sphere, which
 has no constraint, draws its one array whole.
 
-scipy.special is imported inside the three functions that need it
-(sphere_area at odd d or d > 50, ft_sphere_radial and _draw_determinant_variety),
-not at module level: its import is most of the package's import time, and every
-command but ft runs without it, as does Monte Carlo at even d.  Its gamma, not
-math.gamma, stays: the two differ in the last bit at some half-integers, and
-the seeded estimates are pinned bit for bit.  At even d <= 50, Gamma(d/2) is a
-factorial, which equals scipy's gamma bit for bit there.
+scipy.special is imported in two places only: in ft_sphere_radial (jv, the
+sphere's closed form) and in sphere_area above d = 51.  Its import is most of
+the package's import time, and every command but the closed-form ft runs
+without it, Monte Carlo at every d <= 51 included.  The seeded estimates are
+pinned bit for bit to scipy's gamma, and math.gamma differs from it in the
+last bit at many half-integers, so sphere_area takes Gamma(d/2) from a
+factorial at even d <= 50 and from _GAMMA_HALF_ODD, scipy's values stored as
+literals, at odd d <= 51.  Likewise numpy.polynomial is imported only inside
+ft_quadrature.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from ._ols import ols_loglog
 from .errors import InfeasibleError
@@ -71,14 +72,50 @@ _MC_CHUNK = 1 << 18  # samples per draw from the seeded stream (see ft_montecarl
 _MC_ROWS = 8192  # rows per block of a chunk's streamed last array (see ft_montecarlo)
 
 
+# scipy 1.17.1's gamma(d/2) at odd d <= 51, exactly.  No closed form gives
+# these bits: math.gamma misses them at d = 3, 5, 7, 9, 13, ..., and
+# sqrt(pi) * (d-2)!! / 2^((d-1)/2) at d = 7, 9, 15, ...
+_GAMMA_HALF_ODD = {
+    1: float.fromhex("0x1.c5bf891b4ef6ap+0"),
+    3: float.fromhex("0x1.c5bf891b4ef6ap-1"),
+    5: float.fromhex("0x1.544fa6d47b390p+0"),
+    7: float.fromhex("0x1.a96390899a075p+1"),
+    9: float.fromhex("0x1.74371e7866c66p+3"),
+    11: float.fromhex("0x1.a2be0247739f2p+5"),
+    13: float.fromhex("0x1.1fe2a1911f7d6p+8"),
+    15: float.fromhex("0x1.d3d0468bd32bdp+10"),
+    17: float.fromhex("0x1.b693422315f91p+13"),
+    19: float.fromhex("0x1.d1fc76454758ap+16"),
+    21: float.fromhex("0x1.14ade639225cap+20"),
+    23: float.fromhex("0x1.6b243e2afd19ap+23"),
+    25: float.fromhex("0x1.05020caee5ea6p+27"),
+    27: float.fromhex("0x1.97d333d1473e4p+30"),
+    29: float.fromhex("0x1.581a33b8941c8p+34"),
+    31: float.fromhex("0x1.37d7bedf4639dp+38"),
+    33: float.fromhex("0x1.2e1900e84c081p+42"),
+    35: float.fromhex("0x1.3789c8ef8e685p+46"),
+    37: float.fromhex("0x1.54beb3c603c20p+50"),
+    39: float.fromhex("0x1.89fc7fdcf4586p+54"),
+    41: float.fromhex("0x1.e02bbbd549cbap+58"),
+    43: float.fromhex("0x1.339c0454a3469p+63"),
+    45: float.fromhex("0x1.9d59a5d1bb66dp+67"),
+    47: float.fromhex("0x1.22a3089777c43p+72"),
+    49: float.fromhex("0x1.aadf749e77e85p+76"),
+    51: float.fromhex("0x1.46d3154953cdfp+81"),
+}
+
+
 def sphere_area(d: int) -> float:
-    """Surface area of the unit sphere S^{d-1}.  Gamma(d/2) is (d/2 - 1)! at
-    even d <= 50, where that equals scipy's gamma bit for bit, and scipy's
-    gamma otherwise, so only odd d load scipy."""
+    """Surface area 2 pi^(d/2) / Gamma(d/2) of the unit sphere S^{d-1}, with
+    Gamma(d/2) bit for bit scipy's: (d/2 - 1)! at even d <= 50, where the two
+    agree, _GAMMA_HALF_ODD at odd d <= 51, and scipy's gamma above, the only
+    d that loads scipy."""
     if d < 1:
         raise ValueError("need d >= 1")
     if d % 2 == 0 and d <= 50:
         gamma_half = float(math.factorial(d // 2 - 1))
+    elif d in _GAMMA_HALF_ODD:
+        gamma_half = _GAMMA_HALF_ODD[d]
     else:
         from scipy.special import gamma
         gamma_half = gamma(d / 2.0)
@@ -249,6 +286,8 @@ def ft_quadrature(spec: MeasureSpec, xi, node_count: int = 2048) -> complex:
         phases = np.exp(-2j * math.pi * (pts @ xi))
         return complex(phases.sum() * w_theta)
 
+    from numpy.polynomial.legendre import leggauss
+
     # polar angles phi_1..phi_{d-2} in [0, pi]; surface element is the
     # product of sin^{d-2-j}(phi_j) over the polar axes (0-based j)
     nodes, weights = leggauss(node_count)
@@ -416,7 +455,6 @@ def _draw_chain_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Genera
 
 
 def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
-    from scipy.special import gamma
     dd = spec.d
     ambient_dim = dd * dd
     dirs = rng.standard_normal((m, ambient_dim))  # whole: the radii follow it in the stream
@@ -430,7 +468,8 @@ def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.
         ok[:] = np.abs(np.linalg.det(mats) - spec.t) < epsilon
         kept.append(mats[ok])
     mats = np.concatenate(kept)
-    ball_vol = math.pi ** (ambient_dim / 2.0) / gamma(ambient_dim / 2.0 + 1.0)
+    # at the one gated d = 3, math.gamma(11/2) equals scipy's gamma bit for bit
+    ball_vol = math.pi ** (ambient_dim / 2.0) / math.gamma(ambient_dim / 2.0 + 1.0)
     ambient = ball_vol * spec.cutoff**ambient_dim
     return [mats[:, j, :] for j in range(dd)], acc, ambient / (2.0 * epsilon)
 

@@ -364,6 +364,20 @@ BAD_INPUTS = [
     (["ft", "--kind", "triangle2d", "--method", "quadrature", "--rmin", "1", "--rmax", "20",
       "--nradii", "6"], "bad [ft]: no quadrature oracle"),
     (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid=-1;1"], "bad [energy]: "),
+    # an empty grid, and exponents that are not finite
+    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid", ""],
+     "bad [energy]: s_grid names no exponent"),
+    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid", ";"],
+     "bad [energy]: s_grid names no exponent"),
+    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid", "1;nan"],
+     "bad [energy]: s must be positive and finite, got s=nan"),
+    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "inf"],
+     "bad [energy]: s must be positive and finite, got s=inf"),
+    (["scan", "--kind", "uniform_random", "--d", "2", "--family", "simplex", "--k", "1",
+      "--schedule", "20;40;80", "--s", "nan"], "bad [scan]: s must be positive and finite, got s=nan"),
+    (["scan", "--kind", "uniform_random", "--d", "2", "--family", "simplex", "--k", "1",
+      "--schedule", "20;40;80", "--s", "inf", "--t", "0.5", "--predicted", "1.5"],
+     "bad [scan]: s must be positive and finite, got s=inf"),
     (COUNT_LATTICE + ["--r", "0.3"],
      "field [generator] r: count does not read it (it reads [generator] keys: d, kind, m)"),
     (COUNT_LATTICE + ["--jitter", "0.1"], "field [generator] jitter"),

@@ -208,6 +208,18 @@ def test_parameter_validation():
         is_adaptable(ps, 1.0, C=0.0)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_non_finite_exponents_are_refused(s):
+    ps = gen_lattice(1, 3)
+    message = f"s must be positive and finite, got s={s:g}$"
+    with pytest.raises(ValueError, match=message):
+        discrete_energy(ps, s)
+    with pytest.raises(ValueError, match=message):
+        energy_profile(ps, [1.0, s])
+    with pytest.raises(ValueError, match=message):
+        is_adaptable(ps, s)
+
+
 def test_value_positive_for_multiple_points():
     ps = gen_random(2, 12, seed=8)
     assert discrete_energy(ps, 1.0) > 0.0

@@ -101,6 +101,17 @@ def test_count_exponent_validation():
         count_exponent("custom", 2, 3, 1.0)
 
 
+@pytest.mark.parametrize("s", [float("nan"), float("inf")])
+def test_non_finite_s_is_refused(s, monkeypatch):
+    with pytest.raises(ValueError, match=f"s must be positive and finite, got s={s:g}$"):
+        count_exponent("simplex", 2, 3, s)
+    # a scan refuses it before any point set is generated
+    monkeypatch.setattr(expfit, "generate", lambda spec: pytest.fail("generated a point set"))
+    with pytest.raises(ValueError, match=f"s must be positive and finite, got s={s:g}$"):
+        run_scan(ScanSpec(generator=GeneratorSpec.make("uniform_random", d=2), family="simplex",
+                          k=1, schedule=(20, 40, 80), s=s, t=(0.5,), predicted=1.5))
+
+
 def test_simplex_k2_threshold_and_exponent_in_plane():
     assert threshold("simplex", 2, 2) == Fraction(7, 4)
     assert float(count_exponent("simplex", 2, 2, 2.0)) == pytest.approx(3 - 3 / 2.0)

@@ -40,16 +40,26 @@ def test_sphere_masses():
     assert sphere_area(5) == pytest.approx(8 * math.pi**2 / 3, rel=1e-14)
 
 
-# sphere_area and the determinant-variety ball volume take gamma from
-# scipy.special, or from a factorial at even d <= 50.  math.gamma differs from
-# scipy's in the last bit at some half-integers (d = 3, 5, 7, 9 with CPython
-# 3.11 and scipy 1.17), which would move the seeded estimates pinned below,
-# so these pins compare with ==.
-@pytest.mark.parametrize("d", range(1, 51))
+# sphere_area takes Gamma(d/2) from a factorial at even d <= 50, from the
+# literal table _GAMMA_HALF_ODD at odd d <= 51 and from scipy.special above;
+# the determinant-variety ball volume takes math.gamma(11/2).  Each must equal
+# scipy's gamma bit for bit: math.gamma differs from it in the last bit at
+# many half-integers (d = 3, 5, 7, 9, ... with CPython 3.11 and scipy 1.17),
+# which would move the seeded estimates pinned below, so these pins compare
+# with ==.  The d range covers both edges of the table and the scipy fallback.
+@pytest.mark.parametrize("d", range(1, 60))
 def test_sphere_area_is_the_scipy_gamma_form_bit_for_bit(d):
     from scipy.special import gamma
 
     assert sphere_area(d) == 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
+
+
+def test_gamma_table_is_scipys_gamma_at_every_odd_d_up_to_51():
+    from scipy.special import gamma
+
+    table = fourierlab._GAMMA_HALF_ODD
+    assert sorted(table) == list(range(1, 52, 2))
+    assert all(value == gamma(d / 2.0) for d, value in table.items())
 
 
 def test_determinant_variety_weight_is_the_scipy_gamma_ball_bit_for_bit():
@@ -348,7 +358,6 @@ def test_mc_chunk_stays_within_its_memory_budget():
     # the budget of the ft_montecarlo docstring: 1.5 times one (m, d) float array
     m, d = fourierlab._MC_CHUNK, 3
     point = FrequencyPoint.of([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
-    sphere_area(d)  # loads scipy before the trace starts
     tracemalloc.start()
     try:
         ft_montecarlo(MeasureSpec.chain_spheres(d), [point], 0.05, m, seed=26)

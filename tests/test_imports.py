@@ -1,6 +1,7 @@
-"""Which commands load scipy: only `ft` may, through fourierlab's
-function-level imports of scipy.special.  Checked in a fresh interpreter,
-since the test session itself has loaded scipy long before."""
+"""Which commands load the heavy modules: only the closed-form `ft` loads
+scipy (fourierlab.ft_sphere_radial imports scipy.special.jv), and only the
+quadrature `ft` loads numpy.polynomial.  Checked in a fresh interpreter,
+since the test session itself has loaded both long before."""
 
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import configeo
 
-HEAVY = ("scipy", "numpy.f2py")
+HEAVY = ("scipy", "numpy.f2py", "numpy.polynomial")
 
 # after the imports, after each command in turn, in one interpreter
 SCRIPT = """
@@ -39,6 +40,10 @@ COMMANDS = [
      "--samples", "10000"],
 ]
 
+# the sphere's two exact oracles, each run alone
+FT_CLOSED = ["ft", "--kind", "sphere", "--d", "3", "--rmin", "1", "--rmax", "10", "--nradii", "5"]
+FT_QUADRATURE = FT_CLOSED + ["--method", "quadrature", "--nodes", "16"]
+
 
 def _fresh(code: str):
     """The last stdout line of code, run in a fresh interpreter, as JSON."""
@@ -64,18 +69,38 @@ def test_every_command_but_ft_leaves_scipy_out(loaded, command):
     assert loaded[command] == []
 
 
-def test_ft_loads_scipy(loaded):
-    assert "scipy" in loaded["ft"]
+def test_monte_carlo_ft_command_leaves_scipy_out(loaded):
+    # chain_spheres at d = 3: sphere_area takes Gamma(3/2) from its table
+    assert loaded["ft"] == []
 
 
-def test_monte_carlo_at_even_d_leaves_scipy_out():
-    # sphere_area takes Gamma(d/2) from a factorial at even d, so these
-    # draws, the triangle2d one among them, do not load scipy.special
-    assert _fresh("""
+def test_closed_form_ft_loads_scipy():
+    # jv is the one scipy function the package calls at d <= 51
+    assert "scipy" in _fresh(f"COMMANDS = {[FT_CLOSED]!r}\n{SCRIPT}")["ft"]
+
+
+def test_quadrature_ft_loads_numpy_polynomial_and_nothing_else():
+    assert _fresh(f"COMMANDS = {[FT_QUADRATURE]!r}\n{SCRIPT}")["ft"] == ["numpy.polynomial"]
+
+
+# sphere_area takes Gamma(d/2) from a factorial at even d <= 50 and from a
+# table at odd d <= 51, so no Monte Carlo draw at those d loads scipy.special
+MONTE_CARLO = """
 import json, sys
 from configeo.fourierlab import FrequencyPoint, MeasureSpec, ft_montecarlo
-for spec in (MeasureSpec.triangle2d(), MeasureSpec.chain_spheres(2), MeasureSpec.sphere(4)):
+for spec in {specs}:
     ft_montecarlo(spec, [FrequencyPoint.of(*([1.0] + [0.0] * (w - 1) for w in spec.block_dims))],
                   0.05, 10**4, 0)
 print(json.dumps([m for m in HEAVY if m in sys.modules]))
-""") == []
+"""
+
+
+def test_monte_carlo_at_even_d_leaves_scipy_out():
+    # the triangle2d draw among them
+    specs = "(MeasureSpec.triangle2d(), MeasureSpec.chain_spheres(2), MeasureSpec.sphere(4))"
+    assert _fresh(MONTE_CARLO.format(specs=specs)) == []
+
+
+def test_monte_carlo_at_odd_d_leaves_scipy_out():
+    specs = "(MeasureSpec.sphere(3), MeasureSpec.determinant_variety(3, 0.2), MeasureSpec.sphere(51))"
+    assert _fresh(MONTE_CARLO.format(specs=specs)) == []
