@@ -6,11 +6,14 @@ file values; the seed falls back to the CONFIGEO_SEED environment variable.
 Report bodies are byte-identical across reruns of the same (config, seed):
 volatile wall-clock data never enters a file body (timings go to stdout).
 
-Each command is one row of COMMANDS.  Its parse function asks the typed
-getters for every key the command reads, and `run` then refuses every key
-present in the configuration that the command did not ask for: an unread key
-is a usage error, checked before any kernel runs and before any file is
-written.  The manifest therefore lists only keys the command read.
+Each command is one row of COMMANDS: its section, parse function, help line
+and keys.  A flag comes from the row that defines its key (COMMANDS,
+GENERATORS or _MEASURE_KEYS), and --a-b sets key a_b; _FLAG_NAMES holds the
+flags named otherwise.  The parse function asks the typed getters for every
+key the command reads, and `run` then refuses every key present in the
+configuration that the command did not ask for: an unread key is a usage
+error, checked before any kernel runs and before any file is written.  The
+manifest therefore lists only keys the command read.
 
 A command's job hands values to one report writer and formats none itself:
 `_fmt` renders a value, `_csv` writes a CSV report and `_text` a `key = value`
@@ -27,12 +30,13 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
 from .configcount import ConfigQuery, box_dim, family_row, run_query
-from .energy import DEFAULT_ADAPTABILITY_C, energy_profile
+from .energy import DEFAULT_ADAPTABILITY_C, _check_positive, energy_profile
 from .errors import ConfigeoError, InfeasibleError
 from .expfit import ScanSpec, run_scan
 from .fourierlab import (
@@ -112,14 +116,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str
     return sections
 
 
-def _merge_flag_overrides(sections: dict[str, dict[str, str]], overrides: dict[str, str]) -> None:
-    for dotted, value in overrides.items():
-        if value is None:
-            continue
-        section, _, key = dotted.rpartition(".")
-        sections.setdefault(section, {})[key] = str(value)
-
-
 # typed getters; each records the (section, key) it is asked for, present or
 # not, and all failures name the offending field
 
@@ -174,6 +170,9 @@ def _parse_direction(raw: str) -> FrequencyPoint:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# (section, key) -> its flag, where that is not --a-b for key a_b
+_FLAG_NAMES = {("generator", "l"): "--level", ("ft", "t"): "--level"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -189,67 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help=f"seed (default: ${ENV_SEED} or 0)")
     common.add_argument("--input", help="point-set file (alternative to [generator])")
 
-    gen_flags = argparse.ArgumentParser(add_help=False)
-    gen_flags.add_argument("--kind", dest="generator.kind")
-    gen_flags.add_argument("--d", dest="generator.d")
-    gen_flags.add_argument("--m", dest="generator.m")
-    gen_flags.add_argument("--r", dest="generator.r")
-    gen_flags.add_argument("--level", dest="generator.l")
-    gen_flags.add_argument("--n", dest="generator.n")
-    gen_flags.add_argument("--jitter", dest="generator.jitter")
-
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("run", parents=[common], help="run the command named in the config file")
-    sub.add_parser("gen", parents=[common, gen_flags], help="generate and save a point set")
-
-    p_energy = sub.add_parser("energy", parents=[common, gen_flags], help="discrete energy report")
-    p_energy.add_argument("--s", dest="energy.s")
-    p_energy.add_argument("--s-grid", dest="energy.s_grid")
-    p_energy.add_argument("--c", dest="energy.c")
-
-    p_count = sub.add_parser("count", parents=[common, gen_flags], help="one counting run")
-    p_count.add_argument("--algorithm", choices=ALGORITHMS, help="counting algorithm")
-    p_count.add_argument("--family", dest="query.family")
-    p_count.add_argument("--k", dest="query.k")
-    p_count.add_argument("--t", dest="query.t")
-    p_count.add_argument("--delta", dest="query.delta")
-    p_count.add_argument("--convention", dest="query.convention")
-
-    p_scan = sub.add_parser("scan", parents=[common, gen_flags], help="count-growth scan over n")
-    p_scan.add_argument("--algorithm", choices=ALGORITHMS, help="counting algorithm")
-    p_scan.add_argument("--family", dest="scan.family")
-    p_scan.add_argument("--k", dest="scan.k")
-    p_scan.add_argument("--schedule", dest="scan.schedule")
-    p_scan.add_argument("--s", dest="scan.s")
-    p_scan.add_argument("--t", dest="scan.t")
-    p_scan.add_argument("--delta", dest="scan.delta")
-    p_scan.add_argument("--predicted", dest="scan.predicted")
-    p_scan.add_argument("--c", dest="scan.c")
-    p_scan.add_argument("--convention", dest="scan.convention")
-
-    p_ft = sub.add_parser("ft", parents=[common], help="Fourier decay of a configuration measure")
-    p_ft.add_argument("--kind", dest="ft.kind")
-    p_ft.add_argument("--d", dest="ft.d")
-    p_ft.add_argument("--direction", dest="ft.direction")
-    p_ft.add_argument("--rmin", dest="ft.rmin")
-    p_ft.add_argument("--rmax", dest="ft.rmax")
-    p_ft.add_argument("--nradii", dest="ft.nradii")
-    p_ft.add_argument("--radii", dest="ft.radii")
-    p_ft.add_argument("--method", dest="ft.method")
-    p_ft.add_argument("--epsilon", dest="ft.epsilon")
-    p_ft.add_argument("--samples", dest="ft.samples")
-    p_ft.add_argument("--nodes", dest="ft.nodes")
-    p_ft.add_argument("--sphere-radii", dest="ft.sphere_radii")
-    p_ft.add_argument("--gaps", dest="ft.gaps")
-    p_ft.add_argument("--level", dest="ft.t")
-    p_ft.add_argument("--cutoff", dest="ft.cutoff")
-
-    p_curv = sub.add_parser("curvature", parents=[common], help="curvature/rank certificates")
-    p_curv.add_argument("--check", dest="curvature.check")
-    p_curv.add_argument("--d", dest="curvature.d")
-
-    p_dim = sub.add_parser("dim", parents=[common, gen_flags], help="box-counting dimension")
-    p_dim.add_argument("--scales", dest="dim.scales")
+    for name, row in COMMANDS.items():
+        command = sub.add_parser(name, parents=[common], help=row.help)
+        if row.algorithm:
+            command.add_argument("--algorithm", choices=ALGORITHMS, help="counting algorithm")
+        keys = [("generator", key) for key in _GENERATOR_KEYS if row.points]
+        for section, key in keys + [(row.section, key) for key in row.keys]:
+            flag = _FLAG_NAMES.get((section, key), "--" + key.replace("_", "-"))
+            command.add_argument(flag, dest=f"{section}.{key}")
 
     return parser
 
@@ -269,11 +217,12 @@ def parse_config(argv=None) -> ExperimentConfig:
             raise UsageError(f"config file not found: {path}")
         sections = parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
 
-    overrides = {k: v for k, v in vars(ns).items() if "." in k}
-    _merge_flag_overrides(sections, overrides)
-    for key in ("input", "algorithm"):  # top-level flags
-        if getattr(ns, key, None) is not None:
-            sections[""][key] = getattr(ns, key)
+    # a given flag overrides the file: a dest section.key names a section key,
+    # and input and algorithm are top-level keys
+    for dest, value in vars(ns).items():
+        section, dot, key = dest.rpartition(".")
+        if value is not None and (dot or key in ("input", "algorithm")):
+            sections.setdefault(section, {})[key] = value
 
     cfg = ExperimentConfig(ns.command, sections)
     if cfg.command == "run":
@@ -376,6 +325,12 @@ def _generated(cfg: ExperimentConfig) -> PointSet:
         raise UsageError(f"bad [generator]: {exc}") from exc
 
 
+# the [generator] keys: kind, then every parameter some kind reads but the
+# seed, whose flag is the top-level --seed
+_GENERATOR_KEYS = ("kind",) + tuple(dict.fromkeys(
+    name.lower() for row in GENERATORS.values() for name in row.params if name != "seed"))
+
+
 def _generator_spec(cfg: ExperimentConfig, sized: bool) -> GeneratorSpec:
     """The [generator] section as the parameters its kind's row reads, each
     keyed by its name lower-cased; unsized, a scan template without the size
@@ -425,6 +380,7 @@ def _cmd_energy(cfg: ExperimentConfig):
     elif not grid:
         raise ValueError("s_grid names no exponent")
     c_level = _get_float(cfg, "energy", "c", DEFAULT_ADAPTABILITY_C)
+    _check_positive("C", c_level)
 
     def job():
         values = energy_profile(ps, grid)
@@ -604,36 +560,45 @@ def _cmd_ft(cfg: ExperimentConfig):
     return job
 
 
+def _circulant_items(d: int):
+    value = circulant_check(d)
+    return [("circulant_det", value), ("circulant_nonzero", value != 0.0)]
+
+
+def _detform_items(d: int):
+    if d % 2:
+        return [("detform_eigs", "skipped (rotated form needs even d)")]
+    F, x0 = rotated_block_form(d)
+    eigs = level_set_curvatures(F, 1.0, x0)
+    return [("detform_eigs", eigs), ("detform_nonzero", f"{nonzero_curvature_count(eigs)} of {2 * d - 1}")]
+
+
+def _phase_items(d: int):
+    if d < 3:
+        return [("phase_hessian", "skipped (needs d >= 3)")]
+    rank_generic, rank_plane = phase_check_ranks(d)
+    disc = phase_plane_discriminant()
+    return [("phase_rank_generic", f"{rank_generic} (floor {2 * (d - 2)})"),
+            ("phase_rank_on_plane", f"{rank_plane} (floor {d - 1})"),
+            ("phase_plane_form", tuple(phase_plane_form())),
+            ("phase_plane_discriminant", disc),
+            ("phase_plane_discriminant_sign", "+" if disc > 0 else "-")]
+
+
+# curvature check -> its report items at dimension d; the check `suite` runs
+# every row in order
+_CURVATURE_CHECKS = {"circulant": _circulant_items, "detform": _detform_items, "phase": _phase_items}
+
+
 def _cmd_curvature(cfg: ExperimentConfig):
     check = _get(cfg, "curvature", "check", "suite")
     d = _get_int(cfg, "curvature", "d", 3)
-    if check not in ("circulant", "detform", "phase", "suite"):
-        raise UsageError(f"unknown curvature check {check!r}")
+    names = [name for name in _CURVATURE_CHECKS if check in (name, "suite")]
+    if not names:
+        raise UsageError(f"unknown curvature check {check!r} (one of {', '.join(_CURVATURE_CHECKS)}, suite)")
 
     def job():
-        items = []
-        if check in ("circulant", "suite"):
-            value = circulant_check(d)
-            items += [("circulant_det", value), ("circulant_nonzero", value != 0.0)]
-        if check in ("detform", "suite"):
-            if d % 2 == 0:
-                F, x0 = rotated_block_form(d)
-                eigs = level_set_curvatures(F, 1.0, x0)
-                items += [("detform_eigs", eigs),
-                          ("detform_nonzero", f"{nonzero_curvature_count(eigs)} of {2 * d - 1}")]
-            else:
-                items.append(("detform_eigs", "skipped (rotated form needs even d)"))
-        if check in ("phase", "suite"):
-            if d >= 3:
-                rank_generic, rank_plane = phase_check_ranks(d)
-                disc = phase_plane_discriminant()
-                items += [("phase_rank_generic", f"{rank_generic} (floor {2 * (d - 2)})"),
-                          ("phase_rank_on_plane", f"{rank_plane} (floor {d - 1})"),
-                          ("phase_plane_form", tuple(phase_plane_form())),
-                          ("phase_plane_discriminant", disc),
-                          ("phase_plane_discriminant_sign", "+" if disc > 0 else "-")]
-            else:
-                items.append(("phase_hessian", "skipped (needs d >= 3)"))
+        items = [item for name in names for item in _CURVATURE_CHECKS[name](d)]
         name = f"curvature_{check}_d{d}.txt"
         body = _text(f"curvature certificates (d={d})", items)
         return {name: body}, f"curvature: check={check} d={d} -> {cfg.out_dir / name}", 0
@@ -656,15 +621,31 @@ def _cmd_dim(cfg: ExperimentConfig):
     return job
 
 
-# command -> (the section its ValueErrors are reported under, its parse function)
+@dataclass(frozen=True)
+class Command:
+    """One row of COMMANDS (see the module docstring)."""
+
+    section: str  # holds the command's keys and names its ValueErrors
+    parse: Callable[[ExperimentConfig], Callable]  # returns the command's job
+    help: str
+    keys: tuple[str, ...] = ()  # the keys of the section that get a flag
+    points: bool = False  # reads a point set, so takes the [generator] flags
+    algorithm: bool = False  # takes the top-level --algorithm
+
+
 COMMANDS = {
-    "gen": ("generator", _cmd_gen),
-    "energy": ("energy", _cmd_energy),
-    "count": ("query", _cmd_count),
-    "scan": ("scan", _cmd_scan),
-    "ft": ("ft", _cmd_ft),
-    "curvature": ("curvature", _cmd_curvature),
-    "dim": ("dim", _cmd_dim),
+    "gen": Command("generator", _cmd_gen, "generate and save a point set", points=True),
+    "energy": Command("energy", _cmd_energy, "discrete energy report", ("s", "s_grid", "c"), points=True),
+    "count": Command("query", _cmd_count, "one counting run", ("family", "k", "t", "delta", "convention"),
+                     points=True, algorithm=True),
+    "scan": Command("scan", _cmd_scan, "count-growth scan over n",
+                    ("family", "k", "schedule", "s", "t", "delta", "predicted", "c", "convention"),
+                    points=True, algorithm=True),
+    "ft": Command("ft", _cmd_ft, "Fourier decay of a configuration measure",
+                  ("kind", "direction", "rmin", "rmax", "nradii", "radii", "method", "epsilon",
+                   "samples", "nodes") + tuple(key for key, _ in _MEASURE_KEYS.values())),
+    "curvature": Command("curvature", _cmd_curvature, "curvature/rank certificates", ("check", "d")),
+    "dim": Command("dim", _cmd_dim, "box-counting dimension", ("scales",), points=True),
 }
 
 
@@ -684,13 +665,13 @@ def run(cfg: ExperimentConfig) -> int:
     """Parse the command's keys, refuse any key it did not ask for, run its
     job, then write the reports, print the summary line and write the
     manifest.  A ValueError from parse or job is a usage error."""
-    section, parse = COMMANDS[cfg.command]
+    row = COMMANDS[cfg.command]
     try:
-        job = parse(cfg)
+        job = row.parse(cfg)
         _refuse_unread(cfg)
         files, line, code = job()
     except ValueError as exc:
-        raise UsageError(f"bad [{section}]: {exc}") from exc
+        raise UsageError(f"bad [{row.section}]: {exc}") from exc
     for name, body in files.items():
         _write_text(cfg.out_dir / name, body)
     print(line)
@@ -705,11 +686,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"configeo: error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleError as exc:
-        print(f"configeo: infeasible: {exc}", file=sys.stderr)
-        return 1
     except ConfigeoError as exc:
-        print(f"configeo: error: {exc}", file=sys.stderr)
+        kind = "infeasible" if isinstance(exc, InfeasibleError) else "error"
+        print(f"configeo: {kind}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -54,17 +54,18 @@ class EnergyReport:
     verdict: bool
 
 
-def _check_exponent(s) -> None:
-    """Refuse an exponent s that is not positive and finite (NaN included)."""
-    if not 0 < s < math.inf:
-        raise ValueError(f"s must be positive and finite, got s={float(s):g}")
+def _check_positive(name: str, value) -> None:
+    """Refuse a value of the exponent s or the adaptability level C that is
+    not positive and finite (NaN included)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {name}={float(value):g}")
 
 
 def discrete_energy(ps: PointSet, s: float) -> float:
     """E_s(ps) as defined above; raises on coincident points, and refuses a
     set with more than ENERGY_PAIR_BUDGET ordered pairs before the first
     block."""
-    _check_exponent(s)
+    _check_positive("s", s)
     n = ps.n
     if n == 1:
         return 0.0
@@ -102,14 +103,13 @@ def energy_profile(ps: PointSet, s_grid) -> list[tuple[float, float]]:
     discrete_energy call per s, after every s is checked."""
     grid = [float(s) for s in s_grid]
     for s in grid:
-        _check_exponent(s)
+        _check_positive("s", s)
     return [(s, discrete_energy(ps, s)) for s in grid]
 
 
 def is_adaptable(ps: PointSet, s: float, C: float = DEFAULT_ADAPTABILITY_C) -> EnergyReport:
     """Energy report with the verdict E_s(ps) <= C."""
-    if C <= 0:
-        raise ValueError("adaptability constant C must be positive")
+    _check_positive("C", C)
     value = discrete_energy(ps, s)
     return EnergyReport(s=float(s), value=value, n=ps.n, adaptable_at=float(C), verdict=value <= C)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._ols import ols_loglog
 from .configcount import ConfigQuery, CountReport, PhiFunction, family_row, run_query
-from .energy import DEFAULT_ADAPTABILITY_C, EnergyReport, _check_exponent, is_adaptable
+from .energy import DEFAULT_ADAPTABILITY_C, EnergyReport, _check_positive, is_adaptable
 from .errors import InfeasibleError
 from .pointgen import GENERATORS, GeneratorSpec, PointSet, generate
 
@@ -41,7 +41,7 @@ def count_exponent(family: str, k: int, d: int, s):
     """Predicted growth exponent (k+1) - len(t)/s of the count in n at set
     dimension s; exact (Fraction) when s is an int or Fraction, else float."""
     s = Fraction(s) if isinstance(s, Rational) else float(s)
-    _check_exponent(s)
+    _check_positive("s", s)
     row = family_row(family)
     row.check_k(k, d)
     return (k + 1) - row.targets(k) / s
@@ -94,7 +94,8 @@ class ScanSpec:
             raise ValueError("schedule must be strictly increasing")
         object.__setattr__(self, "schedule", sched)
         if self.s is not None:
-            _check_exponent(self.s)
+            _check_positive("s", self.s)
+        _check_positive("C", self.adaptability_C)
         row = family_row(self.family, self.phi)
         row.check_k(self.k, int(self.generator.as_dict()["d"]))  # before any generation
         if row.threshold is None and self.predicted is None:  # no theory predicts its growth

@@ -62,12 +62,13 @@ from typing import Callable
 import numpy as np
 
 from ._ols import ols_loglog
-from .errors import InfeasibleError
+from .errors import CapacityError, InfeasibleError
 
 MAGNITUDE_FLOOR = 1e-14
 CURVATURE_STEP = 1e-4
 CURVATURE_REL_TOL = 1e-6
 _SQ3 = math.sqrt(3.0)
+MC_SAMPLE_BUDGET = 10**8  # samples per ft_montecarlo call
 _MC_CHUNK = 1 << 18  # samples per draw from the seeded stream (see ft_montecarlo)
 _MC_ROWS = 8192  # rows per block of a chunk's streamed last array (see ft_montecarlo)
 
@@ -344,11 +345,17 @@ def ft_montecarlo(
     sums.  The budget does not cover sphere, whose phase pass runs over all
     m rows (21 MB at d = 3), nor determinant_variety, which holds its (m, 9)
     directions (22 MB).
+
+    Sample budget: a call with more than MC_SAMPLE_BUDGET samples is refused
+    with CapacityError before the first chunk is drawn.  At the budget, 10^8
+    samples, one chain_spheres(3) point takes ~20 s on a 2-vCPU VM.
     """
     if not (0.0 < epsilon <= 0.2):
         raise ValueError("epsilon must lie in (0, 0.2]")
     if samples < 10**4:
         raise ValueError("need at least 1e4 samples")
+    if samples > MC_SAMPLE_BUDGET:
+        raise CapacityError(f"{samples} samples are over the Monte Carlo budget of {MC_SAMPLE_BUDGET}")
     points = list(points)
     for fp in points:
         if not fp.matches(spec):

@@ -1,3 +1,4 @@
+import argparse
 import re
 import subprocess
 import sys
@@ -232,6 +233,17 @@ def test_curvature_command(tmp_path):
     assert "phase_plane_discriminant_sign = +" in body
 
 
+def test_curvature_suite_runs_every_check_in_order(tmp_path):
+    out = tmp_path / "out"
+    lines = {}
+    for check in ("circulant", "detform", "phase", "suite"):
+        assert main(["curvature", "--check", check, "--d", "4", "--out", str(out)]) == 0
+        lines[check] = (out / f"curvature_{check}_d4.txt").read_text().splitlines()
+    title = ["curvature certificates (d=4)"]
+    assert all(lines[check][:1] == title for check in lines)
+    assert lines["suite"] == title + lines["circulant"][1:] + lines["detform"][1:] + lines["phase"][1:]
+
+
 # one small report per shape, byte for byte: (argv, exit code, {file: body});
 # SEEDED5 stands for the square corners saved with `# seed=5` in their header
 GOLDEN_REPORTS = {
@@ -422,6 +434,8 @@ BAD_INPUTS = [
     (["curvature", "--d=-2"], "bad [curvature]: need d >= 2"),
     (["curvature", "--check", "detform", "--d", "0"],
      "bad [curvature]: the rotated block form needs even d >= 2"),
+    (["curvature", "--check", "bogus"],
+     "unknown curvature check 'bogus' (one of circulant, detform, phase, suite)"),
 ]
 
 # config files with keys their command does not read: (body, message)
@@ -547,6 +561,24 @@ def test_non_finite_query_exit_2(tmp_path, flags):
     assert main(["count", "--input", str(pts), *flags, "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("c", ["0", "-5", "nan", "inf"])
+@pytest.mark.parametrize("argv", [["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "1"],
+                                  SCAN_D2 + ["--family", "angle"]], ids=["energy", "scan"])
+def test_bad_adaptability_level_exit_2(tmp_path, capsys, argv, c):
+    out = tmp_path / "out"
+    assert main(argv + [f"--c={c}", "--out", str(out)]) == 2
+    message = f"bad [{argv[0]}]: C must be positive and finite, got C={float(c):g}"
+    assert f"configeo: error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ft_over_the_sample_budget_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(FT_CHAIN + ["--samples", "10000000000", "--out", str(out)]) == 1
+    assert "configeo: error: 10000000000 samples are over the Monte Carlo budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_key_removed(tmp_path):
     cfg_path = _write(tmp_path, "count.cfg", "threads = 2\n" + COUNT_CFG)
     with pytest.raises(UsageError, match="threads"):
@@ -568,6 +600,64 @@ def test_removed_config_keys(tmp_path, body, name):
 def test_envelope_flag_removed():
     with pytest.raises(SystemExit):
         parse_config(["ft", "--envelope", "0"])
+
+
+# every option string of each subcommand -> its dest; a flag with choices also
+# names them in FLAG_CHOICES
+COMMON_FLAGS = {"-h": "help", "--help": "help", "--config": "config", "--out": "out",
+                "--seed": "seed", "--input": "input"}
+GENERATOR_FLAGS = {"--kind": "generator.kind", "--d": "generator.d", "--m": "generator.m",
+                   "--r": "generator.r", "--level": "generator.l", "--n": "generator.n",
+                   "--jitter": "generator.jitter"}
+FLAG_SURFACE = {
+    "run": COMMON_FLAGS,
+    "gen": COMMON_FLAGS | GENERATOR_FLAGS,
+    "energy": COMMON_FLAGS | GENERATOR_FLAGS | {
+        "--s": "energy.s", "--s-grid": "energy.s_grid", "--c": "energy.c"},
+    "count": COMMON_FLAGS | GENERATOR_FLAGS | {
+        "--algorithm": "algorithm", "--family": "query.family", "--k": "query.k", "--t": "query.t",
+        "--delta": "query.delta", "--convention": "query.convention"},
+    "scan": COMMON_FLAGS | GENERATOR_FLAGS | {
+        "--algorithm": "algorithm", "--family": "scan.family", "--k": "scan.k",
+        "--schedule": "scan.schedule", "--s": "scan.s", "--t": "scan.t", "--delta": "scan.delta",
+        "--predicted": "scan.predicted", "--c": "scan.c", "--convention": "scan.convention"},
+    "ft": COMMON_FLAGS | {
+        "--kind": "ft.kind", "--d": "ft.d", "--direction": "ft.direction", "--rmin": "ft.rmin",
+        "--rmax": "ft.rmax", "--nradii": "ft.nradii", "--radii": "ft.radii", "--method": "ft.method",
+        "--epsilon": "ft.epsilon", "--samples": "ft.samples", "--nodes": "ft.nodes",
+        "--sphere-radii": "ft.sphere_radii", "--gaps": "ft.gaps", "--level": "ft.t",
+        "--cutoff": "ft.cutoff"},
+    "curvature": COMMON_FLAGS | {"--check": "curvature.check", "--d": "curvature.d"},
+    "dim": COMMON_FLAGS | GENERATOR_FLAGS | {"--scales": "dim.scales"},
+}
+FLAG_CHOICES = {("count", "--algorithm"): ("brute", "pruned"),
+                ("scan", "--algorithm"): ("brute", "pruned")}
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_flag_surface():
+    subparsers = _subparsers()
+    assert list(subparsers) == list(FLAG_SURFACE)
+    for command, sub in subparsers.items():
+        flags = {option: action for action in sub._actions for option in action.option_strings}
+        assert {option: action.dest for option, action in flags.items()} == FLAG_SURFACE[command]
+        for option, action in flags.items():
+            choices = None if action.choices is None else tuple(action.choices)
+            assert choices == FLAG_CHOICES.get((command, option)), (command, option)
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_SURFACE))
+def test_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert all(option in usage for option in FLAG_SURFACE[command])
 
 
 def test_console_entry_point(tmp_path):

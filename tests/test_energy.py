@@ -220,6 +220,12 @@ def test_non_finite_exponents_are_refused(s):
         is_adaptable(ps, s)
 
 
+@pytest.mark.parametrize("C", [0.0, -5.0, math.nan, math.inf])
+def test_bad_adaptability_levels_are_refused(C):
+    with pytest.raises(ValueError, match=f"C must be positive and finite, got C={C:g}$"):
+        is_adaptable(gen_lattice(1, 3), 1.0, C=C)
+
+
 def test_value_positive_for_multiple_points():
     ps = gen_random(2, 12, seed=8)
     assert discrete_energy(ps, 1.0) > 0.0

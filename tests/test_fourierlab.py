@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from configeo import fourierlab
-from configeo.errors import InfeasibleError
+from configeo.errors import CapacityError, InfeasibleError
 from configeo.fourierlab import (
     FrequencyPoint,
     MeasureSpec,
@@ -250,6 +251,30 @@ def test_mc_validation():
         ft_montecarlo(spec, [FrequencyPoint.of([1.0, 0.0, 0.0])], 0.05, 10**4, seed=0)
     with pytest.raises(ValueError):  # one mismatched point fails the whole call
         ft_montecarlo(spec, [fp, FrequencyPoint.of([1.0, 0.0, 0.0])], 0.05, 10**4, seed=0)
+
+
+def test_mc_sample_budget_refuses_before_the_first_chunk(monkeypatch):
+    spec = MeasureSpec.chain_spheres(3)
+    fp = FrequencyPoint.of([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
+    row = fourierlab.MEASURES["chain_spheres"]
+    drawn = []
+
+    def spy(spec, epsilon, rng, m):
+        drawn.append(m)
+        return row.draw(spec, epsilon, rng, m)
+
+    monkeypatch.setitem(fourierlab.MEASURES, "chain_spheres", dataclasses.replace(row, draw=spy))
+    monkeypatch.setattr(fourierlab, "MC_SAMPLE_BUDGET", 2 * 10**4)
+    with pytest.raises(CapacityError, match="over the Monte Carlo budget of 20000"):
+        ft_montecarlo(spec, [fp], 0.05, 2 * 10**4 + 1, seed=0)
+    assert drawn == []
+    ft_montecarlo(spec, [fp], 0.05, 2 * 10**4, seed=0)  # exactly at the budget
+    assert drawn == [2 * 10**4]
+
+
+def test_mc_sample_budget_leaves_room_for_the_cli_default_and_the_benchmark():
+    # the ft command's default samples, and survey-dense's ft samples
+    assert max(10**6, 400_000) <= fourierlab.MC_SAMPLE_BUDGET
 
 
 # Seeded estimates pinned at the per-point implementation (one draw per
