@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__
 from .configcount import ConfigQuery, box_dim, family_row, run_query
 from .energy import DEFAULT_ADAPTABILITY_C, _check_positive, energy_profile
-from .errors import ConfigeoError, InfeasibleError
+from .errors import CapacityError, ConfigeoError, InfeasibleError
 from .expfit import ScanSpec, run_scan
 from .fourierlab import (
     MEASURES,
@@ -186,12 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="config file (flags override file values)")
     common.add_argument("--out", help="output directory (default: reports)")
     common.add_argument("--seed", type=int, help=f"seed (default: ${ENV_SEED} or 0)")
-    common.add_argument("--input", help="point-set file (alternative to [generator])")
+    with_input = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_input.add_argument("--input", help="point-set file (alternative to [generator])")
 
     sub = parser.add_subparsers(dest="command")
-    sub.add_parser("run", parents=[common], help="run the command named in the config file")
+    sub.add_parser("run", parents=[with_input], help="run the command named in the config file")
     for name, row in COMMANDS.items():
-        command = sub.add_parser(name, parents=[common], help=row.help)
+        command = sub.add_parser(name, parents=[with_input if row.input else common], help=row.help)
         if row.algorithm:
             command.add_argument("--algorithm", choices=ALGORITHMS, help="counting algorithm")
         keys = [("generator", key) for key in _GENERATOR_KEYS if row.points]
@@ -588,14 +589,21 @@ def _phase_items(d: int):
 # curvature check -> its report items at dimension d; the check `suite` runs
 # every row in order
 _CURVATURE_CHECKS = {"circulant": _circulant_items, "detform": _detform_items, "phase": _phase_items}
+CURVATURE_MAX_D = 128  # the largest curvature d (see _cmd_curvature)
 
 
 def _cmd_curvature(cfg: ExperimentConfig):
+    """Time budget: detform's level_set_curvatures makes O(d^2) calls of an
+    O(d) Python form, ~4 us * d^3 on a 2-vCPU VM (0.29 s at d = 40, 3.8 s at
+    d = 100); the suite took 8.3 s at CURVATURE_MAX_D = 128.  A larger d is
+    refused with CapacityError before any matrix is built."""
     check = _get(cfg, "curvature", "check", "suite")
     d = _get_int(cfg, "curvature", "d", 3)
     names = [name for name in _CURVATURE_CHECKS if check in (name, "suite")]
     if not names:
         raise UsageError(f"unknown curvature check {check!r} (one of {', '.join(_CURVATURE_CHECKS)}, suite)")
+    if d > CURVATURE_MAX_D:
+        raise CapacityError(f"curvature d = {d} is over the budget of {CURVATURE_MAX_D}")
 
     def job():
         items = [item for name in names for item in _CURVATURE_CHECKS[name](d)]
@@ -630,14 +638,16 @@ class Command:
     help: str
     keys: tuple[str, ...] = ()  # the keys of the section that get a flag
     points: bool = False  # reads a point set, so takes the [generator] flags
+    input: bool = False  # may read it from a file instead, so takes --input
     algorithm: bool = False  # takes the top-level --algorithm
 
 
 COMMANDS = {
     "gen": Command("generator", _cmd_gen, "generate and save a point set", points=True),
-    "energy": Command("energy", _cmd_energy, "discrete energy report", ("s", "s_grid", "c"), points=True),
+    "energy": Command("energy", _cmd_energy, "discrete energy report", ("s", "s_grid", "c"),
+                      points=True, input=True),
     "count": Command("query", _cmd_count, "one counting run", ("family", "k", "t", "delta", "convention"),
-                     points=True, algorithm=True),
+                     points=True, input=True, algorithm=True),
     "scan": Command("scan", _cmd_scan, "count-growth scan over n",
                     ("family", "k", "schedule", "s", "t", "delta", "predicted", "c", "convention"),
                     points=True, algorithm=True),
@@ -645,7 +655,7 @@ COMMANDS = {
                   ("kind", "direction", "rmin", "rmax", "nradii", "radii", "method", "epsilon",
                    "samples", "nodes") + tuple(key for key, _ in _MEASURE_KEYS.values())),
     "curvature": Command("curvature", _cmd_curvature, "curvature/rank certificates", ("check", "d")),
-    "dim": Command("dim", _cmd_dim, "box-counting dimension", ("scales",), points=True),
+    "dim": Command("dim", _cmd_dim, "box-counting dimension", ("scales",), points=True, input=True),
 }
 
 

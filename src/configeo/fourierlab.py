@@ -22,9 +22,10 @@ cutoff ball) and weights by (2*eps)^(-c) on |constraints| < eps, c the
 number of scalar constraints.  Its limit is the thickened-shell measure,
 which differs from a fixed parametrized normalization by a smooth positive
 density; decay exponents are invariant under such densities.  For
-triangle2d that density is the constant sqrt(3)/2, which the estimator
-applies so it matches ft_triangle exactly; the other kinds are compared by
-exponent only.
+triangle2d that density is the constant sqrt(3)/2 (its row's density),
+which the estimator applies so it matches ft_triangle exactly; the other
+kinds are compared by exponent only.  sphere, triangle2d and chain_spheres
+share one draw: the product of spheres of the spec's radii and gaps.
 
 ft_montecarlo evaluates a whole list of frequency points from one seeded
 draw: the loop runs over chunks of samples, each drawn and tested against the
@@ -36,11 +37,13 @@ A chunk draws its arrays in stream order.  Every array but the last is drawn
 whole, since the next one follows it in the stream; the last is drawn in
 blocks of _MC_ROWS rows, and each block is normalized, scaled and tested
 against the constraints as soon as it is drawn, keeping only its accepted
-rows.  numpy's Generator gives the same values in consecutive blocks as in
-one call, so the seeded estimates are those of whole-chunk draws, while a
-chunk holds one (m, d) array less: chain_spheres holds the raw normals of
-spheres 1..k-1, determinant_variety its (m, d^2) directions, and sphere, which
-has no constraint, draws its one array whole.
+rows, the only rows each point's phases are summed over.  numpy's Generator
+gives the same values in consecutive blocks as in one call, so the seeded
+samples are those of whole-chunk draws, while a chunk holds one array less:
+a chain holds the raw normals of spheres 1..k-1, determinant_variety its
+(m, d^2) directions.  So a chunk of m samples peaks at 1.5 (m, d) float64
+arrays for a chain of two spheres, 2.5 for sphere, which accepts every row,
+and 1.25 (m, d^2) for determinant_variety (see ft_montecarlo).
 
 scipy.special is imported in two places only: in ft_sphere_radial (jv, the
 sphere's closed form) and in sphere_area above d = 51.  Its import is most of
@@ -71,6 +74,7 @@ _SQ3 = math.sqrt(3.0)
 MC_SAMPLE_BUDGET = 10**8  # samples per ft_montecarlo call
 _MC_CHUNK = 1 << 18  # samples per draw from the seeded stream (see ft_montecarlo)
 _MC_ROWS = 8192  # rows per block of a chunk's streamed last array (see ft_montecarlo)
+QUADRATURE_NODE_BUDGET = 2**22  # node_count^(d-1) per ft_quadrature call
 
 
 # scipy 1.17.1's gamma(d/2) at odd d <= 51, exactly.  No closed form gives
@@ -146,11 +150,11 @@ class MeasureSpec:
     def sphere(cls, d: int) -> "MeasureSpec":
         if d < 2:
             raise ValueError("sphere measures need d >= 2")
-        return cls(kind="sphere", d=d)
+        return cls(kind="sphere", d=d, radii=(1.0,))
 
     @classmethod
     def triangle2d(cls) -> "MeasureSpec":
-        return cls(kind="triangle2d", d=2)
+        return cls(kind="triangle2d", d=2, radii=(1.0, 1.0), gaps=(1.0,))  # two unit circles at gap 1
 
     @classmethod
     def chain_spheres(cls, d: int, radii=(1.0, 1.0), gaps=(1.0,)) -> "MeasureSpec":
@@ -271,12 +275,18 @@ def ft_triangle(xi, eta) -> complex:
 def ft_quadrature(spec: MeasureSpec, xi, node_count: int = 2048) -> complex:
     """Product-quadrature oracle for the sphere transform: trapezoid in the
     azimuth (spectrally accurate on the periodic circle) and Gauss-Legendre
-    in each polar angle; cost node_count^(d-1)."""
+    in each polar angle; cost node_count^(d-1) nodes of 96-112 B each
+    (tracemalloc, d = 3 and 4).  Over QUADRATURE_NODE_BUDGET = 2^22 nodes,
+    ~0.45 GB and the CLI default of 2048 nodes at d = 3, it refuses with
+    CapacityError before any array is allocated."""
     if not MEASURES[spec.kind].quadrature:
         raise ValueError(f"the quadrature oracle does not cover {spec.kind} measures")
     if node_count < 16:
         raise ValueError("node_count must be >= 16")
     d = spec.d
+    if node_count ** (d - 1) > QUADRATURE_NODE_BUDGET:
+        raise CapacityError(f"{node_count}^{d - 1} quadrature nodes are over the budget of "
+                            f"{QUADRATURE_NODE_BUDGET}")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (d,):
         raise ValueError(f"xi must be a {d}-vector")
@@ -336,15 +346,15 @@ def ft_montecarlo(
 
     Within a chunk, the arrays drawn before the last one are drawn whole, as
     the stream order demands, and the last is drawn, tested and cut to its
-    accepted rows in blocks of _MC_ROWS rows (see the module docstring); a
-    chunk is freed before the next one is drawn.  Memory budget: for a chain
-    of two spheres in R^d, one call at m = _MC_CHUNK samples allocates at
-    most 1.5 times one (m, d) float64 array (9.4 MB at d = 3, measured 8.0 MB
-    by tracemalloc): the first sphere's raw normals, the acceptance mask, the
-    blocks and the accepted rows while drawing, then the complex (m,) phase
-    sums.  The budget does not cover sphere, whose phase pass runs over all
-    m rows (21 MB at d = 3), nor determinant_variety, which holds its (m, 9)
-    directions (22 MB).
+    accepted rows in blocks of _MC_ROWS rows (see the module docstring), and
+    each point's phases are summed over the accepted rows only; a chunk is
+    freed before the next one is drawn.  Memory budget, in float64 arrays of
+    m = _MC_CHUNK rows per call (tracemalloc peaks at d = 3 in parentheses):
+    1.5 (m, d) arrays for a chain of two spheres (7.8 MB), which holds the
+    first sphere's raw normals, the blocks and the accepted rows, and for
+    triangle2d (5.0 MB); 2.5 (m, d) for sphere (14.7 MB), which keeps all m
+    unit vectors and phases them with two complex (m,) temporaries; 1.25
+    (m, d^2) for determinant_variety (22.0 MB), which holds its directions whole.
 
     Sample budget: a call with more than MC_SAMPLE_BUDGET samples is refused
     with CapacityError before the first chunk is drawn.  At the budget, 10^8
@@ -362,24 +372,22 @@ def ft_montecarlo(
             raise ValueError(f"frequency blocks {tuple(b.size for b in fp.blocks)} do not match "
                              f"measure blocks {spec.block_dims}")
 
-    draw = MEASURES[spec.kind].draw
+    row = MEASURES[spec.kind]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     sum_v = [0.0 + 0.0j] * len(points)
     sum_re2 = [0.0] * len(points)
     sum_im2 = [0.0] * len(points)
     accepted = 0
     for start in range(0, samples, _MC_CHUNK):
-        m = min(_MC_CHUNK, samples - start)
-        blocks, acc, weight = draw(spec, epsilon, rng, m)
-        v = np.zeros(m, dtype=complex)  # rejected rows stay zero for every point
+        blocks, weight = row.draw(spec, epsilon, rng, min(_MC_CHUNK, samples - start))
+        accepted += len(blocks[0])
         for i, fp in enumerate(points):
-            phase = sum(b @ xi for b, xi in zip(blocks, fp.blocks))
-            v[acc] = weight * np.exp(-2j * math.pi * phase)
+            v = weight * row.density * np.exp(-2j * math.pi * sum(b @ xi for b, xi in zip(blocks, fp.blocks)))
             sum_v[i] += v.sum()
             sum_re2[i] += float((v.real**2).sum())
             sum_im2[i] += float((v.imag**2).sum())
-        accepted += int(acc.sum())
-        del blocks, acc, v  # free this chunk before the next one is drawn
+            del v  # before the next point's phases are computed
+        del blocks  # free this chunk before the next one is drawn
     if accepted == 0:
         raise InfeasibleError("no sample satisfied the constraints; measure infeasible at this epsilon")
     out = []
@@ -414,71 +422,48 @@ def _normalize_rows(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """m standard normal rows divided in place by their norms; zero rows
-    stay zero."""
-    return _normalize_rows(rng.standard_normal((m, d)))
-
-
 # One chunk of m samples per draw: the accepted rows of each frequency
-# block's sample array, the acceptance mask over the chunk, and the weight.
-# The chunk's last array in stream order is drawn in blocks of _MC_ROWS rows,
-# each block tested at once (see ft_montecarlo).
+# block's sample array, and the weight.  The chunk's last array in stream
+# order is drawn in blocks of _MC_ROWS rows, each block tested at once (see
+# ft_montecarlo).
 
 
-def _draw_sphere(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
-    x = _unit_vectors(rng, m, spec.d)
-    return [x], np.ones(m, dtype=bool), sphere_area(spec.d)
-
-
-def _draw_triangle2d(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
-    # the unit chain of two circles at gap 1, times the constant
-    # shell->parametrized density |grad over the torus| = sqrt(3)/2
-    blocks, acc, weight = _draw_chain_spheres(MeasureSpec.chain_spheres(2), epsilon, rng, m)
-    return blocks, acc, weight * (_SQ3 / 2.0)
-
-
-def _draw_chain_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
+def _draw_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
+    """The product of the spheres |x^i| = r_i of spec.radii, held to the gaps
+    |x^i - x^(i+1)| = g_i of spec.gaps within epsilon: sphere is one unit
+    sphere, triangle2d two unit circles at gap 1."""
     held = [rng.standard_normal((m, spec.d)) for _ in spec.radii[:-1]]  # spheres 1..k-1, raw
-    acc = np.empty(m, dtype=bool)
     kept = [[] for _ in spec.radii]
     for lo in range(0, m, _MC_ROWS):
         rows = [g[lo:lo + _MC_ROWS] for g in held]
-        rows.append(rng.standard_normal(rows[0].shape))  # the last sphere, streamed
+        rows.append(rng.standard_normal((min(_MC_ROWS, m - lo), spec.d)))  # the last sphere, streamed
         for x, r in zip(rows, spec.radii):
             _normalize_rows(x)
             x *= r
-        ok = acc[lo:lo + _MC_ROWS]
-        ok.fill(True)
+        ok = np.ones(len(rows[0]), dtype=bool)
         for x, y, g in zip(rows, rows[1:], spec.gaps):
             ok &= np.abs(_row_norms(x - y) - g) < epsilon
         for out, x in zip(kept, rows):
             out.append(x[ok])
-    ambient = math.prod(
-        sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii
-    )
-    weight = ambient / (2.0 * epsilon) ** len(spec.gaps)
-    return [np.concatenate(b) for b in kept], acc, weight
+    ambient = math.prod(sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii)
+    return [np.concatenate(b) for b in kept], ambient / (2.0 * epsilon) ** len(spec.gaps)
 
 
 def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
     dd = spec.d
     ambient_dim = dd * dd
     dirs = rng.standard_normal((m, ambient_dim))  # whole: the radii follow it in the stream
-    acc = np.empty(m, dtype=bool)
     kept = []
     for lo in range(0, m, _MC_ROWS):
         y = _normalize_rows(dirs[lo:lo + _MC_ROWS])
         y *= (spec.cutoff * rng.random(len(y)) ** (1.0 / ambient_dim))[:, None]
         mats = y.reshape(-1, dd, dd)
-        ok = acc[lo:lo + _MC_ROWS]
-        ok[:] = np.abs(np.linalg.det(mats) - spec.t) < epsilon
-        kept.append(mats[ok])
+        kept.append(mats[np.abs(np.linalg.det(mats) - spec.t) < epsilon])
     mats = np.concatenate(kept)
     # at the one gated d = 3, math.gamma(11/2) equals scipy's gamma bit for bit
     ball_vol = math.pi ** (ambient_dim / 2.0) / math.gamma(ambient_dim / 2.0 + 1.0)
     ambient = ball_vol * spec.cutoff**ambient_dim
-    return [mats[:, j, :] for j in range(dd)], acc, ambient / (2.0 * epsilon)
+    return [mats[:, j, :] for j in range(dd)], ambient / (2.0 * epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -492,21 +477,23 @@ class MeasureKind:
     make: Callable[..., MeasureSpec]
     block_dims: Callable[[MeasureSpec], tuple[int, ...]]
     reference_exponent: Callable[[int], float]  # in dimension d
-    draw: Callable[..., tuple[list[np.ndarray], np.ndarray, float]]  # (spec, epsilon, rng, m)
+    draw: Callable[..., tuple[list[np.ndarray], float]]  # (spec, epsilon, rng, m)
     closed_form: Callable[[MeasureSpec, FrequencyPoint], complex] | None
     quadrature: bool  # whether ft_quadrature covers the kind
+    density: float = 1.0  # constant shell->parametrized density, applied to the draw's weight
 
 
 MEASURES: dict[str, MeasureKind] = {
     "sphere": MeasureKind(
-        MeasureSpec.sphere, lambda spec: (spec.d,), lambda d: (d - 1) / 2.0, _draw_sphere,
+        MeasureSpec.sphere, lambda spec: (spec.d,), lambda d: (d - 1) / 2.0, _draw_spheres,
         lambda spec, fp: ft_sphere(spec.d, fp.blocks[0]), quadrature=True),
     "triangle2d": MeasureKind(
-        MeasureSpec.triangle2d, lambda spec: (2, 2), lambda d: 0.5, _draw_triangle2d,
-        lambda spec, fp: ft_triangle(*fp.blocks), quadrature=False),
+        MeasureSpec.triangle2d, lambda spec: (2, 2), lambda d: 0.5, _draw_spheres,
+        lambda spec, fp: ft_triangle(*fp.blocks), quadrature=False,
+        density=_SQ3 / 2.0),  # |grad over the torus| of the gap constraint
     "chain_spheres": MeasureKind(
         MeasureSpec.chain_spheres, lambda spec: (spec.d,) * len(spec.radii),
-        lambda d: (d - 1) / 2.0, _draw_chain_spheres, None, quadrature=False),
+        lambda d: (d - 1) / 2.0, _draw_spheres, None, quadrature=False),
     "determinant_variety": MeasureKind(
         MeasureSpec.determinant_variety, lambda spec: (spec.d,) * spec.d,
         lambda d: (d**2 - 1) / 2.0, _draw_determinant_variety, None, quadrature=False),

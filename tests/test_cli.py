@@ -406,11 +406,6 @@ BAD_INPUTS = [
      "input and [generator] kind both name a point set"),
     (["dim", "--input", "points.txt", "--m", "4", "--scales", "0.5;0.25;0.125"],
      "input and [generator] m both name a point set"),
-    (["scan", "--input", "points.txt", "--kind", "lattice", "--d", "2", "--family", "simplex",
-      "--k", "1", "--schedule", "100;400;1600", "--s", "2", "--t", "0.5"],
-     "field input: scan does not read it (it reads top-level keys: algorithm, command, out, seed)"),
-    (["gen", "--input", "points.txt", "--kind", "lattice", "--d", "2", "--m", "3"],
-     "field input: gen does not read it (it reads top-level keys: command, out, seed)"),
     (["ft", "--kind", "triangle2d", "--d", "5", "--rmin", "1", "--rmax", "20"],
      "field [ft] d: ft does not read it (it reads [ft] keys: direction, kind, method, nradii, radii, "
      "rmax, rmin)"),
@@ -450,6 +445,12 @@ UNREAD_CONFIGS = [
      "seed)"),
     ("command = dim\n[generator]\nkind = lattice\nd = 2\nm = 4\n[dim]\nscales = 0.5;0.25;0.125\n"
      "foo = 1\n", "field [dim] foo: dim does not read it (it reads [dim] keys: scales)"),
+    # scan and gen take no --input flag, and refuse the key from a file
+    ("input = points.txt\ncommand = scan\n[generator]\nkind = lattice\nd = 2\n[scan]\n"
+     "family = simplex\nk = 1\nschedule = 100;400;1600\ns = 2\nt = 0.5\n",
+     "field input: scan does not read it (it reads top-level keys: algorithm, command, out, seed)"),
+    ("input = points.txt\ncommand = gen\n[generator]\nkind = lattice\nd = 2\nm = 3\n",
+     "field input: gen does not read it (it reads top-level keys: command, out, seed)"),
 ]
 
 
@@ -522,9 +523,11 @@ def test_failed_command_leaves_no_artefacts(tmp_path):
     (FT_CHAIN + ["--nodes", "64"], "decay_fit"),
     (["dim", "--kind", "lattice", "--d", "2", "--m", "4", "--n", "9", "--scales", "0.5;0.25;0.125"],
      "box_dim"),
-    (["curvature", "--input", "points.txt"], "circulant_check"),
+    (["curvature", "--config", "input.cfg"], "circulant_check"),  # curvature takes no --input
 ])
 def test_unread_key_refused_before_the_kernel_runs(tmp_path, monkeypatch, argv, kernel):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path, "input.cfg", "input = points.txt\n")
     calls = []
     original = getattr(cli, kernel)
     monkeypatch.setattr(cli, kernel, lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
@@ -579,6 +582,27 @@ def test_ft_over_the_sample_budget_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_ft_over_the_quadrature_node_budget_exits_1(tmp_path, capsys):
+    # the default 2048 nodes at d = 4 would be 2048^3 nodes, ~0.8 TB
+    out = tmp_path / "out"
+    assert main(["ft", "--kind", "sphere", "--d", "4", "--method", "quadrature", "--rmin", "1",
+                 "--rmax", "20", "--nradii", "6", "--out", str(out)]) == 1
+    assert ("configeo: error: 2048^3 quadrature nodes are over the budget of 4194304"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("check", ["suite", "circulant"])
+def test_curvature_over_the_dimension_budget_exits_1(tmp_path, monkeypatch, capsys, check):
+    built = []
+    monkeypatch.setattr(cli, "circulant_check", lambda d: built.append(d))
+    out = tmp_path / "out"
+    d = cli.CURVATURE_MAX_D + 1
+    assert main(["curvature", "--check", check, "--d", str(d), "--out", str(out)]) == 1
+    assert f"configeo: error: curvature d = {d} is over the budget of 128" in capsys.readouterr().err
+    assert built == [] and not out.exists()
+
+
 def test_threads_key_removed(tmp_path):
     cfg_path = _write(tmp_path, "count.cfg", "threads = 2\n" + COUNT_CFG)
     with pytest.raises(UsageError, match="threads"):
@@ -604,17 +628,17 @@ def test_envelope_flag_removed():
 
 # every option string of each subcommand -> its dest; a flag with choices also
 # names them in FLAG_CHOICES
-COMMON_FLAGS = {"-h": "help", "--help": "help", "--config": "config", "--out": "out",
-                "--seed": "seed", "--input": "input"}
+COMMON_FLAGS = {"-h": "help", "--help": "help", "--config": "config", "--out": "out", "--seed": "seed"}
+INPUT_FLAG = {"--input": "input"}  # only the commands that may read a point-set file
 GENERATOR_FLAGS = {"--kind": "generator.kind", "--d": "generator.d", "--m": "generator.m",
                    "--r": "generator.r", "--level": "generator.l", "--n": "generator.n",
                    "--jitter": "generator.jitter"}
 FLAG_SURFACE = {
-    "run": COMMON_FLAGS,
+    "run": COMMON_FLAGS | INPUT_FLAG,
     "gen": COMMON_FLAGS | GENERATOR_FLAGS,
-    "energy": COMMON_FLAGS | GENERATOR_FLAGS | {
+    "energy": COMMON_FLAGS | INPUT_FLAG | GENERATOR_FLAGS | {
         "--s": "energy.s", "--s-grid": "energy.s_grid", "--c": "energy.c"},
-    "count": COMMON_FLAGS | GENERATOR_FLAGS | {
+    "count": COMMON_FLAGS | INPUT_FLAG | GENERATOR_FLAGS | {
         "--algorithm": "algorithm", "--family": "query.family", "--k": "query.k", "--t": "query.t",
         "--delta": "query.delta", "--convention": "query.convention"},
     "scan": COMMON_FLAGS | GENERATOR_FLAGS | {
@@ -628,7 +652,7 @@ FLAG_SURFACE = {
         "--sphere-radii": "ft.sphere_radii", "--gaps": "ft.gaps", "--level": "ft.t",
         "--cutoff": "ft.cutoff"},
     "curvature": COMMON_FLAGS | {"--check": "curvature.check", "--d": "curvature.d"},
-    "dim": COMMON_FLAGS | GENERATOR_FLAGS | {"--scales": "dim.scales"},
+    "dim": COMMON_FLAGS | INPUT_FLAG | GENERATOR_FLAGS | {"--scales": "dim.scales"},
 }
 FLAG_CHOICES = {("count", "--algorithm"): ("brute", "pruned"),
                 ("scan", "--algorithm"): ("brute", "pruned")}

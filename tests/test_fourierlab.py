@@ -115,6 +115,25 @@ def test_quadrature_validation():
         ft_quadrature(MeasureSpec.triangle2d(), [1.0, 0.0], 64)
 
 
+def test_quadrature_node_budget_refuses_before_any_array(monkeypatch):
+    # at d = 2 the oracle has node_count nodes, so a missed refusal stays small
+    monkeypatch.setattr(fourierlab, "QUADRATURE_NODE_BUDGET", 1000)
+    spec = MeasureSpec.sphere(2)
+    assert ft_quadrature(spec, [0.0, 0.0], 1000).real == pytest.approx(2 * math.pi, rel=1e-12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"4096\^1 quadrature nodes are over the budget of 1000"):
+            ft_quadrature(spec, [1.0, 0.0], 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * 8 // 2  # half of the azimuth grid, the oracle's first array
+
+
+def test_quadrature_node_budget_admits_the_cli_default_at_d3():
+    assert 2048 ** (3 - 1) <= fourierlab.QUADRATURE_NODE_BUDGET < 2048 ** (4 - 1)
+
+
 def test_sphere_rotation_invariance():
     rng = np.random.Generator(np.random.PCG64(1))
     xi = np.array([0.8, -0.3, 1.2])
@@ -277,8 +296,9 @@ def test_mc_sample_budget_leaves_room_for_the_cli_default_and_the_benchmark():
     assert max(10**6, 400_000) <= fourierlab.MC_SAMPLE_BUDGET
 
 
-# Seeded estimates pinned at the per-point implementation (one draw per
-# point), over two chunks of _MC_CHUNK samples with a partial last one.
+# Seeded estimates over two chunks of _MC_CHUNK samples with a partial last
+# one, each chunk's phases summed over its accepted rows only; sphere, which
+# accepts every row, keeps its values from the per-point implementation.
 # Compared with ==: evaluating a ray from one draw must not move a bit.
 GOLDEN_SAMPLES = 270_000
 GOLDEN_MC = {
@@ -291,16 +311,16 @@ GOLDEN_MC = {
     "triangle2d": (
         MeasureSpec.triangle2d(), 22,
         [([0.3, 0.1], [-0.2, 0.4]), ([1.5, 0.5], [-1.0, 0.8])],
-        [(complex(2.058439828636069, 0.011488707280499343), 0.12549639963878928),
-         (complex(1.0276877091248766, 0.08653914197484844), 0.12554322234148538)],
+        [(complex(2.058439828636069, 0.01148870728049929), 0.12549639963878928),
+         (complex(1.0276877091248766, 0.08653914197484847), 0.1255432223414854)],
     ),
     "chain_spheres": (
         MeasureSpec.chain_spheres(3), 23,
         [([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
          ([3.5, 0.2, 0.0], [-3.5, 0.0, 0.1])],
-        [(complex(78.31348321812536, 0.0), 0.6597830567349644),
-         (complex(-0.6983705385843058, 0.40874184351061343), 0.676776239049061),
-         (complex(-0.3947181520602262, -0.1831854662954825), 0.676777512601815)],
+        [(complex(78.31348321812536, 0.0), 0.6597830567349645),
+         (complex(-0.6983705385843058, 0.4087418435106132), 0.676776239049061),
+         (complex(-0.3947181520602262, -0.18318546629548263), 0.676777512601815)],
     ),
     # phases come from the strided mats[:, j, :] views of the accepted rows
     "determinant_variety": (
@@ -308,9 +328,9 @@ GOLDEN_MC = {
         [([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
          ([0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]),
          ([0.3, -0.7, 0.2], [1.1, 0.0, -0.4], [-0.6, 0.9, 0.8])],
-        [(complex(1392.351917984495, 0.0), 8.939281673485521),
-         (complex(15.806407405887523, 1.3322725414431702), 9.332201636207804),
-         (complex(7.655576811463105, 3.2544215123045985), 9.332237834643754)],
+        [(complex(1392.351917984495, 0.0), 8.93928167348552),
+         (complex(15.806407405887523, 1.332272541443169), 9.332201636207804),
+         (complex(7.655576811463105, 3.2544215123045976), 9.332237834643754)],
     ),
 }
 
@@ -327,9 +347,10 @@ def test_mc_golden_estimates_and_single_point_calls(kind):
 @pytest.mark.parametrize("kind", sorted(fourierlab.MEASURES))
 def test_each_draw_returns_accepted_blocks_of_the_row_widths(kind):
     spec = GOLDEN_MC[kind][0]
-    blocks, acc, weight = fourierlab.MEASURES[kind].draw(spec, 0.05, np.random.default_rng(0), 4096)
-    assert acc.shape == (4096,) and acc.dtype == bool and acc.any() and weight > 0.0
-    assert tuple(b.shape for b in blocks) == tuple((acc.sum(), w) for w in spec.block_dims)
+    blocks, weight = fourierlab.MEASURES[kind].draw(spec, 0.05, np.random.default_rng(0), 4096)
+    accepted = len(blocks[0])
+    assert 0 < accepted <= 4096 and weight > 0.0
+    assert tuple(b.shape for b in blocks) == tuple((accepted, w) for w in spec.block_dims)
 
 
 # The second value is the number of standard normal arrays per chunk.
@@ -379,17 +400,24 @@ def test_generator_gives_the_same_values_in_row_blocks(method, row):
     assert np.array_equal(whole, np.concatenate(parts))
 
 
-def test_mc_chunk_stays_within_its_memory_budget():
-    # the budget of the ft_montecarlo docstring: 1.5 times one (m, d) float array
-    m, d = fourierlab._MC_CHUNK, 3
-    point = FrequencyPoint.of([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
+# The budgets of the ft_montecarlo docstring: float64 arrays of m rows, each
+# row as wide as the kind's widest drawn array.
+MC_MEMORY_BUDGETS = {"sphere": (2.5, 3), "triangle2d": (1.5, 2), "chain_spheres": (1.5, 3),
+                     "determinant_variety": (1.25, 9)}
+
+
+@pytest.mark.parametrize("kind", sorted(MC_MEMORY_BUDGETS))
+def test_mc_chunk_stays_within_its_memory_budget(kind):
+    arrays, width = MC_MEMORY_BUDGETS[kind]
+    spec, seed, blocks, _ = GOLDEN_MC[kind]
+    m = fourierlab._MC_CHUNK
     tracemalloc.start()
     try:
-        ft_montecarlo(MeasureSpec.chain_spheres(d), [point], 0.05, m, seed=26)
+        ft_montecarlo(spec, [FrequencyPoint.of(*b) for b in blocks], 0.05, m, seed)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * m * d * 8
+    assert peak < arrays * m * width * 8
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 9])
@@ -397,19 +425,15 @@ def test_unit_vectors_equal_the_norm_division_bit_for_bit(d):
     # below 8 coordinates the norms are a coordinate-order sum, from 8 on np.add.reduce
     g = np.random.default_rng(d).standard_normal((5000, d))
     want = g / np.linalg.norm(g, axis=1, keepdims=True)
-    got = fourierlab._unit_vectors(np.random.default_rng(d), 5000, d)
+    got = fourierlab._normalize_rows(np.random.default_rng(d).standard_normal((5000, d)))
     assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("d", [2, 3, 9])
 def test_unit_vectors_leave_zero_rows_unchanged(d):
-    class Draw:  # a stream whose normal rows include zero rows
-        def standard_normal(self, shape):
-            rows = np.arange(1.0, shape[0] * shape[1] + 1.0).reshape(shape)
-            rows[::2] = 0.0
-            return rows
-
-    got = fourierlab._unit_vectors(Draw(), 6, d)
+    rows = np.arange(1.0, 6 * d + 1.0).reshape(6, d)  # a drawn array with zero rows
+    rows[::2] = 0.0
+    got = fourierlab._normalize_rows(rows)
     assert np.array_equal(got[::2], np.zeros((3, d)))
     assert np.allclose(np.linalg.norm(got[1::2], axis=1), 1.0)
 

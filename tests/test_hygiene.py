@@ -116,3 +116,42 @@ def test_the_scan_finds_callers():
     tree = ast.parse("def f(x):\n    def g():\n        return h(x)\n    return g\n"
                      "class C:\n    y = h(1) + k(2)\nz = h(0)\nm.h(3)\n")
     assert _callers(tree, {"h", "k", "q"}) == {"h": {"f", "C", "<module>"}, "k": {"C"}, "q": set()}
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """The module-level private names of each tree (one leading underscore)
+    that no statement of any tree reads, as a bare name or an attribute,
+    besides the top-level statement that binds them; as 'module.name'."""
+    reads = {}  # (module, index of its top-level statement) -> the names it reads
+    bound = []  # (module, index of the binding statement, name)
+    for module, tree in trees.items():
+        for index, top in enumerate(tree.body):
+            reads[module, index] = {node.id if isinstance(node, ast.Name) else node.attr
+                                    for node in ast.walk(top)
+                                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                                    or isinstance(node, ast.Attribute)}
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = []
+            bound += [(module, index, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    return [f"{module}.{name}" for module, index, name in bound
+            if not any(name in names for where, names in reads.items() if where != (module, index))]
+
+
+def test_every_private_name_is_read_in_the_package():
+    # a private helper that only the tests call is dead code kept alive by them
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    assert _unread_private_names(trees) == []
+
+
+def test_the_scan_finds_unread_private_names():
+    a = ast.parse("_A = 1\n_B = 2\n_C, d = 3, 4\n__all__ = []\ndef _f():\n    return _f() + _A\n"
+                  "class _K:\n    pass\n")
+    b = ast.parse("from a import _K\nimport a\nx = a._B\n")  # an import alone reads nothing
+    assert _unread_private_names({"a": a, "b": b}) == ["a._C", "a._f", "a._K"]
