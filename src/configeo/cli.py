@@ -40,9 +40,12 @@ from .energy import DEFAULT_ADAPTABILITY_C, _check_positive, energy_profile
 from .errors import CapacityError, ConfigeoError, InfeasibleError
 from .expfit import ScanSpec, run_scan
 from .fourierlab import (
+    MC_SAMPLE_BUDGET,
     MEASURES,
+    QUADRATURE_NODE_BUDGET,
     FrequencyPoint,
     MeasureSpec,
+    _quadrature_nodes,
     circulant_check,
     decay_fit,
     ft_montecarlo,
@@ -508,7 +511,16 @@ def _default_direction(spec: MeasureSpec) -> FrequencyPoint:
     return FrequencyPoint(blocks=tuple(blocks))
 
 
+FT_QUADRATURE_RAY_NODES = 12 * QUADRATURE_NODE_BUDGET  # nodes x radii of one ft ray (see _cmd_ft)
+
+
 def _cmd_ft(cfg: ExperimentConfig):
+    """Time budget: one ray, the ft_quadrature or ft_montecarlo call of each
+    radius, is refused with CapacityError before its first evaluation when
+    it holds more than FT_QUADRATURE_RAY_NODES quadrature nodes or
+    MC_SAMPLE_BUDGET Monte Carlo samples in all.  Both are about 20 s on a
+    2-vCPU VM: 1.1-1.6 s per 2^22 nodes at d = 3, and ~20 s per 10^8
+    chain_spheres(3) samples."""
     spec = _measure_from_config(cfg)
     raw_dir = _get(cfg, "ft", "direction")
     direction = _parse_direction(raw_dir) if raw_dir else _default_direction(spec)
@@ -532,10 +544,17 @@ def _cmd_ft(cfg: ExperimentConfig):
         if not row.quadrature:
             raise ValueError(f"no quadrature oracle for kind {spec.kind!r}")
         nodes = _get_int(cfg, "ft", "nodes", 2048)
+        ray_nodes = _quadrature_nodes(spec.d, nodes) * len(radii)
+        if ray_nodes > FT_QUADRATURE_RAY_NODES:
+            raise CapacityError(f"{len(radii)} radii of {nodes}^{spec.d - 1} quadrature nodes make "
+                                f"{ray_nodes}, over the ray budget of {FT_QUADRATURE_RAY_NODES}")
         evaluator = lambda ps: [ft_quadrature(spec, p.blocks[0], nodes) for p in ps]  # noqa: E731
     elif method == "mc":
         epsilon = _get_float(cfg, "ft", "epsilon", 0.05)
         samples = _get_int(cfg, "ft", "samples", 10**6)
+        if samples * len(radii) > MC_SAMPLE_BUDGET:
+            raise CapacityError(f"{samples} samples are over the Monte Carlo budget of "
+                                f"{MC_SAMPLE_BUDGET} at {len(radii)} radii ({samples * len(radii)} in all)")
         # one call per radius: perfbench's fourierlab.mc.samples adds the
         # `samples` argument of each call and its layer test pins that total,
         # so the ray goes in one call once the counter counts drawn samples

@@ -325,6 +325,16 @@ def _set_kernel(views, bands, orders, config_map):
     return fast
 
 
+def _dot_values(rows: np.ndarray, cols: np.ndarray, absolute: bool = False):
+    """A view's values(start, stop, col): rows start:stop dotted with the
+    cols col.., in BLAS, or their absolute values.  The arrays are bound
+    here, so a view keeps its own apex's after the next one is made."""
+    def values(start, stop, col):
+        dots = rows[start:stop] @ cols[col:].T
+        return np.abs(dots, out=dots) if absolute else dots
+    return values
+
+
 def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
     """Check k against d, then count a family query with the row's fast
     counter ("pruned") or its oracle ("brute").  The simplex convention is
@@ -360,24 +370,28 @@ def count_simplex_brute(ps: PointSet, k: int, t, delta: float) -> CountReport:
     return count_simplex(ps, k, t, delta, algorithm="brute")
 
 
-def _distance_rows(coords: np.ndarray, start: int, stop: int, out: np.ndarray,
+def _distance_rows(coords: np.ndarray, start: int, stop: int, col: int, out: np.ndarray,
                    scratch: np.ndarray) -> np.ndarray:
-    """Rows start:stop of `_pair_distance_matrix(coords.T)`, bit for bit, in
-    out[:stop - start], from the C-contiguous (d, n) coordinates; out and
-    scratch hold at least stop - start rows of n.  Below 8 coordinates
-    numpy's pairwise sum adds a row in coordinate order, so the squares are
-    added one coordinate at a time in place; from 8 on it unrolls by 8, and
-    the block keeps the oracle's .sum(axis=-1) over C-ordered differences."""
-    d, m = coords.shape[0], stop - start
+    """Rows start:stop, columns col.. of `_pair_distance_matrix(coords.T)`,
+    bit for bit, as a C-contiguous (stop - start, n - col) view of out's
+    leading entries, from the C-contiguous (d, n) coordinates; out and
+    scratch are C-contiguous, of at least (stop - start) * n entries each.
+    Below 8 coordinates numpy's pairwise sum adds a row in coordinate order,
+    so the squares are added one coordinate at a time in place; from 8 on it
+    unrolls by 8, and the block keeps the oracle's .sum(axis=-1) over
+    C-ordered differences."""
+    d, n = coords.shape
+    shape = (stop - start, n - col)
+    dist = out.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
     if d >= 8:
         pts = np.ascontiguousarray(coords.T)
-        diff = pts[None, :, :] - pts[start:stop, None, :]
-        return np.sqrt((diff * diff).sum(axis=-1), out=out[:m])
-    dist, diff = out[:m], scratch[:m]
-    np.subtract(coords[0], coords[0, start:stop, None], out=dist)
+        diff = pts[None, col:, :] - pts[start:stop, None, :]
+        return np.sqrt((diff * diff).sum(axis=-1), out=dist)
+    diff = scratch.reshape(-1)[:dist.size].reshape(shape)
+    np.subtract(coords[0, col:], coords[0, start:stop, None], out=dist)
     np.multiply(dist, dist, out=dist)
     for c in range(1, d):
-        np.subtract(coords[c], coords[c, start:stop, None], out=diff)
+        np.subtract(coords[c, col:], coords[c, start:stop, None], out=diff)
         dist += np.multiply(diff, diff, out=diff)
     return np.sqrt(dist, out=dist)
 
@@ -402,7 +416,7 @@ def _band_rows(pts: np.ndarray, values: list[float], delta: float) -> np.ndarray
     nnz = 0
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        dist = _distance_rows(coords, start, stop, dist_buf, gap_buf)
+        dist = _distance_rows(coords, start, stop, 0, dist_buf, gap_buf)
         gap = gap_buf[:stop - start]  # the kernel's scratch, free once it returns
         band = bits[:stop - start]
         own = np.arange(stop - start)
@@ -536,8 +550,7 @@ def _volume_views(pts: np.ndarray):
             last, first = np.tril_indices(len(legs) - 1, -1)  # pairs first < last, by last
             row_legs = (first, last)
             normals = np.cross(legs[first], legs[last])
-        yield (b, np.arange(b + 1, n), row_legs,
-               lambda start, stop, col: np.abs(normals[start:stop] @ legs[col:].T))
+        yield b, np.arange(b + 1, n), row_legs, _dot_values(normals, legs, absolute=True)
 
 
 def _volume_bands(pts: np.ndarray, t: float, delta: float):
@@ -629,14 +642,20 @@ def _area2_views(pts: np.ndarray):
     n = pts.shape[0]
     for b in range(n - 2):
         legs = pts[b + 1:] - pts[b]
-        sq = (legs * legs).sum(axis=1)
+        yield b, np.arange(b + 1, n), (np.arange(len(legs) - 1),), _gram_values(legs)
 
-        def values(start, stop, col):
-            dots = legs[start:stop] @ legs[col:].T
-            gram = np.multiply.outer(sq[start:stop], sq[col:])
-            gram -= np.multiply(dots, dots, out=dots)
-            return gram
-        yield b, np.arange(b + 1, n), (np.arange(len(legs) - 1),), values
+
+def _gram_values(legs: np.ndarray):
+    """The area2 view's values(start, stop, col): the Gram determinants of
+    the legs start:stop against the legs col.., bound to this apex's legs."""
+    sq = (legs * legs).sum(axis=1)
+
+    def values(start, stop, col):
+        dots = legs[start:stop] @ legs[col:].T
+        gram = np.multiply.outer(sq[start:stop], sq[col:])
+        gram -= np.multiply(dots, dots, out=dots)
+        return gram
+    return values
 
 
 def _area2_bands(pts: np.ndarray, t: float, delta: float):
@@ -721,7 +740,7 @@ def _angle_views(pts: np.ndarray):
         norms = np.sqrt((legs * legs).sum(axis=1))
         keep = np.flatnonzero(norms >= DEGENERATE_APEX_TOL)  # never a itself
         unit = legs[keep] / norms[keep, None]
-        yield a, keep, (np.arange(keep.size - 1),), lambda start, stop, col: unit[start:stop] @ unit[col:].T
+        yield a, keep, (np.arange(keep.size - 1),), _dot_values(unit, unit)
 
 
 def _angle_margin(d: int) -> float:

@@ -71,7 +71,7 @@ MAGNITUDE_FLOOR = 1e-14
 CURVATURE_STEP = 1e-4
 CURVATURE_REL_TOL = 1e-6
 _SQ3 = math.sqrt(3.0)
-MC_SAMPLE_BUDGET = 10**8  # samples per ft_montecarlo call
+MC_SAMPLE_BUDGET = 10**8  # samples per ft_montecarlo call, and samples x radii per ft ray
 _MC_CHUNK = 1 << 18  # samples per draw from the seeded stream (see ft_montecarlo)
 _MC_ROWS = 8192  # rows per block of a chunk's streamed last array (see ft_montecarlo)
 QUADRATURE_NODE_BUDGET = 2**22  # node_count^(d-1) per ft_quadrature call
@@ -272,6 +272,16 @@ def ft_triangle(xi, eta) -> complex:
 # quadrature oracle (sphere only)
 
 
+def _quadrature_nodes(d: int, node_count: int) -> int:
+    """node_count^(d-1), the nodes of one ft_quadrature call at d; refused
+    with CapacityError over QUADRATURE_NODE_BUDGET."""
+    nodes = node_count ** (d - 1)
+    if nodes > QUADRATURE_NODE_BUDGET:
+        raise CapacityError(f"{node_count}^{d - 1} quadrature nodes are over the budget of "
+                            f"{QUADRATURE_NODE_BUDGET}")
+    return nodes
+
+
 def ft_quadrature(spec: MeasureSpec, xi, node_count: int = 2048) -> complex:
     """Product-quadrature oracle for the sphere transform: trapezoid in the
     azimuth (spectrally accurate on the periodic circle) and Gauss-Legendre
@@ -284,9 +294,7 @@ def ft_quadrature(spec: MeasureSpec, xi, node_count: int = 2048) -> complex:
     if node_count < 16:
         raise ValueError("node_count must be >= 16")
     d = spec.d
-    if node_count ** (d - 1) > QUADRATURE_NODE_BUDGET:
-        raise CapacityError(f"{node_count}^{d - 1} quadrature nodes are over the budget of "
-                            f"{QUADRATURE_NODE_BUDGET}")
+    _quadrature_nodes(d, node_count)
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (d,):
         raise ValueError(f"xi must be a {d}-vector")

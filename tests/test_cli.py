@@ -592,6 +592,28 @@ def test_ft_over_the_quadrature_node_budget_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    # 6 radii of 2 x 10^7 samples, each call under the budget of 10^8
+    (FT_CHAIN + ["--samples", "20000000"],
+     "20000000 samples are over the Monte Carlo budget of 100000000 at 6 radii (120000000 in all)"),
+    # 13 radii of the default 2048^2 nodes, each call at the per-call budget of 2^22
+    (FT_SPHERE + ["--method", "quadrature", "--nradii", "13"],
+     "13 radii of 2048^2 quadrature nodes make 54525952, over the ray budget of 50331648"),
+])
+def test_ft_ray_over_its_budget_exits_1_before_any_evaluation(tmp_path, monkeypatch, capsys, argv, message):
+    for name in ("ft_montecarlo", "ft_quadrature"):
+        monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the ray was evaluated"))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert f"configeo: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ft_ray_budgets_admit_survey_dense_and_12_default_quadrature_radii():
+    assert 24 * 400_000 <= cli.MC_SAMPLE_BUDGET
+    assert 12 * 2048**2 <= cli.FT_QUADRATURE_RAY_NODES < 13 * 2048**2
+
+
 @pytest.mark.parametrize("check", ["suite", "circulant"])
 def test_curvature_over_the_dimension_budget_exits_1(tmp_path, monkeypatch, capsys, check):
     built = []

@@ -246,10 +246,14 @@ def test_simplex_packed_rows_at_word_edges_match_brute(monkeypatch, k, n):
 def test_distance_rows_bit_identical_to_oracle(d):
     pts = gen_random(d, 50, seed=35 + d).points
     coords, out, scratch = np.ascontiguousarray(pts.T), np.empty((7, 50)), np.empty((7, 50))
+    oracle = _pair_distance_matrix(pts)
     # each block is a view of the reused out buffer, so it is copied before the next
-    rows = np.vstack([_distance_rows(coords, s, min(s + 7, 50), out, scratch).copy()
+    rows = np.vstack([_distance_rows(coords, s, min(s + 7, 50), 0, out, scratch).copy()
                       for s in range(0, 50, 7)])
-    assert rows.tobytes() == _pair_distance_matrix(pts).tobytes()
+    assert rows.tobytes() == oracle.tobytes()
+    for s in range(0, 50, 7):  # the upper blocks: columns s+1.. only
+        upper = _distance_rows(coords, s, min(s + 7, 50), s + 1, out, scratch)
+        assert upper.flags.c_contiguous and upper.tobytes() == oracle[s:s + 7, s + 1:].tobytes()
 
 
 def test_simplex_band_budget_refusal(monkeypatch):
@@ -699,6 +703,23 @@ def test_block_size_leaves_counts_unchanged(monkeypatch, entries):
             patch.setattr(configcount, "_SET_BLOCK_ENTRIES", entries)
             assert [kernel(pts, 2, (t,), delta) for pts, t, delta in family_cases] == want
             assert sum(rechecked) == want_rechecked > 0
+
+
+@pytest.mark.parametrize("family,d,t,delta", [("volume", 2, 0.05, 0.03), ("volume", 3, 0.01, 0.005),
+                                               ("area2", 2, 0.05, 0.03), ("angle", 2, 1.0, 0.3)])
+def test_eager_views_value_their_own_apex(family, d, t, delta):
+    # a view's values are bound when it is yielded, so listing every view first values
+    # each against its own apex, not the last one
+    views = {"volume": configcount._volume_views, "area2": configcount._area2_views,
+             "angle": configcount._angle_views}[family]
+    pts = gen_random(d, 12, seed=9).points
+    lazy = [values(0, row_legs[-1].size, 0) for _, _, row_legs, values in views(pts)]
+    eager = [values(0, row_legs[-1].size, 0) for _, _, row_legs, values in list(views(pts))]
+    assert len(eager) == len(lazy) > 1
+    assert [block.tobytes() for block in eager] == [block.tobytes() for block in lazy]
+    row = configcount.FAMILIES[family]
+    k = d if family == "volume" else 2
+    assert row.fast(pts, k, (t,), delta) == row.brute(pts, k, (t,), delta) > 0
 
 
 def _band_split_by_cell(vals, last, col, inner, outer):
