@@ -1,4 +1,4 @@
-"""Ordinary least-squares line fits shared by the slope-estimation surfaces."""
+"""The ordinary least-squares log-log fit shared by the slope-estimation surfaces."""
 
 from __future__ import annotations
 
@@ -7,14 +7,18 @@ import math
 import numpy as np
 
 
-def ols_line(x, y) -> tuple[float, float, float]:
-    """Fit y = intercept + slope*x; return (slope, intercept, slope_stderr).
+def ols_loglog(x, y) -> tuple[float, float]:
+    """Fit log(y) = intercept + slope*log(x); return (slope, slope_stderr).
 
-    The standard error is the usual OLS estimate sqrt(RSS/(m-2)/Sxx); it is
-    0.0 for two-point fits, where the residual degrees of freedom vanish.
+    Inputs must be positive.  The standard error is the usual OLS estimate
+    sqrt(RSS/(m-2)/Sxx); it is 0.0 for two-point fits, where the residual
+    degrees of freedom vanish.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if np.any(x <= 0) or np.any(y <= 0):
+        raise ValueError("log-log fit requires strictly positive samples")
+    x, y = np.log(x), np.log(y)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d arrays of equal length")
     m = x.size
@@ -26,19 +30,9 @@ def ols_line(x, y) -> tuple[float, float, float]:
     if sxx == 0.0:
         raise ValueError("degenerate fit: all abscissae equal")
     slope = float(((x - xbar) * (y - ybar)).sum() / sxx)
-    intercept = ybar - slope * xbar
     if m == 2:
-        return slope, intercept, 0.0
+        return slope, 0.0
+    intercept = ybar - slope * xbar
     resid = y - (intercept + slope * x)
     s2 = float((resid**2).sum()) / (m - 2)
-    return slope, intercept, math.sqrt(s2 / sxx)
-
-
-def ols_loglog(x, y) -> tuple[float, float]:
-    """Slope and stderr of log(y) against log(x); inputs must be positive."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("log-log fit requires strictly positive samples")
-    slope, _, stderr = ols_line(np.log(x), np.log(y))
-    return slope, stderr
+    return slope, math.sqrt(s2 / sxx)

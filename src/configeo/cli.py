@@ -531,7 +531,7 @@ def _cmd_ft(cfg: ExperimentConfig):
     if radii is None:
         rmin = _get_float(cfg, "ft", "rmin", required=True)
         rmax = _get_float(cfg, "ft", "rmax", required=True)
-        nradii = _get_int(cfg, "ft", "nradii", 2000)
+        nradii = _get_int(cfg, "ft", "nradii", 12)
         radii = tuple(np.geomspace(rmin, rmax, nradii))
 
     row = MEASURES[spec.kind]

@@ -112,6 +112,12 @@ class Family:
             raise ValueError(f"{self.name} family needs k = {self.fixed_k(d)} "
                              f"{self.fixed_by.format(d=d)}, got k={k}")
 
+    def check_convention(self, convention: str) -> None:
+        if convention not in VOLUME_CONVENTIONS:
+            raise ValueError(f"unknown volume convention {convention!r}")
+        if convention != "bare_determinant" and "volume_convention" not in self.counter_args:
+            raise ValueError(f"{self.name} counts take no volume convention, got {convention!r}")
+
 
 def family_row(family: str, phi: PhiFunction | None = None) -> Family:
     """The FAMILIES row of a named family, or the row of the custom map phi;
@@ -139,8 +145,6 @@ class ConfigQuery:
     phi: PhiFunction | None = None
 
     def __post_init__(self):
-        if self.volume_convention not in VOLUME_CONVENTIONS:
-            raise ValueError(f"unknown volume convention {self.volume_convention!r}")
         object.__setattr__(self, "t", tuple(float(x) for x in np.atleast_1d(self.t)))
         object.__setattr__(self, "delta", float(self.delta))
         if self.k < 1:
@@ -148,6 +152,7 @@ class ConfigQuery:
         if not all(map(math.isfinite, (*self.t, self.delta))):
             raise ValueError(f"t and delta must be finite, got t={self.t}, delta={self.delta}")
         row = family_row(self.family, self.phi)
+        row.check_convention(self.volume_convention)
         if len(self.t) != row.targets(self.k):
             raise ValueError(f"{self.family} target needs {row.targets(self.k)} entries, "
                              f"got {len(self.t)}")
@@ -386,7 +391,7 @@ def _distance_rows(coords: np.ndarray, start: int, stop: int, col: int, out: np.
     if d >= 8:
         pts = np.ascontiguousarray(coords.T)
         diff = pts[None, col:, :] - pts[start:stop, None, :]
-        return np.sqrt((diff * diff).sum(axis=-1), out=dist)
+        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1, out=dist), out=dist)
     diff = scratch.reshape(-1)[:dist.size].reshape(shape)
     np.subtract(coords[0, col:], coords[0, start:stop, None], out=dist)
     np.multiply(dist, dist, out=dist)

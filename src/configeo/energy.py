@@ -18,11 +18,11 @@ distance and no warning, and the coincidence check runs over the same upper
 entries before any sum.  Each row's upper slice is summed whole (numpy's
 pairwise summation), then the n - 1 row sums are summed, so the value does
 not depend on how many rows a block holds; repeated runs agree bit for bit.
-At d <= 2 the rows come from configcount._distance_rows, the kernel of the
-simplex band rows, which adds the squares in coordinate order; at d >= 3
-from an einsum of the squares.  A profile over an s-grid is one
-discrete_energy call per s, so each of its values is the single-exponent
-energy bit for bit, whatever the grid holds besides.
+At every d the rows come from configcount._distance_rows, the kernel of the
+simplex band rows, so they are bit for bit the distances of
+_pair_distance_matrix, which the simplex oracle uses.  A profile over an
+s-grid is one discrete_energy call per s, so each of its values is the
+single-exponent energy bit for bit, whatever the grid holds besides.
 
 Budget: a set with more than ENERGY_PAIR_BUDGET ordered pairs n(n-1) is
 refused with CapacityError before any distance is computed.  At the budget,
@@ -78,21 +78,14 @@ def discrete_energy(ps: PointSet, s: float) -> float:
         raise CapacityError(f"{n} points make {n * (n - 1)} ordered pairs, "
                             f"over the energy budget of {ENERGY_PAIR_BUDGET}")
     rows = max(1, min(n - 1, _BLOCK_ENTRIES // n))
-    pts = ps.points
-    coords = np.ascontiguousarray(pts.T)
+    coords = np.ascontiguousarray(ps.points.T)
     dist_buf, scratch = np.empty((rows, n)), np.empty((rows, n))
     below = np.tri(rows, k=-1, dtype=bool)  # a block's leading tile at the columns j <= i
     row_sums = np.empty(n - 1)  # row n-1 holds no pair
     for start in range(0, n - 1, rows):
         stop = min(start + rows, n - 1)
         m = stop - start
-        if ps.dim <= 2:
-            # a sum of at most two squares has one rounding, so it equals the
-            # einsum below bit for bit
-            dist = _distance_rows(coords, start, stop, start + 1, dist_buf, scratch)
-        else:
-            diff = pts[start:stop, None, :] - pts[None, start + 1:, :]
-            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        dist = _distance_rows(coords, start, stop, start + 1, dist_buf, scratch)
         np.copyto(dist[:, :m], np.inf, where=below[:m, :m])
         if dist.min() < COINCIDENCE_TOL:
             raise CoincidentPointsError(

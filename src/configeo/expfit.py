@@ -98,6 +98,7 @@ class ScanSpec:
         _check_positive("C", self.adaptability_C)
         row = family_row(self.family, self.phi)
         row.check_k(self.k, int(self.generator.as_dict()["d"]))  # before any generation
+        row.check_convention(self.volume_convention)
         if row.threshold is None and self.predicted is None:  # no theory predicts its growth
             raise ValueError(f"{self.family} scans need an explicit predicted exponent")
 

@@ -3,9 +3,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from configeo import cli
+from configeo import cli, expfit
 from configeo.cli import (
     UsageError,
     main,
@@ -612,6 +613,40 @@ def test_ft_ray_over_its_budget_exits_1_before_any_evaluation(tmp_path, monkeypa
 def test_ft_ray_budgets_admit_survey_dense_and_12_default_quadrature_radii():
     assert 24 * 400_000 <= cli.MC_SAMPLE_BUDGET
     assert 12 * 2048**2 <= cli.FT_QUADRATURE_RAY_NODES < 13 * 2048**2
+
+
+@pytest.mark.parametrize("argv", [FT_CHAIN[:-2], FT_SPHERE + ["--method", "quadrature"]])
+def test_bare_ft_ray_runs_at_the_default_12_radii(tmp_path, monkeypatch, argv):
+    radii = []
+
+    def montecarlo(spec, points, epsilon, samples, seed):
+        radii.extend(p.norm for p in points)
+        return [(1.0 / p.norm, 0.0) for p in points]
+
+    def quadrature(spec, xi, nodes):
+        radii.append(float(np.linalg.norm(xi)))
+        return 1.0 / radii[-1]
+
+    monkeypatch.setattr(cli, "ft_montecarlo", montecarlo)
+    monkeypatch.setattr(cli, "ft_quadrature", quadrature)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(radii) == 12
+
+
+@pytest.mark.parametrize("argv", [
+    COUNT_LATTICE + ["--convention", "simplex"],
+    ["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "angle", "--t", "1",
+     "--delta", "0.1", "--convention", "simplex"],
+    SCAN_D2 + ["--family", "simplex", "--k", "1", "--convention", "simplex"],
+    SCAN_D2 + ["--family", "angle", "--convention", "simplex"],
+])
+def test_convention_of_a_family_without_volumes_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.setattr(expfit, "generate", lambda spec: pytest.fail("generated a point set"))
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    family = argv[argv.index("--family") + 1]
+    assert f"{family} counts take no volume convention, got 'simplex'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("check", ["suite", "circulant"])

@@ -947,3 +947,13 @@ def test_query_validation():
     with pytest.raises(ValueError):
         ConfigQuery(family="volume", k=2, t=(0.5,), delta=-0.01)
     ConfigQuery(family="volume", k=2, t=(0.5,), delta=0.0)  # closed interval, delta 0 fine
+    with pytest.raises(ValueError, match="unknown volume convention 'bogus'"):
+        ConfigQuery(family="volume", k=2, t=(0.5,), delta=0.01, volume_convention="bogus")
+
+
+@pytest.mark.parametrize("family,k,phi", [("simplex", 1, None), ("angle", 2, None),
+                                          ("custom", 1, DISTANCE_PHI)])
+def test_convention_refused_where_it_does_nothing(family, k, phi):
+    with pytest.raises(ValueError, match=f"{family} counts take no volume convention, got 'simplex'"):
+        ConfigQuery(family, k, (1.0,), 0.01, "simplex", phi)
+    ConfigQuery(family, k, (1.0,), 0.01, "bare_determinant", phi)

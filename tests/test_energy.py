@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from configeo import energy
+from configeo.configcount import _pair_distance_matrix
 from configeo.energy import discrete_energy, energy_profile, is_adaptable
 from configeo.errors import CapacityError, CoincidentPointsError
 from configeo.pointgen import PointSet, gen_lattice, gen_random
@@ -57,9 +58,11 @@ def test_each_pair_is_valued_once(monkeypatch, n):
         return distance_rows(coords, start, stop, col, out, scratch)
 
     monkeypatch.setattr(energy, "_distance_rows", spy)
-    discrete_energy(gen_random(2, n, seed=n), 1.0)
     rows = energy._BLOCK_ENTRIES // n
-    assert 0 < sum(distances) <= n * (n - 1) // 2 + n * rows
+    for d in (2, 3):
+        distances.clear()
+        discrete_energy(gen_random(d, n, seed=n), 1.0)
+        assert 0 < sum(distances) <= n * (n - 1) // 2 + n * rows
 
 
 def upper_row_energy(dist, s):
@@ -71,25 +74,34 @@ def upper_row_energy(dist, s):
 
 
 def broadcast_energy(pts, s):
-    """The whole distance matrix from one broadcast difference, reduced with
-    the module's summation."""
+    """The whole distance matrix from one einsum of the squared differences,
+    reduced with the module's summation."""
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(dist, np.inf)
     return upper_row_energy(dist, s)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def oracle_energy(pts, s):
+    """The simplex oracle's distance matrix, reduced with the module's
+    summation."""
+    dist = _pair_distance_matrix(pts)
+    np.fill_diagonal(dist, np.inf)
+    return upper_row_energy(dist, s)
+
+
+@pytest.mark.parametrize("d", range(1, 10))  # from 8 on _distance_rows takes its d >= 8 branch
 def test_blocked_distances_equal_the_broadcast_bit_for_bit(d):
     ps = gen_random(d, 400, seed=d)
     grid = [0.5, 1.0, 1.9, 2.0]
-    want = [broadcast_energy(ps.points, s) for s in grid]
+    want = [oracle_energy(ps.points, s) for s in grid]
     assert [v for _, v in energy_profile(ps, grid)] == want
 
 
 @pytest.mark.parametrize("d,n,seed,s", [(3, 300, 6, 1.0), (4, 400, 1, 1.0)])
-def test_three_or_more_coordinates_keep_the_einsum_rounding(d, n, seed, s):
+def test_three_or_more_coordinates_add_the_squares_in_coordinate_order(d, n, seed, s):
     # sets where summing the squares in coordinate order rounds differently
+    # from the einsum
     ps = gen_random(d, n, seed=seed)
     diff = ps.points[:, None, :] - ps.points[None, :, :]
     in_order = diff[..., 0] * diff[..., 0]
@@ -97,8 +109,8 @@ def test_three_or_more_coordinates_keep_the_einsum_rounding(d, n, seed, s):
         in_order = in_order + diff[..., k] * diff[..., k]
     dist = np.sqrt(in_order)
     np.fill_diagonal(dist, np.inf)
-    assert upper_row_energy(dist, s) != broadcast_energy(ps.points, s)
-    assert discrete_energy(ps, s) == broadcast_energy(ps.points, s)
+    assert discrete_energy(ps, s) == upper_row_energy(dist, s)
+    assert discrete_energy(ps, s) != broadcast_energy(ps.points, s)
 
 
 @pytest.mark.parametrize("n,grid", [
