@@ -118,6 +118,11 @@ class Family:
         if convention != "bare_determinant" and "volume_convention" not in self.counter_args:
             raise ValueError(f"{self.name} counts take no volume convention, got {convention!r}")
 
+    def convention_scale(self, d: int, convention: str) -> float:
+        """The bare value, in R^d, of a value 1 in the convention: the row's
+        scale under simplex, else 1."""
+        return self.scale(d) if convention == "simplex" else 1.0
+
 
 def family_row(family: str, phi: PhiFunction | None = None) -> Family:
     """The FAMILIES row of a named family, or the row of the custom map phi;
@@ -349,7 +354,7 @@ def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
     kernels = {"pruned": row.fast, "brute": row.brute}
     if algorithm not in kernels:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    scale = row.scale(ps.dim) if query.volume_convention == "simplex" else 1.0
+    scale = row.convention_scale(ps.dim, query.volume_convention)
     t = tuple(x * scale for x in query.t)
     start = time.perf_counter()
     count = kernels[algorithm](ps.points, query.k, t, query.delta * scale)

@@ -92,12 +92,18 @@ class ScanSpec:
             raise ValueError("schedule needs at least 3 sizes")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ValueError("schedule must be strictly increasing")
+        d = int(self.generator.as_dict()["d"])
+        sized = GENERATORS[self.generator.kind]
+        for a, b in zip(sched, sched[1:]):
+            if sized.scan_size(b, d) <= sized.scan_size(a, d):  # one point set counted twice
+                raise ValueError(f"schedule steps n={a} and n={b} make the same {self.generator.kind} "
+                                 f"set, {sized.size}={sized.scan_size(a, d)}")
         object.__setattr__(self, "schedule", sched)
         if self.s is not None:
             _check_positive("s", self.s)
         _check_positive("C", self.adaptability_C)
         row = family_row(self.family, self.phi)
-        row.check_k(self.k, int(self.generator.as_dict()["d"]))  # before any generation
+        row.check_k(self.k, d)  # before any generation
         row.check_convention(self.volume_convention)
         if row.threshold is None and self.predicted is None:  # no theory predicts its growth
             raise ValueError(f"{self.family} scans need an explicit predicted exponent")
@@ -143,7 +149,7 @@ def _sample_target(ps: PointSet, spec: ScanSpec) -> tuple[float, ...]:
         raise InfeasibleError("point set too small to realize a target configuration")
     pts = ps.points[rng.choice(ps.n, size=spec.k + 1, replace=False)]
     row = family_row(spec.family, spec.phi)
-    scale = row.scale(ps.dim) if spec.volume_convention == "simplex" else 1
+    scale = row.convention_scale(ps.dim, spec.volume_convention)
     return tuple(float(value) / scale for value in row.config_map(pts[None])[0])
 
 
@@ -184,16 +190,14 @@ def run_scan(spec: ScanSpec) -> ScanReport:
         rows.append(ScanRow(n=ps.n, delta=float(delta_n), count=report.count))
         energies.append(is_adaptable(ps, s, spec.adaptability_C))
 
-    zeros = sum(1 for r in rows if r.count == 0)
-    slope: float | None
-    stderr: float | None
-    if zeros > len(rows) / 2:
-        slope, stderr, verdict = None, None, "inconclusive"
-    else:
+    slope: float | None = None
+    stderr: float | None = None
+    verdict = "inconclusive"
+    if sum(1 for r in rows if r.count == 0) <= len(rows) / 2:
         try:
             slope, stderr = fit_slope([(r.n, r.count) for r in rows])
         except InfeasibleError:
-            slope, stderr, verdict = None, None, "inconclusive"
+            pass
         else:
             verdict = "exceeds" if slope - 2.0 * stderr > predicted else "consistent"
 

@@ -45,15 +45,10 @@ a chain holds the raw normals of spheres 1..k-1, determinant_variety its
 arrays for a chain of two spheres, 2.5 for sphere, which accepts every row,
 and 1.25 (m, d^2) for determinant_variety (see ft_montecarlo).
 
-scipy.special is imported in two places only: in ft_sphere_radial (jv, the
-sphere's closed form) and in sphere_area above d = 51.  Its import is most of
-the package's import time, and every command but the closed-form ft runs
-without it, Monte Carlo at every d <= 51 included.  The seeded estimates are
-pinned bit for bit to scipy's gamma, and math.gamma differs from it in the
-last bit at many half-integers, so sphere_area takes Gamma(d/2) from a
-factorial at even d <= 50 and from _GAMMA_HALF_ODD, scipy's values stored as
-literals, at odd d <= 51.  Likewise numpy.polynomial is imported only inside
-ft_quadrature.
+scipy.special is imported in one place only: in ft_sphere_radial, for jv, the
+sphere's closed form.  Its import is most of the package's import time, and
+every command but the closed-form ft runs without it, Monte Carlo at every d
+included.  Likewise numpy.polynomial is imported only inside ft_quadrature.
 """
 
 from __future__ import annotations
@@ -77,54 +72,13 @@ _MC_ROWS = 8192  # rows per block of a chunk's streamed last array (see ft_monte
 QUADRATURE_NODE_BUDGET = 2**22  # node_count^(d-1) per ft_quadrature call
 
 
-# scipy 1.17.1's gamma(d/2) at odd d <= 51, exactly.  No closed form gives
-# these bits: math.gamma misses them at d = 3, 5, 7, 9, 13, ..., and
-# sqrt(pi) * (d-2)!! / 2^((d-1)/2) at d = 7, 9, 15, ...
-_GAMMA_HALF_ODD = {
-    1: float.fromhex("0x1.c5bf891b4ef6ap+0"),
-    3: float.fromhex("0x1.c5bf891b4ef6ap-1"),
-    5: float.fromhex("0x1.544fa6d47b390p+0"),
-    7: float.fromhex("0x1.a96390899a075p+1"),
-    9: float.fromhex("0x1.74371e7866c66p+3"),
-    11: float.fromhex("0x1.a2be0247739f2p+5"),
-    13: float.fromhex("0x1.1fe2a1911f7d6p+8"),
-    15: float.fromhex("0x1.d3d0468bd32bdp+10"),
-    17: float.fromhex("0x1.b693422315f91p+13"),
-    19: float.fromhex("0x1.d1fc76454758ap+16"),
-    21: float.fromhex("0x1.14ade639225cap+20"),
-    23: float.fromhex("0x1.6b243e2afd19ap+23"),
-    25: float.fromhex("0x1.05020caee5ea6p+27"),
-    27: float.fromhex("0x1.97d333d1473e4p+30"),
-    29: float.fromhex("0x1.581a33b8941c8p+34"),
-    31: float.fromhex("0x1.37d7bedf4639dp+38"),
-    33: float.fromhex("0x1.2e1900e84c081p+42"),
-    35: float.fromhex("0x1.3789c8ef8e685p+46"),
-    37: float.fromhex("0x1.54beb3c603c20p+50"),
-    39: float.fromhex("0x1.89fc7fdcf4586p+54"),
-    41: float.fromhex("0x1.e02bbbd549cbap+58"),
-    43: float.fromhex("0x1.339c0454a3469p+63"),
-    45: float.fromhex("0x1.9d59a5d1bb66dp+67"),
-    47: float.fromhex("0x1.22a3089777c43p+72"),
-    49: float.fromhex("0x1.aadf749e77e85p+76"),
-    51: float.fromhex("0x1.46d3154953cdfp+81"),
-}
-
-
 def sphere_area(d: int) -> float:
-    """Surface area 2 pi^(d/2) / Gamma(d/2) of the unit sphere S^{d-1}, with
-    Gamma(d/2) bit for bit scipy's: (d/2 - 1)! at even d <= 50, where the two
-    agree, _GAMMA_HALF_ODD at odd d <= 51, and scipy's gamma above, the only
-    d that loads scipy."""
-    if d < 1:
-        raise ValueError("need d >= 1")
-    if d % 2 == 0 and d <= 50:
-        gamma_half = float(math.factorial(d // 2 - 1))
-    elif d in _GAMMA_HALF_ODD:
-        gamma_half = _GAMMA_HALF_ODD[d]
-    else:
-        from scipy.special import gamma
-        gamma_half = gamma(d / 2.0)
-    return float(2.0 * math.pi ** (d / 2.0) / gamma_half)
+    """Surface area 2 pi^(d/2) / Gamma(d/2) of the unit sphere S^{d-1}, for
+    1 <= d <= 343; above that Gamma(d/2) overflows a float."""
+    if not 1 <= d <= 343:
+        raise ValueError(f"sphere areas need 1 <= d <= 343, got d = {d}: above 343 Gamma(d/2) "
+                         "overflows a float")
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +362,11 @@ def ft_montecarlo(
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(a, axis=1), bit for bit, without its (m, d) square.
-    Below 8 columns numpy's pairwise sum adds a row in coordinate order, so
-    the squares are summed column by column; from 8 on it unrolls by 8, and
-    the rows go to np.add.reduce as in np.linalg.norm."""
-    d = a.shape[1]
-    if d >= 8:
-        return np.sqrt(np.add.reduce(a * a, axis=1))
+    """The Euclidean norms of the rows of a, the squares added column by
+    column in coordinate order, without an (m, d) square."""
     out = a[:, 0] * a[:, 0]
     square = np.empty_like(out)
-    for k in range(1, d):
+    for k in range(1, a.shape[1]):
         out += np.multiply(a[:, k], a[:, k], out=square)
     return np.sqrt(out, out=out)
 
@@ -440,6 +389,7 @@ def _draw_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m
     """The product of the spheres |x^i| = r_i of spec.radii, held to the gaps
     |x^i - x^(i+1)| = g_i of spec.gaps within epsilon: sphere is one unit
     sphere, triangle2d two unit circles at gap 1."""
+    ambient = math.prod(sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii)
     held = [rng.standard_normal((m, spec.d)) for _ in spec.radii[:-1]]  # spheres 1..k-1, raw
     kept = [[] for _ in spec.radii]
     for lo in range(0, m, _MC_ROWS):
@@ -453,7 +403,6 @@ def _draw_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m
             ok &= np.abs(_row_norms(x - y) - g) < epsilon
         for out, x in zip(kept, rows):
             out.append(x[ok])
-    ambient = math.prod(sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii)
     return [np.concatenate(b) for b in kept], ambient / (2.0 * epsilon) ** len(spec.gaps)
 
 
@@ -468,7 +417,6 @@ def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.
         mats = y.reshape(-1, dd, dd)
         kept.append(mats[np.abs(np.linalg.det(mats) - spec.t) < epsilon])
     mats = np.concatenate(kept)
-    # at the one gated d = 3, math.gamma(11/2) equals scipy's gamma bit for bit
     ball_vol = math.pi ** (ambient_dim / 2.0) / math.gamma(ambient_dim / 2.0 + 1.0)
     ambient = ball_vol * spec.cutoff**ambient_dim
     return [mats[:, j, :] for j in range(dd)], ambient / (2.0 * epsilon)
@@ -571,24 +519,17 @@ def decay_fit(
     keep = mags_arr >= MAGNITUDE_FLOOR
     r_kept = np.asarray(radii)[keep]
     m_kept = mags_arr[keep]
-    if m_kept.size < 3:
-        return DecayReport(
-            direction=unit, radii=tuple(radii), magnitudes=tuple(mags),
-            fitted_exponent=None, stderr=None, reference_exponent=reference,
-            mc_error_bars=tuple(errs) if has_err else None, inconclusive=True,
-        )
-
-    peaks = _local_maxima(m_kept)
-    if peaks.size >= 3:
-        r_fit, m_fit = r_kept[peaks], m_kept[peaks]
-    else:
-        r_fit, m_fit = r_kept, m_kept
-
-    slope, stderr = ols_loglog(r_fit, m_fit)
+    exponent = stderr = None
+    if m_kept.size >= 3:
+        peaks = _local_maxima(m_kept)
+        if peaks.size >= 3:
+            r_kept, m_kept = r_kept[peaks], m_kept[peaks]
+        slope, stderr = ols_loglog(r_kept, m_kept)
+        exponent = -slope
     return DecayReport(
         direction=unit, radii=tuple(radii), magnitudes=tuple(mags),
-        fitted_exponent=-slope, stderr=stderr, reference_exponent=reference,
-        mc_error_bars=tuple(errs) if has_err else None, inconclusive=False,
+        fitted_exponent=exponent, stderr=stderr, reference_exponent=reference,
+        mc_error_bars=tuple(errs) if has_err else None, inconclusive=exponent is None,
     )
 
 

@@ -1,11 +1,14 @@
 import argparse
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import configeo
 from configeo import cli, expfit
 from configeo.cli import (
     UsageError,
@@ -376,6 +379,11 @@ BAD_INPUTS = [
     (FT_CHAIN + ["--samples", "100"], "bad [ft]: need at least 1e4 samples"),
     (["ft", "--kind", "triangle2d", "--method", "quadrature", "--rmin", "1", "--rmax", "20",
       "--nradii", "6"], "bad [ft]: no quadrature oracle"),
+    # Gamma(d/2) overflows a float above d = 343: the closed form and the draw refuse
+    (["ft", "--kind", "sphere", "--d", "344", "--rmin", "1", "--rmax", "10", "--nradii", "5"],
+     "bad [ft]: sphere areas need 1 <= d <= 343, got d = 344"),
+    (["ft", "--kind", "chain_spheres", "--d", "344", "--rmin", "1", "--rmax", "10", "--nradii", "5",
+      "--samples", "10000"], "bad [ft]: sphere areas need 1 <= d <= 343, got d = 344"),
     (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid=-1;1"], "bad [energy]: "),
     # an empty grid, and exponents that are not finite
     (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid", ""],
@@ -649,6 +657,17 @@ def test_convention_of_a_family_without_volumes_exits_2(tmp_path, monkeypatch, c
     assert not out.exists()
 
 
+def test_scan_steps_that_make_one_point_set_exit_2(tmp_path, monkeypatch, capsys):
+    # n = 250 and 260 both round to a 16 x 16 lattice, which the fit would count twice
+    monkeypatch.setattr(expfit, "generate", lambda spec: pytest.fail("generated a point set"))
+    out = tmp_path / "out"
+    assert main(["scan", "--kind", "lattice", "--d", "2", "--family", "simplex", "--k", "1",
+                 "--schedule", "250;260;1000;1100", "--t", "0.3", "--out", str(out)]) == 2
+    assert ("schedule steps n=250 and n=260 make the same lattice set, m=16"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("check", ["suite", "circulant"])
 def test_curvature_over_the_dimension_budget_exits_1(tmp_path, monkeypatch, capsys, check):
     built = []
@@ -742,10 +761,15 @@ def test_command_help_exits_0(capsys, command):
 
 
 def test_console_entry_point(tmp_path):
+    # the package's src directory on the child's path, as pytest's pythonpath
+    # setting puts it on this interpreter's only
+    src = str(Path(configeo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "configeo.cli", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "configeo" in proc.stdout

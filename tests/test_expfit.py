@@ -299,7 +299,7 @@ def test_sampled_target_counts_its_own_tuple(family, ps, seeds):
     k = ps.dim if family == "volume" else 2
     for seed in seeds:
         spec = ScanSpec(generator=GeneratorSpec.make("lattice", d=ps.dim), family=family, k=k,
-                        schedule=(10, 20, 40), seed=seed)
+                        schedule=(8, 27, 64), seed=seed)  # m = 3, 5, 8 at d = 2 and 2, 3, 4 at d = 3
         t = expfit._sample_target(ps, spec)
         assert run_query(ps, ConfigQuery(family, k, t, 0.0)).count >= 1, (seed, t)
 
@@ -323,6 +323,12 @@ def test_scan_spec_validation():
         ScanSpec(generator=gen, family="simplex", k=1, schedule=(10, 20))
     with pytest.raises(ValueError):
         ScanSpec(generator=gen, family="simplex", k=1, schedule=(10, 20, 15))
+    # steps whose sizes tie make one point set, which the fit would count twice
+    with pytest.raises(ValueError, match="steps n=250 and n=260 make the same lattice set, m=16"):
+        ScanSpec(generator=gen, family="simplex", k=1, schedule=(250, 260, 1000, 1100))
+    with pytest.raises(ValueError, match="steps n=64 and n=100 make the same cantor_product set, L=3"):
+        ScanSpec(generator=GeneratorSpec.make("cantor_product", d=2, r=0.25), family="simplex", k=1,
+                 schedule=(20, 64, 100))
     with pytest.raises(ValueError):
         ScanSpec(generator=gen, family="custom", k=1, schedule=(10, 20, 40))
     with pytest.raises(ValueError):

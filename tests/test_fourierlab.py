@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import tracemalloc
 
@@ -41,26 +42,37 @@ def test_sphere_masses():
     assert sphere_area(5) == pytest.approx(8 * math.pi**2 / 3, rel=1e-14)
 
 
-# sphere_area takes Gamma(d/2) from a factorial at even d <= 50, from the
-# literal table _GAMMA_HALF_ODD at odd d <= 51 and from scipy.special above;
-# the determinant-variety ball volume takes math.gamma(11/2).  Each must equal
-# scipy's gamma bit for bit: math.gamma differs from it in the last bit at
-# many half-integers (d = 3, 5, 7, 9, ... with CPython 3.11 and scipy 1.17),
-# which would move the seeded estimates pinned below, so these pins compare
-# with ==.  The d range covers both edges of the table and the scipy fallback.
-@pytest.mark.parametrize("d", range(1, 60))
+# sphere_area is the one expression 2 pi^(d/2) / math.gamma(d/2) at every d
+# where Gamma(d/2) is a finite float, d <= 343; the seeded estimates pinned
+# below follow its bits, so the pin compares with ==.
+@pytest.mark.parametrize("d", range(1, 344))
 def test_sphere_area_is_the_scipy_gamma_form_bit_for_bit(d):
-    from scipy.special import gamma
-
-    assert sphere_area(d) == 2.0 * math.pi ** (d / 2.0) / gamma(d / 2.0)
+    assert sphere_area(d) == 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def test_gamma_table_is_scipys_gamma_at_every_odd_d_up_to_51():
-    from scipy.special import gamma
+PI_50 = decimal.Decimal("3.14159265358979323846264338327950288419716939937510")
 
-    table = fourierlab._GAMMA_HALF_ODD
-    assert sorted(table) == list(range(1, 52, 2))
-    assert all(value == gamma(d / 2.0) for d, value in table.items())
+
+def _exact_sphere_area(d: int) -> decimal.Decimal:
+    """2 pi^(d/2) / Gamma(d/2) to 50 digits, with the exact Gamma of an
+    integer, (m-1)!, and of a half-integer, (2m)! sqrt(pi) / (4^m m!)."""
+    m = d // 2
+    with decimal.localcontext(decimal.Context(prec=50)):
+        if d % 2 == 0:
+            return 2 * PI_50**m / math.factorial(m - 1)
+        return 2 * PI_50**m * 4**m * math.factorial(m) / math.factorial(2 * m)
+
+
+def test_sphere_area_is_within_16_ulp_of_the_exact_area():
+    for d in range(1, 61):
+        exact = _exact_sphere_area(d)
+        ulp = decimal.Decimal(math.ulp(float(exact)))
+        assert abs(decimal.Decimal(sphere_area(d)) - exact) <= 16 * ulp, d
+    assert sphere_area(3) == 4 * math.pi
+    with pytest.raises(ValueError, match="1 <= d <= 343"):
+        sphere_area(344)
+    with pytest.raises(ValueError, match="1 <= d <= 343"):
+        sphere_area(0)
 
 
 def test_determinant_variety_weight_is_the_scipy_gamma_ball_bit_for_bit():
@@ -305,8 +317,8 @@ GOLDEN_MC = {
     "sphere": (
         MeasureSpec.sphere(3), 21,
         [([0.5, 0.0, 0.0],), ([2.0, -1.0, 0.5],)],
-        [(complex(0.005255379739091543, 0.010703533121323059), 0.024183980635551133),
-         (complex(0.8470266257941473, 0.030542836433671658), 0.024128919443486323)],
+        [(complex(0.005255379739091549, 0.010703533121323052), 0.024183980635551133),
+         (complex(0.8470266257941472, 0.030542836433671658), 0.02412891944348632)],
     ),
     "triangle2d": (
         MeasureSpec.triangle2d(), 22,
@@ -318,9 +330,9 @@ GOLDEN_MC = {
         MeasureSpec.chain_spheres(3), 23,
         [([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
          ([3.5, 0.2, 0.0], [-3.5, 0.0, 0.1])],
-        [(complex(78.31348321812536, 0.0), 0.6597830567349645),
-         (complex(-0.6983705385843058, 0.4087418435106132), 0.676776239049061),
-         (complex(-0.3947181520602262, -0.18318546629548263), 0.676777512601815)],
+        [(complex(78.31348321812533, 0.0), 0.6597830567349645),
+         (complex(-0.6983705385843055, 0.4087418435106131), 0.6767762390490609),
+         (complex(-0.394718152060226, -0.18318546629548238), 0.676777512601815)],
     ),
     # phases come from the strided mats[:, j, :] views of the accepted rows
     "determinant_variety": (
@@ -329,8 +341,8 @@ GOLDEN_MC = {
          ([0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]),
          ([0.3, -0.7, 0.2], [1.1, 0.0, -0.4], [-0.6, 0.9, 0.8])],
         [(complex(1392.351917984495, 0.0), 8.93928167348552),
-         (complex(15.806407405887523, 1.332272541443169), 9.332201636207804),
-         (complex(7.655576811463105, 3.2544215123045976), 9.332237834643754)],
+         (complex(15.806407405887526, 1.3322725414431722), 9.332201636207806),
+         (complex(7.655576811463104, 3.2544215123046), 9.332237834643754)],
     ),
 }
 
@@ -422,11 +434,18 @@ def test_mc_chunk_stays_within_its_memory_budget(kind):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 9])
 def test_unit_vectors_equal_the_norm_division_bit_for_bit(d):
-    # below 8 coordinates the norms are a coordinate-order sum, from 8 on np.add.reduce
+    # the norms add the squares in coordinate order: below 8 coordinates that
+    # is np.linalg.norm's order too, from 8 on numpy's sum unrolls by 8
     g = np.random.default_rng(d).standard_normal((5000, d))
-    want = g / np.linalg.norm(g, axis=1, keepdims=True)
+    if d < 8:
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+    else:
+        norms = np.zeros((len(g), 1))
+        for k in range(d):
+            norms[:, 0] += g[:, k] * g[:, k]
+        norms = np.sqrt(norms)
     got = fourierlab._normalize_rows(np.random.default_rng(d).standard_normal((5000, d)))
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, g / norms)
 
 
 @pytest.mark.parametrize("d", [2, 3, 9])

@@ -70,12 +70,12 @@ def test_every_command_but_ft_leaves_scipy_out(loaded, command):
 
 
 def test_monte_carlo_ft_command_leaves_scipy_out(loaded):
-    # chain_spheres at d = 3: sphere_area takes Gamma(3/2) from its table
+    # chain_spheres at d = 3: sphere_area takes Gamma(3/2) from math.gamma
     assert loaded["ft"] == []
 
 
 def test_closed_form_ft_loads_scipy():
-    # jv is the one scipy function the package calls at d <= 51
+    # jv is the one scipy function the package calls, at every d
     assert "scipy" in _fresh(f"COMMANDS = {[FT_CLOSED]!r}\n{SCRIPT}")["ft"]
 
 
@@ -83,8 +83,8 @@ def test_quadrature_ft_loads_numpy_polynomial_and_nothing_else():
     assert _fresh(f"COMMANDS = {[FT_QUADRATURE]!r}\n{SCRIPT}")["ft"] == ["numpy.polynomial"]
 
 
-# sphere_area takes Gamma(d/2) from a factorial at even d <= 50 and from a
-# table at odd d <= 51, so no Monte Carlo draw at those d loads scipy.special
+# sphere_area takes Gamma(d/2) from math.gamma, so no Monte Carlo draw loads
+# scipy.special at any d
 MONTE_CARLO = """
 import json, sys
 from configeo.fourierlab import FrequencyPoint, MeasureSpec, ft_montecarlo
@@ -97,10 +97,12 @@ print(json.dumps([m for m in HEAVY if m in sys.modules]))
 
 def test_monte_carlo_at_even_d_leaves_scipy_out():
     # the triangle2d draw among them
-    specs = "(MeasureSpec.triangle2d(), MeasureSpec.chain_spheres(2), MeasureSpec.sphere(4))"
+    specs = ("(MeasureSpec.triangle2d(), MeasureSpec.chain_spheres(2), MeasureSpec.sphere(4), "
+             "MeasureSpec.sphere(52))")
     assert _fresh(MONTE_CARLO.format(specs=specs)) == []
 
 
 def test_monte_carlo_at_odd_d_leaves_scipy_out():
-    specs = "(MeasureSpec.sphere(3), MeasureSpec.determinant_variety(3, 0.2), MeasureSpec.sphere(51))"
+    specs = ("(MeasureSpec.sphere(3), MeasureSpec.determinant_variety(3, 0.2), MeasureSpec.sphere(51), "
+             "MeasureSpec.sphere(53))")
     assert _fresh(MONTE_CARLO.format(specs=specs)) == []
