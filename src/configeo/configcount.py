@@ -30,20 +30,21 @@ returns their values, and the exhaustive oracle ("brute") enumerates every
 ordered distinct tuple in chunks (`_tuples`) and counts the values in the
 closed band (`_accepted`).  The optimized counters ("pruned") must agree with
 the oracles exactly.  The simplex fast path counts labelled homomorphisms of
-K_{k+1} into the band graphs A_ij = [|D - t_ij| <= delta].  D is computed in
-row blocks of SIMPLEX_BLOCK_ENTRIES // n anchors by the map's formula, bit
-for bit.  Each distinct target gets one packed bit row per point, ceil(n/64)
-uint64 words, whose clear diagonal enforces distinct indices; the rows are
-refused before any distance when they would take more than 4 *
-SIMPLEX_BAND_NNZ_BUDGET bytes, and during the build as soon as their
-projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.  The count extends chunks
-of partial tuples one slot at a time: slot j's candidates are the AND of the
-rows of A_ij at x_i over i < j, unpacked into the next chunk for an inner
-slot and summed by popcount for the last.
+K_{k+1} into the band graphs A_ij = [|D - t_ij| <= delta].  D comes in row
+blocks of BLOCK_ENTRIES // n anchors from `_distance_blocks`, which adds the
+squared coordinate differences in coordinate order, as the map and the
+oracle do, so all three agree bit for bit.  Each distinct target gets one
+packed bit row per point, ceil(n/64) uint64 words, whose clear diagonal
+enforces distinct indices; the rows are refused before any distance when
+they would take more than 4 * SIMPLEX_BAND_NNZ_BUDGET bytes, and during the
+build as soon as their projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.
+The count extends chunks of partial tuples one slot at a time: slot j's
+candidates are the AND of the rows of A_ij at x_i over i < j, unpacked into
+the next chunk for an inner slot and summed by popcount for the last.
 
 Volume in d = 2 and 3, area2 and angle share one set kernel
 (`_set_kernel`), which values each unordered point set once, in BLAS row
-blocks of at most _SET_BLOCK_ENTRIES values.  Each family supplies its
+blocks of at most BLOCK_ENTRIES values.  Each family supplies its
 per-apex views (apex, leg indices, row legs and a value block: |det| by
 normal vectors, the Gram determinant of the legs, or the cosine of unit
 legs), its value-space bands from a proven rounding margin, the orderings
@@ -71,9 +72,8 @@ from .pointgen import PointSet
 
 BRUTE_EVAL_BUDGET = 10**9
 SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
-SIMPLEX_BLOCK_ENTRIES = 1 << 16  # distances per row block of D, bits per block of unpacked band rows
+BLOCK_ENTRIES = 1 << 16  # entries per block: distances, unpacked band bits, set values, tuples
 DEGENERATE_APEX_TOL = 1e-12
-_SET_BLOCK_ENTRIES = 1 << 16  # values per row block of the set kernel, tuples per chunk of `_tuples`
 _VOLUME_MARGIN_C = 32  # rounding margin constant of _volume_margin
 _AREA2_MARGIN_C = 8  # rounding margin constant of _area2_margin
 _ANGLE_MARGIN_C = 16  # rounding margin constant of _angle_margin
@@ -118,6 +118,17 @@ class Family:
         if convention != "bare_determinant" and "volume_convention" not in self.counter_args:
             raise ValueError(f"{self.name} counts take no volume convention, got {convention!r}")
 
+    def check_target(self, k: int, t: tuple[float, ...]) -> None:
+        if len(t) != self.targets(k):
+            raise ValueError(f"{self.name} target needs {self.targets(k)} entries, got {len(t)}")
+        if not all(math.isfinite(x) and self.t_ok(x) for x in t):
+            raise ValueError(f"{self.name} targets must be finite and {self.t_domain}, got {t}")
+
+    def check_delta(self, delta: float) -> None:
+        if not (0 < delta < math.inf or delta == 0 and self.zero_delta):
+            raise ValueError(f"delta must be finite and {'nonnegative' if self.zero_delta else 'positive'}, "
+                             f"got {delta}")
+
     def convention_scale(self, d: int, convention: str) -> float:
         """The bare value, in R^d, of a value 1 in the convention: the row's
         scale under simplex, else 1."""
@@ -154,17 +165,12 @@ class ConfigQuery:
         object.__setattr__(self, "delta", float(self.delta))
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not all(map(math.isfinite, (*self.t, self.delta))):
+        if not all(map(math.isfinite, (*self.t, self.delta))):  # before the row: a custom query needs phi
             raise ValueError(f"t and delta must be finite, got t={self.t}, delta={self.delta}")
         row = family_row(self.family, self.phi)
         row.check_convention(self.volume_convention)
-        if len(self.t) != row.targets(self.k):
-            raise ValueError(f"{self.family} target needs {row.targets(self.k)} entries, "
-                             f"got {len(self.t)}")
-        if not all(map(row.t_ok, self.t)):
-            raise ValueError(f"{self.family} targets must be {row.t_domain}, got {self.t}")
-        if self.delta < 0 or (self.delta == 0 and not row.zero_delta):
-            raise ValueError(f"delta must be {'nonnegative' if row.zero_delta else 'positive'}")
+        row.check_target(self.k, self.t)
+        row.check_delta(self.delta)
 
 
 @dataclass(frozen=True)
@@ -211,14 +217,15 @@ class BoxDimReport:
 
 
 def _pair_distance_matrix(pts: np.ndarray) -> np.ndarray:
-    """All pair distances, one row at a time: other - pts[i], squared, summed
-    over the last axis, sqrt.  The band-graph counter evaluates the same
-    formula blockwise (`_distance_rows`), so both see bit-identical values."""
-    n = pts.shape[0]
+    """All pair distances, one row at a time: other - pts[i], the squared
+    differences added in coordinate order, sqrt.  `_distance_blocks` keeps
+    the same rule, so the band-graph counter and the energy see these values
+    bit for bit."""
+    n, d = pts.shape
     out = np.empty((n, n))
     for i in range(n):
         diff = pts - pts[i]
-        out[i] = np.sqrt((diff * diff).sum(axis=1))
+        out[i] = np.sqrt(sum(diff[:, c] * diff[:, c] for c in range(d)))
     return out
 
 
@@ -260,14 +267,14 @@ def _band_split(vals: np.ndarray, last: np.ndarray, col: int, inner, outer):
 def _tuples(n: int, arity: int):
     """The ordered distinct arity-tuples of range(n), as chunks of index rows:
     a run of combinations, each in all of its arity! orders, of at most
-    _SET_BLOCK_ENTRIES rows (at least one combination).  The call raises
+    BLOCK_ENTRIES rows (at least one combination).  The call raises
     CapacityError when n^arity exceeds BRUTE_EVAL_BUDGET, before any chunk;
     the set kernels, which value the same tuples, call it for that check."""
     if n**arity > BRUTE_EVAL_BUDGET:
         raise CapacityError(f"enumeration of {n}^{arity} tuples exceeds the budget")
     orders = np.array(list(itertools.permutations(range(arity))))
     combos = itertools.combinations(range(n), arity)
-    sets = (np.fromiter(itertools.islice(combos, max(1, _SET_BLOCK_ENTRIES // len(orders))),
+    sets = (np.fromiter(itertools.islice(combos, max(1, BLOCK_ENTRIES // len(orders))),
                         np.dtype((np.intp, arity))) for _ in itertools.count())
     return (chunk[:, orders].reshape(-1, arity) for chunk in itertools.takewhile(len, sets))
 
@@ -306,7 +313,7 @@ def _set_kernel(views, bands, orders, config_map):
     - config_map: the row's map, by which `_recheck` values the near sets.
     A row pairs with the legs l > e, so a block is valued against the legs
     from the first one any of its rows pairs with; it holds at most
-    _SET_BLOCK_ENTRIES values (at least one row).  A set inside the inner
+    BLOCK_ENTRIES values (at least one row).  A set inside the inner
     band counts for every ordering and one outside the outer band for none;
     the sets between are valued again, ordering by ordering, by `_recheck`.
     """
@@ -321,7 +328,7 @@ def _set_kernel(views, bands, orders, config_map):
             last, start = row_legs[-1], 0
             while start < last.size:
                 col = last[start] + 1
-                stop = min(last.size, start + max(1, _SET_BLOCK_ENTRIES // (index.size - col)))
+                stop = min(last.size, start + max(1, BLOCK_ENTRIES // (index.size - col)))
                 inside, near = _band_split(values(start, stop, col), last[start:stop], col, inner, outer)
                 total += len(orders) * inside
                 if near is not None:
@@ -380,30 +387,29 @@ def count_simplex_brute(ps: PointSet, k: int, t, delta: float) -> CountReport:
     return count_simplex(ps, k, t, delta, algorithm="brute")
 
 
-def _distance_rows(coords: np.ndarray, start: int, stop: int, col: int, out: np.ndarray,
-                   scratch: np.ndarray) -> np.ndarray:
-    """Rows start:stop, columns col.. of `_pair_distance_matrix(coords.T)`,
-    bit for bit, as a C-contiguous (stop - start, n - col) view of out's
-    leading entries, from the C-contiguous (d, n) coordinates; out and
-    scratch are C-contiguous, of at least (stop - start) * n entries each.
-    Below 8 coordinates numpy's pairwise sum adds a row in coordinate order,
-    so the squares are added one coordinate at a time in place; from 8 on it
-    unrolls by 8, and the block keeps the oracle's .sum(axis=-1) over
-    C-ordered differences."""
-    d, n = coords.shape
-    shape = (stop - start, n - col)
-    dist = out.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
-    if d >= 8:
-        pts = np.ascontiguousarray(coords.T)
-        diff = pts[None, col:, :] - pts[start:stop, None, :]
-        return np.sqrt(np.multiply(diff, diff, out=diff).sum(axis=-1, out=dist), out=dist)
-    diff = scratch.reshape(-1)[:dist.size].reshape(shape)
-    np.subtract(coords[0, col:], coords[0, start:stop, None], out=dist)
-    np.multiply(dist, dist, out=dist)
-    for c in range(1, d):
-        np.subtract(coords[c, col:], coords[c, start:stop, None], out=diff)
-        dist += np.multiply(diff, diff, out=diff)
-    return np.sqrt(dist, out=dist)
+def _distance_blocks(pts: np.ndarray, upper: bool = False):
+    """The row blocks of `_pair_distance_matrix(pts)`, bit for bit: yields
+    (start, dist, scratch) for blocks of max(1, BLOCK_ENTRIES // n) rows, dist
+    the C-contiguous distances of the block's rows at the columns col.. and
+    scratch a free buffer of its shape.  col is 0, or start + 1 when upper,
+    whose blocks cover the rows 0..n-2.  Each distance adds the squared
+    coordinate differences in place, in coordinate order.  Both arrays are
+    views of two buffers that the next block reuses."""
+    n, d = pts.shape
+    last = n - 1 if upper else n
+    rows = max(1, min(last, BLOCK_ENTRIES // n))
+    coords = np.ascontiguousarray(pts.T)
+    dist_buf, scratch_buf = np.empty(rows * n), np.empty(rows * n)
+    for start in range(0, last, rows):
+        stop, col = min(start + rows, last), start + 1 if upper else 0
+        shape = (stop - start, n - col)
+        dist, diff = (buf[:shape[0] * shape[1]].reshape(shape) for buf in (dist_buf, scratch_buf))
+        np.subtract(coords[0, col:], coords[0, start:stop, None], out=dist)
+        np.multiply(dist, dist, out=dist)
+        for c in range(1, d):
+            np.subtract(coords[c, col:], coords[c, start:stop, None], out=diff)
+            dist += np.multiply(diff, diff, out=diff)
+        yield start, np.sqrt(dist, out=dist), diff
 
 
 def _band_rows(pts: np.ndarray, values: list[float], delta: float) -> np.ndarray:
@@ -418,27 +424,20 @@ def _band_rows(pts: np.ndarray, values: list[float], delta: float) -> np.ndarray
     if len(values) * n * words * 8 > 4 * SIMPLEX_BAND_NNZ_BUDGET:
         raise CapacityError(f"simplex band rows take {len(values) * n * words * 8} bytes, "
                             f"over the budget of {4 * SIMPLEX_BAND_NNZ_BUDGET}")
-    packed = np.empty((len(values), n, words), dtype=np.uint64)
-    rows = max(1, SIMPLEX_BLOCK_ENTRIES // n)
-    coords = np.ascontiguousarray(pts.T)
-    dist_buf, gap_buf = np.empty((rows, n)), np.empty((rows, n))
-    bits = np.zeros((rows, 64 * words), dtype=bool)
+    packed = np.zeros((len(values), n, 8 * words), dtype=np.uint8)
     nnz = 0
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        dist = _distance_rows(coords, start, stop, 0, dist_buf, gap_buf)
-        gap = gap_buf[:stop - start]  # the kernel's scratch, free once it returns
-        band = bits[:stop - start]
-        own = np.arange(stop - start)
+    for start, dist, gap in _distance_blocks(pts):
+        stop = start + len(dist)
+        own = np.arange(len(dist))
         for v, out in zip(values, packed):
-            np.less_equal(np.abs(np.subtract(dist, v, out=gap), out=gap), delta, out=band[:, :n])
+            band = np.abs(np.subtract(dist, v, out=gap), out=gap) <= delta
             band[own, own + start] = False
-            out[start:stop] = np.packbits(band, axis=1, bitorder="little").view(np.uint64)
+            out[start:stop, :-(-n // 8)] = np.packbits(band, axis=1, bitorder="little")
             nnz += int(np.count_nonzero(band))
         if nnz * n > SIMPLEX_BAND_NNZ_BUDGET * stop:
             raise CapacityError(f"simplex band rows project to {nnz * n // stop} "
                                 f"nonzeros, over the budget of {SIMPLEX_BAND_NNZ_BUDGET}")
-    return packed
+    return packed.view(np.uint64)
 
 
 def _simplex_band(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
@@ -448,7 +447,7 @@ def _simplex_band(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -
     packed = _band_rows(pts, values, delta)
     edge = {pair: packed[values.index(v)] for pair, v in zip(pair_order(k), t)}
     n, words = packed.shape[1:]
-    step = max(1, SIMPLEX_BLOCK_ENTRIES // (64 * words))
+    step = max(1, BLOCK_ENTRIES // (64 * words))
     return sum(_extend(edge, k, step, np.arange(s, min(s + step, n))[:, None])
                for s in range(0, n, step))
 
@@ -457,7 +456,7 @@ def _extend(edge: dict, k: int, step: int, tuples: np.ndarray) -> int:
     """Completions to k+1 slots of a chunk of partial tuples (x_0, ...,
     x_{j-1}), the rows of tuples.  Slot j's candidates are the AND of the
     band rows edge[i, j][x_i] over i < j.  An inner slot unpacks them, step
-    rows (at most SIMPLEX_BLOCK_ENTRIES bits) at a time, into the next chunk;
+    rows (at most BLOCK_ENTRIES bits) at a time, into the next chunk;
     the last slot sums their bits.  Clear diagonals keep the indices
     distinct."""
     j = tuples.shape[1]
@@ -507,10 +506,10 @@ def _simplex_brute(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> i
 
 def _simplex_values(tuples: np.ndarray) -> np.ndarray:
     """The simplex map: pairwise distances in pair order, each by
-    `_pair_distance_matrix`'s formula."""
+    `_pair_distance_matrix`'s rule, the squares added in coordinate order."""
     i, j = np.array(pair_order(tuples.shape[1] - 1)).T
     diff = tuples[:, j] - tuples[:, i]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    return np.sqrt(sum(diff[..., c] * diff[..., c] for c in range(tuples.shape[2])))
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +880,7 @@ def _phi_row(phi: PhiFunction) -> Family:
                    for idx in _tuples(len(pts), k + 1))
 
     return Family(name="custom", fixed_k=lambda d: phi.arity - 1, targets=lambda k: phi.output_dim,
-                  t_ok=math.isfinite, t_domain="finite", zero_delta=False, config_map=config_map,
+                  t_ok=math.isfinite, t_domain="real", zero_delta=False, config_map=config_map,
                   scale=lambda d: 1.0, fast=ball, brute=ball, threshold=None, counter_args=(),
                   fixed_by=f"for a map of arity {phi.arity}")
 

@@ -11,18 +11,19 @@ this sum is the finite stand-in for the finiteness of the s-energy integral of
 the set thickened at scale n^{-1/s}.
 
 Summation contract: |p - p'| is symmetric, so row i holds only the pairs
-j = i+1 .. n-1, and E = 2 * (sum of the row sums) / n^2.  Rows are taken in
-blocks against the columns past the block's first row; the columns j <= i of
-a block's leading tile are set to inf before the power, so they add no zero
-distance and no warning, and the coincidence check runs over the same upper
-entries before any sum.  Each row's upper slice is summed whole (numpy's
-pairwise summation), then the n - 1 row sums are summed, so the value does
-not depend on how many rows a block holds; repeated runs agree bit for bit.
-At every d the rows come from configcount._distance_rows, the kernel of the
-simplex band rows, so they are bit for bit the distances of
-_pair_distance_matrix, which the simplex oracle uses.  A profile over an
-s-grid is one discrete_energy call per s, so each of its values is the
-single-exponent energy bit for bit, whatever the grid holds besides.
+j = i+1 .. n-1, and E = 2 * (sum of the row sums) / n^2.  The rows come in
+the upper blocks of configcount._distance_blocks, against the columns past
+each block's first row; the columns j <= i of a block's leading tile are set
+to inf before the power, so they add no zero distance and no warning, and
+the coincidence check runs over the same upper entries before any sum.  Each
+row's upper slice is summed whole (numpy's pairwise summation), then the
+n - 1 row sums are summed, so the value does not depend on how many rows a
+block holds; repeated runs agree bit for bit.  Every distance adds its
+squared coordinate differences in coordinate order, the rule of the simplex
+band rows and of _pair_distance_matrix, which the simplex oracle uses, so
+all three see the same bits at every d.  A profile over an s-grid is one
+discrete_energy call per s, so each of its values is the single-exponent
+energy bit for bit, whatever the grid holds besides.
 
 Budget: a set with more than ENERGY_PAIR_BUDGET ordered pairs n(n-1) is
 refused with CapacityError before any distance is computed.  At the budget,
@@ -37,15 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configcount import _distance_rows
+from .configcount import _distance_blocks
 from .errors import CapacityError, CoincidentPointsError
 from .pointgen import PointSet
 
 COINCIDENCE_TOL = 1e-12
 DEFAULT_ADAPTABILITY_C = 10.0
 ENERGY_PAIR_BUDGET = 10**9  # ordered pairs n(n-1)
-
-_BLOCK_ENTRIES = 1 << 16  # a block holds max(1, _BLOCK_ENTRIES // n) rows of at most n - 1 pairs
 
 
 @dataclass(frozen=True)
@@ -77,16 +76,10 @@ def discrete_energy(ps: PointSet, s: float) -> float:
     if n * (n - 1) > ENERGY_PAIR_BUDGET:
         raise CapacityError(f"{n} points make {n * (n - 1)} ordered pairs, "
                             f"over the energy budget of {ENERGY_PAIR_BUDGET}")
-    rows = max(1, min(n - 1, _BLOCK_ENTRIES // n))
-    coords = np.ascontiguousarray(ps.points.T)
-    dist_buf, scratch = np.empty((rows, n)), np.empty((rows, n))
-    below = np.tri(rows, k=-1, dtype=bool)  # a block's leading tile at the columns j <= i
     row_sums = np.empty(n - 1)  # row n-1 holds no pair
-    for start in range(0, n - 1, rows):
-        stop = min(start + rows, n - 1)
-        m = stop - start
-        dist = _distance_rows(coords, start, stop, start + 1, dist_buf, scratch)
-        np.copyto(dist[:, :m], np.inf, where=below[:m, :m])
+    for start, dist, _ in _distance_blocks(ps.points, upper=True):
+        m = len(dist)
+        np.copyto(dist[:, :m], np.inf, where=np.tri(m, k=-1, dtype=bool))  # the columns j <= i
         if dist.min() < COINCIDENCE_TOL:
             raise CoincidentPointsError(
                 f"pair closer than {COINCIDENCE_TOL:g} encountered; "

@@ -105,6 +105,10 @@ class ScanSpec:
         row = family_row(self.family, self.phi)
         row.check_k(self.k, d)  # before any generation
         row.check_convention(self.volume_convention)
+        if self.t is not None:  # each step's ConfigQuery checks them too
+            row.check_target(self.k, tuple(map(float, np.atleast_1d(self.t))))
+        if self.delta is not None:
+            row.check_delta(float(self.delta))
         if row.threshold is None and self.predicted is None:  # no theory predicts its growth
             raise ValueError(f"{self.family} scans need an explicit predicted exponent")
 

@@ -23,8 +23,9 @@ from configeo.configcount import (
     distinct_classes,
     pair_order,
     run_query,
-    _distance_rows,
+    _distance_blocks,
     _pair_distance_matrix,
+    _simplex_values,
 )
 from configeo.errors import CapacityError
 from configeo.pointgen import PointSet, gen_coplanar, gen_lattice, gen_random
@@ -225,7 +226,7 @@ def test_simplex_k4_in_4d_matches_micro_oracle():
 
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 3)])
 def test_simplex_small_row_blocks_match_brute(monkeypatch, d, k):
-    monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(configcount, "BLOCK_ENTRIES", 64)
     ps = gen_random(d, 40, seed=33)
     _assert_simplex_matches_brute(ps, k, realized_target(ps, k, seed=34), 0.05)
 
@@ -237,38 +238,66 @@ PACKED_T = (0.2, 0.5, 0.6, 0.4, 0.7, 0.45)  # t_01 < delta: coincidence is in th
 def test_simplex_packed_rows_at_word_edges_match_brute(monkeypatch, k, n):
     # 64-bit blocks: one unpacked row per block and one tuple per chunk; n
     # around 64 puts padding bits past n in the last word or none
-    monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(configcount, "BLOCK_ENTRIES", 64)
     ps = gen_random(3, n, seed=40 + n)
     _assert_simplex_matches_brute(ps, k, PACKED_T[:len(pair_order(k))], 0.3)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9])
-def test_distance_rows_bit_identical_to_oracle(d):
+@pytest.mark.parametrize("d", [*range(1, 10), 16])
+def test_distance_rows_bit_identical_to_oracle(monkeypatch, d):
+    monkeypatch.setattr(configcount, "BLOCK_ENTRIES", 7 * 50)  # blocks of 7 rows
     pts = gen_random(d, 50, seed=35 + d).points
-    coords, out, scratch = np.ascontiguousarray(pts.T), np.empty((7, 50)), np.empty((7, 50))
     oracle = _pair_distance_matrix(pts)
-    # each block is a view of the reused out buffer, so it is copied before the next
-    rows = np.vstack([_distance_rows(coords, s, min(s + 7, 50), 0, out, scratch).copy()
-                      for s in range(0, 50, 7)])
-    assert rows.tobytes() == oracle.tobytes()
-    for s in range(0, 50, 7):  # the upper blocks: columns s+1.. only
-        upper = _distance_rows(coords, s, min(s + 7, 50), s + 1, out, scratch)
-        assert upper.flags.c_contiguous and upper.tobytes() == oracle[s:s + 7, s + 1:].tobytes()
+    # each block is a view of a reused buffer, so it is copied before the next
+    full = [(start, dist.copy()) for start, dist, _ in _distance_blocks(pts)]
+    assert [start for start, _ in full] == list(range(0, 50, 7))
+    assert np.vstack([dist for _, dist in full]).tobytes() == oracle.tobytes()
+    starts = []
+    for start, dist, scratch in _distance_blocks(pts, upper=True):  # columns start+1.. only
+        starts.append(start)
+        assert dist.flags.c_contiguous and scratch.shape == dist.shape
+        assert dist.tobytes() == oracle[start:start + 7, start + 1:].tobytes()
+    assert starts == list(range(0, 49, 7))
+
+
+def _coordinate_order_distances(diff: np.ndarray) -> np.ndarray:
+    """sqrt of the squared differences added one coordinate after the other."""
+    total = diff[..., 0] * diff[..., 0]
+    for c in range(1, diff.shape[-1]):
+        total = total + diff[..., c] * diff[..., c]
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_oracle_and_map_add_the_squares_in_coordinate_order(d):
+    # from 8 coordinates on a numpy row sum adds in another order, so this pins the rule
+    pts = gen_random(d, 60, seed=d).points
+    want = _coordinate_order_distances(pts[None, :, :] - pts[:, None, :])
+    assert _pair_distance_matrix(pts).tobytes() == want.tobytes()
+    tuples = pts.reshape(20, 3, d)
+    i, j = np.array(pair_order(2)).T
+    assert _simplex_values(tuples).tobytes() == _coordinate_order_distances(
+        tuples[:, j] - tuples[:, i]).tobytes()
 
 
 def test_simplex_band_budget_refusal(monkeypatch):
     monkeypatch.setattr(configcount, "SIMPLEX_BAND_NNZ_BUDGET", 100)
-    monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(configcount, "BLOCK_ENTRIES", 1000)
     with pytest.raises(CapacityError):
         count_simplex(gen_random(2, 300, seed=36), 2, [0.5, 0.5, 0.5], 0.05)
 
 
-def _spy_distance_rows(monkeypatch) -> list:
-    """Record the arguments of every `_distance_rows` call."""
+def _spy_distance_blocks(monkeypatch) -> list:
+    """Record the start of every block that `_distance_blocks` yields."""
     calls = []
-    distance_rows = configcount._distance_rows
-    monkeypatch.setattr(configcount, "_distance_rows",
-                        lambda *args: calls.append(args) or distance_rows(*args))
+    distance_blocks = configcount._distance_blocks
+
+    def spy(*args, **kwargs):
+        for block in distance_blocks(*args, **kwargs):
+            calls.append(block[0])
+            yield block
+
+    monkeypatch.setattr(configcount, "_distance_blocks", spy)
     return calls
 
 
@@ -277,7 +306,7 @@ def test_simplex_packed_rows_refused_before_any_distance(monkeypatch, budget, re
     # one target over 64 points: 64 rows of one 8-byte word, 512 bytes; the
     # band holds 44 nonzeros, under either budget
     monkeypatch.setattr(configcount, "SIMPLEX_BAND_NNZ_BUDGET", budget)
-    calls = _spy_distance_rows(monkeypatch)
+    calls = _spy_distance_blocks(monkeypatch)
     ps = gen_random(2, 64, seed=37)
     if refused:
         with pytest.raises(CapacityError, match="512 bytes"):
@@ -292,8 +321,8 @@ def test_simplex_band_nonzeros_refused_during_the_build(monkeypatch):
     # the rows fit (300 x 5 words, 12,000 bytes) but the band holds 12,558
     # nonzeros, so the build stops after a few of its 100 blocks
     monkeypatch.setattr(configcount, "SIMPLEX_BAND_NNZ_BUDGET", 3000)
-    monkeypatch.setattr(configcount, "SIMPLEX_BLOCK_ENTRIES", 1000)
-    calls = _spy_distance_rows(monkeypatch)
+    monkeypatch.setattr(configcount, "BLOCK_ENTRIES", 1000)
+    calls = _spy_distance_blocks(monkeypatch)
     with pytest.raises(CapacityError, match="nonzeros"):
         count_simplex(gen_random(2, 300, seed=36), 1, [0.5], 0.05)
     assert 0 < len(calls) < 100
@@ -700,7 +729,7 @@ def test_block_size_leaves_counts_unchanged(monkeypatch, entries):
             rechecked = _spy_rechecks(patch, family)
             want = [kernel(pts, 2, (t,), delta) for pts, t, delta in family_cases]
             want_rechecked, rechecked[:] = sum(rechecked), []
-            patch.setattr(configcount, "_SET_BLOCK_ENTRIES", entries)
+            patch.setattr(configcount, "BLOCK_ENTRIES", entries)
             assert [kernel(pts, 2, (t,), delta) for pts, t, delta in family_cases] == want
             assert sum(rechecked) == want_rechecked > 0
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from configeo import energy
+from configeo import configcount, energy
 from configeo.configcount import _pair_distance_matrix
 from configeo.energy import discrete_energy, energy_profile, is_adaptable
 from configeo.errors import CapacityError, CoincidentPointsError
@@ -44,21 +44,22 @@ def test_matches_double_loop_oracle(n, seed):
 def test_block_size_leaves_values_bit_identical(monkeypatch, entries):
     ps = gen_random(3, 300, seed=5)
     want = [discrete_energy(ps, s) for s in (1.0, 1.9, 2.0)]
-    monkeypatch.setattr(energy, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(configcount, "BLOCK_ENTRIES", entries)
     assert [discrete_energy(ps, s) for s in (1.0, 1.9, 2.0)] == want
 
 
 @pytest.mark.parametrize("n", [1000, 2000])  # 65 and 32 rows per block; neither divides n or n - 1
 def test_each_pair_is_valued_once(monkeypatch, n):
     distances = []
-    distance_rows = energy._distance_rows
+    distance_blocks = energy._distance_blocks
 
-    def spy(coords, start, stop, col, out, scratch):
-        distances.append((stop - start) * (coords.shape[1] - col))
-        return distance_rows(coords, start, stop, col, out, scratch)
+    def spy(pts, upper=False):
+        for start, dist, scratch in distance_blocks(pts, upper):
+            distances.append(dist.size)
+            yield start, dist, scratch
 
-    monkeypatch.setattr(energy, "_distance_rows", spy)
-    rows = energy._BLOCK_ENTRIES // n
+    monkeypatch.setattr(energy, "_distance_blocks", spy)
+    rows = configcount.BLOCK_ENTRIES // n
     for d in (2, 3):
         distances.clear()
         discrete_energy(gen_random(d, n, seed=n), 1.0)
@@ -90,7 +91,7 @@ def oracle_energy(pts, s):
     return upper_row_energy(dist, s)
 
 
-@pytest.mark.parametrize("d", range(1, 10))  # from 8 on _distance_rows takes its d >= 8 branch
+@pytest.mark.parametrize("d", range(1, 10))  # one rule at every d: the squares added in coordinate order
 def test_blocked_distances_equal_the_broadcast_bit_for_bit(d):
     ps = gen_random(d, 400, seed=d)
     grid = [0.5, 1.0, 1.9, 2.0]

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -340,6 +341,21 @@ def test_scan_checks_k_before_generating(monkeypatch):
     template = GeneratorSpec.make("uniform_random", d=2)
     with pytest.raises(ValueError, match="k <= d"):
         run_scan(ScanSpec(generator=template, family="simplex", k=3, schedule=(20, 40, 80)))
+
+
+@pytest.mark.parametrize("t,delta,match", [
+    ((0.5, 0.5), None, "simplex target needs 1 entries, got 2"),
+    ((-0.5,), None, "simplex targets must be finite and positive"),
+    ((math.nan,), None, "simplex targets must be finite and positive"),
+    ((0.5,), -0.1, "delta must be finite and positive"),
+    (None, math.nan, "delta must be finite and positive"),
+], ids=["length", "domain", "nan_t", "negative_delta", "nan_delta"])
+def test_scan_checks_t_and_delta_before_generating(monkeypatch, t, delta, match):
+    # each step's ConfigQuery would refuse them, after every set is generated
+    monkeypatch.setattr(expfit, "generate", lambda spec: pytest.fail("generated a point set"))
+    with pytest.raises(ValueError, match=match):
+        run_scan(ScanSpec(generator=GeneratorSpec.make("uniform_random", d=2), family="simplex", k=1,
+                          schedule=(20, 40, 80), t=t, delta=delta))
 
 
 def test_scan_verdict_margin_rule():

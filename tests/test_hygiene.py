@@ -112,6 +112,14 @@ def test_one_set_kernel_splits_and_rechecks():
                                                             "_recheck": {"_set_kernel"}}
 
 
+def test_one_blocked_distance_kernel():
+    # the simplex band rows and the energy take every blocked distance from one generator
+    callers = {f"{p.stem}.{where}" for p in SOURCES
+               for where in _callers(ast.parse(p.read_text(), filename=str(p)),
+                                     {"_distance_blocks"})["_distance_blocks"]}
+    assert callers == {"configcount._band_rows", "energy.discrete_energy"}
+
+
 def test_the_scan_finds_callers():
     tree = ast.parse("def f(x):\n    def g():\n        return h(x)\n    return g\n"
                      "class C:\n    y = h(1) + k(2)\nz = h(0)\nm.h(3)\n")
