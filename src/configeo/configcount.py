@@ -42,17 +42,17 @@ The count extends chunks of partial tuples one slot at a time: slot j's
 candidates are the AND of the rows of A_ij at x_i over i < j, unpacked into
 the next chunk for an inner slot and summed by popcount for the last.
 
-Volume in d = 2 and 3, area2 and angle share one set kernel
-(`_set_kernel`), which values each unordered point set once, in BLAS row
-blocks of at most BLOCK_ENTRIES values.  Each family supplies its
-per-apex views (apex, leg indices, row legs and a value block: |det| by
-normal vectors, the Gram determinant of the legs, or the cosine of unit
-legs), its value-space bands from a proven rounding margin, the orderings
-one set counts for ((d+1)!, 6 and 2), and its map.  The kernel splits each
-block (`_band_split`) into the sets that count for all of their orderings,
-those that count for none, and those near a band edge, whose orderings
-`_recheck` values by the row's map, so the two agree bit for bit at ties.
-Volume in other d is counted by the oracle.
+Volume, area2 and angle share one set kernel (`_set_kernel`), which values
+each unordered point set once, in BLAS row blocks of at most BLOCK_ENTRIES
+values.  Each family supplies its per-apex views (apex, leg indices, row
+legs and a value block: |det| by normal vectors, the Gram determinant of the
+legs, or the cosine of unit legs), its value-space bands from a proven
+rounding margin, the orderings one set counts for ((d+1)!, 6 and 2), and its
+map.  The kernel splits each block (`_band_split`) into the sets that count
+for all of their orderings, those that count for none, and those near a band
+edge, whose orderings `_recheck` values by the row's map, so the two agree
+bit for bit at ties.  At every d, the volume map's |det| and the kernel's
+normals are the Laplace minors of one rule, `_minors`.
 """
 
 from __future__ import annotations
@@ -264,14 +264,17 @@ def _band_split(vals: np.ndarray, last: np.ndarray, col: int, inner, outer):
     return in_outer - n_near, (rows, cells - rows * width + col)
 
 
+def _enumeration_budget(n: int, arity: int) -> None:
+    """CapacityError when an enumeration of n^arity tuples exceeds BRUTE_EVAL_BUDGET."""
+    if n**arity > BRUTE_EVAL_BUDGET:
+        raise CapacityError(f"enumeration of {n}^{arity} tuples exceeds the budget")
+
+
 def _tuples(n: int, arity: int):
     """The ordered distinct arity-tuples of range(n), as chunks of index rows:
     a run of combinations, each in all of its arity! orders, of at most
-    BLOCK_ENTRIES rows (at least one combination).  The call raises
-    CapacityError when n^arity exceeds BRUTE_EVAL_BUDGET, before any chunk;
-    the set kernels, which value the same tuples, call it for that check."""
-    if n**arity > BRUTE_EVAL_BUDGET:
-        raise CapacityError(f"enumeration of {n}^{arity} tuples exceeds the budget")
+    BLOCK_ENTRIES rows (at least one combination), after `_enumeration_budget`."""
+    _enumeration_budget(n, arity)
     orders = np.array(list(itertools.permutations(range(arity))))
     combos = itertools.combinations(range(n), arity)
     sets = (np.fromiter(itertools.islice(combos, max(1, BLOCK_ENTRIES // len(orders))),
@@ -300,17 +303,17 @@ def _recheck(pts: np.ndarray, config_map, sets: np.ndarray, orders, t: float, de
     return sum(_accepted(config_map(pts[sets[:, list(order)]]), (t,), delta) for order in orders)
 
 
-def _set_kernel(views, bands, orders, config_map):
+def _set_kernel(views, bands, config_map, orders=lambda k: list(itertools.permutations(range(k + 1)))):
     """The fast counter kernel(points, k, t, delta) of a set family, which
     values each unordered point set once.  The family supplies:
-    - views(pts): one (apex, index, row_legs, values) per apex: index[l] is
-      the point of leg l, row_legs the legs of each row, with the last leg e
-      of each row, ascending, in row_legs[-1], and values(start, stop, col)
-      the block of rows start:stop against the legs col.., valued in BLAS;
+    - views(pts): one (apex, index, rows, last, values) per apex: index[l] is
+      the point of leg l, rows[r] the legs of row r, ascending, last[r] its
+      last leg e (-1 if none), ascending over the rows, and values(start,
+      stop, col) the block of rows start:stop against the legs col.., in BLAS;
     - bands(pts, t, delta): the inner and outer bands of `_band_split`;
-    - orders: the orderings one set counts for, as permutations of its
-      columns (apex, row legs, leg), of length k+1;
-    - config_map: the row's map, by which `_recheck` values the near sets.
+    - config_map: the row's map, by which `_recheck` values the near sets;
+    - orders(k): the orderings one set counts for, as permutations of its
+      columns (apex, row legs, leg), of length k+1; by default all (k+1)!.
     A row pairs with the legs l > e, so a block is valued against the legs
     from the first one any of its rows pairs with; it holds at most
     BLOCK_ENTRIES values (at least one row).  A set inside the inner
@@ -319,24 +322,23 @@ def _set_kernel(views, bands, orders, config_map):
     """
     def fast(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
         n = pts.shape[0]
-        if n < len(orders[0]):
+        if n < k + 1:
             return 0
-        _tuples(n, len(orders[0]))  # CapacityError over the enumeration budget
+        _enumeration_budget(n, k + 1)
+        perms = orders(k)
         inner, outer = bands(pts, t[0], delta)
         total = 0
-        for apex, index, row_legs, values in views(pts):
-            last, start = row_legs[-1], 0
+        for apex, index, rows, last, values in views(pts):
+            start = 0
             while start < last.size:
                 col = last[start] + 1
                 stop = min(last.size, start + max(1, BLOCK_ENTRIES // (index.size - col)))
                 inside, near = _band_split(values(start, stop, col), last[start:stop], col, inner, outer)
-                total += len(orders) * inside
+                total += len(perms) * inside
                 if near is not None:
-                    rows, cols = near
-                    rows += start
-                    sets = np.column_stack([np.full(rows.size, apex), *(index[leg[rows]] for leg in row_legs),
-                                            index[cols]])
-                    total += _recheck(pts, config_map, sets, orders, t[0], delta)
+                    cells, cols = near
+                    sets = np.column_stack([np.full(cols.size, apex), index[rows[cells + start]], index[cols]])
+                    total += _recheck(pts, config_map, sets, perms, t[0], delta)
                 start = stop
         return total
     return fast
@@ -528,38 +530,49 @@ def count_volume(
     determinant of the edge matrix at x^{d+1} (bare) or that value / d!.
 
     The (d+1)! orderings of a point set round differently, and the count is
-    the oracle's, ordering by ordering.  In d = 2 and 3 the fast counter
-    values each point set once and re-values ordering by ordering only the
-    sets within its rounding margin of the band's edges."""
+    the oracle's, ordering by ordering.  The fast counter values each point
+    set once, at every d, and re-values ordering by ordering only the sets
+    within its rounding margin of the band's edges."""
     return _count(ps, ConfigQuery("volume", ps.dim, t, delta, convention), algorithm)
 
 
-def _volume_fast(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
-    """The volume row's fast counter: `_set_kernel` in d = 2 and 3, where
-    `_volume_margin` is proven, and the oracle in other d.  k is d."""
-    d = pts.shape[1]
-    return _VOLUME_SETS.get(d, FAMILIES["volume"].brute)(pts, d, t, delta)
+def _minors(u: np.ndarray) -> dict:
+    """Every k x k minor of the rows of u, a (k, d, ...) array of entries
+    u[a][c] over a batch, keyed by its columns, ascending: the Laplace
+    expansion along its first row, left to right, of minors of the rows
+    below, taken bottom-up, so each is computed once.  No rows: 1."""
+    u, d = np.ascontiguousarray(u), u.shape[1]  # contiguous entry arrays
+    minors = {(): np.ones(u.shape[2:])}
+    for size, row in enumerate(u[::-1], 1):
+        below, minors = minors, {}
+        for cols in itertools.combinations(range(d), size):
+            acc = row[cols[0]] * below[cols[1:]]
+            for p in range(1, size):
+                term = row[cols[p]] * below[cols[:p] + cols[p + 1:]]
+                acc = acc - term if p % 2 else acc + term
+            minors[cols] = acc
+    return minors
 
 
 def _volume_views(pts: np.ndarray):
-    """The apex views of the volume kernel (d = 2, 3).  A set's apex is its
-    smallest index b and its legs are U = pts[b+1:] - pts[b].  Each row is a
-    leg set short of its last leg, with normal vector nu: a leg i at d = 2,
-    with nu = (-U_i[1], U_i[0]) so that nu . U_l = det(U_i, U_l); a leg pair
-    i < j at d = 3, with nu = cross(U_i, U_j).  A row is valued against a
-    leg l as |nu @ U_l|, which lies within `_volume_margin` of every one of
-    the set's (d+1)! oracle values."""
+    """The apex views of the volume kernel.  A set's apex is its smallest
+    index b and its legs are U = pts[b+1:] - pts[b].  A row is d-1 legs short
+    of the set's last leg; the rows are the (d-1)-sets of range(n-2) in colex
+    order, one table of which apex b takes the prefix over its legs.  A row's
+    normal nu[c] is (-1)^(d-1+c) times its minor without column c
+    (`_minors`), so nu @ U_l is det(U_i, ..., U_l) expanded along U_l:
+    (-U_i[1], U_i[0]) at d = 2, np.cross at d = 3, 1 at d = 1.  |nu @ U_l|
+    lies within `_volume_margin` of each of the set's (d+1)! oracle values."""
     n, d = pts.shape
+    combos = itertools.chain.from_iterable(itertools.combinations(range(n - 2), d - 1))  # lex, mirrored: colex
+    table = n - 3 - np.fromiter(combos, np.intp).reshape(math.comb(n - 2, d - 1), d - 1)[::-1, ::-1]
+    last = table.max(axis=1, initial=-1)
     for b in range(n - d):
         legs = pts[b + 1:] - pts[b]
-        if d == 2:
-            row_legs = (np.arange(len(legs) - 1),)
-            normals = legs[:-1, ::-1] * [-1.0, 1.0]
-        else:
-            last, first = np.tril_indices(len(legs) - 1, -1)  # pairs first < last, by last
-            row_legs = (first, last)
-            normals = np.cross(legs[first], legs[last])
-        yield b, np.arange(b + 1, n), row_legs, _dot_values(normals, legs, absolute=True)
+        rows = table[:math.comb(len(legs) - 1, d - 1)]
+        minors = reversed(_minors(legs[rows].transpose(1, 2, 0)).values())  # without column 0, ..., d-1
+        normals = np.column_stack([minor * (-1) ** (d - 1 + c) for c, minor in enumerate(minors)])
+        yield b, np.arange(b + 1, n), rows, last[:len(rows)], _dot_values(normals, legs, absolute=True)
 
 
 def _volume_bands(pts: np.ndarray, t: float, delta: float):
@@ -571,53 +584,42 @@ def _volume_bands(pts: np.ndarray, t: float, delta: float):
 
 
 def _volume_margin(pts: np.ndarray, t: float, delta: float) -> float:
-    """B = c eps (R^d + |t| + delta) + c tiny (1 + R)^(d-1) for d = 2, 3, with
-    c = _VOLUME_MARGIN_C, eps the machine epsilon, tiny the smallest
-    subnormal and R = sum_k (max_k - min_k) over the coordinates.
+    """B = c eps (m R^d + |t| + delta) + c m tiny (1 + R)^(d-1), with c =
+    _VOLUME_MARGIN_C, m = (d^2 + 3d - 2)/2, eps the machine epsilon, tiny the
+    smallest subnormal and R = sum_k (max_k - min_k) over the coordinates.
 
-    Every leg x - y has l1 norm <= R, so the Leibniz terms of any d legs sum
-    to <= R^d in absolute value.  Roundings, each a factor (1 + e), |e| <=
-    eps/2, on every term below them:
-    - legs: each entry of fl(x - y) is one rounding, so a term carries d and
-      the det of the rounded legs is within 1.01 d eps/2 R^d of the exact
-      |det| Delta of the points;
-    - formula: a term of the oracle's u0[0]*u1[1] - u0[1]*u1[0] passes 2,
-      one of its u0 . (u1 x u2) passes 5 (product and difference in the
-      cross product, outer product, two additions).  The kernel's 2- and
-      3-term dots in dgemm add at most a product and d-1 additions, in any
-      order, fused (FMA) or not, to its exact negation at d = 2 and to
-      np.cross's two roundings at d = 3: 2 and 5 again.
-    So the kernel's value and each of the (d+1)! oracle values lie within
-    1.01 (3d - 1) eps/2 R^d of Delta, within 8.1 eps R^d of each other at
-    d <= 3.  The oracle's abs(abs(det) - t) <= delta is monotone in its one
-    rounding, so it differs from the exact test only within one ulp of
-    delta above it (<= eps delta).  The kernel's bounds t -+ (delta -+ B)
-    round twice (<= eps (|t| + delta + B)).  That is <= 9 eps (R^d + |t| +
-    delta) + eps B; c = 32 also covers the rounding of R, R^d and B.  A
-    product that underflows is off by <= tiny/2, then scaled by <= R per
-    later factor: < 9 (1 + R)^(d-1) tiny over two values and the tests.
+    Every leg x - y has l1 norm <= R, so the d! Leibniz terms of any d legs
+    sum to <= R^d in absolute value.  Roundings, each a factor (1 + e),
+    |e| <= eps/2, on every term below them: d in the legs, one per entry of
+    fl(x - y); and in `_minors`, at each level j = 2..d, one product and at
+    most j - 1 additions (a 1 x 1 minor is its entry times 1, exactly).  The
+    oracle's |det| is the d x d minor.  The kernel's normal holds the
+    (d-1) x (d-1) minors, some negated, exactly, and its dot with a leg in
+    dgemm is level d: one product and at most d - 1 additions, in any order,
+    fused (FMA) or not (exact at d = 1).  So a term carries at most
+    m = d + sum_{j=2..d} j roundings (4 at d = 2 and 8 at d = 3, as
+    u0[0]*u1[1] - u0[1]*u1[0] and u0 . (u1 x u2) do), and the kernel's value
+    and each of the (d+1)! oracle values lie within 1.01 m eps/2 R^d of the
+    exact |det| of the points, within 1.01 m eps R^d of each other.  The
+    oracle's abs(abs(det) - t) <= delta is monotone in its one rounding, so
+    it differs from the exact test only within one ulp of delta above it
+    (<= eps delta).  The kernel's bounds t -+ (delta -+ B) round twice
+    (<= eps (|t| + delta + B)).  That is <= 1.01 m eps R^d + 2 eps (|t| +
+    delta) + eps B; c = 32 also covers the rounding of R, m R^d and B.  A
+    product that underflows is off by <= tiny/2, then scaled by <= R at each
+    later level: <= tiny/2 sum_{j=2..d} j R^(d-j) per value, < 1.01 m
+    (1 + R)^(d-1) tiny over two values, and the tests add a few tiny.
     """
     d = pts.shape[1]
-    spread = float(np.sum(pts.max(axis=0) - pts.min(axis=0)))
-    return _VOLUME_MARGIN_C * (np.finfo(float).eps * (spread**d + abs(t) + delta)
-                               + np.finfo(float).smallest_subnormal * (1.0 + spread) ** (d - 1))
+    spread, m = float(np.sum(pts.max(axis=0) - pts.min(axis=0))), (d * d + 3 * d - 2) // 2
+    return _VOLUME_MARGIN_C * (np.finfo(float).eps * (m * spread**d + abs(t) + delta)
+                               + m * np.finfo(float).smallest_subnormal * (1.0 + spread) ** (d - 1))
 
 
 def _volume_values(tuples: np.ndarray) -> np.ndarray:
-    """The volume map: |det| of the legs u_a = x^a - x^{d+1}, by the Leibniz
-    terms u0[0]*u1[1] - u0[1]*u1[0] at d = 2 and u0 . (u1 x u2) at d = 3,
-    and by np.linalg.det at other d."""
-    legs = tuples[:, :-1] - tuples[:, -1:]
-    u = np.moveaxis(legs, 0, -1)  # u[a][c]: coordinate c of leg a, over the tuples
-    if len(u) == 2:
-        det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
-    elif len(u) == 3:
-        c0 = u[1][1] * u[2][2] - u[1][2] * u[2][1]
-        c1 = u[1][2] * u[2][0] - u[1][0] * u[2][2]
-        c2 = u[1][0] * u[2][1] - u[1][1] * u[2][0]
-        det = u[0][0] * c0 + u[0][1] * c1 + u[0][2] * c2
-    else:
-        det = np.linalg.det(legs)
+    """The volume map: |det| of the legs u_a = x^a - x^{d+1}, the d x d minor
+    of `_minors` (u0[0]*u1[1] - u0[1]*u1[0] at d = 2, u0 . (u1 x u2) at d = 3)."""
+    (det,) = _minors((tuples[:, :-1] - tuples[:, -1:]).transpose(1, 2, 0)).values()
     return np.abs(det)[:, None]
 
 
@@ -651,7 +653,8 @@ def _area2_views(pts: np.ndarray):
     n = pts.shape[0]
     for b in range(n - 2):
         legs = pts[b + 1:] - pts[b]
-        yield b, np.arange(b + 1, n), (np.arange(len(legs) - 1),), _gram_values(legs)
+        last = np.arange(len(legs) - 1)
+        yield b, np.arange(b + 1, n), last[:, None], last, _gram_values(legs)
 
 
 def _gram_values(legs: np.ndarray):
@@ -749,7 +752,8 @@ def _angle_views(pts: np.ndarray):
         norms = np.sqrt((legs * legs).sum(axis=1))
         keep = np.flatnonzero(norms >= DEGENERATE_APEX_TOL)  # never a itself
         unit = legs[keep] / norms[keep, None]
-        yield a, keep, (np.arange(keep.size - 1),), _dot_values(unit, unit)
+        last = np.arange(keep.size - 1)
+        yield a, keep, last[:, None], last, _dot_values(unit, unit)
 
 
 def _angle_margin(d: int) -> float:
@@ -822,10 +826,6 @@ def _angle_values(tuples: np.ndarray) -> np.ndarray:
     return theta
 
 
-_VOLUME_SETS = {d: _set_kernel(_volume_views, _volume_bands, list(itertools.permutations(range(d + 1))),
-                               _volume_values) for d in (2, 3)}  # the d of a proven _volume_margin
-
-
 FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="simplex", fixed_k=None, targets=lambda k: len(pair_order(k)),
            t_ok=lambda x: x > 0, t_domain="positive", zero_delta=False,
@@ -835,13 +835,13 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
            config_map=_volume_values, scale=math.factorial,
-           fast=_volume_fast, brute=_oracle(_volume_values),
+           fast=_set_kernel(_volume_views, _volume_bands, _volume_values), brute=_oracle(_volume_values),
            threshold=lambda k, d: d - 1 + Fraction(1, 2 * d if d % 2 == 0 else 2 * (d - 1)),
            counter_args=("t", "delta", "volume_convention")),
     Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
            config_map=_area2_values, scale=lambda d: 2.0,
-           fast=_set_kernel(_area2_views, _area2_bands, list(itertools.permutations(range(3))), _area2_values),
+           fast=_set_kernel(_area2_views, _area2_bands, _area2_values),
            brute=_oracle(_area2_values),
            threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4),
            counter_args=("t", "delta", "volume_convention")),
@@ -850,7 +850,7 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
            config_map=_angle_values, scale=lambda d: 1.0,
            fast=_set_kernel(_angle_views,
                             lambda pts, t, delta: _angle_band(t, delta, _angle_margin(pts.shape[1])),
-                            ((0, 1, 2), (0, 2, 1)), _angle_values),
+                            _angle_values, lambda k: ((0, 1, 2), (0, 2, 1))),
            brute=_oracle(_angle_values),
            threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
 )}

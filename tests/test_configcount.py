@@ -3,6 +3,7 @@ import itertools
 import math
 import weakref
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -402,7 +403,7 @@ def test_volume_convention_rescaling_identity():
     assert bare == simp
 
 
-@pytest.mark.parametrize("d,n", [(2, 12), (3, 9)])
+@pytest.mark.parametrize("d,n", [(2, 12), (3, 9), (4, 8), (5, 8)])
 def test_volume_fast_equals_brute(d, n):
     for seed in (21, 22):
         ps = gen_random(d, n, seed=seed)
@@ -430,6 +431,25 @@ def test_volume_d4_generic_path():
     t = abs(float(np.linalg.det(rows)))
     assert count_volume(ps, t, 1e-4).count == count_volume(ps, t, 1e-4, algorithm="brute").count
     assert count_volume(ps, t, 1e-4).count >= 24  # the realizing tuple's relabelings
+
+
+def test_volume_d1_counts_segment_lengths():
+    # at d = 1 a row has no legs, its normal is the empty minor 1 and its value |x_l - x_b|
+    ps = gen_random(1, 6, seed=0)
+    assert count_volume(ps, 0.3, 0.1).count == count_volume(ps, 0.3, 0.1, algorithm="brute").count == 8
+
+
+@pytest.mark.parametrize("t,want", [(0.0, 8160), (0.125, 6480), (0.25, 13440)])
+def test_volume_d4_lattice_ties_are_exact(t, want):
+    # dyadic points: every Laplace product and sum is exact, so at delta = 0 the fast
+    # counter and the oracle both count the exact ties, each set in all 120 orderings
+    pts = gen_lattice(4, 3).points[[2, 10, 19, 24, 33, 36, 55, 63, 70, 73, 80]]
+    exact = [[Fraction(float(x)) for x in p] for p in pts]
+    exact_count = 120 * sum(abs(_laplace([[a - b for a, b in zip(exact[i], exact[s[-1]])] for i in s[:-1]],
+                                         tuple(range(4)))) == t for s in itertools.combinations(range(len(pts)), 5))
+    ps = PointSet(dim=4, points=pts)
+    assert exact_count == want
+    assert count_volume(ps, t, 0.0).count == count_volume(ps, t, 0.0, algorithm="brute").count == want
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +534,18 @@ TRIPLE_FAMILIES = ["angle", "area2", "volume"]
 LATTICE_MOVES = [(0.0, 1.0), (1e3, 1.0), (0.0, 1e-3)]
 
 
+def _laplace(rows, cols):
+    """The minor of rows at cols, expanded along its first row, left to right;
+    exact for Fraction rows."""
+    if not rows:
+        return 1
+    terms = [rows[0][c] * _laplace(rows[1:], cols[:p] + cols[p + 1:]) for p, c in enumerate(cols)]
+    acc = terms[0]
+    for p, term in enumerate(terms[1:], 1):
+        acc = acc - term if p % 2 else acc + term
+    return acc
+
+
 def _oracle_values(family, pts):
     """Every value the family's oracle evaluates on pts, with the number of
     ordered tuples that take it, by one-tuple formulas written here, so bands
@@ -529,7 +561,7 @@ def _oracle_values(family, pts):
                 c2 = u[1][0] * u[2][1] - u[1][1] * u[2][0]
                 values[abs(u[0][0] * c0 + u[0][1] * c1 + u[0][2] * c2)] += 1
             else:
-                values[abs(float(np.linalg.det(np.array(u))))] += 1
+                values[abs(float(_laplace(u, tuple(range(d)))))] += 1
         return values
     for i, j, b in itertools.permutations(range(len(pts)), 3):
         u, v = pts[i] - pts[b], pts[j] - pts[b]
@@ -545,6 +577,11 @@ def _oracle_values(family, pts):
     return values
 
 
+def _k(family, pts):
+    """The k of a family's kernels on pts: d for volume, else 2."""
+    return pts.shape[1] if family == "volume" else 2
+
+
 def _assert_matches_brute(data, family, pts):
     """Draw t and t + delta among the realized values (delta = 0 when both
     draws coincide) and compare the family's fast kernel with its oracle.
@@ -555,7 +592,7 @@ def _assert_matches_brute(data, family, pts):
     if delta == 0.0 and family == "angle":  # angle queries need delta > 0
         delta = 0.25
     row = configcount.FAMILIES[family]
-    k = pts.shape[1] if family == "volume" else 2
+    k = _k(family, pts)
     assert row.fast(pts, k, (lo,), delta) == row.brute(pts, k, (lo,), delta)
 
 
@@ -654,7 +691,7 @@ def _spy_rechecks(monkeypatch, family="volume"):
     return rechecked
 
 
-@pytest.mark.parametrize("d,n", [(2, 9), (3, 7)])
+@pytest.mark.parametrize("d,n", [(2, 9), (3, 7), (4, 7)])
 def test_volume_zero_band_on_a_hyperplane_rechecks_every_set(monkeypatch, d, n):
     # every |det| is exactly 0 and t = delta = 0, so every set is within the margin
     rechecked = _spy_rechecks(monkeypatch)
@@ -706,7 +743,7 @@ def test_rechecks_value_every_ordering_like_the_oracle(family, d):
     pts = gen_random(d, 8, seed=d).points
     values = _oracle_values(family, pts)
     for t in sorted(values)[::max(1, len(values) // 20)]:
-        assert configcount.FAMILIES[family].brute(pts, d if family == "volume" else 2, (t,), 0.0) == values[t]
+        assert configcount.FAMILIES[family].brute(pts, _k(family, pts), (t,), 0.0) == values[t]
 
 
 @pytest.mark.parametrize("entries", [1, 37])
@@ -727,10 +764,10 @@ def test_block_size_leaves_counts_unchanged(monkeypatch, entries):
         kernel = configcount.FAMILIES[family].fast
         with monkeypatch.context() as patch:
             rechecked = _spy_rechecks(patch, family)
-            want = [kernel(pts, 2, (t,), delta) for pts, t, delta in family_cases]
+            want = [kernel(pts, _k(family, pts), (t,), delta) for pts, t, delta in family_cases]
             want_rechecked, rechecked[:] = sum(rechecked), []
             patch.setattr(configcount, "BLOCK_ENTRIES", entries)
-            assert [kernel(pts, 2, (t,), delta) for pts, t, delta in family_cases] == want
+            assert [kernel(pts, _k(family, pts), (t,), delta) for pts, t, delta in family_cases] == want
             assert sum(rechecked) == want_rechecked > 0
 
 
@@ -742,12 +779,12 @@ def test_eager_views_value_their_own_apex(family, d, t, delta):
     views = {"volume": configcount._volume_views, "area2": configcount._area2_views,
              "angle": configcount._angle_views}[family]
     pts = gen_random(d, 12, seed=9).points
-    lazy = [values(0, row_legs[-1].size, 0) for _, _, row_legs, values in views(pts)]
-    eager = [values(0, row_legs[-1].size, 0) for _, _, row_legs, values in list(views(pts))]
+    lazy = [values(0, len(rows), 0) for _, _, rows, _, values in views(pts)]
+    eager = [values(0, len(rows), 0) for _, _, rows, _, values in list(views(pts))]
     assert len(eager) == len(lazy) > 1
     assert [block.tobytes() for block in eager] == [block.tobytes() for block in lazy]
     row = configcount.FAMILIES[family]
-    k = d if family == "volume" else 2
+    k = _k(family, pts)
     assert row.fast(pts, k, (t,), delta) == row.brute(pts, k, (t,), delta) > 0
 
 

@@ -112,6 +112,17 @@ def test_one_set_kernel_splits_and_rechecks():
                                                             "_recheck": {"_set_kernel"}}
 
 
+def test_one_volume_rule_and_one_budget_check():
+    # the volume map and the kernel's normals take every determinant from _minors, at
+    # every d, with no LU; the set kernels check the enumeration budget without
+    # building _tuples' permutation table
+    path = next(p for p in SOURCES if p.name == "configcount.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _callers(tree, {"_minors", "_tuples"}) == {"_minors": {"_volume_views", "_volume_values"},
+                                                      "_tuples": {"_oracle", "_phi_row"}}
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "det"] == []
+
+
 def test_one_blocked_distance_kernel():
     # the simplex band rows and the energy take every blocked distance from one generator
     callers = {f"{p.stem}.{where}" for p in SOURCES
