@@ -1,10 +1,10 @@
 """Exact counting of approximate point configurations.
 
 All counts run over ORDERED tuples of DISTINCT points (distinct indices).
-Interval predicates are closed, |value - target| <= delta, except for the
-generic configuration-map counter, which uses a strict max-norm ball
-|Phi(tuple) - t|_inf < delta.  Counts are exact integers; there is no
-sampling in this module.
+Every count, of a named family or of a custom map, accepts a tuple by one
+closed rule: |value - target| <= delta for each of its map values
+(`_accepted`).  Counts are exact integers; there is no sampling in this
+module.
 
 Families
 --------
@@ -26,10 +26,10 @@ scale).  A custom query is a row too, built by `family_row` from its
 PhiFunction (`_phi_row`), with no threshold s0.
 
 One map per row defines the family: config_map takes a batch of tuples and
-returns their values, and the exhaustive oracle ("brute") enumerates every
-ordered distinct tuple in chunks (`_tuples`) and counts the values in the
-closed band (`_accepted`).  The optimized counters ("pruned") must agree with
-the oracles exactly.  The simplex fast path counts labelled homomorphisms of
+returns their values, and the exhaustive oracle ("brute", `_oracle`) values
+every ordered distinct tuple, each combination in every ordering of
+`_orders`.  The optimized counters ("pruned") must agree with the oracles
+exactly.  The simplex fast path counts labelled homomorphisms of
 K_{k+1} into the band graphs A_ij = [|D - t_ij| <= delta].  D comes in row
 blocks of BLOCK_ENTRIES // n anchors from `_distance_blocks`, which adds the
 squared coordinate differences in coordinate order, as the map and the
@@ -47,12 +47,13 @@ each unordered point set once, in BLAS row blocks of at most BLOCK_ENTRIES
 values.  Each family supplies its per-apex views (apex, leg indices, row
 legs and a value block: |det| by normal vectors, the Gram determinant of the
 legs, or the cosine of unit legs), its value-space bands from a proven
-rounding margin, the orderings one set counts for ((d+1)!, 6 and 2), and its
-map.  The kernel splits each block (`_band_split`) into the sets that count
-for all of their orderings, those that count for none, and those near a band
-edge, whose orderings `_recheck` values by the row's map, so the two agree
-bit for bit at ties.  At every d, the volume map's |det| and the kernel's
-normals are the Laplace minors of one rule, `_minors`.
+rounding margin, its map, and the leading columns its orderings hold in
+place (none, none and the apex: (d+1)!, 6 and 2 orderings).  The kernel
+splits each block (`_band_split`) into the sets that count for all of their
+orderings, those that count for none, and those near a band edge, whose
+orderings `_recheck` values by the map, so the two agree bit for bit at
+ties.  At every d, the volume map's |det| and the kernel's normals are the
+Laplace minors of one rule, `_minors`.
 """
 
 from __future__ import annotations
@@ -270,16 +271,10 @@ def _enumeration_budget(n: int, arity: int) -> None:
         raise CapacityError(f"enumeration of {n}^{arity} tuples exceeds the budget")
 
 
-def _tuples(n: int, arity: int):
-    """The ordered distinct arity-tuples of range(n), as chunks of index rows:
-    a run of combinations, each in all of its arity! orders, of at most
-    BLOCK_ENTRIES rows (at least one combination), after `_enumeration_budget`."""
-    _enumeration_budget(n, arity)
-    orders = np.array(list(itertools.permutations(range(arity))))
-    combos = itertools.combinations(range(n), arity)
-    sets = (np.fromiter(itertools.islice(combos, max(1, BLOCK_ENTRIES // len(orders))),
-                        np.dtype((np.intp, arity))) for _ in itertools.count())
-    return (chunk[:, orders].reshape(-1, arity) for chunk in itertools.takewhile(len, sets))
+def _orders(arity: int, fixed: int = 0) -> np.ndarray:
+    """The orderings of arity columns that hold the first fixed in place: rows
+    of column indices in itertools.permutations order."""
+    return np.array([(*range(fixed), *p) for p in itertools.permutations(range(fixed, arity))], np.intp)
 
 
 def _accepted(values: np.ndarray, t, delta: float) -> int:
@@ -290,20 +285,28 @@ def _accepted(values: np.ndarray, t, delta: float) -> int:
 
 def _oracle(config_map):
     """A row's exhaustive oracle kernel(points, k, t, delta): every ordered
-    distinct (k+1)-tuple, valued by config_map."""
+    distinct (k+1)-tuple, after `_enumeration_budget`, in chunks of at most
+    BLOCK_ENTRIES rows (at least one combination): a run of combinations,
+    each in every ordering of `_orders`, valued by config_map."""
     def brute(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
-        return sum(_accepted(config_map(pts[idx]), t, delta) for idx in _tuples(len(pts), k + 1))
+        _enumeration_budget(len(pts), k + 1)
+        orders = _orders(k + 1)
+        combos = itertools.combinations(range(len(pts)), k + 1)
+        sets = (np.fromiter(itertools.islice(combos, max(1, BLOCK_ENTRIES // len(orders))),
+                            np.dtype((np.intp, k + 1))) for _ in itertools.count())
+        return sum(_accepted(config_map(pts[chunk[:, orders].reshape(-1, k + 1)]), t, delta)
+                   for chunk in itertools.takewhile(len, sets))
     return brute
 
 
 def _recheck(pts: np.ndarray, config_map, sets: np.ndarray, orders, t: float, delta: float) -> int:
     """Ordered tuples over the rows of sets (point indices), each taken in
-    every one of the orders (column permutations), that the oracle accepts:
-    each is valued by the row's config_map, as the oracle values it."""
-    return sum(_accepted(config_map(pts[sets[:, list(order)]]), (t,), delta) for order in orders)
+    every one of the orders (rows of `_orders`), that the oracle accepts:
+    valued by the row's config_map, as the oracle values them, order by order."""
+    return sum(_accepted(config_map(pts[sets[:, order]]), (t,), delta) for order in orders)
 
 
-def _set_kernel(views, bands, config_map, orders=lambda k: list(itertools.permutations(range(k + 1)))):
+def _set_kernel(views, bands, config_map, fixed=0):
     """The fast counter kernel(points, k, t, delta) of a set family, which
     values each unordered point set once.  The family supplies:
     - views(pts): one (apex, index, rows, last, values) per apex: index[l] is
@@ -312,20 +315,21 @@ def _set_kernel(views, bands, config_map, orders=lambda k: list(itertools.permut
       stop, col) the block of rows start:stop against the legs col.., in BLAS;
     - bands(pts, t, delta): the inner and outer bands of `_band_split`;
     - config_map: the row's map, by which `_recheck` values the near sets;
-    - orders(k): the orderings one set counts for, as permutations of its
-      columns (apex, row legs, leg), of length k+1; by default all (k+1)!.
+    - fixed: the leading columns of a set (apex, row legs, leg) that its
+      orderings hold in place, 1 when the value is the apex's.
     A row pairs with the legs l > e, so a block is valued against the legs
     from the first one any of its rows pairs with; it holds at most
-    BLOCK_ENTRIES values (at least one row).  A set inside the inner
-    band counts for every ordering and one outside the outer band for none;
-    the sets between are valued again, ordering by ordering, by `_recheck`.
+    BLOCK_ENTRIES values (at least one row).  A set inside the inner band
+    counts for all (k+1-fixed)! orderings and one outside the outer band for
+    none; the sets between are valued again by `_recheck`, ordering by
+    ordering of `_orders`, a table built at a call's first recheck.
     """
     def fast(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
         n = pts.shape[0]
         if n < k + 1:
             return 0
         _enumeration_budget(n, k + 1)
-        perms = orders(k)
+        orders = None
         inner, outer = bands(pts, t[0], delta)
         total = 0
         for apex, index, rows, last, values in views(pts):
@@ -334,11 +338,12 @@ def _set_kernel(views, bands, config_map, orders=lambda k: list(itertools.permut
                 col = last[start] + 1
                 stop = min(last.size, start + max(1, BLOCK_ENTRIES // (index.size - col)))
                 inside, near = _band_split(values(start, stop, col), last[start:stop], col, inner, outer)
-                total += len(perms) * inside
+                total += math.factorial(k + 1 - fixed) * inside
                 if near is not None:
+                    orders = _orders(k + 1, fixed) if orders is None else orders
                     cells, cols = near
                     sets = np.column_stack([np.full(cols.size, apex), index[rows[cells + start]], index[cols]])
-                    total += _recheck(pts, config_map, sets, perms, t[0], delta)
+                    total += _recheck(pts, config_map, sets, orders, t[0], delta)
                 start = stop
         return total
     return fast
@@ -479,8 +484,7 @@ def _simplex_brute(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> i
     n = pts.shape[0]
     if n < k + 1:
         return 0
-    if n ** (k + 1) > BRUTE_EVAL_BUDGET:
-        raise CapacityError(f"brute enumeration of {n}^{k + 1} tuples exceeds the budget")
+    _enumeration_budget(n, k + 1)
     if k > 3:
         raise ValueError("the brute simplex oracle covers k <= 3")
     D = _pair_distance_matrix(pts)
@@ -549,7 +553,7 @@ def _minors(u: np.ndarray) -> dict:
             acc = row[cols[0]] * below[cols[1:]]
             for p in range(1, size):
                 term = row[cols[p]] * below[cols[:p] + cols[p + 1:]]
-                acc = acc - term if p % 2 else acc + term
+                (np.subtract if p % 2 else np.add)(acc, term, out=acc)
             minors[cols] = acc
     return minors
 
@@ -850,7 +854,7 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
            config_map=_angle_values, scale=lambda d: 1.0,
            fast=_set_kernel(_angle_views,
                             lambda pts, t, delta: _angle_band(t, delta, _angle_margin(pts.shape[1])),
-                            _angle_values, lambda k: ((0, 1, 2), (0, 2, 1))),
+                            _angle_values, fixed=1),
            brute=_oracle(_angle_values),
            threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
 )}
@@ -864,8 +868,8 @@ def _phi_row(phi: PhiFunction) -> Family:
     """The row of a custom map: k = arity - 1, one target per output, any
     finite target, scale 1 and no threshold.  Its map is the evaluator, which
     values an (m, arity, d) batch of tuples as an (m, output_dim) array, with
-    that shape checked; its fast counter and its oracle are one enumeration
-    by `_tuples` that counts |Phi(tuple) - t|_inf < delta."""
+    that shape checked; its fast counter and its oracle are both `_oracle`
+    of that map, which accepts by the named rows' closed rule."""
 
     def config_map(tuples: np.ndarray) -> np.ndarray:
         values = np.asarray(phi.evaluator(tuples), dtype=float)
@@ -874,20 +878,16 @@ def _phi_row(phi: PhiFunction) -> Family:
                              f"not ({len(tuples)}, {phi.output_dim})")
         return values
 
-    def ball(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
-        target = np.asarray(t)
-        return sum(int(np.count_nonzero(np.abs(config_map(pts[idx]) - target).max(axis=1) < delta))
-                   for idx in _tuples(len(pts), k + 1))
-
+    brute = _oracle(config_map)
     return Family(name="custom", fixed_k=lambda d: phi.arity - 1, targets=lambda k: phi.output_dim,
                   t_ok=math.isfinite, t_domain="real", zero_delta=False, config_map=config_map,
-                  scale=lambda d: 1.0, fast=ball, brute=ball, threshold=None, counter_args=(),
+                  scale=lambda d: 1.0, fast=brute, brute=brute, threshold=None, counter_args=(),
                   fixed_by=f"for a map of arity {phi.arity}")
 
 
 def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:
-    """Ordered distinct (arity)-tuples with |Phi(tuple) - t| < delta in the
-    max norm on R^output_dim, by the custom row's full enumeration under
+    """Ordered distinct (arity)-tuples with |Phi(tuple) - t| <= delta in
+    every coordinate of R^output_dim, by the custom row's oracle under
     BRUTE_EVAL_BUDGET.  No structural assumptions on Phi."""
     return _count(ps, ConfigQuery("custom", phi.arity - 1, t, delta, phi=phi), "brute")
 

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -691,6 +692,56 @@ def _spy_rechecks(monkeypatch, family="volume"):
     return rechecked
 
 
+def _spy_orders(monkeypatch) -> list:
+    """Record the (arity, fixed) of each call of the ordering table."""
+    calls = []
+    orders = configcount._orders
+
+    def spy(arity, fixed=0):
+        calls.append((arity, fixed))
+        return orders(arity, fixed)
+
+    monkeypatch.setattr(configcount, "_orders", spy)
+    return calls
+
+
+@pytest.mark.parametrize("family,d,t,delta", [("volume", 3, 0.01, 0.005), ("area2", 3, 0.05, 0.02),
+                                               ("angle", 3, 1.0, 0.1)])
+def test_no_ordering_table_without_a_recheck(monkeypatch, family, d, t, delta):
+    # no set of a generic random set lies within the rounding margin of a band edge
+    pts, row = gen_random(d, 12, seed=5).points, configcount.FAMILIES[family]
+    calls, rechecked = _spy_orders(monkeypatch), _spy_rechecks(monkeypatch, family)
+    count = row.fast(pts, _k(family, pts), (t,), delta)
+    assert calls == rechecked == [] and count > 0
+    assert row.brute(pts, _k(family, pts), (t,), delta) == count
+    assert calls == [(_k(family, pts) + 1, 0)]  # the oracle's
+
+
+@pytest.mark.parametrize("family,pts,t,delta,fixed", [
+    ("volume", gen_coplanar(2, 9, seed=3).points, 0.0, 0.0, 0),
+    ("volume", gen_coplanar(3, 7, seed=3).points, 0.0, 0.0, 0),
+    ("angle", gen_lattice(2, 4).points, math.pi / 2, 1e-15, 1),
+])
+def test_the_ordering_table_is_built_once_per_call(monkeypatch, family, pts, t, delta, fixed):
+    calls, rechecked = _spy_orders(monkeypatch), _spy_rechecks(monkeypatch, family)
+    kernel, k = configcount.FAMILIES[family].fast, _k(family, pts)
+    counts = [kernel(pts, k, (t,), delta) for _ in range(2)]
+    assert counts[0] == counts[1] > 0 and len(rechecked) > 2
+    assert calls == [(k + 1, fixed)] * 2
+
+
+def test_volume_count_at_d8_off_every_band_edge_stays_small():
+    # the (d+1)! = 362,880 orderings of a set are a table of 26 MB at d = 8
+    pts = gen_random(8, 10, seed=1).points
+    tracemalloc.start()
+    try:
+        count = configcount.FAMILIES["volume"].fast(pts, 8, (1e-3,), 1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == math.factorial(9) and peak < 1e6
+
+
 @pytest.mark.parametrize("d,n", [(2, 9), (3, 7), (4, 7)])
 def test_volume_zero_band_on_a_hyperplane_rechecks_every_set(monkeypatch, d, n):
     # every |det| is exactly 0 and t = delta = 0, so every set is within the margin
@@ -836,8 +887,14 @@ DISTANCE_PHI = PhiFunction(arity=2, output_dim=1, evaluator=configcount.FAMILIES
 
 def test_phi_matches_simplex_on_square():
     phi = DISTANCE_PHI
-    # strict vs closed interval boundary is immaterial away from ties
     assert count_phi(SQUARE, phi, [1.0], 0.01).count == 8
+
+
+def test_phi_accepts_a_tie_like_the_simplex_row():
+    # the unit square's sides lie exactly delta from t: the closed band of every row takes them
+    ps = gen_lattice(2, 2)
+    want = count_simplex(ps, 1, 0.5, 0.5, algorithm="brute").count
+    assert count_phi(ps, DISTANCE_PHI, [0.5], 0.5).count == want == 8
 
 
 def test_phi_constant_counts_all_tuples():

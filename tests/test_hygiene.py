@@ -104,7 +104,7 @@ def _callers(tree: ast.Module, names: set[str]) -> dict[str, set[str]]:
 
 
 def test_one_set_kernel_splits_and_rechecks():
-    # volume, area2 and angle supply views, bands, orders and a map; one
+    # volume, area2 and angle supply views, bands, a map and the columns their orderings fix; one
     # driver holds the apex and block loop, the band split and the recheck
     path = next(p for p in SOURCES if p.name == "configcount.py")
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -114,12 +114,13 @@ def test_one_set_kernel_splits_and_rechecks():
 
 def test_one_volume_rule_and_one_budget_check():
     # the volume map and the kernel's normals take every determinant from _minors, at
-    # every d, with no LU; the set kernels check the enumeration budget without
-    # building _tuples' permutation table
+    # every d, with no LU; every exhaustive count takes its orderings from one table,
+    # accepts by one closed rule and checks one enumeration budget
     path = next(p for p in SOURCES if p.name == "configcount.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _callers(tree, {"_minors", "_tuples"}) == {"_minors": {"_volume_views", "_volume_values"},
-                                                      "_tuples": {"_oracle", "_phi_row"}}
+    assert _callers(tree, {"_minors", "_orders", "_accepted", "_enumeration_budget"}) == {
+        "_minors": {"_volume_views", "_volume_values"}, "_orders": {"_oracle", "_set_kernel"},
+        "_accepted": {"_oracle", "_recheck"}, "_enumeration_budget": {"_oracle", "_set_kernel", "_simplex_brute"}}
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "det"] == []
 
 
