@@ -54,6 +54,10 @@ orderings, those that count for none, and those near a band edge, whose
 orderings `_recheck` values by the map, so the two agree bit for bit at
 ties.  At every d, the volume map's |det| and the kernel's normals are the
 Laplace minors of one rule, `_minors`.
+
+Congruence classes (`distinct_classes`) are keyed by the simplex map: each
+subset of the oracle's chunked stream (`_subsets`) by its distances rounded
+onto delta Z, minimized over the relabelings of `_orders`.
 """
 
 from __future__ import annotations
@@ -230,13 +234,6 @@ def _pair_distance_matrix(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _target_matrix(k: int, t: tuple[float, ...]) -> np.ndarray:
-    tm = np.zeros((k + 1, k + 1))
-    for val, (i, j) in zip(t, pair_order(k)):
-        tm[i, j] = tm[j, i] = val
-    return tm
-
-
 def _band_split(vals: np.ndarray, last: np.ndarray, col: int, inner, outer):
     """Sort a block of values into three groups.  The block's rows have last
     legs `last` and its columns are the legs col.., so the values at a leg
@@ -283,19 +280,25 @@ def _accepted(values: np.ndarray, t, delta: float) -> int:
     return int(np.count_nonzero((np.abs(values - np.asarray(t)) <= delta).all(axis=1)))
 
 
+def _subsets(n: int, arity: int):
+    """The arity-subsets of range(n) in lex order, as (m, arity) np.intp
+    chunks of m = max(1, BLOCK_ENTRIES // arity!) rows (fewer in the last), so
+    a chunk taken in all of its orderings holds at most BLOCK_ENTRIES tuples."""
+    combos = itertools.combinations(range(n), arity)
+    size = max(1, BLOCK_ENTRIES // math.factorial(arity))
+    while len(chunk := np.fromiter(itertools.islice(combos, size), np.dtype((np.intp, arity)))):
+        yield chunk
+
+
 def _oracle(config_map):
     """A row's exhaustive oracle kernel(points, k, t, delta): every ordered
-    distinct (k+1)-tuple, after `_enumeration_budget`, in chunks of at most
-    BLOCK_ENTRIES rows (at least one combination): a run of combinations,
-    each in every ordering of `_orders`, valued by config_map."""
+    distinct (k+1)-tuple, after `_enumeration_budget`: each chunk of
+    `_subsets`, each set in every ordering of `_orders`, valued by config_map."""
     def brute(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
         _enumeration_budget(len(pts), k + 1)
         orders = _orders(k + 1)
-        combos = itertools.combinations(range(len(pts)), k + 1)
-        sets = (np.fromiter(itertools.islice(combos, max(1, BLOCK_ENTRIES // len(orders))),
-                            np.dtype((np.intp, k + 1))) for _ in itertools.count())
         return sum(_accepted(config_map(pts[chunk[:, orders].reshape(-1, k + 1)]), t, delta)
-                   for chunk in itertools.takewhile(len, sets))
+                   for chunk in _subsets(len(pts), k + 1))
     return brute
 
 
@@ -480,7 +483,7 @@ def _extend(edge: dict, k: int, step: int, tuples: np.ndarray) -> int:
     return total
 
 
-def _simplex_brute(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> int:
+def _simplex_brute(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) -> int:
     n = pts.shape[0]
     if n < k + 1:
         return 0
@@ -488,9 +491,10 @@ def _simplex_brute(pts: np.ndarray, k: int, tmat: np.ndarray, delta: float) -> i
     if k > 3:
         raise ValueError("the brute simplex oracle covers k <= 3")
     D = _pair_distance_matrix(pts)
+    target = dict(zip(pair_order(k), t))
 
     def mask(i, j):
-        m = np.abs(D - tmat[i, j]) <= delta
+        m = np.abs(D - target[i, j]) <= delta
         np.fill_diagonal(m, False)
         return m.astype(float)
 
@@ -833,8 +837,7 @@ def _angle_values(tuples: np.ndarray) -> np.ndarray:
 FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="simplex", fixed_k=None, targets=lambda k: len(pair_order(k)),
            t_ok=lambda x: x > 0, t_domain="positive", zero_delta=False,
-           config_map=_simplex_values, scale=lambda d: 1.0, fast=_simplex_band,
-           brute=lambda pts, k, t, delta: _simplex_brute(pts, k, _target_matrix(k, t), delta),
+           config_map=_simplex_values, scale=lambda d: 1.0, fast=_simplex_band, brute=_simplex_brute,
            threshold=lambda k, d: d - Fraction(d - 1, 2 * k), counter_args=("k", "t", "delta")),
     Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
@@ -899,30 +902,39 @@ def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:
 def distinct_classes(ps: PointSet, k: int, delta: float) -> int:
     """Number of delta-distinct congruence classes of (k+1)-point subsets.
 
-    Each unordered subset is canonicalized to the lexicographically minimal
-    pairwise-distance vector over all (k+1)! vertex relabelings, after
-    quantization to the grid delta*Z; classes are distinct canonical vectors.
-    Distance vectors cannot see orientation, so mirror images are congruent.
+    A subset's key is the simplex map (`_simplex_values`) of the subset in
+    index order, divided by delta and rounded half to even onto Z (np.rint,
+    float64 keys, so no tiny delta overflows), one entry per pair of
+    pair_order(k).  Its class is the lexicographic minimum of that key over
+    the (k+1)! relabelings of `_orders`: ordering o reads pair (i, j) from
+    the key's entry of the pair {o_i, o_j}.  Classes are the distinct
+    minima.  Distance vectors cannot see orientation, so mirror images are
+    congruent.  delta must be finite and positive, and the C(n, k+1) (k+1)!
+    tuples keyed pass `_enumeration_budget` (n^(k+1)) before any value.  The
+    subsets come in the chunks of `_subsets`, so memory follows one chunk in
+    all its orderings (at most BLOCK_ENTRIES key rows) plus the classes; no
+    n x n distance matrix is built.
     """
     if not (1 <= k <= 4):
         raise ValueError("canonicalization supports 1 <= k <= 4")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    n = ps.n
-    if n < k + 1:
+    FAMILIES["simplex"].check_delta(delta)
+    if ps.n < k + 1:
         return 0
-    pairs = pair_order(k)
-    pair_idx = {p: a for a, p in enumerate(pairs)}
-    mappings = []
-    for sigma in itertools.permutations(range(k + 1)):
-        mappings.append(
-            tuple(pair_idx[tuple(sorted((sigma[i], sigma[j])))] for i, j in pairs)
-        )
-    D = _pair_distance_matrix(ps.points)
+    _enumeration_budget(ps.n, k + 1)
+    i, j = np.array(pair_order(k)).T
+    slot = np.zeros((k + 1, k + 1), np.intp)
+    slot[i, j] = slot[j, i] = np.arange(i.size)
+    orders = _orders(k + 1)
+    gather = slot[orders[:, i], orders[:, j]]  # (orderings, pairs): the key entry each ordering reads
     classes = set()
-    for comb in itertools.combinations(range(n), k + 1):
-        q = tuple(int(round(D[comb[i], comb[j]] / delta)) for i, j in pairs)
-        classes.add(min(tuple(q[m] for m in mapping) for mapping in mappings))
+    for chunk in _subsets(ps.n, k + 1):
+        keys = np.rint(_simplex_values(ps.points[chunk]) / delta)[:, gather]
+        least = np.ones(keys.shape[:2], bool)  # the orderings equal to the minimum so far
+        for p in range(i.size):
+            col = np.where(least, keys[:, :, p], np.inf)
+            least &= col == col.min(axis=1, keepdims=True)
+        canon = keys[np.arange(len(keys)), least.argmax(axis=1)]  # each subset's first least ordering
+        classes.update(map(tuple, canon.tolist()))
     return len(classes)
 
 

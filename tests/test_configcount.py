@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import operator
 import tracemalloc
 import weakref
 from collections import Counter
@@ -30,7 +31,7 @@ from configeo.configcount import (
     _simplex_values,
 )
 from configeo.errors import CapacityError
-from configeo.pointgen import PointSet, gen_coplanar, gen_lattice, gen_random
+from configeo.pointgen import PointSet, gen_coplanar, gen_homogeneous, gen_lattice, gen_random
 
 SQUARE = PointSet(dim=2, points=[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 EQUILATERAL = PointSet(dim=2, points=[[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
@@ -936,7 +937,92 @@ def test_phi_budget_refuses_before_the_first_evaluation(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# exact invariances: relabeling and halving
+
+
+def _relabeled(pts: np.ndarray) -> list[np.ndarray]:
+    """pts under two seeded permutations of its points."""
+    return [pts[np.random.default_rng(seed).permutation(len(pts))] for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("family,ps,t,delta,want", [
+    ("volume", gen_homogeneous(2, 20, seed=0), (0.1,), 0.005, 2_160_384),
+    ("volume", gen_homogeneous(3, 5, seed=0), (0.02,), 0.002, 8_700_072),
+    ("area2", gen_homogeneous(3, 7, seed=0), (0.1,), 0.005, 828_054),
+    ("angle", gen_homogeneous(2, 20, seed=0), (1.0,), 0.01, 549_074),
+    ("simplex", gen_random(2, 2000, seed=0), (0.844, 0.281, 0.603), 2000 ** -0.5, 2_103_645),
+    ("volume", gen_lattice(2, 9), (1 / 64,), 0.0, 22_752),  # lattice ties at delta = 0
+    ("area2", gen_lattice(3, 5), (1 / 8,), 0.0, 38_160),
+], ids=["volume-d2", "volume-d3", "area2", "angle", "simplex", "volume-lattice", "area2-lattice"])
+def test_fast_counts_are_invariant_under_relabeling_and_halving(family, ps, t, delta, want):
+    # past the oracle's budget: the oracle counts ordered tuples, so a permutation of the
+    # points leaves every count alone, though it moves the kernels' apexes, row tables,
+    # band splits and rechecks; halving the coordinates scales every value by 2^(-j) exactly
+    row, k = configcount.FAMILIES[family], _k(family, ps.points)
+    scale = 2.0 ** -{"simplex": 1, "volume": ps.dim, "area2": 2, "angle": 0}[family]
+    counts = [row.fast(pts, k, t, delta) for pts in (ps.points, *_relabeled(ps.points))]
+    counts.append(row.fast(ps.points * 0.5, k, tuple(x * scale for x in t), delta * scale))
+    assert counts == [want] * 4
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_classes_are_invariant_under_relabeling_and_halving(k):
+    # at delta = 1/3 the lattice distances 1/6, 1/2 and 5/6 are 0.5, 1.5 and 2.5 times delta,
+    # up to rounding
+    pts, delta = gen_lattice(2, 7).points, 1 / 3
+    counts = [distinct_classes(PointSet(dim=2, points=p), k, delta) for p in (pts, *_relabeled(pts))]
+    counts.append(distinct_classes(PointSet(dim=2, points=pts * 0.5), k, delta * 0.5))
+    assert counts == [counts[0]] * 4 and counts[0] > 1
+
+
+# ---------------------------------------------------------------------------
 # congruence classes
+
+
+def classes_reference(ps, k, delta):
+    """Literal class count: each subset's distances, by `_pair_distance_matrix`,
+    divided by delta and rounded by round (half to even), minimized over every
+    relabeling of its vertices in a Python loop."""
+    pairs = pair_order(k)
+    pair_idx = {p: a for a, p in enumerate(pairs)}
+    relabelings = [operator.itemgetter(*(pair_idx[tuple(sorted((sigma[i], sigma[j])))] for i, j in pairs))
+                   for sigma in itertools.permutations(range(k + 1))]
+    dist = _pair_distance_matrix(ps.points).tolist()
+    classes = set()
+    for comb in itertools.combinations(range(ps.n), k + 1):
+        key = [round(dist[comb[i]][comb[j]] / delta) for i, j in pairs]
+        classes.add(min(relabel(key) for relabel in relabelings))
+    return len(classes)
+
+
+@pytest.mark.parametrize("ps,k,delta", [
+    *[(gen_random(2, 40, seed=seed), k, 0.05) for seed in range(3) for k in (1, 2, 3)],
+    # spacing 1/8: the distances 1/8, 3/8 and 5/8 are 0.5, 1.5 and 2.5 times delta
+    *[(gen_lattice(2, 9), k, 0.25) for k in (1, 2)],
+    (gen_random(3, 16, seed=4), 4, 0.05),
+    *[(gen_random(2, 20, seed=0), k, 1e-300) for k in (2, 3)],  # keys near 1e300, past any int64
+])
+def test_classes_match_the_reference(ps, k, delta):
+    assert distinct_classes(ps, k, delta) == classes_reference(ps, k, delta)
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan, -0.1])
+def test_classes_refuse_a_non_finite_or_non_positive_delta(delta):
+    with pytest.raises(ValueError, match="finite and positive"):
+        distinct_classes(SQUARE, 1, delta)
+
+
+def test_classes_check_the_enumeration_budget_before_any_value(monkeypatch):
+    calls = []
+    simplex_values = configcount._simplex_values
+    monkeypatch.setattr(configcount, "_simplex_values",
+                        lambda tuples: calls.append(len(tuples)) or simplex_values(tuples))
+    monkeypatch.setattr(configcount, "BRUTE_EVAL_BUDGET", 10**3)
+    with pytest.raises(CapacityError):
+        distinct_classes(gen_random(2, 11, seed=0), 2, 0.05)
+    assert calls == []
+    ps = gen_random(2, 10, seed=0)  # 10^3 tuples: exactly at the budget
+    assert distinct_classes(ps, 2, 0.05) == classes_reference(ps, 2, 0.05) and sum(calls) == math.comb(10, 3)
 
 
 def test_classes_equilateral():

@@ -91,15 +91,24 @@ def test_the_scan_finds_custom_mentions():
     assert _custom_mentions(tree) == {"<module>", "f ==", "f", "C =="}
 
 
+def _called_name(func: ast.expr) -> str | None:
+    """The name a call reads its callee by: 'f' for f(...), 'm.f' for m.f(...)."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return None
+
+
 def _callers(tree: ast.Module, names: set[str]) -> dict[str, set[str]]:
     """For each of names, the top-level functions or classes of tree, or
-    '<module>', that call it by its bare name."""
+    '<module>', that call it by that name, bare or as 'module.name'."""
     found = {name: set() for name in names}
     for top in tree.body:
         where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names:
-                found[node.func.id].add(where)
+            if isinstance(node, ast.Call) and _called_name(node.func) in names:
+                found[_called_name(node.func)].add(where)
     return found
 
 
@@ -115,13 +124,30 @@ def test_one_set_kernel_splits_and_rechecks():
 def test_one_volume_rule_and_one_budget_check():
     # the volume map and the kernel's normals take every determinant from _minors, at
     # every d, with no LU; every exhaustive count takes its orderings from one table,
-    # accepts by one closed rule and checks one enumeration budget
+    # accepts by one closed rule and checks one enumeration budget; the class count
+    # takes its relabelings from that table and checks that budget too
     path = next(p for p in SOURCES if p.name == "configcount.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _callers(tree, {"_minors", "_orders", "_accepted", "_enumeration_budget"}) == {
-        "_minors": {"_volume_views", "_volume_values"}, "_orders": {"_oracle", "_set_kernel"},
-        "_accepted": {"_oracle", "_recheck"}, "_enumeration_budget": {"_oracle", "_set_kernel", "_simplex_brute"}}
+        "_minors": {"_volume_views", "_volume_values"},
+        "_orders": {"_oracle", "_set_kernel", "distinct_classes"},
+        "_accepted": {"_oracle", "_recheck"},
+        "_enumeration_budget": {"_oracle", "_set_kernel", "_simplex_brute", "distinct_classes"}}
     assert [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "det"] == []
+
+
+def test_one_subset_stream_and_one_permutation_table():
+    # the oracle and the class count take their subsets from one chunked stream and
+    # their orderings from _orders alone; the n x n distance matrix is the simplex
+    # oracle's only; the other combinations are of columns, in _minors and the
+    # volume views' row table
+    path = next(p for p in SOURCES if p.name == "configcount.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _callers(tree, {"_subsets", "_pair_distance_matrix", "itertools.permutations",
+                           "itertools.combinations"}) == {
+        "_subsets": {"_oracle", "distinct_classes"}, "_pair_distance_matrix": {"_simplex_brute"},
+        "itertools.permutations": {"_orders"},
+        "itertools.combinations": {"_subsets", "_minors", "_volume_views"}}
 
 
 def test_one_blocked_distance_kernel():
@@ -134,8 +160,9 @@ def test_one_blocked_distance_kernel():
 
 def test_the_scan_finds_callers():
     tree = ast.parse("def f(x):\n    def g():\n        return h(x)\n    return g\n"
-                     "class C:\n    y = h(1) + k(2)\nz = h(0)\nm.h(3)\n")
-    assert _callers(tree, {"h", "k", "q"}) == {"h": {"f", "C", "<module>"}, "k": {"C"}, "q": set()}
+                     "class C:\n    y = h(1) + k(2)\nz = h(0)\nm.h(3)\ndef e():\n    return a.m.h(4)\n")
+    assert _callers(tree, {"h", "k", "q", "m.h"}) == {"h": {"f", "C", "<module>"}, "k": {"C"}, "q": set(),
+                                                      "m.h": {"<module>"}}
 
 
 def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
