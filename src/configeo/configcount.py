@@ -33,11 +33,13 @@ exactly.  The simplex fast path counts labelled homomorphisms of
 K_{k+1} into the band graphs A_ij = [|D - t_ij| <= delta].  D comes in row
 blocks of BLOCK_ENTRIES // n anchors from `_distance_blocks`, which adds the
 squared coordinate differences in coordinate order, as the map and the
-oracle do, so all three agree bit for bit.  Each distinct target gets one
-packed bit row per point, ceil(n/64) uint64 words, whose clear diagonal
-enforces distinct indices; the rows are refused before any distance when
-they would take more than 4 * SIMPLEX_BAND_NNZ_BUDGET bytes, and during the
-build as soon as their projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.
+oracle do, so all three agree bit for bit.  Each block runs under a small
+ufunc buffer, which keeps numpy off its slow buffered broadcast on narrow
+blocks.  Each distinct target gets one packed bit row per point, ceil(n/64)
+uint64 words, whose clear diagonal enforces distinct indices; the rows are
+refused before any distance when they would take more than 4 *
+SIMPLEX_BAND_NNZ_BUDGET bytes, and during the build as soon as their
+projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.
 The count extends chunks of partial tuples one slot at a time: slot j's
 candidates are the AND of the rows of A_ij at x_i over i < j, unpacked into
 the next chunk for an inner slot and summed by popcount for the last.
@@ -82,6 +84,7 @@ DEGENERATE_APEX_TOL = 1e-12
 _VOLUME_MARGIN_C = 32  # rounding margin constant of _volume_margin
 _AREA2_MARGIN_C = 8  # rounding margin constant of _area2_margin
 _ANGLE_MARGIN_C = 16  # rounding margin constant of _angle_margin
+_BLOCK_BUFSIZE = 256  # ufunc buffer size inside a distance block (see _distance_blocks)
 
 VOLUME_CONVENTIONS = ("bare_determinant", "simplex")
 
@@ -404,7 +407,16 @@ def _distance_blocks(pts: np.ndarray, upper: bool = False):
     scratch a free buffer of its shape.  col is 0, or start + 1 when upper,
     whose blocks cover the rows 0..n-2.  Each distance adds the squared
     coordinate differences in place, in coordinate order.  Both arrays are
-    views of two buffers that the next block reuses."""
+    views of two buffers that the next block reuses.
+
+    numpy buffers the broadcast anchor column of the subtract when a block
+    is narrower than about a third of its ufunc buffer (2730 columns at the
+    default 8192 elements), 3-4x slower than the plain loop and with a
+    ~129 KB transient per call, so each block runs under a small buffer,
+    `_BLOCK_BUFSIZE`.  numpy keeps the buffer size in the errstate context,
+    which a generator shares with its consumer, so the caller's size is
+    restored before each yield.  Every operation is elementwise, so the
+    distances keep their bits."""
     n, d = pts.shape
     last = n - 1 if upper else n
     rows = max(1, min(last, BLOCK_ENTRIES // n))
@@ -414,12 +426,15 @@ def _distance_blocks(pts: np.ndarray, upper: bool = False):
         stop, col = min(start + rows, last), start + 1 if upper else 0
         shape = (stop - start, n - col)
         dist, diff = (buf[:shape[0] * shape[1]].reshape(shape) for buf in (dist_buf, scratch_buf))
-        np.subtract(coords[0, col:], coords[0, start:stop, None], out=dist)
-        np.multiply(dist, dist, out=dist)
-        for c in range(1, d):
-            np.subtract(coords[c, col:], coords[c, start:stop, None], out=diff)
-            dist += np.multiply(diff, diff, out=diff)
-        yield start, np.sqrt(dist, out=dist), diff
+        with np.errstate():
+            np.setbufsize(_BLOCK_BUFSIZE)
+            np.subtract(coords[0, col:], coords[0, start:stop, None], out=dist)
+            np.multiply(dist, dist, out=dist)
+            for c in range(1, d):
+                np.subtract(coords[c, col:], coords[c, start:stop, None], out=diff)
+                dist += np.multiply(diff, diff, out=diff)
+            np.sqrt(dist, out=dist)
+        yield start, dist, diff
 
 
 def _band_rows(pts: np.ndarray, values: list[float], delta: float) -> np.ndarray:
@@ -468,7 +483,9 @@ def _extend(edge: dict, k: int, step: int, tuples: np.ndarray) -> int:
     band rows edge[i, j][x_i] over i < j.  An inner slot unpacks them, step
     rows (at most BLOCK_ENTRIES bits) at a time, into the next chunk;
     the last slot sums their bits.  Clear diagonals keep the indices
-    distinct."""
+    distinct.  The pairs (row, candidate) of an unpacked block come from one
+    flat `flatnonzero` in row-major order, which is several times faster than
+    a 2-D nonzero."""
     j = tuples.shape[1]
     cand = edge[0, j][tuples[:, 0]]
     for i in range(1, j):
@@ -478,7 +495,7 @@ def _extend(edge: dict, k: int, step: int, tuples: np.ndarray) -> int:
     total = 0
     for s in range(0, len(tuples), step):
         bits = np.unpackbits(cand[s:s + step].view(np.uint8), axis=1, bitorder="little")
-        rows, cols = np.nonzero(bits)
+        rows, cols = np.divmod(np.flatnonzero(bits.view(bool)), bits.shape[1])
         total += _extend(edge, k, step, np.column_stack([tuples[s + rows], cols]))
     return total
 

@@ -263,6 +263,29 @@ def test_distance_rows_bit_identical_to_oracle(monkeypatch, d):
     assert starts == list(range(0, 49, 7))
 
 
+@pytest.mark.parametrize("upper", [False, True])
+def test_distance_blocks_leave_the_callers_ufunc_buffer(upper):
+    # the blocks run under a small buffer of their own, but numpy keeps the
+    # buffer size in the errstate context that a generator shares with its
+    # consumer: each block is yielded, and the stream closed, at the caller's
+    pts = gen_random(2, 1000, seed=38).points  # 65 rows per block, 16 blocks
+    default = np.getbufsize()
+
+    def seen(blocks):
+        return [np.getbufsize() for _ in blocks]
+
+    assert set(seen(_distance_blocks(pts, upper=upper))) == {default}
+    with np.errstate():
+        np.setbufsize(4096)
+        sizes = seen(_distance_blocks(pts, upper=upper))
+        assert len(sizes) > 10 and set(sizes) == {4096}
+        blocks = _distance_blocks(pts, upper=upper)
+        assert [np.getbufsize() for _ in zip(range(3), blocks)] == [4096] * 3
+        blocks.close()
+        assert np.getbufsize() == 4096
+    assert np.getbufsize() == default
+
+
 def _coordinate_order_distances(diff: np.ndarray) -> np.ndarray:
     """sqrt of the squared differences added one coordinate after the other."""
     total = diff[..., 0] * diff[..., 0]

@@ -158,6 +158,17 @@ def test_one_blocked_distance_kernel():
     assert callers == {"configcount._band_rows", "energy.discrete_energy"}
 
 
+def test_only_the_distance_blocks_set_the_ufunc_buffer():
+    # the small ufunc buffer is scoped to each distance block, and nothing else
+    # changes the buffer or the error state
+    names = {"np.setbufsize", "np.errstate"}
+    found = {name: set() for name in names}
+    for p in SOURCES:
+        for name, where in _callers(ast.parse(p.read_text(), filename=str(p)), names).items():
+            found[name] |= {f"{p.stem}.{w}" for w in where}
+    assert found == {name: {"configcount._distance_blocks"} for name in names}
+
+
 def test_the_scan_finds_callers():
     tree = ast.parse("def f(x):\n    def g():\n        return h(x)\n    return g\n"
                      "class C:\n    y = h(1) + k(2)\nz = h(0)\nm.h(3)\ndef e():\n    return a.m.h(4)\n")
