@@ -12,8 +12,10 @@ GENERATORS or _MEASURE_KEYS), and --a-b sets key a_b; _FLAG_NAMES holds the
 flags named otherwise.  The parse function asks the typed getters for every
 key the command reads, and `run` then refuses every key present in the
 configuration that the command did not ask for: an unread key is a usage
-error, checked before any kernel runs and before any file is written.  The
-manifest therefore lists only keys the command read.
+error, checked before any kernel runs and before any file is written.  That
+is the one rule by which a key is refused, a key no command reads any more
+or a scan's generator size or seed among them.  The manifest therefore
+lists only keys the command read.
 
 A command's job hands values to one report writer and formats none itself:
 `_fmt` renders a value, `_csv` writes a CSV report and `_text` a `key = value`
@@ -66,14 +68,6 @@ ALGORITHMS = ("brute", "pruned")
 
 class UsageError(Exception):
     """Bad flags or config contents; maps to exit code 2."""
-
-
-# (section, key) of config keys that no longer exist -> why; naming one is a usage error
-_REMOVED_KEYS = {
-    ("", "threads"): "Monte Carlo draws one seeded stream",
-    ("ft", "envelope"): "decay fits always run on the envelope of local maxima",
-    ("generator", "input"): "name the point-set file with the top-level input key or --input",
-}
 
 
 @dataclass
@@ -241,9 +235,6 @@ def parse_config(argv=None) -> ExperimentConfig:
             raise UsageError(f"{ENV_SEED}: expected integer, got {os.environ[ENV_SEED]!r}") from None
     cfg.seed = seed
 
-    for (section, key), why in _REMOVED_KEYS.items():
-        if key in sections.get(section, {}):
-            raise UsageError(f"config key {_name(section, key)} was removed: {why}")
     cfg.out_dir = Path(ns.out or _get(cfg, "", "out", "reports"))
     # resolved here for every command, so every command reads them
     resolved = {"command": cfg.command, "seed": str(cfg.seed), "out": str(cfg.out_dir)}
@@ -337,22 +328,18 @@ _GENERATOR_KEYS = ("kind",) + tuple(dict.fromkeys(
 
 def _generator_spec(cfg: ExperimentConfig, sized: bool) -> GeneratorSpec:
     """The [generator] section as the parameters its kind's row reads, each
-    keyed by its name lower-cased; unsized, a scan template without the size
-    and seed that the scan sets per step."""
+    keyed by its name lower-cased; unsized, a scan template that reads no size
+    and no seed, since the scan sets both per step."""
     kind = _get(cfg, "generator", "kind", required=True)
     params = {"d": _get_int(cfg, "generator", "d", required=True)}
     if kind not in GENERATORS:
         raise UsageError(f"unknown generator kind {kind!r}")
     row = GENERATORS[kind]
     for name in row.params[1:]:
-        key = name.lower()
         if not sized and name in (row.size, "seed"):
-            if key in cfg.sections["generator"]:
-                raise UsageError(f"field [generator] {key}: scans set each step's size and seed; "
-                                 "drop this key")
             continue
         get = _get_float if name in row.extras else _get_int
-        value = get(cfg, "generator", key, required=name == row.size)
+        value = get(cfg, "generator", name.lower(), required=name == row.size)
         if value is not None:
             params[name] = value
     if sized and row.seeded:

@@ -21,8 +21,9 @@ arity - len(t)/s with arity = k+1.
   area2    k = 2      sqrt(det Gram(x^1-x^3, x^2-x^3))      t >= 0        s0 = d/2 + 1/4
   angle    k = 2      angle(x^2-x^1, x^3-x^1)               t in [0, pi]  s0 = (d+1)/2
 
-The ``simplex`` convention divides volume and area2 by d! and 2 (the row's
-scale).  A custom query is a row too, built by `family_row` from its
+The ``simplex`` convention divides a volume or area2 value by k! (d! and 2),
+the row's scale; a row with no scale (simplex, angle, custom) takes no
+convention.  A custom query is a row too, built by `family_row` from its
 PhiFunction (`_phi_row`), with no threshold s0.
 
 One map per row defines the family: config_map takes a batch of tuples and
@@ -106,7 +107,7 @@ class Family:
     t_domain: str
     zero_delta: bool  # whether the closed band of width 0 is a query
     config_map: Callable[[np.ndarray], np.ndarray]  # (m, k+1, d) tuples -> (m, len(t)) bare values
-    scale: Callable[[int], float]  # bare value of a unit simplex-convention value, in R^d
+    scale: Callable[[int], float] | None  # k -> bare value of a unit simplex value; None: takes no convention
     fast: Callable[..., int]
     brute: Callable[..., int]
     threshold: Callable[[int, int], Fraction] | None  # s0(k, d); None: unknown (a custom map)
@@ -123,7 +124,7 @@ class Family:
     def check_convention(self, convention: str) -> None:
         if convention not in VOLUME_CONVENTIONS:
             raise ValueError(f"unknown volume convention {convention!r}")
-        if convention != "bare_determinant" and "volume_convention" not in self.counter_args:
+        if convention != "bare_determinant" and self.scale is None:
             raise ValueError(f"{self.name} counts take no volume convention, got {convention!r}")
 
     def check_target(self, k: int, t: tuple[float, ...]) -> None:
@@ -137,10 +138,10 @@ class Family:
             raise ValueError(f"delta must be finite and {'nonnegative' if self.zero_delta else 'positive'}, "
                              f"got {delta}")
 
-    def convention_scale(self, d: int, convention: str) -> float:
-        """The bare value, in R^d, of a value 1 in the convention: the row's
-        scale under simplex, else 1."""
-        return self.scale(d) if convention == "simplex" else 1.0
+    def convention_scale(self, k: int, convention: str) -> float:
+        """The bare value of a (k+1)-point value 1 in the convention: the
+        row's scale under simplex, else 1."""
+        return self.scale(k) if convention == "simplex" else 1.0
 
 
 def family_row(family: str, phi: PhiFunction | None = None) -> Family:
@@ -224,17 +225,19 @@ class BoxDimReport:
 # shared low-level pieces
 
 
+def _pair_distance_rows(pts: np.ndarray):
+    """The distances from each point in turn to all n, one row at a time:
+    pts - the point, the squared differences added in coordinate order,
+    sqrt.  `_distance_blocks` keeps the same rule, so the band-graph counter
+    and the energy see these values bit for bit."""
+    for anchor in pts:
+        diff = pts - anchor
+        yield np.sqrt(sum(diff[:, c] * diff[:, c] for c in range(pts.shape[1])))
+
+
 def _pair_distance_matrix(pts: np.ndarray) -> np.ndarray:
-    """All pair distances, one row at a time: other - pts[i], the squared
-    differences added in coordinate order, sqrt.  `_distance_blocks` keeps
-    the same rule, so the band-graph counter and the energy see these values
-    bit for bit."""
-    n, d = pts.shape
-    out = np.empty((n, n))
-    for i in range(n):
-        diff = pts - pts[i]
-        out[i] = np.sqrt(sum(diff[:, c] * diff[:, c] for c in range(d)))
-    return out
+    """All pair distances: the rows of `_pair_distance_rows`, stacked."""
+    return np.fromiter(_pair_distance_rows(pts), np.dtype((float, len(pts))), len(pts))
 
 
 def _band_split(vals: np.ndarray, last: np.ndarray, col: int, inner, outer):
@@ -374,7 +377,7 @@ def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
     kernels = {"pruned": row.fast, "brute": row.brute}
     if algorithm not in kernels:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    scale = row.convention_scale(ps.dim, query.volume_convention)
+    scale = row.convention_scale(query.k, query.volume_convention)
     t = tuple(x * scale for x in query.t)
     start = time.perf_counter()
     count = kernels[algorithm](ps.points, query.k, t, query.delta * scale)
@@ -507,6 +510,9 @@ def _simplex_brute(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) 
     _enumeration_budget(n, k + 1)
     if k > 3:
         raise ValueError("the brute simplex oracle covers k <= 3")
+    if k == 1:  # row by row; the n diagonal entries |0 - t| = t are in the band when t <= delta
+        rows = _pair_distance_rows(pts)
+        return sum(int(np.count_nonzero(np.abs(row - t[0]) <= delta)) for row in rows) - n * (t[0] <= delta)
     D = _pair_distance_matrix(pts)
     target = dict(zip(pair_order(k), t))
 
@@ -515,8 +521,6 @@ def _simplex_brute(pts: np.ndarray, k: int, t: tuple[float, ...], delta: float) 
         np.fill_diagonal(m, False)
         return m.astype(float)
 
-    if k == 1:
-        return int(round(mask(0, 1).sum()))
     if k == 2:
         m01, m02, m12 = mask(0, 1), mask(0, 2), mask(1, 2)
         # sum_{a,b,c} m01[a,b] m02[a,c] m12[b,c]  (exhaustive sum-product)
@@ -821,18 +825,19 @@ def _angle_margin(d: int) -> float:
     return _ANGLE_MARGIN_C * (d + 2) * np.finfo(float).eps
 
 
-def _angle_band(theta0: float, delta: float, w: float):
-    """The cosine bands of `_band_split` for |angle - theta0| <= delta, each
-    end moved by w: (cos(theta0 + delta) + w, cos(theta0 - delta) - w) inside
-    and [cos(theta0 + delta) - w, cos(theta0 - delta) + w] outside, with the
+def _angle_bands(pts: np.ndarray, t: float, delta: float):
+    """The cosine bands of `_band_split` for |angle - t| <= delta, each end
+    moved by the `_angle_margin` w: (cos(t + delta) + w, cos(t - delta) - w)
+    inside and [cos(t + delta) - w, cos(t - delta) + w] outside, with the
     angles clamped to [0, pi].  An inner end opens to -+inf when the oracle
-    accepts every angle past it: theta0 <= delta passes the angle 0, and
-    math.pi - theta0 <= delta passes math.pi, the largest np.arccos value;
-    its test is monotone in the angle on each side of theta0.  An outer end
-    past -+1 opens too, as the oracle clips every cosine into [-1, 1]."""
-    c_lo, c_hi = math.cos(min(theta0 + delta, math.pi)), math.cos(max(theta0 - delta, 0.0))
-    inner = (-np.inf if math.pi - theta0 <= delta else c_lo + w,
-             np.inf if theta0 <= delta else c_hi - w)
+    accepts every angle past it: t <= delta passes the angle 0, and
+    math.pi - t <= delta passes math.pi, the largest np.arccos value; its
+    test is monotone in the angle on each side of t.  An outer end past -+1
+    opens too, as the oracle clips every cosine into [-1, 1]."""
+    w = _angle_margin(pts.shape[1])
+    c_lo, c_hi = math.cos(min(t + delta, math.pi)), math.cos(max(t - delta, 0.0))
+    inner = (-np.inf if math.pi - t <= delta else c_lo + w,
+             np.inf if t <= delta else c_hi - w)
     outer = (-np.inf if c_lo - w <= -1.0 else c_lo - w, np.inf if c_hi + w >= 1.0 else c_hi + w)
     return inner, outer
 
@@ -854,7 +859,7 @@ def _angle_values(tuples: np.ndarray) -> np.ndarray:
 FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="simplex", fixed_k=None, targets=lambda k: len(pair_order(k)),
            t_ok=lambda x: x > 0, t_domain="positive", zero_delta=False,
-           config_map=_simplex_values, scale=lambda d: 1.0, fast=_simplex_band, brute=_simplex_brute,
+           config_map=_simplex_values, scale=None, fast=_simplex_band, brute=_simplex_brute,
            threshold=lambda k, d: d - Fraction(d - 1, 2 * k), counter_args=("k", "t", "delta")),
     Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
@@ -864,17 +869,15 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
            counter_args=("t", "delta", "volume_convention")),
     Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
-           config_map=_area2_values, scale=lambda d: 2.0,
+           config_map=_area2_values, scale=math.factorial,
            fast=_set_kernel(_area2_views, _area2_bands, _area2_values),
            brute=_oracle(_area2_values),
            threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4),
            counter_args=("t", "delta", "volume_convention")),
     Family(name="angle", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: 0.0 <= x <= math.pi, t_domain="in [0, pi]", zero_delta=False,
-           config_map=_angle_values, scale=lambda d: 1.0,
-           fast=_set_kernel(_angle_views,
-                            lambda pts, t, delta: _angle_band(t, delta, _angle_margin(pts.shape[1])),
-                            _angle_values, fixed=1),
+           config_map=_angle_values, scale=None,
+           fast=_set_kernel(_angle_views, _angle_bands, _angle_values, fixed=1),
            brute=_oracle(_angle_values),
            threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
 )}
@@ -886,7 +889,7 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
 
 def _phi_row(phi: PhiFunction) -> Family:
     """The row of a custom map: k = arity - 1, one target per output, any
-    finite target, scale 1 and no threshold.  Its map is the evaluator, which
+    finite target, no scale and no threshold.  Its map is the evaluator, which
     values an (m, arity, d) batch of tuples as an (m, output_dim) array, with
     that shape checked; its fast counter and its oracle are both `_oracle`
     of that map, which accepts by the named rows' closed rule."""
@@ -901,7 +904,7 @@ def _phi_row(phi: PhiFunction) -> Family:
     brute = _oracle(config_map)
     return Family(name="custom", fixed_k=lambda d: phi.arity - 1, targets=lambda k: phi.output_dim,
                   t_ok=math.isfinite, t_domain="real", zero_delta=False, config_map=config_map,
-                  scale=lambda d: 1.0, fast=brute, brute=brute, threshold=None, counter_args=(),
+                  scale=None, fast=brute, brute=brute, threshold=None, counter_args=(),
                   fixed_by=f"for a map of arity {phi.arity}")
 
 

@@ -153,7 +153,7 @@ def _sample_target(ps: PointSet, spec: ScanSpec) -> tuple[float, ...]:
         raise InfeasibleError("point set too small to realize a target configuration")
     pts = ps.points[rng.choice(ps.n, size=spec.k + 1, replace=False)]
     row = family_row(spec.family, spec.phi)
-    scale = row.convention_scale(ps.dim, spec.volume_convention)
+    scale = row.convention_scale(spec.k, spec.volume_convention)
     return tuple(float(value) / scale for value in row.config_map(pts[None])[0])
 
 

@@ -534,10 +534,9 @@ def decay_fit(
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Indices that dominate both neighbors (endpoints compare one side)."""
+    """Indices of at least 3 values that dominate both neighbors (endpoints
+    compare one side)."""
     n = values.size
-    if n < 3:
-        return np.arange(n)
     ge_left = np.empty(n, dtype=bool)
     ge_right = np.empty(n, dtype=bool)
     ge_left[0] = True

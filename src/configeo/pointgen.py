@@ -15,7 +15,9 @@ The text file format (UTF-8, LF newlines):
     # separation=<float>
     <coord_1> ... <coord_d>       (n rows, 17 significant digits, single spaces)
 
-Parsers reject dimension/count mismatches.
+The meta lines are the fields of PointSetMeta that are set, in field order.
+Parsers reject dimension/count mismatches, and a header n over
+DEFAULT_POINT_BUDGET before any row is read.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 # numpy loads numpy.random on first use; loading it with the package keeps
@@ -50,6 +52,12 @@ class PointSetMeta:
     seed: int | None = None
     nominal_dimension: float | None = None
     separation: float | None = None
+
+
+# PointSetMeta field -> the type of its value, in field order: the file
+# writes a float by format_float and reads each value back as its type
+_META_TYPES = {name: next(t for t in (*get_args(hint), hint) if t is not type(None))
+               for name, hint in get_type_hints(PointSetMeta).items()}
 
 
 @dataclass(frozen=True)
@@ -259,21 +267,18 @@ def generate(spec: GeneratorSpec) -> PointSet:
 def format_pointset(ps: PointSet) -> str:
     """Serialize to the text format (see module docstring)."""
     lines = [f"pointset v1 d={ps.dim} n={ps.n}"]
-    meta = ps.meta
-    lines.append(f"# generator={meta.generator}")
-    if meta.seed is not None:
-        lines.append(f"# seed={meta.seed}")
-    if meta.nominal_dimension is not None:
-        lines.append(f"# nominal_dimension={format_float(meta.nominal_dimension)}")
-    if meta.separation is not None:
-        lines.append(f"# separation={format_float(meta.separation)}")
+    for name, kind in _META_TYPES.items():
+        value = getattr(ps.meta, name)
+        if value is not None:
+            lines.append(f"# {name}={format_float(value) if kind is float else value}")
     for row in ps.points:
         lines.append(" ".join(format_float(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
 def parse_pointset(text: str) -> PointSet:
-    """Parse the text format; rejects dimension/count mismatches."""
+    """Parse the text format; rejects dimension/count mismatches, and a
+    header n over DEFAULT_POINT_BUDGET (CapacityError) before any row."""
     lines = text.splitlines()
     if not lines:
         raise ValueError("empty point-set file")
@@ -285,6 +290,7 @@ def parse_pointset(text: str) -> PointSet:
         n = int(_expect_kv(header[3], "n"))
     except ValueError as exc:
         raise ValueError(f"bad header line: {lines[0]!r}") from exc
+    _check_budget(n)
 
     meta_kv: dict[str, str] = {}
     rows: list[list[float]] = []
@@ -307,14 +313,8 @@ def parse_pointset(text: str) -> PointSet:
     if len(rows) != n:
         raise ValueError(f"expected {n} points, found {len(rows)}")
 
-    meta = PointSetMeta(
-        generator=meta_kv.get("generator", "unknown"),
-        seed=int(meta_kv["seed"]) if "seed" in meta_kv else None,
-        nominal_dimension=(
-            float(meta_kv["nominal_dimension"]) if "nominal_dimension" in meta_kv else None
-        ),
-        separation=float(meta_kv["separation"]) if "separation" in meta_kv else None,
-    )
+    meta = PointSetMeta(**{key: _META_TYPES[key](value) for key, value in meta_kv.items()
+                           if key in _META_TYPES})
     return PointSet(dim=d, points=np.array(rows, dtype=float), meta=meta)
 
 

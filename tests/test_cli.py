@@ -141,14 +141,18 @@ def test_scan_lattice_writes_csv_and_text(tmp_path):
 
 @pytest.mark.parametrize("key", ["m", "seed"])
 def test_scan_rejects_size_keys(tmp_path, capsys, key):
-    # scan step i is sized by the schedule and seeded with seed + i
+    # scan step i is sized by the schedule and seeded with seed + i, so the
+    # scan's generator template reads neither key and refuses it as unread
     cfg_path = _write(tmp_path, "scan.cfg", f"[generator]\nkind = homogeneous\nd = 2\n{key} = 10\n")
+    out = tmp_path / "out"
     code = main(
         ["scan", "--config", str(cfg_path), "--family", "simplex", "--k", "1",
-         "--schedule", "100;400;1600", "--s", "2", "--out", str(tmp_path / "out")]
+         "--schedule", "100;400;1600", "--s", "2", "--out", str(out)]
     )
     assert code == 2
-    assert f"field [generator] {key}: scans set" in capsys.readouterr().err
+    assert (f"field [generator] {key}: scan does not read it (it reads [generator] keys: d, jitter, kind)"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_ft_sphere_decay(tmp_path, capsys):
@@ -679,22 +683,40 @@ def test_curvature_over_the_dimension_budget_exits_1(tmp_path, monkeypatch, caps
     assert built == [] and not out.exists()
 
 
-def test_threads_key_removed(tmp_path):
+def test_point_set_file_over_the_budget_exits_1(tmp_path, capsys):
+    # like an oversize generator: refused from the header, before any row is read
+    path = _write(tmp_path, "points.txt", "pointset v1 d=2 n=1000001\n0 0\n")
+    out = tmp_path / "out"
+    assert main(["dim", "--input", str(path), "--scales", "0.5;0.25;0.125", "--out", str(out)]) == 1
+    assert ("configeo: error: requested 1000001 points exceeds the budget of 1000000"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_threads_key_removed(tmp_path, capsys):
     cfg_path = _write(tmp_path, "count.cfg", "threads = 2\n" + COUNT_CFG)
-    with pytest.raises(UsageError, match="threads"):
-        parse_config(["run", "--config", str(cfg_path)])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert ("field threads: count does not read it (it reads top-level keys: algorithm, command, "
+            "input, out, seed)") in capsys.readouterr().err
+    assert not out.exists()
     with pytest.raises(SystemExit):
         parse_config(["count", "--threads", "2"])
 
 
 @pytest.mark.parametrize("body,name", [
-    ("command = ft\n[ft]\nkind = sphere\nd = 3\nenvelope = false\n", "[ft] envelope"),
-    ("command = dim\n[generator]\ninput = points.txt\n[dim]\nscales = 0.5;0.25;0.125\n", "[generator] input"),
+    ("command = ft\n[ft]\nkind = sphere\nd = 3\nenvelope = false\nrmin = 1\nrmax = 20\n", "[ft] envelope"),
+    # the [generator] section reopened after [dim]
+    ("command = dim\n[generator]\ninput = points.txt\n[dim]\nscales = 0.5;0.25;0.125\n"
+     "[generator]\nkind = lattice\nd = 2\nm = 4\n", "[generator] input"),
 ])
 def test_removed_config_keys(tmp_path, body, name):
-    cfg_path = _write(tmp_path, "removed.cfg", body)
-    with pytest.raises(UsageError, match=re.escape(f"config key {name} was removed")):
-        parse_config(["run", "--config", str(cfg_path)])
+    # a key no command reads any more is refused as unread, before the job runs
+    out = tmp_path / "out"
+    cfg = parse_config(["run", "--config", str(_write(tmp_path, "removed.cfg", body)), "--out", str(out)])
+    with pytest.raises(UsageError, match=re.escape(f"field {name}: {cfg.command} does not read it")):
+        run(cfg)
+    assert not out.exists()
 
 
 def test_envelope_flag_removed():

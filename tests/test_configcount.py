@@ -373,6 +373,22 @@ def test_simplex_band_rows_freed_when_the_count_returns(monkeypatch):
         gc.enable()
 
 
+@pytest.mark.parametrize("n,t,delta,want", [(2000, 0.5, 0.01, 111_144), (300, 0.01, 0.02, 264)])
+def test_simplex_pair_oracle_keeps_one_distance_row(n, t, delta, want):
+    # k = 1 counts row by row, with no n x n matrix (96 MB of distances and
+    # masks at n = 2000); at t <= delta the n diagonal entries |0 - t| = t are
+    # in the band and are taken back out
+    ps = gen_random(2, n, seed=0)
+    tracemalloc.start()
+    try:
+        got = count_simplex_brute(ps, 1, [t], delta).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == count_simplex(ps, 1, [t], delta).count == want
+    assert peak < 10**6
+
+
 def test_brute_budget_refusal():
     ps = gen_random(2, 1001, seed=18)
     with pytest.raises(CapacityError):

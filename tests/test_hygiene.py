@@ -63,6 +63,28 @@ def test_the_scan_finds_format_float_users():
     assert _format_float_users(tree) == {"import", "f", "C", "<module>"}
 
 
+def _attribute_readers(tree: ast.Module, attr: str) -> set[str]:
+    """The top-level functions or classes of tree, or '<module>', that read
+    the attribute attr of some object."""
+    return {top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)}
+
+
+def test_counter_args_serve_only_run_query():
+    # a row's counter_args rebuild the count_<family> call of run_query; whether
+    # a row takes a volume convention is whether it has a scale
+    found = {p.stem: _attribute_readers(ast.parse(p.read_text(), filename=str(p)), "counter_args")
+             for p in SOURCES}
+    assert {name: f for name, f in found.items() if f} == {"configcount": {"run_query"}}
+
+
+def test_the_scan_finds_attribute_readers():
+    tree = ast.parse("def f(r):\n    return r.a\nclass C:\n    def g(self):\n        self.a = 1\n"
+                     "        return self.b.a\nx = C().a\ny = {'a': 1}\ndef a():\n    pass\n")
+    assert _attribute_readers(tree, "a") == {"f", "C", "<module>"}
+
+
 def _custom_mentions(tree: ast.Module) -> set[str]:
     """Where tree holds the string "custom": the top-level function or class
     it is in, or '<module>', with ' ==' where a comparison reads it."""
@@ -139,13 +161,14 @@ def test_one_volume_rule_and_one_budget_check():
 def test_one_subset_stream_and_one_permutation_table():
     # the oracle and the class count take their subsets from one chunked stream and
     # their orderings from _orders alone; the n x n distance matrix is the simplex
-    # oracle's only; the other combinations are of columns, in _minors and the
-    # volume views' row table
+    # oracle's only, and stacks the rows its k = 1 count reads one at a time; the
+    # other combinations are of columns, in _minors and the volume views' row table
     path = next(p for p in SOURCES if p.name == "configcount.py")
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert _callers(tree, {"_subsets", "_pair_distance_matrix", "itertools.permutations",
-                           "itertools.combinations"}) == {
+    assert _callers(tree, {"_subsets", "_pair_distance_matrix", "_pair_distance_rows",
+                           "itertools.permutations", "itertools.combinations"}) == {
         "_subsets": {"_oracle", "distinct_classes"}, "_pair_distance_matrix": {"_simplex_brute"},
+        "_pair_distance_rows": {"_pair_distance_matrix", "_simplex_brute"},
         "itertools.permutations": {"_orders"},
         "itertools.combinations": {"_subsets", "_minors", "_volume_views"}}
 

@@ -204,6 +204,23 @@ def test_serialization_header_and_meta():
     assert text.endswith("\n") and "\r" not in text
 
 
+def test_serialization_meta_lines_pinned():
+    # between them the two sets carry all four meta fields, in field order
+    heads = {"cantor": "pointset v1 d=2 n=64\n# generator=cantor_product\n"
+                       "# nominal_dimension=1.1514332849868898\n# separation=0.062999999999999945\n",
+             "random": "pointset v1 d=3 n=50\n# generator=uniform_random\n# seed=4\n"
+                       "# nominal_dimension=3\n"}
+    for name, ps in {"cantor": gen_cantor(2, 0.3, 3), "random": gen_random(3, 50, 4)}.items():
+        text = format_pointset(ps)
+        assert text.startswith(heads[name]) and not text[len(heads[name]):].startswith("#")
+        assert parse_pointset(text).meta == ps.meta
+
+
+def test_parser_refuses_a_count_over_the_budget_before_any_row():
+    with pytest.raises(CapacityError, match="1000001 points exceeds the budget"):
+        parse_pointset(f"pointset v1 d=2 n={pointgen.DEFAULT_POINT_BUDGET + 1}\n0 0\n")
+
+
 def test_parser_rejects_mismatches():
     good = format_pointset(gen_lattice(2, 2))
     with pytest.raises(ValueError):
