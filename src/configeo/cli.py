@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .configcount import ConfigQuery, box_dim, family_row, run_query
+from .configcount import ALGORITHMS, ConfigQuery, box_dim, family_row, run_query
 from .energy import DEFAULT_ADAPTABILITY_C, _check_positive, energy_profile
 from .errors import CapacityError, ConfigeoError, InfeasibleError
 from .expfit import ScanSpec, run_scan
@@ -63,7 +63,6 @@ from .pointgen import (GENERATORS, GeneratorSpec, PointSet, format_float, format
                        generate, load_pointset)
 
 ENV_SEED = "CONFIGEO_SEED"
-ALGORITHMS = ("brute", "pruned")
 
 
 class UsageError(Exception):
@@ -402,10 +401,9 @@ def _family_k(cfg: ExperimentConfig, section: str, family: str, d: int) -> int:
 def _cmd_count(cfg: ExperimentConfig):
     ps = _load_points(cfg)
     family = _get(cfg, "query", "family", required=True)
-    convention = _get(cfg, "query", "convention", "bare_determinant")
     delta = _get_float(cfg, "query", "delta", required=True)
     t = _get_floats(cfg, "query", "t", required=True)
-    query = ConfigQuery(family, _family_k(cfg, "query", family, ps.dim), t, delta, convention)
+    query = ConfigQuery(family, _family_k(cfg, "query", family, ps.dim), t, delta)
     algorithm = _algorithm(cfg)
 
     def job():
@@ -439,7 +437,6 @@ def _cmd_scan(cfg: ExperimentConfig):
         predicted=_get_float(cfg, "scan", "predicted"),
         adaptability_C=_get_float(cfg, "scan", "c", DEFAULT_ADAPTABILITY_C),
         algorithm=_algorithm(cfg),
-        volume_convention=_get(cfg, "scan", "convention", "bare_determinant"),
     )
 
     def job():
@@ -652,10 +649,10 @@ COMMANDS = {
     "gen": Command("generator", _cmd_gen, "generate and save a point set", points=True),
     "energy": Command("energy", _cmd_energy, "discrete energy report", ("s", "s_grid", "c"),
                       points=True, input=True),
-    "count": Command("query", _cmd_count, "one counting run", ("family", "k", "t", "delta", "convention"),
+    "count": Command("query", _cmd_count, "one counting run", ("family", "k", "t", "delta"),
                      points=True, input=True, algorithm=True),
     "scan": Command("scan", _cmd_scan, "count-growth scan over n",
-                    ("family", "k", "schedule", "s", "t", "delta", "predicted", "c", "convention"),
+                    ("family", "k", "schedule", "s", "t", "delta", "predicted", "c"),
                     points=True, algorithm=True),
     "ft": Command("ft", _cmd_ft, "Fourier decay of a configuration measure",
                   ("kind", "direction", "rmin", "rmax", "nradii", "radii", "method", "epsilon",

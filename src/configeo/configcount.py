@@ -21,9 +21,9 @@ arity - len(t)/s with arity = k+1.
   area2    k = 2      sqrt(det Gram(x^1-x^3, x^2-x^3))      t >= 0        s0 = d/2 + 1/4
   angle    k = 2      angle(x^2-x^1, x^3-x^1)               t in [0, pi]  s0 = (d+1)/2
 
-The ``simplex`` convention divides a volume or area2 value by k! (d! and 2),
-the row's scale; a row with no scale (simplex, angle, custom) takes no
-convention.  A custom query is a row too, built by `family_row` from its
+Every value is the bare map's: a volume is the absolute determinant, not
+that value / d!, and an area2 value is the parallelogram's area, not the
+triangle's.  A custom query is a row too, built by `family_row` from its
 PhiFunction (`_phi_row`), with no threshold s0.
 
 One map per row defines the family: config_map takes a batch of tuples and
@@ -87,7 +87,7 @@ _AREA2_MARGIN_C = 8  # rounding margin constant of _area2_margin
 _ANGLE_MARGIN_C = 16  # rounding margin constant of _angle_margin
 _BLOCK_BUFSIZE = 256  # ufunc buffer size inside a distance block (see _distance_blocks)
 
-VOLUME_CONVENTIONS = ("bare_determinant", "simplex")
+ALGORITHMS = ("brute", "pruned")  # the oracle, the fast counter
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
@@ -107,7 +107,6 @@ class Family:
     t_domain: str
     zero_delta: bool  # whether the closed band of width 0 is a query
     config_map: Callable[[np.ndarray], np.ndarray]  # (m, k+1, d) tuples -> (m, len(t)) bare values
-    scale: Callable[[int], float] | None  # k -> bare value of a unit simplex value; None: takes no convention
     fast: Callable[..., int]
     brute: Callable[..., int]
     threshold: Callable[[int, int], Fraction] | None  # s0(k, d); None: unknown (a custom map)
@@ -121,12 +120,6 @@ class Family:
             raise ValueError(f"{self.name} family needs k = {self.fixed_k(d)} "
                              f"{self.fixed_by.format(d=d)}, got k={k}")
 
-    def check_convention(self, convention: str) -> None:
-        if convention not in VOLUME_CONVENTIONS:
-            raise ValueError(f"unknown volume convention {convention!r}")
-        if convention != "bare_determinant" and self.scale is None:
-            raise ValueError(f"{self.name} counts take no volume convention, got {convention!r}")
-
     def check_target(self, k: int, t: tuple[float, ...]) -> None:
         if len(t) != self.targets(k):
             raise ValueError(f"{self.name} target needs {self.targets(k)} entries, got {len(t)}")
@@ -137,11 +130,6 @@ class Family:
         if not (0 < delta < math.inf or delta == 0 and self.zero_delta):
             raise ValueError(f"delta must be finite and {'nonnegative' if self.zero_delta else 'positive'}, "
                              f"got {delta}")
-
-    def convention_scale(self, k: int, convention: str) -> float:
-        """The bare value of a (k+1)-point value 1 in the convention: the
-        row's scale under simplex, else 1."""
-        return self.scale(k) if convention == "simplex" else 1.0
 
 
 def family_row(family: str, phi: PhiFunction | None = None) -> Family:
@@ -166,7 +154,6 @@ class ConfigQuery:
     k: int
     t: tuple[float, ...]
     delta: float
-    volume_convention: str = "bare_determinant"
     phi: PhiFunction | None = None
 
     def __post_init__(self):
@@ -177,7 +164,6 @@ class ConfigQuery:
         if not all(map(math.isfinite, (*self.t, self.delta))):  # before the row: a custom query needs phi
             raise ValueError(f"t and delta must be finite, got t={self.t}, delta={self.delta}")
         row = family_row(self.family, self.phi)
-        row.check_convention(self.volume_convention)
         row.check_target(self.k, self.t)
         row.check_delta(self.delta)
 
@@ -370,17 +356,14 @@ def _dot_values(rows: np.ndarray, cols: np.ndarray, absolute: bool = False):
 
 def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
     """Check k against d, then count a family query with the row's fast
-    counter ("pruned") or its oracle ("brute").  The simplex convention is
-    the bare count over the rescaled target and tolerance."""
+    counter ("pruned") or its oracle ("brute")."""
     row = family_row(query.family, query.phi)
     row.check_k(query.k, ps.dim)
     kernels = {"pruned": row.fast, "brute": row.brute}
     if algorithm not in kernels:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    scale = row.convention_scale(query.k, query.volume_convention)
-    t = tuple(x * scale for x in query.t)
     start = time.perf_counter()
-    count = kernels[algorithm](ps.points, query.k, t, query.delta * scale)
+    count = kernels[algorithm](ps.points, query.k, query.t, query.delta)
     return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm,
                        elapsed_seconds=time.perf_counter() - start)
 
@@ -547,22 +530,17 @@ def _simplex_values(tuples: np.ndarray) -> np.ndarray:
 # volume family (d-dimensional simplex volumes, d+1 points)
 
 
-def count_volume(
-    ps: PointSet,
-    t: float,
-    delta: float,
-    convention: str = "bare_determinant",
-    algorithm: str = "pruned",
-) -> CountReport:
+def count_volume(ps: PointSet, t: float, delta: float, algorithm: str = "pruned") -> CountReport:
     """Ordered (d+1)-tuples of distinct points with
-    |vol_d(x^1,...,x^{d+1}) - t| <= delta, where vol_d is the absolute
-    determinant of the edge matrix at x^{d+1} (bare) or that value / d!.
+    |vol_d(x^1,...,x^{d+1}) - t| <= delta, where vol_d is the bare map's
+    value: the absolute determinant of the edge matrix at x^{d+1}, not that
+    value / d!.
 
     The (d+1)! orderings of a point set round differently, and the count is
     the oracle's, ordering by ordering.  The fast counter values each point
     set once, at every d, and re-values ordering by ordering only the sets
     within its rounding margin of the band's edges."""
-    return _count(ps, ConfigQuery("volume", ps.dim, t, delta, convention), algorithm)
+    return _count(ps, ConfigQuery("volume", ps.dim, t, delta), algorithm)
 
 
 def _minors(u: np.ndarray) -> dict:
@@ -656,22 +634,16 @@ def _volume_values(tuples: np.ndarray) -> np.ndarray:
 # area2 family (2-dimensional volumes in any ambient dimension, 3 points)
 
 
-def count_area2(
-    ps: PointSet,
-    t: float,
-    delta: float,
-    convention: str = "bare_determinant",
-    algorithm: str = "pruned",
-) -> CountReport:
-    """Ordered triples of distinct points with the parallelogram area
-    sqrt(det Gram(x^1-x^3, x^2-x^3)) within delta of t (bare), or the
-    triangle area (that value / 2) under the simplex convention.
+def count_area2(ps: PointSet, t: float, delta: float, algorithm: str = "pruned") -> CountReport:
+    """Ordered triples of distinct points with the bare map's value, the
+    parallelogram area sqrt(det Gram(x^1-x^3, x^2-x^3)), within delta of t;
+    the triangle area is that value / 2.
 
     The 6 orderings of a triple round differently, and the count is the
     oracle's, ordering by ordering.  The fast counter values each triple
     once, by its Gram determinant, and re-values ordering by ordering only
     the triples within its rounding margin of the band's edges."""
-    return _count(ps, ConfigQuery("area2", 2, t, delta, convention), algorithm)
+    return _count(ps, ConfigQuery("area2", 2, t, delta), algorithm)
 
 
 def _area2_views(pts: np.ndarray):
@@ -859,25 +831,23 @@ def _angle_values(tuples: np.ndarray) -> np.ndarray:
 FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="simplex", fixed_k=None, targets=lambda k: len(pair_order(k)),
            t_ok=lambda x: x > 0, t_domain="positive", zero_delta=False,
-           config_map=_simplex_values, scale=None, fast=_simplex_band, brute=_simplex_brute,
+           config_map=_simplex_values, fast=_simplex_band, brute=_simplex_brute,
            threshold=lambda k, d: d - Fraction(d - 1, 2 * k), counter_args=("k", "t", "delta")),
     Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
-           config_map=_volume_values, scale=math.factorial,
-           fast=_set_kernel(_volume_views, _volume_bands, _volume_values), brute=_oracle(_volume_values),
+           config_map=_volume_values, fast=_set_kernel(_volume_views, _volume_bands, _volume_values),
+           brute=_oracle(_volume_values),
            threshold=lambda k, d: d - 1 + Fraction(1, 2 * d if d % 2 == 0 else 2 * (d - 1)),
-           counter_args=("t", "delta", "volume_convention")),
+           counter_args=("t", "delta")),
     Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
-           config_map=_area2_values, scale=math.factorial,
-           fast=_set_kernel(_area2_views, _area2_bands, _area2_values),
+           config_map=_area2_values, fast=_set_kernel(_area2_views, _area2_bands, _area2_values),
            brute=_oracle(_area2_values),
            threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4),
-           counter_args=("t", "delta", "volume_convention")),
+           counter_args=("t", "delta")),
     Family(name="angle", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: 0.0 <= x <= math.pi, t_domain="in [0, pi]", zero_delta=False,
-           config_map=_angle_values, scale=None,
-           fast=_set_kernel(_angle_views, _angle_bands, _angle_values, fixed=1),
+           config_map=_angle_values, fast=_set_kernel(_angle_views, _angle_bands, _angle_values, fixed=1),
            brute=_oracle(_angle_values),
            threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
 )}
@@ -889,7 +859,7 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
 
 def _phi_row(phi: PhiFunction) -> Family:
     """The row of a custom map: k = arity - 1, one target per output, any
-    finite target, no scale and no threshold.  Its map is the evaluator, which
+    finite target and no threshold.  Its map is the evaluator, which
     values an (m, arity, d) batch of tuples as an (m, output_dim) array, with
     that shape checked; its fast counter and its oracle are both `_oracle`
     of that map, which accepts by the named rows' closed rule."""
@@ -904,7 +874,7 @@ def _phi_row(phi: PhiFunction) -> Family:
     brute = _oracle(config_map)
     return Family(name="custom", fixed_k=lambda d: phi.arity - 1, targets=lambda k: phi.output_dim,
                   t_ok=math.isfinite, t_domain="real", zero_delta=False, config_map=config_map,
-                  scale=None, fast=brute, brute=brute, threshold=None, counter_args=(),
+                  fast=brute, brute=brute, threshold=None, counter_args=(),
                   fixed_by=f"for a map of arity {phi.arity}")
 
 

@@ -21,7 +21,7 @@ from numbers import Rational
 import numpy as np
 
 from ._ols import ols_loglog
-from .configcount import ConfigQuery, CountReport, PhiFunction, family_row, run_query
+from .configcount import ALGORITHMS, ConfigQuery, CountReport, PhiFunction, family_row, run_query
 from .energy import DEFAULT_ADAPTABILITY_C, EnergyReport, _check_positive, is_adaptable
 from .errors import InfeasibleError
 from .pointgen import GENERATORS, GeneratorSpec, PointSet, generate
@@ -83,7 +83,6 @@ class ScanSpec:
     predicted: float | None = None
     adaptability_C: float = DEFAULT_ADAPTABILITY_C
     algorithm: str = "pruned"
-    volume_convention: str = "bare_determinant"
     phi: PhiFunction | None = None
 
     def __post_init__(self):
@@ -102,9 +101,10 @@ class ScanSpec:
         if self.s is not None:
             _check_positive("s", self.s)
         _check_positive("C", self.adaptability_C)
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         row = family_row(self.family, self.phi)
         row.check_k(self.k, d)  # before any generation
-        row.check_convention(self.volume_convention)
         if self.t is not None:  # each step's ConfigQuery checks them too
             row.check_target(self.k, tuple(map(float, np.atleast_1d(self.t))))
         if self.delta is not None:
@@ -152,9 +152,7 @@ def _sample_target(ps: PointSet, spec: ScanSpec) -> tuple[float, ...]:
     if ps.n < spec.k + 1:
         raise InfeasibleError("point set too small to realize a target configuration")
     pts = ps.points[rng.choice(ps.n, size=spec.k + 1, replace=False)]
-    row = family_row(spec.family, spec.phi)
-    scale = row.convention_scale(spec.k, spec.volume_convention)
-    return tuple(float(value) / scale for value in row.config_map(pts[None])[0])
+    return tuple(float(value) for value in family_row(spec.family, spec.phi).config_map(pts[None])[0])
 
 
 def run_scan(spec: ScanSpec) -> ScanReport:
@@ -189,7 +187,7 @@ def run_scan(spec: ScanSpec) -> ScanReport:
     energies: list[EnergyReport] = []
     for ps in sets:
         delta_n = spec.delta if spec.delta is not None else ps.n ** (-1.0 / s)
-        query = ConfigQuery(spec.family, spec.k, t, float(delta_n), spec.volume_convention, spec.phi)
+        query = ConfigQuery(spec.family, spec.k, t, float(delta_n), spec.phi)
         report: CountReport = run_query(ps, query, algorithm=spec.algorithm)
         rows.append(ScanRow(n=ps.n, delta=float(delta_n), count=report.count))
         energies.append(is_adaptable(ps, s, spec.adaptability_C))

@@ -16,8 +16,11 @@ The text file format (UTF-8, LF newlines):
     <coord_1> ... <coord_d>       (n rows, 17 significant digits, single spaces)
 
 The meta lines are the fields of PointSetMeta that are set, in field order.
-Parsers reject dimension/count mismatches, and a header n over
-DEFAULT_POINT_BUDGET before any row is read.
+The reader takes every line that starts with `#` as meta (unknown keys and
+lines with no `=` are comments), skips blank lines and hands the other lines,
+as they are, to np.loadtxt, which parses them straight into the array.  It
+rejects dimension/count mismatches, and a header n over DEFAULT_POINT_BUDGET
+before any row is read.
 """
 
 from __future__ import annotations
@@ -293,29 +296,25 @@ def parse_pointset(text: str) -> PointSet:
     _check_budget(n)
 
     meta_kv: dict[str, str] = {}
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    rows: list[str] = []
+    for line in lines[1:]:
         if line.startswith("#"):
             body = line[1:].strip()
             if "=" in body:
                 key, _, value = body.partition("=")
                 meta_kv[key.strip()] = value.strip()
-            continue
-        parts = line.split()
-        if len(parts) != d:
-            raise ValueError(f"line {lineno}: expected {d} coordinates, got {len(parts)}")
-        try:
-            rows.append([float(x) for x in parts])
-        except ValueError:
-            raise ValueError(f"line {lineno}: unparseable coordinate") from None
-    if len(rows) != n:
-        raise ValueError(f"expected {n} points, found {len(rows)}")
+        elif line.strip():
+            rows.append(line)
+    # loadtxt raises ValueError on an unparseable coordinate or a ragged row
+    pts = np.loadtxt(rows, comments="#", ndmin=2) if rows else np.empty((0, d))
+    if pts.shape[1] != d:
+        raise ValueError(f"expected {d} coordinates per row, got {pts.shape[1]}")
+    if len(pts) != n:
+        raise ValueError(f"expected {n} points, found {len(pts)}")
 
     meta = PointSetMeta(**{key: _META_TYPES[key](value) for key, value in meta_kv.items()
                            if key in _META_TYPES})
-    return PointSet(dim=d, points=np.array(rows, dtype=float), meta=meta)
+    return PointSet(dim=d, points=pts, meta=meta)
 
 
 def _expect_kv(token: str, key: str) -> str:

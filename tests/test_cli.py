@@ -430,7 +430,7 @@ BAD_INPUTS = [
     # the family fixes k, and a grid of s replaces s
     (["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "volume", "--k", "5",
       "--t", "0.5", "--delta", "0.1"],
-     "field [query] k: count does not read it (it reads [query] keys: convention, delta, family, t)"),
+     "field [query] k: count does not read it (it reads [query] keys: delta, family, t)"),
     (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "1", "--s-grid", "1;2"],
      "field [energy] s: energy does not read it (it reads [energy] keys: c, s_grid)"),
     (["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "custom", "--t", "0.5",
@@ -449,8 +449,7 @@ BAD_INPUTS = [
 # config files with keys their command does not read: (body, message)
 UNREAD_CONFIGS = [
     (COUNT_CFG + "bogus = 7\n",
-     "field [query] bogus: count does not read it (it reads [query] keys: convention, delta, family, "
-     "k, t)"),
+     "field [query] bogus: count does not read it (it reads [query] keys: delta, family, k, t)"),
     (COUNT_CFG + "bogus = 7\n[energy]\ns = 1\n",
      "field [energy] s: count does not read it (it reads [energy] keys: none)"),
     ("colour = red\n" + COUNT_CFG,
@@ -645,19 +644,32 @@ def test_bare_ft_ray_runs_at_the_default_12_radii(tmp_path, monkeypatch, argv):
     assert len(radii) == 12
 
 
-@pytest.mark.parametrize("argv", [
-    COUNT_LATTICE + ["--convention", "simplex"],
-    ["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "angle", "--t", "1",
-     "--delta", "0.1", "--convention", "simplex"],
-    SCAN_D2 + ["--family", "simplex", "--k", "1", "--convention", "simplex"],
-    SCAN_D2 + ["--family", "angle", "--convention", "simplex"],
-])
-def test_convention_of_a_family_without_volumes_exits_2(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.setattr(expfit, "generate", lambda spec: pytest.fail("generated a point set"))
+@pytest.mark.parametrize("family", ["simplex", "volume", "area2", "angle"])
+@pytest.mark.parametrize("command", ["count", "scan"])
+def test_convention_flag_and_key_exit_2(tmp_path, monkeypatch, capsys, command, family):
+    # every count is in its map's own units: --convention is no flag, and a
+    # convention key is unread, so both exit 2 before any point set is made
+    for module in (cli, expfit):
+        monkeypatch.setattr(module, "generate", lambda spec: pytest.fail("generated a point set"))
+    keys = {"family": family, "k": "1", "t": "0.5"}
+    if family != "simplex":  # the row fixes k
+        del keys["k"]
+    if command == "count":
+        section, keys["delta"], path = "query", "0.1", _write_square(tmp_path)
+        flags, head = ["--input", str(path)], f"input = {path}\n"
+    else:
+        section, keys["schedule"], keys["s"] = "scan", "20;40;80", "2"
+        flags, head = ["--kind", "uniform_random", "--d", "2"], "[generator]\nkind = uniform_random\nd = 2\n"
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 2
-    family = argv[argv.index("--family") + 1]
-    assert f"{family} counts take no volume convention, got 'simplex'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([command] + flags + [f"--{key}={value}" for key, value in keys.items()]
+             + ["--convention", "simplex", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --convention simplex" in capsys.readouterr().err
+    body = (f"command = {command}\n{head}[{section}]\n"
+            + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "convention = simplex\n")
+    assert main(["run", "--config", str(_write(tmp_path, "convention.cfg", body)), "--out", str(out)]) == 2
+    assert f"field [{section}] convention: {command} does not read it" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -738,11 +750,11 @@ FLAG_SURFACE = {
         "--s": "energy.s", "--s-grid": "energy.s_grid", "--c": "energy.c"},
     "count": COMMON_FLAGS | INPUT_FLAG | GENERATOR_FLAGS | {
         "--algorithm": "algorithm", "--family": "query.family", "--k": "query.k", "--t": "query.t",
-        "--delta": "query.delta", "--convention": "query.convention"},
+        "--delta": "query.delta"},
     "scan": COMMON_FLAGS | GENERATOR_FLAGS | {
         "--algorithm": "algorithm", "--family": "scan.family", "--k": "scan.k",
         "--schedule": "scan.schedule", "--s": "scan.s", "--t": "scan.t", "--delta": "scan.delta",
-        "--predicted": "scan.predicted", "--c": "scan.c", "--convention": "scan.convention"},
+        "--predicted": "scan.predicted", "--c": "scan.c"},
     "ft": COMMON_FLAGS | {
         "--kind": "ft.kind", "--d": "ft.d", "--direction": "ft.direction", "--rmin": "ft.rmin",
         "--rmax": "ft.rmax", "--nradii": "ft.nradii", "--radii": "ft.radii", "--method": "ft.method",

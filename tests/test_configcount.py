@@ -433,15 +433,6 @@ def test_volume_unit_tetrahedron():
     tet = PointSet(dim=3, points=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for algo in ("pruned", "brute"):
         assert count_volume(tet, 1.0, 1e-9, algorithm=algo).count == 24
-        assert count_volume(tet, 1.0 / 6.0, 1e-9, convention="simplex", algorithm=algo).count == 24
-
-
-def test_volume_convention_rescaling_identity():
-    ps = gen_random(3, 12, seed=20)
-    t, delta = 0.02, 0.01
-    bare = count_volume(ps, t * 6.0, delta * 6.0, convention="bare_determinant").count
-    simp = count_volume(ps, t, delta, convention="simplex").count
-    assert bare == simp
 
 
 @pytest.mark.parametrize("d,n", [(2, 12), (3, 9), (4, 8), (5, 8)])
@@ -506,7 +497,6 @@ def test_area2_matches_volume_in_plane():
 def test_area2_unit_triangle_in_3d():
     tri = PointSet(dim=3, points=[[0, 0, 0], [1, 0, 0], [0, 1, 0]])
     assert count_area2(tri, 1.0, 1e-9).count == 6
-    assert count_area2(tri, 0.5, 1e-9, convention="simplex").count == 6
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -1195,13 +1185,3 @@ def test_query_validation():
     with pytest.raises(ValueError):
         ConfigQuery(family="volume", k=2, t=(0.5,), delta=-0.01)
     ConfigQuery(family="volume", k=2, t=(0.5,), delta=0.0)  # closed interval, delta 0 fine
-    with pytest.raises(ValueError, match="unknown volume convention 'bogus'"):
-        ConfigQuery(family="volume", k=2, t=(0.5,), delta=0.01, volume_convention="bogus")
-
-
-@pytest.mark.parametrize("family,k,phi", [("simplex", 1, None), ("angle", 2, None),
-                                          ("custom", 1, DISTANCE_PHI)])
-def test_convention_refused_where_it_does_nothing(family, k, phi):
-    with pytest.raises(ValueError, match=f"{family} counts take no volume convention, got 'simplex'"):
-        ConfigQuery(family, k, (1.0,), 0.01, "simplex", phi)
-    ConfigQuery(family, k, (1.0,), 0.01, "bare_determinant", phi)

@@ -72,8 +72,7 @@ def _attribute_readers(tree: ast.Module, attr: str) -> set[str]:
 
 
 def test_counter_args_serve_only_run_query():
-    # a row's counter_args rebuild the count_<family> call of run_query; whether
-    # a row takes a volume convention is whether it has a scale
+    # a row's counter_args rebuild the count_<family> call of run_query
     found = {p.stem: _attribute_readers(ast.parse(p.read_text(), filename=str(p)), "counter_args")
              for p in SOURCES}
     assert {name: f for name, f in found.items() if f} == {"configcount": {"run_query"}}

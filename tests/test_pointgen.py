@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +232,27 @@ def test_parser_rejects_mismatches():
         parse_pointset("nonsense\n0 0\n")
     with pytest.raises(ValueError):
         parse_pointset("")
+    with pytest.raises(ValueError):
+        parse_pointset(good + "0 0 0\n")  # a ragged row
+    with pytest.raises(ValueError):
+        parse_pointset(good.replace("\n1 1\n", "\n1 x\n"))  # an unparseable coordinate
+
+
+def test_parser_reads_rows_into_the_array_directly(tmp_path):
+    # the rows go from their lines to np.loadtxt, with no Python list of floats
+    ps = gen_random(2, 50_000, seed=0)
+    path = tmp_path / "points.txt"
+    save_pointset(ps, path)
+    text = path.read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        back = parse_pointset(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.points, ps.points)
+    assert back.meta == ps.meta and format_pointset(back) == text
+    assert peak < 200 * ps.n  # about 140 B per point; a list of float rows took about 290
 
 
 def test_pointset_validates():
