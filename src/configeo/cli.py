@@ -1,10 +1,12 @@
 """Command-line surface: config ingestion, experiment dispatch, reports.
 
 Config files are plain text: `key = value` pairs, one optional level of
-`[section]` nesting, and full-line `#` comments.  Command-line flags override
-file values; the seed falls back to the CONFIGEO_SEED environment variable.
-Report bodies are byte-identical across reruns of the same (config, seed):
-volatile wall-clock data never enters a file body (timings go to stdout).
+`[section]` nesting, and full-line `#` comments.  Command-line flags, by
+their exact names only, override file values; the seed is --seed, else the
+`seed` key, else 0.  A file's `command` picks the command under `run` and
+must name the subcommand under any other.  Report bodies are byte-identical
+across reruns of the same (config, seed): volatile wall-clock data never
+enters a file body (timings go to stdout).
 
 Each command is one row of COMMANDS: its section, parse function, help line
 and keys.  A flag comes from the row that defines its key (COMMANDS,
@@ -12,10 +14,11 @@ GENERATORS or _MEASURE_KEYS), and --a-b sets key a_b; _FLAG_NAMES holds the
 flags named otherwise.  The parse function asks the typed getters for every
 key the command reads, and `run` then refuses every key present in the
 configuration that the command did not ask for: an unread key is a usage
-error, checked before any kernel runs and before any file is written.  That
-is the one rule by which a key is refused, a key no command reads any more
-or a scan's generator size or seed among them.  The manifest therefore
-lists only keys the command read.
+error, checked before any kernel runs, any file is written and any point
+set is read or generated (a command reads its point set last).  That is
+the one rule by which a key is refused, a key no command reads any more or
+a scan's generator size or seed among them.  The manifest therefore lists
+only keys the command read.
 
 A command's job hands values to one report writer and formats none itself:
 `_fmt` renders a value, `_csv` writes a CSV report and `_text` a `key = value`
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,11 +64,19 @@ from .fourierlab import (
 from .pointgen import (GENERATORS, GeneratorSpec, PointSet, format_float, format_pointset,
                        generate, load_pointset)
 
-ENV_SEED = "CONFIGEO_SEED"
-
-
 class UsageError(Exception):
     """Bad flags or config contents; maps to exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes exact flag names only and raises its errors as
+    UsageError; --help and --version still exit through SystemExit."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 @dataclass
@@ -171,7 +181,7 @@ _FLAG_NAMES = {("generator", "l"): "--level", ("ft", "t"): "--level"}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="configeo",
         description="point-configuration workbench: generators, counts, energies, "
         "scaling scans, Fourier decay, curvature certificates",
@@ -181,11 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="config file (flags override file values)")
     common.add_argument("--out", help="output directory (default: reports)")
-    common.add_argument("--seed", type=int, help=f"seed (default: ${ENV_SEED} or 0)")
+    common.add_argument("--seed", type=int, help="seed (default: 0)")
     with_input = argparse.ArgumentParser(add_help=False, parents=[common])
     with_input.add_argument("--input", help="point-set file (alternative to [generator])")
 
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)  # each one a _Parser
     sub.add_parser("run", parents=[with_input], help="run the command named in the config file")
     for name, row in COMMANDS.items():
         command = sub.add_parser(name, parents=[with_input if row.input else common], help=row.help)
@@ -201,18 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv=None) -> ExperimentConfig:
     """Flags plus optional config file into one effective configuration."""
-    parser = build_parser()
-    ns = parser.parse_args(argv)
-    if ns.command is None:
-        parser.print_usage(sys.stderr)
-        raise UsageError("a command is required")
-
+    ns = build_parser().parse_args(argv)
     sections: dict[str, dict[str, str]] = {"": {}}
     if ns.config:
-        path = Path(ns.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        sections = parse_config_text(path.read_text(encoding="utf-8"), origin=str(path))
+        try:
+            text = Path(ns.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read config file {ns.config}: {exc}") from None
+        sections = parse_config_text(text, origin=ns.config)
 
     # a given flag overrides the file: a dest section.key names a section key,
     # and input and algorithm are top-level keys
@@ -222,17 +228,14 @@ def parse_config(argv=None) -> ExperimentConfig:
             sections.setdefault(section, {})[key] = value
 
     cfg = ExperimentConfig(ns.command, sections)
-    if cfg.command == "run":
-        cfg.command = _get(cfg, "", "command", required=True)
-        if cfg.command not in COMMANDS:
-            raise UsageError(f"config names unknown command {cfg.command!r}")
-    seed = ns.seed if ns.seed is not None else _get_int(cfg, "", "seed")
-    if seed is None:
-        try:
-            seed = int(os.environ.get(ENV_SEED, "0"))
-        except ValueError:
-            raise UsageError(f"{ENV_SEED}: expected integer, got {os.environ[ENV_SEED]!r}") from None
-    cfg.seed = seed
+    named = _get(cfg, "", "command", required=ns.command == "run")
+    if ns.command == "run":
+        if named not in COMMANDS:
+            raise UsageError(f"config names unknown command {named!r}")
+        cfg.command = named
+    elif named not in (None, ns.command):
+        raise UsageError(f"config names command {named!r}, not {ns.command}")
+    cfg.seed = ns.seed if ns.seed is not None else _get_int(cfg, "", "seed", 0)
 
     cfg.out_dir = Path(ns.out or _get(cfg, "", "out", "reports"))
     # resolved here for every command, so every command reads them
@@ -297,24 +300,28 @@ def _text(title: str, items, rows=None) -> str:
 
 
 def _load_points(cfg: ExperimentConfig) -> PointSet:
-    """The input point set: from `input = <path>` or the [generator] section."""
+    """The input point set, from `input = <path>` or the [generator] section,
+    read once the unread keys are refused."""
     input_path = _get(cfg, "", "input")
-    if input_path:
-        generator = cfg.sections.get("generator")
-        if generator:
-            raise UsageError(f"input and [generator] {', '.join(sorted(generator))} "
-                             "both name a point set; keep one")
-        try:
-            return load_pointset(input_path)
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"cannot load point set {input_path!r}: {exc}") from exc
-    return _generated(cfg)
+    if not input_path:
+        return _generated(cfg)
+    generator = cfg.sections.get("generator")
+    if generator:
+        raise UsageError(f"input and [generator] {', '.join(sorted(generator))} "
+                         "both name a point set; keep one")
+    _refuse_unread(cfg)
+    try:
+        return load_pointset(input_path)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot load point set {input_path!r}: {exc}") from exc
 
 
 def _generated(cfg: ExperimentConfig) -> PointSet:
-    """The point set of the [generator] section."""
+    """The point set of the [generator] section, made once the unread keys are refused."""
     try:
-        return generate(_generator_spec(cfg, sized=True))
+        spec = _generator_spec(cfg, sized=True)
+        _refuse_unread(cfg)
+        return generate(spec)
     except ValueError as exc:
         raise UsageError(f"bad [generator]: {exc}") from exc
 
@@ -353,7 +360,7 @@ def _generator_spec(cfg: ExperimentConfig, sized: bool) -> GeneratorSpec:
 
 def _cmd_gen(cfg: ExperimentConfig):
     ps = _generated(cfg)
-    kind = _get(cfg, "generator", "kind")
+    kind = ps.meta.generator  # the [generator] kind
 
     def job():
         name = f"pointset_{kind}_d{ps.dim}_n{ps.n}_seed{cfg.seed}.txt"
@@ -363,14 +370,12 @@ def _cmd_gen(cfg: ExperimentConfig):
 
 
 def _cmd_energy(cfg: ExperimentConfig):
-    ps = _load_points(cfg)
-    grid = _get_floats(cfg, "energy", "s_grid")
-    if grid is None:
-        grid = (_get_float(cfg, "energy", "s", required=True),)
-    elif not grid:
+    grid = _get_floats(cfg, "energy", "s_grid", required=True)
+    if not grid:
         raise ValueError("s_grid names no exponent")
     c_level = _get_float(cfg, "energy", "c", DEFAULT_ADAPTABILITY_C)
     _check_positive("C", c_level)
+    ps = _load_points(cfg)
 
     def job():
         values = energy_profile(ps, grid)
@@ -392,19 +397,21 @@ def _algorithm(cfg: ExperimentConfig) -> str:
     return algorithm
 
 
-def _family_k(cfg: ExperimentConfig, section: str, family: str, d: int) -> int:
+def _family_k(cfg: ExperimentConfig, section: str, family: str) -> Callable[[int], int]:
     """k in dimension d: fixed by the family's row, else the section's k field."""
     fixed_k = family_row(family).fixed_k
-    return _get_int(cfg, section, "k", required=True) if fixed_k is None else fixed_k(d)
+    k = None if fixed_k is not None else _get_int(cfg, section, "k", required=True)
+    return fixed_k or (lambda d: k)
 
 
 def _cmd_count(cfg: ExperimentConfig):
-    ps = _load_points(cfg)
     family = _get(cfg, "query", "family", required=True)
+    k = _family_k(cfg, "query", family)
     delta = _get_float(cfg, "query", "delta", required=True)
     t = _get_floats(cfg, "query", "t", required=True)
-    query = ConfigQuery(family, _family_k(cfg, "query", family, ps.dim), t, delta)
     algorithm = _algorithm(cfg)
+    ps = _load_points(cfg)
+    query = ConfigQuery(family, k(ps.dim), t, delta)
 
     def job():
         report = run_query(ps, query, algorithm=algorithm)
@@ -428,7 +435,7 @@ def _cmd_scan(cfg: ExperimentConfig):
     spec = ScanSpec(
         generator=generator,
         family=family,
-        k=_family_k(cfg, "scan", family, int(generator.as_dict()["d"])),
+        k=_family_k(cfg, "scan", family)(int(generator.as_dict()["d"])),
         schedule=_get_ints(cfg, "scan", "schedule", required=True),
         seed=cfg.seed,
         s=_get_float(cfg, "scan", "s"),
@@ -589,9 +596,9 @@ def _phase_items(d: int):
             ("phase_plane_discriminant_sign", "+" if disc > 0 else "-")]
 
 
-# curvature check -> its report items at dimension d; the check `suite` runs
-# every row in order
-_CURVATURE_CHECKS = {"circulant": _circulant_items, "detform": _detform_items, "phase": _phase_items}
+# the curvature checks, each returning its report items at dimension d, in
+# report order
+_CURVATURE_CHECKS = (_circulant_items, _detform_items, _phase_items)
 CURVATURE_MAX_D = 128  # the largest curvature d (see _cmd_curvature)
 
 
@@ -600,26 +607,22 @@ def _cmd_curvature(cfg: ExperimentConfig):
     O(d) Python form, ~4 us * d^3 on a 2-vCPU VM (0.29 s at d = 40, 3.8 s at
     d = 100); the suite took 8.3 s at CURVATURE_MAX_D = 128.  A larger d is
     refused with CapacityError before any matrix is built."""
-    check = _get(cfg, "curvature", "check", "suite")
     d = _get_int(cfg, "curvature", "d", 3)
-    names = [name for name in _CURVATURE_CHECKS if check in (name, "suite")]
-    if not names:
-        raise UsageError(f"unknown curvature check {check!r} (one of {', '.join(_CURVATURE_CHECKS)}, suite)")
     if d > CURVATURE_MAX_D:
         raise CapacityError(f"curvature d = {d} is over the budget of {CURVATURE_MAX_D}")
 
     def job():
-        items = [item for name in names for item in _CURVATURE_CHECKS[name](d)]
-        name = f"curvature_{check}_d{d}.txt"
+        items = [item for check in _CURVATURE_CHECKS for item in check(d)]
+        name = f"curvature_suite_d{d}.txt"
         body = _text(f"curvature certificates (d={d})", items)
-        return {name: body}, f"curvature: check={check} d={d} -> {cfg.out_dir / name}", 0
+        return {name: body}, f"curvature: d={d} -> {cfg.out_dir / name}", 0
 
     return job
 
 
 def _cmd_dim(cfg: ExperimentConfig):
-    ps = _load_points(cfg)
     scales = _get_floats(cfg, "dim", "scales", required=True)
+    ps = _load_points(cfg)
 
     def job():
         report = box_dim(ps, scales)
@@ -647,7 +650,7 @@ class Command:
 
 COMMANDS = {
     "gen": Command("generator", _cmd_gen, "generate and save a point set", points=True),
-    "energy": Command("energy", _cmd_energy, "discrete energy report", ("s", "s_grid", "c"),
+    "energy": Command("energy", _cmd_energy, "discrete energy report", ("s_grid", "c"),
                       points=True, input=True),
     "count": Command("query", _cmd_count, "one counting run", ("family", "k", "t", "delta"),
                      points=True, input=True, algorithm=True),
@@ -657,7 +660,7 @@ COMMANDS = {
     "ft": Command("ft", _cmd_ft, "Fourier decay of a configuration measure",
                   ("kind", "direction", "rmin", "rmax", "nradii", "radii", "method", "epsilon",
                    "samples", "nodes") + tuple(key for key, _ in _MEASURE_KEYS.values())),
-    "curvature": Command("curvature", _cmd_curvature, "curvature/rank certificates", ("check", "d")),
+    "curvature": Command("curvature", _cmd_curvature, "curvature/rank certificates", ("d",)),
     "dim": Command("dim", _cmd_dim, "box-counting dimension", ("scales",), points=True, input=True),
 }
 

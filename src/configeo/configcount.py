@@ -110,7 +110,6 @@ class Family:
     fast: Callable[..., int]
     brute: Callable[..., int]
     threshold: Callable[[int, int], Fraction] | None  # s0(k, d); None: unknown (a custom map)
-    counter_args: tuple[str, ...]  # the ConfigQuery fields count_<name> takes after ps
     fixed_by: str = "in d={d}"  # what fixes k, as check_k's refusal names it
 
     def check_k(self, k: int, d: int) -> None:
@@ -832,24 +831,22 @@ FAMILIES: dict[str, Family] = {row.name: row for row in (
     Family(name="simplex", fixed_k=None, targets=lambda k: len(pair_order(k)),
            t_ok=lambda x: x > 0, t_domain="positive", zero_delta=False,
            config_map=_simplex_values, fast=_simplex_band, brute=_simplex_brute,
-           threshold=lambda k, d: d - Fraction(d - 1, 2 * k), counter_args=("k", "t", "delta")),
+           threshold=lambda k, d: d - Fraction(d - 1, 2 * k)),
     Family(name="volume", fixed_k=lambda d: d, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
            config_map=_volume_values, fast=_set_kernel(_volume_views, _volume_bands, _volume_values),
            brute=_oracle(_volume_values),
-           threshold=lambda k, d: d - 1 + Fraction(1, 2 * d if d % 2 == 0 else 2 * (d - 1)),
-           counter_args=("t", "delta")),
+           threshold=lambda k, d: d - 1 + Fraction(1, 2 * d if d % 2 == 0 else 2 * (d - 1))),
     Family(name="area2", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: x >= 0, t_domain="nonnegative", zero_delta=True,
            config_map=_area2_values, fast=_set_kernel(_area2_views, _area2_bands, _area2_values),
            brute=_oracle(_area2_values),
-           threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4),
-           counter_args=("t", "delta")),
+           threshold=lambda k, d: Fraction(d, 2) + Fraction(1, 4)),
     Family(name="angle", fixed_k=lambda d: 2, targets=lambda k: 1,
            t_ok=lambda x: 0.0 <= x <= math.pi, t_domain="in [0, pi]", zero_delta=False,
            config_map=_angle_values, fast=_set_kernel(_angle_views, _angle_bands, _angle_values, fixed=1),
            brute=_oracle(_angle_values),
-           threshold=lambda k, d: Fraction(d + 1, 2), counter_args=("t", "delta")),
+           threshold=lambda k, d: Fraction(d + 1, 2)),
 )}
 
 
@@ -874,7 +871,7 @@ def _phi_row(phi: PhiFunction) -> Family:
     brute = _oracle(config_map)
     return Family(name="custom", fixed_k=lambda d: phi.arity - 1, targets=lambda k: phi.output_dim,
                   t_ok=math.isfinite, t_domain="real", zero_delta=False, config_map=config_map,
-                  fast=brute, brute=brute, threshold=None, counter_args=(),
+                  fast=brute, brute=brute, threshold=None,
                   fixed_by=f"for a map of arity {phi.arity}")
 
 
@@ -979,11 +976,11 @@ def box_dim(points, scales) -> BoxDimReport:
 
 
 def run_query(ps: PointSet, query: ConfigQuery, algorithm: str = "pruned") -> CountReport:
-    """Route a ConfigQuery to its counting operation.  count_<family> is
-    looked up at every call, so wrappers installed on this module's attribute
-    see each query; a custom map's query has no count_<family> and goes to
-    its row's counters directly."""
+    """Route a ConfigQuery to count_<family>, passing k only where the
+    family's row does not fix it.  count_<family> is looked up at every call,
+    so wrappers installed on this module's attribute see each query; a custom
+    map's query has none and goes to its row's counters directly."""
     if query.phi is not None:
         return _count(ps, query, algorithm)
-    args = [getattr(query, name) for name in FAMILIES[query.family].counter_args]
-    return globals()[f"count_{query.family}"](ps, *args, algorithm=algorithm)
+    k = (query.k,) if FAMILIES[query.family].fixed_k is None else ()
+    return globals()[f"count_{query.family}"](ps, *k, query.t, query.delta, algorithm=algorithm)

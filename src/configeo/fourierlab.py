@@ -10,9 +10,9 @@ Fixed normalizations (so the oracles are mutually comparable):
   chain_spheres a chain of spheres |x^i| = r_i with consecutive gaps
                 |x^i - x^{i+1}| = g_i pinned; realized only by Monte Carlo.
   determinant_variety
-                level set det[u^1,...,u^d] = t inside a cutoff ball
-                (Monte Carlo, gated to d = 3: the ambient dimension d^2
-                makes larger d infeasible at desk scale).
+                level set det[u^1,u^2,u^3] = t inside a cutoff ball of
+                R^9 (Monte Carlo; d is fixed at 3, as triangle2d's is at 2:
+                the ambient dimension d^2 makes larger d infeasible).
 
 Each kind is one MeasureKind row of MEASURES: its constructor, frequency
 blocks, expected decay order, Monte Carlo draw and exact evaluators.
@@ -126,9 +126,8 @@ class MeasureSpec:
         return cls(kind="chain_spheres", d=d, radii=radii, gaps=gaps)
 
     @classmethod
-    def determinant_variety(cls, d: int, t: float, cutoff: float = 2.0) -> "MeasureSpec":
-        if d != 3:
-            raise ValueError("determinant-variety sampling is gated to d = 3")
+    def determinant_variety(cls, t: float, cutoff: float = 2.0) -> "MeasureSpec":
+        d = 3  # the only desk-scale d (see the module docstring)
         tmax = (cutoff**2 / d) ** (d / 2.0)
         if t == 0.0 or abs(t) >= tmax:
             raise ValueError(f"level must satisfy 0 < |t| < {tmax:.6g}")

@@ -74,21 +74,25 @@ def test_missing_field_names_the_field(tmp_path):
 
 
 def test_seed_precedence_flag_over_file_over_env(tmp_path, monkeypatch):
+    # the seed is --seed, else the seed key, else 0; no environment variable is
+    # read, so CONFIGEO_SEED, valid or not, changes no byte
     cfg_path = _write(tmp_path, "count.cfg", COUNT_CFG)
-    monkeypatch.setenv("CONFIGEO_SEED", "99")
-    assert parse_config(["run", "--config", str(cfg_path)]).seed == 7  # file beats env
-    assert parse_config(["run", "--config", str(cfg_path), "--seed", "42"]).seed == 42
     cfg_path2 = _write(tmp_path, "noseed.cfg", COUNT_CFG.replace("seed = 7\n", ""))
-    assert parse_config(["run", "--config", str(cfg_path2)]).seed == 99  # env fallback
-
-
-def test_bad_env_seed_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("CONFIGEO_SEED", "abc")
-    out = tmp_path / "out"
-    assert main(["curvature", "--out", str(out)]) == 2
-    assert "configeo: error: CONFIGEO_SEED: expected integer, got 'abc'" in capsys.readouterr().err
-    assert not out.exists()
-    assert main(["curvature", "--seed", "3", "--out", str(out)]) == 0  # a flag seed wins
+    gen = ["gen", "--kind", "uniform_random", "--d", "2", "--n", "5"]
+    written = []
+    for env in (None, "99", "abc"):
+        if env is None:
+            monkeypatch.delenv("CONFIGEO_SEED", raising=False)
+        else:
+            monkeypatch.setenv("CONFIGEO_SEED", env)
+        assert parse_config(["run", "--config", str(cfg_path)]).seed == 7
+        assert parse_config(["run", "--config", str(cfg_path), "--seed", "42"]).seed == 42
+        assert parse_config(["run", "--config", str(cfg_path2)]).seed == 0
+        out = tmp_path / f"out_{env}"
+        assert main(gen + ["--out", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if "manifest" not in p.name})
+    assert list(written[0]) == ["pointset_uniform_random_d2_n5_seed0.txt"]
+    assert written[1] == written[0] and written[2] == written[0]
 
 
 def test_count_on_square_corners_file(tmp_path, capsys):
@@ -212,7 +216,7 @@ def test_gen_roundtrip(tmp_path):
 def test_energy_command(tmp_path):
     pts = _write_square(tmp_path)
     out = tmp_path / "out"
-    code = main(["energy", "--input", str(pts), "--s", "1", "--out", str(out), "--seed", "3"])
+    code = main(["energy", "--input", str(pts), "--s-grid", "1", "--out", str(out), "--seed", "3"])
     assert code == 0
     body = (out / "energy_unknown_d2_n4_seed3.csv").read_text()
     assert body.splitlines()[0] == "s,n,value,adaptable_at,verdict"
@@ -233,23 +237,12 @@ def test_dim_command(tmp_path):
 
 def test_curvature_command(tmp_path):
     out = tmp_path / "out"
-    code = main(["curvature", "--check", "suite", "--d", "4", "--out", str(out)])
+    code = main(["curvature", "--d", "4", "--out", str(out)])
     assert code == 0
     body = (out / "curvature_suite_d4.txt").read_text()
     assert "circulant_nonzero = true" in body
     assert "detform_nonzero = 7 of 7" in body
     assert "phase_plane_discriminant_sign = +" in body
-
-
-def test_curvature_suite_runs_every_check_in_order(tmp_path):
-    out = tmp_path / "out"
-    lines = {}
-    for check in ("circulant", "detform", "phase", "suite"):
-        assert main(["curvature", "--check", check, "--d", "4", "--out", str(out)]) == 0
-        lines[check] = (out / f"curvature_{check}_d4.txt").read_text().splitlines()
-    title = ["curvature certificates (d=4)"]
-    assert all(lines[check][:1] == title for check in lines)
-    assert lines["suite"] == title + lines["circulant"][1:] + lines["detform"][1:] + lines["phase"][1:]
 
 
 # one small report per shape, byte for byte: (argv, exit code, {file: body});
@@ -396,7 +389,7 @@ BAD_INPUTS = [
      "bad [energy]: s_grid names no exponent"),
     (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid", "1;nan"],
      "bad [energy]: s must be positive and finite, got s=nan"),
-    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "inf"],
+    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid", "inf"],
      "bad [energy]: s must be positive and finite, got s=inf"),
     (["scan", "--kind", "uniform_random", "--d", "2", "--family", "simplex", "--k", "1",
       "--schedule", "20;40;80", "--s", "nan"], "bad [scan]: s must be positive and finite, got s=nan"),
@@ -415,24 +408,31 @@ BAD_INPUTS = [
     (["count", "--input", "points.txt", "--kind", "uniform_random", "--d", "3", "--n", "50",
       "--family", "simplex", "--k", "1", "--t", "0.5", "--delta", "0.1"],
      "input and [generator] d, kind, n both name a point set"),
-    (["energy", "--input", "points.txt", "--kind", "lattice", "--s", "1"],
+    (["energy", "--input", "points.txt", "--kind", "lattice", "--s-grid", "1"],
      "input and [generator] kind both name a point set"),
     (["dim", "--input", "points.txt", "--m", "4", "--scales", "0.5;0.25;0.125"],
      "input and [generator] m both name a point set"),
     (["ft", "--kind", "triangle2d", "--d", "5", "--rmin", "1", "--rmax", "20"],
      "field [ft] d: ft does not read it (it reads [ft] keys: direction, kind, method, nradii, radii, "
      "rmax, rmin)"),
+    (["ft", "--kind", "determinant_variety", "--d", "3", "--level", "0.2", "--rmin", "1", "--rmax", "20"],
+     "field [ft] d: ft does not read it (it reads [ft] keys: cutoff, direction, epsilon, kind, method, "
+     "nradii, radii, rmax, rmin, samples, t)"),
     (FT_SPHERE + ["--epsilon", "0.01", "--samples", "5"],
      "field [ft] epsilon: ft does not read it (it reads [ft] keys: d, direction, kind, method, "
      "nradii, radii, rmax, rmin)"),
     (FT_SPHERE + ["--radii", "1;2;5;10;20;50"],
      "field [ft] rmax: ft does not read it (it reads [ft] keys: d, direction, kind, method, radii)"),
-    # the family fixes k, and a grid of s replaces s
+    # the family fixes k
     (["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "volume", "--k", "5",
       "--t", "0.5", "--delta", "0.1"],
      "field [query] k: count does not read it (it reads [query] keys: delta, family, t)"),
+    # removed flags, and flag names are exact: no prefix stands for a flag
     (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "1", "--s-grid", "1;2"],
-     "field [energy] s: energy does not read it (it reads [energy] keys: c, s_grid)"),
+     "unrecognized arguments: --s 1"),
+    (["curvature", "--check", "suite"], "unrecognized arguments: --check suite"),
+    (["count", "--kind", "lattice", "--d", "2", "--m", "4", "--fam", "simplex", "--k", "1", "--t", "0.5",
+      "--delta", "0.1"], "unrecognized arguments: --fam simplex"),
     (["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family", "custom", "--t", "0.5",
       "--delta", "0.1"], "bad [query]: family 'custom' is not one of simplex, volume, area2, angle"),
     (SCAN_D2 + ["--family", "custom"],
@@ -440,10 +440,6 @@ BAD_INPUTS = [
     (["curvature", "--d", "1"], "bad [curvature]: need d >= 2"),
     (["curvature", "--d", "0"], "bad [curvature]: need d >= 2"),
     (["curvature", "--d=-2"], "bad [curvature]: need d >= 2"),
-    (["curvature", "--check", "detform", "--d", "0"],
-     "bad [curvature]: the rotated block form needs even d >= 2"),
-    (["curvature", "--check", "bogus"],
-     "unknown curvature check 'bogus' (one of circulant, detform, phase, suite)"),
 ]
 
 # config files with keys their command does not read: (body, message)
@@ -488,7 +484,7 @@ def test_bad_run_config_exits_2(tmp_path, capsys, body, message):
 
 
 def test_only_count_and_scan_take_the_algorithm_flag(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(UsageError, match="unrecognized arguments: --algorithm brute"):
         parse_config(["gen", "--algorithm", "brute"])
     pts = _write_square(tmp_path)
     out = tmp_path / "out"
@@ -530,8 +526,8 @@ def test_failed_command_leaves_no_artefacts(tmp_path):
 @pytest.mark.parametrize("argv,kernel", [
     (COUNT_LATTICE + ["--r", "0.3"], "run_query"),
     (SCAN_D2 + ["--family", "angle", "--k", "3"], "run_scan"),
-    (["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "1", "--s-grid", "1;2"],
-     "energy_profile"),
+    (["energy", "--config", "energy.cfg", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid", "1;2"],
+     "energy_profile"),  # energy.cfg holds the removed key [energy] s
     (FT_CHAIN + ["--nodes", "64"], "decay_fit"),
     (["dim", "--kind", "lattice", "--d", "2", "--m", "4", "--n", "9", "--scales", "0.5;0.25;0.125"],
      "box_dim"),
@@ -540,6 +536,7 @@ def test_failed_command_leaves_no_artefacts(tmp_path):
 def test_unread_key_refused_before_the_kernel_runs(tmp_path, monkeypatch, argv, kernel):
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "input.cfg", "input = points.txt\n")
+    _write(tmp_path, "energy.cfg", "[energy]\ns = 1\n")
     calls = []
     original = getattr(cli, kernel)
     monkeypatch.setattr(cli, kernel, lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
@@ -547,6 +544,66 @@ def test_unread_key_refused_before_the_kernel_runs(tmp_path, monkeypatch, argv, 
     assert main(argv + ["--out", str(out)]) == 2
     assert calls == []
     assert not out.exists()
+
+
+# the [section] keys each point-set command reads, in full
+POINT_SET_KEYS = {"count": ("query", "family = simplex\nk = 1\nt = 0.5\ndelta = 0.1\n"),
+                  "energy": ("energy", "s_grid = 1\n"),
+                  "dim": ("dim", "scales = 0.5;0.25;0.125\n")}
+
+
+@pytest.mark.parametrize("source", ["generator", "input"])
+@pytest.mark.parametrize("command", sorted(POINT_SET_KEYS))
+def test_unread_key_refused_before_any_point_set_is_built(tmp_path, monkeypatch, capsys, command, source):
+    # a command reads its point set last, so one misspelled key is refused
+    # before the [generator] set is generated or the input file is parsed
+    calls = []
+    for name in ("generate", "load_pointset"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    head = (f"input = {_write_square(tmp_path)}\n" if source == "input"
+            else "[generator]\nkind = lattice\nd = 2\nm = 4\n")
+    section, keys = POINT_SET_KEYS[command]
+    body = f"command = {command}\n{head}[{section}]\n{keys}bogus = 1\n"
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_write(tmp_path, "unread.cfg", body)), "--out", str(out)]) == 2
+    assert f"configeo: error: field [{section}] bogus: {command} does not read it" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["count", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["count", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+], ids=["no-command", "unknown-command", "unknown-flag", "bad-seed"])
+def test_bad_command_line_returns_2(capsys, argv, message):
+    # argparse's errors are usage errors too: main returns 2, it does not exit
+    assert main(argv) == 2
+    assert f"configeo: error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda path: None, "No such file or directory"),
+    (lambda path: path.mkdir(), "Is a directory"),
+    (lambda path: path.write_bytes(b"command = gen\n# \xe9\n"), "can't decode byte 0xe9"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_config_exits_2(tmp_path, capsys, make, message):
+    path = tmp_path / "run.cfg"
+    make(path)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"configeo: error: cannot read config file {path}: " in err and message in err
+
+
+def test_config_command_agrees_with_the_subcommand(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "dim.cfg", "command = dim\n[generator]\nkind = lattice\nd = 2\nm = 4\n")
+    out = tmp_path / "out"
+    assert main(["energy", "--config", str(cfg_path), "--s-grid", "1", "--out", str(out)]) == 2
+    assert "configeo: error: config names command 'dim', not energy" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["dim", "--config", str(cfg_path), "--scales", "0.5;0.25;0.125", "--out", str(out)]) == 0
+    assert "command = dim" in (out / "dim_manifest.txt").read_text().splitlines()
 
 
 def test_scan_usage_errors_exit_2(tmp_path):
@@ -577,7 +634,7 @@ def test_non_finite_query_exit_2(tmp_path, flags):
 
 
 @pytest.mark.parametrize("c", ["0", "-5", "nan", "inf"])
-@pytest.mark.parametrize("argv", [["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s", "1"],
+@pytest.mark.parametrize("argv", [["energy", "--kind", "lattice", "--d", "2", "--m", "4", "--s-grid", "1"],
                                   SCAN_D2 + ["--family", "angle"]], ids=["energy", "scan"])
 def test_bad_adaptability_level_exit_2(tmp_path, capsys, argv, c):
     out = tmp_path / "out"
@@ -661,11 +718,9 @@ def test_convention_flag_and_key_exit_2(tmp_path, monkeypatch, capsys, command, 
         section, keys["schedule"], keys["s"] = "scan", "20;40;80", "2"
         flags, head = ["--kind", "uniform_random", "--d", "2"], "[generator]\nkind = uniform_random\nd = 2\n"
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exc:
-        main([command] + flags + [f"--{key}={value}" for key, value in keys.items()]
-             + ["--convention", "simplex", "--out", str(out)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --convention simplex" in capsys.readouterr().err
+    assert main([command] + flags + [f"--{key}={value}" for key, value in keys.items()]
+                + ["--convention", "simplex", "--out", str(out)]) == 2
+    assert "configeo: error: unrecognized arguments: --convention simplex" in capsys.readouterr().err
     body = (f"command = {command}\n{head}[{section}]\n"
             + "".join(f"{key} = {value}\n" for key, value in keys.items()) + "convention = simplex\n")
     assert main(["run", "--config", str(_write(tmp_path, "convention.cfg", body)), "--out", str(out)]) == 2
@@ -684,13 +739,12 @@ def test_scan_steps_that_make_one_point_set_exit_2(tmp_path, monkeypatch, capsys
     assert not out.exists()
 
 
-@pytest.mark.parametrize("check", ["suite", "circulant"])
-def test_curvature_over_the_dimension_budget_exits_1(tmp_path, monkeypatch, capsys, check):
+def test_curvature_over_the_dimension_budget_exits_1(tmp_path, monkeypatch, capsys):
     built = []
     monkeypatch.setattr(cli, "circulant_check", lambda d: built.append(d))
     out = tmp_path / "out"
     d = cli.CURVATURE_MAX_D + 1
-    assert main(["curvature", "--check", check, "--d", str(d), "--out", str(out)]) == 1
+    assert main(["curvature", "--d", str(d), "--out", str(out)]) == 1
     assert f"configeo: error: curvature d = {d} is over the budget of 128" in capsys.readouterr().err
     assert built == [] and not out.exists()
 
@@ -712,7 +766,7 @@ def test_threads_key_removed(tmp_path, capsys):
     assert ("field threads: count does not read it (it reads top-level keys: algorithm, command, "
             "input, out, seed)") in capsys.readouterr().err
     assert not out.exists()
-    with pytest.raises(SystemExit):
+    with pytest.raises(UsageError, match="unrecognized arguments: --threads 2"):
         parse_config(["count", "--threads", "2"])
 
 
@@ -732,7 +786,7 @@ def test_removed_config_keys(tmp_path, body, name):
 
 
 def test_envelope_flag_removed():
-    with pytest.raises(SystemExit):
+    with pytest.raises(UsageError, match="unrecognized arguments: --envelope 0"):
         parse_config(["ft", "--envelope", "0"])
 
 
@@ -747,7 +801,7 @@ FLAG_SURFACE = {
     "run": COMMON_FLAGS | INPUT_FLAG,
     "gen": COMMON_FLAGS | GENERATOR_FLAGS,
     "energy": COMMON_FLAGS | INPUT_FLAG | GENERATOR_FLAGS | {
-        "--s": "energy.s", "--s-grid": "energy.s_grid", "--c": "energy.c"},
+        "--s-grid": "energy.s_grid", "--c": "energy.c"},
     "count": COMMON_FLAGS | INPUT_FLAG | GENERATOR_FLAGS | {
         "--algorithm": "algorithm", "--family": "query.family", "--k": "query.k", "--t": "query.t",
         "--delta": "query.delta"},
@@ -761,7 +815,7 @@ FLAG_SURFACE = {
         "--epsilon": "ft.epsilon", "--samples": "ft.samples", "--nodes": "ft.nodes",
         "--sphere-radii": "ft.sphere_radii", "--gaps": "ft.gaps", "--level": "ft.t",
         "--cutoff": "ft.cutoff"},
-    "curvature": COMMON_FLAGS | {"--check": "curvature.check", "--d": "curvature.d"},
+    "curvature": COMMON_FLAGS | {"--d": "curvature.d"},
     "dim": COMMON_FLAGS | INPUT_FLAG | GENERATOR_FLAGS | {"--scales": "dim.scales"},
 }
 FLAG_CHOICES = {("count", "--algorithm"): ("brute", "pruned"),
@@ -775,9 +829,13 @@ def _subparsers():
 
 
 def test_flag_surface():
+    # with no prefix matching (allow_abbrev off), these option strings are
+    # the whole surface
     subparsers = _subparsers()
     assert list(subparsers) == list(FLAG_SURFACE)
+    assert not cli.build_parser().allow_abbrev
     for command, sub in subparsers.items():
+        assert not sub.allow_abbrev, command
         flags = {option: action for action in sub._actions for option in action.option_strings}
         assert {option: action.dest for option, action in flags.items()} == FLAG_SURFACE[command]
         for option, action in flags.items():

@@ -78,7 +78,7 @@ def test_sphere_area_is_within_16_ulp_of_the_exact_area():
 def test_determinant_variety_weight_is_the_scipy_gamma_ball_bit_for_bit():
     from scipy.special import gamma
 
-    spec = MeasureSpec.determinant_variety(3, t=0.2)
+    spec = MeasureSpec.determinant_variety(t=0.2)
     *_, weight = fourierlab.MEASURES["determinant_variety"].draw(spec, 0.05, np.random.default_rng(0), 64)
     ball = math.pi ** (9 / 2.0) / gamma(9 / 2.0 + 1.0)
     assert weight == ball * spec.cutoff**9 / (2.0 * 0.05)
@@ -256,14 +256,14 @@ def test_mc_reproducible():
 
 
 def test_mc_infeasible_error():
-    spec = MeasureSpec.determinant_variety(3, t=1.5)  # near the attainable edge
+    spec = MeasureSpec.determinant_variety(t=1.5)  # near the attainable edge
     with pytest.raises(InfeasibleError):
         ft_montecarlo(spec, [FrequencyPoint.of([0, 0, 0], [0, 0, 0], [0, 0, 0])],
                       epsilon=1e-6, samples=10**4, seed=13)
 
 
 def test_mc_determinant_variety_mass():
-    spec = MeasureSpec.determinant_variety(3, t=0.2)
+    spec = MeasureSpec.determinant_variety(t=0.2)
     [(est, se)] = ft_montecarlo(
         spec, [FrequencyPoint.of([0, 0, 0], [0, 0, 0], [0, 0, 0])], 0.05, 2 * 10**5, seed=14
     )
@@ -336,7 +336,7 @@ GOLDEN_MC = {
     ),
     # phases come from the strided mats[:, j, :] views of the accepted rows
     "determinant_variety": (
-        MeasureSpec.determinant_variety(3, t=0.2), 24,
+        MeasureSpec.determinant_variety(t=0.2), 24,
         [([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
          ([0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]),
          ([0.3, -0.7, 0.2], [1.1, 0.0, -0.4], [-0.6, 0.9, 0.8])],
@@ -462,12 +462,11 @@ def test_measure_spec_validation():
         MeasureSpec.chain_spheres(3, radii=(1.0, 1.0), gaps=(2.5,))  # unreachable gap
     with pytest.raises(ValueError):
         MeasureSpec.chain_spheres(3, radii=(1.0,), gaps=())
+    assert MeasureSpec.determinant_variety(t=0.5).d == 3  # fixed, as triangle2d fixes d = 2
     with pytest.raises(ValueError):
-        MeasureSpec.determinant_variety(4, t=0.5)  # gated to d = 3
+        MeasureSpec.determinant_variety(t=0.0)
     with pytest.raises(ValueError):
-        MeasureSpec.determinant_variety(3, t=0.0)
-    with pytest.raises(ValueError):
-        MeasureSpec.determinant_variety(3, t=2.0)  # beyond attainable
+        MeasureSpec.determinant_variety(t=2.0)  # beyond attainable
     with pytest.raises(ValueError):
         MeasureSpec.sphere(1)
 

@@ -63,25 +63,30 @@ def test_the_scan_finds_format_float_users():
     assert _format_float_users(tree) == {"import", "f", "C", "<module>"}
 
 
-def _attribute_readers(tree: ast.Module, attr: str) -> set[str]:
-    """The top-level functions or classes of tree, or '<module>', that read
-    the attribute attr of some object."""
-    return {top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-            for top in tree.body for node in ast.walk(top)
-            if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Load)}
+def _environment_reads(tree: ast.Module) -> list[str]:
+    """Where tree reads the process environment: each os.environ, os.getenv
+    or os.environb attribute, or an import of one of them, as 'name (line n)'."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in names]
+    found += [(node.lineno, alias.name) for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module == "os"
+              for alias in node.names if alias.name in names]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
 
 
-def test_counter_args_serve_only_run_query():
-    # a row's counter_args rebuild the count_<family> call of run_query
-    found = {p.stem: _attribute_readers(ast.parse(p.read_text(), filename=str(p)), "counter_args")
-             for p in SOURCES}
-    assert {name: f for name, f in found.items() if f} == {"configcount": {"run_query"}}
+def test_no_source_module_reads_the_environment():
+    # a run's inputs are its command line and its config file: the seed is
+    # --seed, else the seed key, else 0, and no setting comes from the shell
+    found = {p.name: _environment_reads(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES}
+    assert {name: f for name, f in found.items() if f} == {}
 
 
-def test_the_scan_finds_attribute_readers():
-    tree = ast.parse("def f(r):\n    return r.a\nclass C:\n    def g(self):\n        self.a = 1\n"
-                     "        return self.b.a\nx = C().a\ny = {'a': 1}\ndef a():\n    pass\n")
-    assert _attribute_readers(tree, "a") == {"f", "C", "<module>"}
+def test_the_scan_finds_environment_reads():
+    tree = ast.parse("import os\nfrom os import getenv as g, sep\nx = os.environ['A']\n"
+                     "def f():\n    return os.getenv('B'), os.environ.get('C'), os.path.sep\n")
+    assert _environment_reads(tree) == ["getenv (line 2)", "environ (line 3)", "environ (line 5)",
+                                        "getenv (line 5)"]
 
 
 def _custom_mentions(tree: ast.Module) -> set[str]:

@@ -103,6 +103,6 @@ def test_monte_carlo_at_even_d_leaves_scipy_out():
 
 
 def test_monte_carlo_at_odd_d_leaves_scipy_out():
-    specs = ("(MeasureSpec.sphere(3), MeasureSpec.determinant_variety(3, 0.2), MeasureSpec.sphere(51), "
+    specs = ("(MeasureSpec.sphere(3), MeasureSpec.determinant_variety(0.2), MeasureSpec.sphere(51), "
              "MeasureSpec.sphere(53))")
     assert _fresh(MONTE_CARLO.format(specs=specs)) == []
