@@ -73,9 +73,18 @@ def test_missing_field_names_the_field(tmp_path):
         run(cfg)
 
 
-def test_seed_precedence_flag_over_file_over_env(tmp_path, monkeypatch):
-    # the seed is --seed, else the seed key, else 0; no environment variable is
-    # read, so CONFIGEO_SEED, valid or not, changes no byte
+def test_seed_precedence_flag_over_file_over_env(tmp_path):
+    # the seed is --seed, else the seed key, else 0
+    cfg_path = _write(tmp_path, "count.cfg", COUNT_CFG)
+    cfg_path2 = _write(tmp_path, "noseed.cfg", COUNT_CFG.replace("seed = 7\n", ""))
+    assert parse_config(["run", "--config", str(cfg_path)]).seed == 7
+    assert parse_config(["run", "--config", str(cfg_path), "--seed", "42"]).seed == 42
+    assert parse_config(["run", "--config", str(cfg_path2)]).seed == 0
+
+
+def test_env_seed_changes_nothing(tmp_path, monkeypatch):
+    # no environment variable is read, so CONFIGEO_SEED, valid or not,
+    # changes no seed and no byte of a generated set
     cfg_path = _write(tmp_path, "count.cfg", COUNT_CFG)
     cfg_path2 = _write(tmp_path, "noseed.cfg", COUNT_CFG.replace("seed = 7\n", ""))
     gen = ["gen", "--kind", "uniform_random", "--d", "2", "--n", "5"]
@@ -86,7 +95,6 @@ def test_seed_precedence_flag_over_file_over_env(tmp_path, monkeypatch):
         else:
             monkeypatch.setenv("CONFIGEO_SEED", env)
         assert parse_config(["run", "--config", str(cfg_path)]).seed == 7
-        assert parse_config(["run", "--config", str(cfg_path), "--seed", "42"]).seed == 42
         assert parse_config(["run", "--config", str(cfg_path2)]).seed == 0
         out = tmp_path / f"out_{env}"
         assert main(gen + ["--out", str(out)]) == 0
