@@ -39,21 +39,18 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .configcount import ALGORITHMS, ConfigQuery, box_dim, family_row, run_query
+from .configcount import ConfigQuery, box_dim, family_row, run_query
 from .energy import DEFAULT_ADAPTABILITY_C, _check_positive, energy_profile
 from .errors import CapacityError, ConfigeoError, InfeasibleError
 from .expfit import ScanSpec, run_scan
 from .fourierlab import (
     MC_SAMPLE_BUDGET,
     MEASURES,
-    QUADRATURE_NODE_BUDGET,
     FrequencyPoint,
     MeasureSpec,
-    _quadrature_nodes,
     circulant_check,
     decay_fit,
     ft_montecarlo,
-    ft_quadrature,
     level_set_curvatures,
     nonzero_curvature_count,
     phase_check_ranks,
@@ -167,9 +164,13 @@ def _parse_direction(raw: str) -> FrequencyPoint:
     blocks = []
     for part in raw.split("|"):
         try:
-            blocks.append(np.array([float(x) for x in part.split(";") if x != ""]))
+            block = np.array([float(x) for x in part.split(";") if x != ""])
+            finite = np.isfinite(block).all()
         except ValueError:
-            raise UsageError(f"field [ft] direction: bad block {part!r}") from None
+            finite = False
+        if not finite:
+            raise UsageError(f"field [ft] direction: bad block {part!r} (need finite numbers)")
+        blocks.append(block)
     return FrequencyPoint(blocks=tuple(blocks))
 
 
@@ -199,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("run", parents=[with_input], help="run the command named in the config file")
     for name, row in COMMANDS.items():
         command = sub.add_parser(name, parents=[with_input if row.input else common], help=row.help)
-        if row.algorithm:
-            command.add_argument("--algorithm", choices=ALGORITHMS, help="counting algorithm")
         keys = [("generator", key) for key in _GENERATOR_KEYS if row.points]
         for section, key in keys + [(row.section, key) for key in row.keys]:
             flag = _FLAG_NAMES.get((section, key), "--" + key.replace("_", "-"))
@@ -221,10 +220,10 @@ def parse_config(argv=None) -> ExperimentConfig:
         sections = parse_config_text(text, origin=ns.config)
 
     # a given flag overrides the file: a dest section.key names a section key,
-    # and input and algorithm are top-level keys
+    # and input is a top-level key
     for dest, value in vars(ns).items():
         section, dot, key = dest.rpartition(".")
-        if value is not None and (dot or key in ("input", "algorithm")):
+        if value is not None and (dot or key == "input"):
             sections.setdefault(section, {})[key] = value
 
     cfg = ExperimentConfig(ns.command, sections)
@@ -388,15 +387,6 @@ def _cmd_energy(cfg: ExperimentConfig):
     return job
 
 
-def _algorithm(cfg: ExperimentConfig) -> str:
-    """The counting algorithm of count and scan, resolved into the manifest."""
-    algorithm = _get(cfg, "", "algorithm", "pruned")
-    if algorithm not in ALGORITHMS:
-        raise UsageError(f"unknown algorithm {algorithm!r}")
-    cfg.sections[""]["algorithm"] = algorithm
-    return algorithm
-
-
 def _family_k(cfg: ExperimentConfig, section: str, family: str) -> Callable[[int], int]:
     """k in dimension d: fixed by the family's row, else the section's k field."""
     fixed_k = family_row(family).fixed_k
@@ -409,12 +399,11 @@ def _cmd_count(cfg: ExperimentConfig):
     k = _family_k(cfg, "query", family)
     delta = _get_float(cfg, "query", "delta", required=True)
     t = _get_floats(cfg, "query", "t", required=True)
-    algorithm = _algorithm(cfg)
     ps = _load_points(cfg)
     query = ConfigQuery(family, k(ps.dim), t, delta)
 
     def job():
-        report = run_query(ps, query, algorithm=algorithm)
+        report = run_query(ps, query)
         seed = cfg.seed if ps.meta.seed is None else ps.meta.seed
         # elapsed_seconds is left empty so identical runs write identical bytes
         row = (query.family, query.k, ps.dim, ps.n, query.t, query.delta, report.count,
@@ -443,7 +432,6 @@ def _cmd_scan(cfg: ExperimentConfig):
         delta=_get_float(cfg, "scan", "delta"),
         predicted=_get_float(cfg, "scan", "predicted"),
         adaptability_C=_get_float(cfg, "scan", "c", DEFAULT_ADAPTABILITY_C),
-        algorithm=_algorithm(cfg),
     )
 
     def job():
@@ -502,16 +490,11 @@ def _default_direction(spec: MeasureSpec) -> FrequencyPoint:
     return FrequencyPoint(blocks=tuple(blocks))
 
 
-FT_QUADRATURE_RAY_NODES = 12 * QUADRATURE_NODE_BUDGET  # nodes x radii of one ft ray (see _cmd_ft)
-
-
 def _cmd_ft(cfg: ExperimentConfig):
-    """Time budget: one ray, the ft_quadrature or ft_montecarlo call of each
+    """Time budget: one Monte Carlo ray, the ft_montecarlo call of each
     radius, is refused with CapacityError before its first evaluation when
-    it holds more than FT_QUADRATURE_RAY_NODES quadrature nodes or
-    MC_SAMPLE_BUDGET Monte Carlo samples in all.  Both are about 20 s on a
-    2-vCPU VM: 1.1-1.6 s per 2^22 nodes at d = 3, and ~20 s per 10^8
-    chain_spheres(3) samples."""
+    it holds more than MC_SAMPLE_BUDGET samples in all, ~20 s of
+    chain_spheres(3) samples on a 2-vCPU VM."""
     spec = _measure_from_config(cfg)
     raw_dir = _get(cfg, "ft", "direction")
     direction = _parse_direction(raw_dir) if raw_dir else _default_direction(spec)
@@ -531,15 +514,6 @@ def _cmd_ft(cfg: ExperimentConfig):
         if row.closed_form is None:
             raise UsageError(f"no closed form for kind {spec.kind!r}; use method = mc")
         evaluator = lambda ps: [row.closed_form(spec, p) for p in ps]  # noqa: E731
-    elif method == "quadrature":
-        if not row.quadrature:
-            raise ValueError(f"no quadrature oracle for kind {spec.kind!r}")
-        nodes = _get_int(cfg, "ft", "nodes", 2048)
-        ray_nodes = _quadrature_nodes(spec.d, nodes) * len(radii)
-        if ray_nodes > FT_QUADRATURE_RAY_NODES:
-            raise CapacityError(f"{len(radii)} radii of {nodes}^{spec.d - 1} quadrature nodes make "
-                                f"{ray_nodes}, over the ray budget of {FT_QUADRATURE_RAY_NODES}")
-        evaluator = lambda ps: [ft_quadrature(spec, p.blocks[0], nodes) for p in ps]  # noqa: E731
     elif method == "mc":
         epsilon = _get_float(cfg, "ft", "epsilon", 0.05)
         samples = _get_int(cfg, "ft", "samples", 10**6)
@@ -645,7 +619,6 @@ class Command:
     keys: tuple[str, ...] = ()  # the keys of the section that get a flag
     points: bool = False  # reads a point set, so takes the [generator] flags
     input: bool = False  # may read it from a file instead, so takes --input
-    algorithm: bool = False  # takes the top-level --algorithm
 
 
 COMMANDS = {
@@ -653,13 +626,12 @@ COMMANDS = {
     "energy": Command("energy", _cmd_energy, "discrete energy report", ("s_grid", "c"),
                       points=True, input=True),
     "count": Command("query", _cmd_count, "one counting run", ("family", "k", "t", "delta"),
-                     points=True, input=True, algorithm=True),
+                     points=True, input=True),
     "scan": Command("scan", _cmd_scan, "count-growth scan over n",
-                    ("family", "k", "schedule", "s", "t", "delta", "predicted", "c"),
-                    points=True, algorithm=True),
+                    ("family", "k", "schedule", "s", "t", "delta", "predicted", "c"), points=True),
     "ft": Command("ft", _cmd_ft, "Fourier decay of a configuration measure",
                   ("kind", "direction", "rmin", "rmax", "nradii", "radii", "method", "epsilon",
-                   "samples", "nodes") + tuple(key for key, _ in _MEASURE_KEYS.values())),
+                   "samples") + tuple(key for key, _ in _MEASURE_KEYS.values())),
     "curvature": Command("curvature", _cmd_curvature, "curvature/rank certificates", ("d",)),
     "dim": Command("dim", _cmd_dim, "box-counting dimension", ("scales",), points=True, input=True),
 }
@@ -678,9 +650,13 @@ def _refuse_unread(cfg: ExperimentConfig) -> None:
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Parse the command's keys, refuse any key it did not ask for, run its
-    job, then write the reports, print the summary line and write the
-    manifest.  A ValueError from parse or job is a usage error."""
+    """Refuse an output directory that is, or lies under, a file; parse the
+    command's keys, refuse any key it did not ask for, run its job, then
+    write the reports, print the summary line and write the manifest.  A
+    ValueError from parse or job is a usage error."""
+    existing = next(path for path in (cfg.out_dir, *cfg.out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise UsageError(f"output directory {cfg.out_dir}: {existing} is not a directory")
     row = COMMANDS[cfg.command]
     try:
         job = row.parse(cfg)

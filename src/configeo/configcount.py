@@ -87,8 +87,6 @@ _AREA2_MARGIN_C = 8  # rounding margin constant of _area2_margin
 _ANGLE_MARGIN_C = 16  # rounding margin constant of _angle_margin
 _BLOCK_BUFSIZE = 256  # ufunc buffer size inside a distance block (see _distance_blocks)
 
-ALGORITHMS = ("brute", "pruned")  # the oracle, the fast counter
-
 
 def pair_order(k: int) -> list[tuple[int, int]]:
     """Lexicographic (i, j), i < j, over k+1 vertex slots (0-based)."""
@@ -975,12 +973,13 @@ def box_dim(points, scales) -> BoxDimReport:
 # dispatch
 
 
-def run_query(ps: PointSet, query: ConfigQuery, algorithm: str = "pruned") -> CountReport:
-    """Route a ConfigQuery to count_<family>, passing k only where the
-    family's row does not fix it.  count_<family> is looked up at every call,
-    so wrappers installed on this module's attribute see each query; a custom
-    map's query has none and goes to its row's counters directly."""
+def run_query(ps: PointSet, query: ConfigQuery) -> CountReport:
+    """Count a ConfigQuery with the fast counter: route it to count_<family>,
+    passing k only where the family's row does not fix it.  count_<family> is
+    looked up at every call, so wrappers installed on this module's attribute
+    see each query; a custom map's query has none and goes to its row's
+    counter directly."""
     if query.phi is not None:
-        return _count(ps, query, algorithm)
+        return _count(ps, query, "pruned")
     k = (query.k,) if FAMILIES[query.family].fixed_k is None else ()
-    return globals()[f"count_{query.family}"](ps, *k, query.t, query.delta, algorithm=algorithm)
+    return globals()[f"count_{query.family}"](ps, *k, query.t, query.delta)

@@ -21,7 +21,7 @@ from numbers import Rational
 import numpy as np
 
 from ._ols import ols_loglog
-from .configcount import ALGORITHMS, ConfigQuery, CountReport, PhiFunction, family_row, run_query
+from .configcount import ConfigQuery, CountReport, PhiFunction, family_row, run_query
 from .energy import DEFAULT_ADAPTABILITY_C, EnergyReport, _check_positive, is_adaptable
 from .errors import InfeasibleError
 from .pointgen import GENERATORS, GeneratorSpec, PointSet, generate
@@ -82,7 +82,6 @@ class ScanSpec:
     delta: float | None = None
     predicted: float | None = None
     adaptability_C: float = DEFAULT_ADAPTABILITY_C
-    algorithm: str = "pruned"
     phi: PhiFunction | None = None
 
     def __post_init__(self):
@@ -101,8 +100,6 @@ class ScanSpec:
         if self.s is not None:
             _check_positive("s", self.s)
         _check_positive("C", self.adaptability_C)
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
         row = family_row(self.family, self.phi)
         row.check_k(self.k, d)  # before any generation
         if self.t is not None:  # each step's ConfigQuery checks them too
@@ -188,7 +185,7 @@ def run_scan(spec: ScanSpec) -> ScanReport:
     for ps in sets:
         delta_n = spec.delta if spec.delta is not None else ps.n ** (-1.0 / s)
         query = ConfigQuery(spec.family, spec.k, t, float(delta_n), spec.phi)
-        report: CountReport = run_query(ps, query, algorithm=spec.algorithm)
+        report: CountReport = run_query(ps, query)
         rows.append(ScanRow(n=ps.n, delta=float(delta_n), count=report.count))
         energies.append(is_adaptable(ps, s, spec.adaptability_C))
 

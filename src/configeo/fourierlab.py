@@ -15,7 +15,7 @@ Fixed normalizations (so the oracles are mutually comparable):
                 the ambient dimension d^2 makes larger d infeasible).
 
 Each kind is one MeasureKind row of MEASURES: its constructor, frequency
-blocks, expected decay order, Monte Carlo draw and exact evaluators.
+blocks, expected decay order, Monte Carlo draw and closed form.
 
 The Monte Carlo estimator samples the ambient product of spheres (or the
 cutoff ball) and weights by (2*eps)^(-c) on |constraints| < eps, c the
@@ -128,8 +128,10 @@ class MeasureSpec:
     @classmethod
     def determinant_variety(cls, t: float, cutoff: float = 2.0) -> "MeasureSpec":
         d = 3  # the only desk-scale d (see the module docstring)
+        if not 0.0 < cutoff < math.inf:
+            raise ValueError(f"cutoff must be positive and finite, got cutoff={cutoff}")
         tmax = (cutoff**2 / d) ** (d / 2.0)
-        if t == 0.0 or abs(t) >= tmax:
+        if not 0.0 < abs(t) < tmax:  # NaN fails too
             raise ValueError(f"level must satisfy 0 < |t| < {tmax:.6g}")
         return cls(kind="determinant_variety", d=d, t=float(t), cutoff=float(cutoff))
 
@@ -225,29 +227,21 @@ def ft_triangle(xi, eta) -> complex:
 # quadrature oracle (sphere only)
 
 
-def _quadrature_nodes(d: int, node_count: int) -> int:
-    """node_count^(d-1), the nodes of one ft_quadrature call at d; refused
-    with CapacityError over QUADRATURE_NODE_BUDGET."""
-    nodes = node_count ** (d - 1)
-    if nodes > QUADRATURE_NODE_BUDGET:
-        raise CapacityError(f"{node_count}^{d - 1} quadrature nodes are over the budget of "
-                            f"{QUADRATURE_NODE_BUDGET}")
-    return nodes
-
-
 def ft_quadrature(spec: MeasureSpec, xi, node_count: int = 2048) -> complex:
     """Product-quadrature oracle for the sphere transform: trapezoid in the
     azimuth (spectrally accurate on the periodic circle) and Gauss-Legendre
     in each polar angle; cost node_count^(d-1) nodes of 96-112 B each
     (tracemalloc, d = 3 and 4).  Over QUADRATURE_NODE_BUDGET = 2^22 nodes,
-    ~0.45 GB and the CLI default of 2048 nodes at d = 3, it refuses with
+    ~0.45 GB and the default of 2048 nodes at d = 3, it refuses with
     CapacityError before any array is allocated."""
-    if not MEASURES[spec.kind].quadrature:
+    if spec.kind != "sphere":
         raise ValueError(f"the quadrature oracle does not cover {spec.kind} measures")
     if node_count < 16:
         raise ValueError("node_count must be >= 16")
     d = spec.d
-    _quadrature_nodes(d, node_count)
+    if node_count ** (d - 1) > QUADRATURE_NODE_BUDGET:
+        raise CapacityError(f"{node_count}^{d - 1} quadrature nodes are over the budget of "
+                            f"{QUADRATURE_NODE_BUDGET}")
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (d,):
         raise ValueError(f"xi must be a {d}-vector")
@@ -434,24 +428,23 @@ class MeasureKind:
     reference_exponent: Callable[[int], float]  # in dimension d
     draw: Callable[..., tuple[list[np.ndarray], float]]  # (spec, epsilon, rng, m)
     closed_form: Callable[[MeasureSpec, FrequencyPoint], complex] | None
-    quadrature: bool  # whether ft_quadrature covers the kind
     density: float = 1.0  # constant shell->parametrized density, applied to the draw's weight
 
 
 MEASURES: dict[str, MeasureKind] = {
     "sphere": MeasureKind(
         MeasureSpec.sphere, lambda spec: (spec.d,), lambda d: (d - 1) / 2.0, _draw_spheres,
-        lambda spec, fp: ft_sphere(spec.d, fp.blocks[0]), quadrature=True),
+        lambda spec, fp: ft_sphere(spec.d, fp.blocks[0])),
     "triangle2d": MeasureKind(
         MeasureSpec.triangle2d, lambda spec: (2, 2), lambda d: 0.5, _draw_spheres,
-        lambda spec, fp: ft_triangle(*fp.blocks), quadrature=False,
+        lambda spec, fp: ft_triangle(*fp.blocks),
         density=_SQ3 / 2.0),  # |grad over the torus| of the gap constraint
     "chain_spheres": MeasureKind(
         MeasureSpec.chain_spheres, lambda spec: (spec.d,) * len(spec.radii),
-        lambda d: (d - 1) / 2.0, _draw_spheres, None, quadrature=False),
+        lambda d: (d - 1) / 2.0, _draw_spheres, None),
     "determinant_variety": MeasureKind(
         MeasureSpec.determinant_variety, lambda spec: (spec.d,) * spec.d,
-        lambda d: (d**2 - 1) / 2.0, _draw_determinant_variety, None, quadrature=False),
+        lambda d: (d**2 - 1) / 2.0, _draw_determinant_variety, None),
 }
 
 

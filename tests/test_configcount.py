@@ -1,4 +1,5 @@
 import gc
+import inspect
 import itertools
 import math
 import operator
@@ -1157,12 +1158,14 @@ def test_run_query_dispatch():
 
 
 def test_run_query_counts_a_custom_map_by_its_row():
-    query = ConfigQuery(family="custom", k=1, t=(1.0,), delta=0.01, phi=DISTANCE_PHI)
-    for algo in ("pruned", "brute"):
-        report = run_query(SQUARE, query, algorithm=algo)
-        assert (report.count, report.algorithm) == (8, algo)
-    with pytest.raises(ValueError, match="unknown algorithm"):
-        run_query(SQUARE, query, algorithm="magic")
+    # run_query takes no algorithm: it counts with the row's counter, which
+    # equals count_phi, the row's oracle
+    for t, delta, want in (((1.0,), 0.01, 8), ((2.0**0.5,), 0.01, 4), ((0.5,), 0.5, 8), ((3.0,), 0.1, 0)):
+        query = ConfigQuery(family="custom", k=1, t=t, delta=delta, phi=DISTANCE_PHI)
+        report = run_query(SQUARE, query)
+        assert report.count == count_phi(SQUARE, DISTANCE_PHI, t, delta).count == want
+        assert report.algorithm == "pruned"
+    assert "algorithm" not in inspect.signature(run_query).parameters
     with pytest.raises(ValueError, match="needs k = 1"):
         run_query(SQUARE, ConfigQuery(family="custom", k=2, t=(1.0,), delta=0.01, phi=DISTANCE_PHI))
 

@@ -343,13 +343,6 @@ def test_scan_checks_k_before_generating(monkeypatch):
         run_scan(ScanSpec(generator=template, family="simplex", k=3, schedule=(20, 40, 80)))
 
 
-def test_scan_checks_algorithm_before_generating(monkeypatch):
-    monkeypatch.setattr(expfit, "generate", lambda spec: pytest.fail("generated a point set"))
-    with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
-        ScanSpec(generator=GeneratorSpec.make("uniform_random", d=2), family="simplex", k=1,
-                 schedule=(20, 40, 80), t=(0.5,), algorithm="bogus")
-
-
 @pytest.mark.parametrize("t,delta,match", [
     ((0.5, 0.5), None, "simplex target needs 1 entries, got 2"),
     ((-0.5,), None, "simplex targets must be finite and positive"),

@@ -467,6 +467,13 @@ def test_measure_spec_validation():
         MeasureSpec.determinant_variety(t=0.0)
     with pytest.raises(ValueError):
         MeasureSpec.determinant_variety(t=2.0)  # beyond attainable
+    # NaN fails 0 < |t| < tmax; a cutoff must be positive and finite, so that
+    # the ball's radius and volume are
+    with pytest.raises(ValueError, match="level must satisfy"):
+        MeasureSpec.determinant_variety(t=math.nan)
+    for cutoff in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            MeasureSpec.determinant_variety(t=0.1, cutoff=cutoff)
     with pytest.raises(ValueError):
         MeasureSpec.sphere(1)
 

@@ -1,7 +1,8 @@
 """Which commands load the heavy modules: only the closed-form `ft` loads
 scipy (fourierlab.ft_sphere_radial imports scipy.special.jv), and only the
-quadrature `ft` loads numpy.polynomial.  Checked in a fresh interpreter,
-since the test session itself has loaded both long before."""
+quadrature oracle, fourierlab.ft_quadrature, loads numpy.polynomial.  Checked
+in a fresh interpreter, since the test session itself has loaded both long
+before."""
 
 import json
 import os
@@ -40,9 +41,7 @@ COMMANDS = [
      "--samples", "10000"],
 ]
 
-# the sphere's two exact oracles, each run alone
 FT_CLOSED = ["ft", "--kind", "sphere", "--d", "3", "--rmin", "1", "--rmax", "10", "--nradii", "5"]
-FT_QUADRATURE = FT_CLOSED + ["--method", "quadrature", "--nodes", "16"]
 
 
 def _fresh(code: str):
@@ -79,8 +78,19 @@ def test_closed_form_ft_loads_scipy():
     assert "scipy" in _fresh(f"COMMANDS = {[FT_CLOSED]!r}\n{SCRIPT}")["ft"]
 
 
+# the modules loaded after the import, then after one quadrature call
+QUADRATURE = """
+import json, sys
+from configeo.fourierlab import MeasureSpec, ft_quadrature
+loaded = [[m for m in HEAVY if m in sys.modules]]
+ft_quadrature(MeasureSpec.sphere(3), [1.0, 0.0, 0.0], 16)
+loaded.append([m for m in HEAVY if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
 def test_quadrature_ft_loads_numpy_polynomial_and_nothing_else():
-    assert _fresh(f"COMMANDS = {[FT_QUADRATURE]!r}\n{SCRIPT}")["ft"] == ["numpy.polynomial"]
+    assert _fresh(QUADRATURE) == [[], ["numpy.polynomial"]]
 
 
 # sphere_area takes Gamma(d/2) from math.gamma, so no Monte Carlo draw loads
