@@ -36,7 +36,6 @@ from .fourierlab import (
     DecayReport,
     FrequencyPoint,
     MeasureSpec,
-    circulant_check,
     decay_fit,
     ft_montecarlo,
     ft_quadrature,

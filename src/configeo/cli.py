@@ -48,7 +48,6 @@ from .fourierlab import (
     MEASURES,
     FrequencyPoint,
     MeasureSpec,
-    circulant_check,
     decay_fit,
     ft_montecarlo,
     level_set_curvatures,
@@ -490,11 +489,14 @@ def _default_direction(spec: MeasureSpec) -> FrequencyPoint:
     return FrequencyPoint(blocks=tuple(blocks))
 
 
+FT_RADII_BUDGET = 10**5  # radii per ft ray (see _cmd_ft)
+
+
 def _cmd_ft(cfg: ExperimentConfig):
-    """Time budget: one Monte Carlo ray, the ft_montecarlo call of each
-    radius, is refused with CapacityError before its first evaluation when
-    it holds more than MC_SAMPLE_BUDGET samples in all, ~20 s of
-    chain_spheres(3) samples on a 2-vCPU VM."""
+    """Time budget: a ray of more than FT_RADII_BUDGET radii (~2 s of sphere(3)
+    closed forms, ~4 s of triangle2d on a 2-vCPU VM) or a Monte Carlo ray of
+    more than MC_SAMPLE_BUDGET samples in all (~20 s of chain_spheres(3)) is
+    refused with CapacityError before the radii are built."""
     spec = _measure_from_config(cfg)
     raw_dir = _get(cfg, "ft", "direction")
     direction = _parse_direction(raw_dir) if raw_dir else _default_direction(spec)
@@ -505,8 +507,9 @@ def _cmd_ft(cfg: ExperimentConfig):
     if radii is None:
         rmin = _get_float(cfg, "ft", "rmin", required=True)
         rmax = _get_float(cfg, "ft", "rmax", required=True)
-        nradii = _get_int(cfg, "ft", "nradii", 12)
-        radii = tuple(np.geomspace(rmin, rmax, nradii))
+    nradii = _get_int(cfg, "ft", "nradii", 12) if radii is None else len(radii)
+    if nradii > FT_RADII_BUDGET:
+        raise CapacityError(f"{nradii} radii are over the ft budget of {FT_RADII_BUDGET}")
 
     row = MEASURES[spec.kind]
     method = _get(cfg, "ft", "method", "mc" if row.closed_form is None else "closed")
@@ -517,9 +520,9 @@ def _cmd_ft(cfg: ExperimentConfig):
     elif method == "mc":
         epsilon = _get_float(cfg, "ft", "epsilon", 0.05)
         samples = _get_int(cfg, "ft", "samples", 10**6)
-        if samples * len(radii) > MC_SAMPLE_BUDGET:
+        if samples * nradii > MC_SAMPLE_BUDGET:
             raise CapacityError(f"{samples} samples are over the Monte Carlo budget of "
-                                f"{MC_SAMPLE_BUDGET} at {len(radii)} radii ({samples * len(radii)} in all)")
+                                f"{MC_SAMPLE_BUDGET} at {nradii} radii ({samples * nradii} in all)")
         # one call per radius: perfbench's fourierlab.mc.samples adds the
         # `samples` argument of each call and its layer test pins that total,
         # so the ray goes in one call once the counter counts drawn samples
@@ -528,6 +531,8 @@ def _cmd_ft(cfg: ExperimentConfig):
         ]
     else:
         raise UsageError(f"unknown ft method {method!r}")
+    if radii is None:
+        radii = tuple(np.geomspace(rmin, rmax, nradii))
 
     def job():
         report = decay_fit(evaluator, direction, radii, reference=spec.reference_exponent)
@@ -543,11 +548,6 @@ def _cmd_ft(cfg: ExperimentConfig):
         return {name: body}, line, 1 if report.inconclusive else 0
 
     return job
-
-
-def _circulant_items(d: int):
-    value = circulant_check(d)
-    return [("circulant_det", value), ("circulant_nonzero", value != 0.0)]
 
 
 def _detform_items(d: int):
@@ -570,9 +570,6 @@ def _phase_items(d: int):
             ("phase_plane_discriminant_sign", "+" if disc > 0 else "-")]
 
 
-# the curvature checks, each returning its report items at dimension d, in
-# report order
-_CURVATURE_CHECKS = (_circulant_items, _detform_items, _phase_items)
 CURVATURE_MAX_D = 128  # the largest curvature d (see _cmd_curvature)
 
 
@@ -582,11 +579,13 @@ def _cmd_curvature(cfg: ExperimentConfig):
     d = 100); the suite took 8.3 s at CURVATURE_MAX_D = 128.  A larger d is
     refused with CapacityError before any matrix is built."""
     d = _get_int(cfg, "curvature", "d", 3)
+    if d < 2:
+        raise ValueError("need d >= 2")
     if d > CURVATURE_MAX_D:
         raise CapacityError(f"curvature d = {d} is over the budget of {CURVATURE_MAX_D}")
 
     def job():
-        items = [item for check in _CURVATURE_CHECKS for item in check(d)]
+        items = _detform_items(d) + _phase_items(d)
         name = f"curvature_suite_d{d}.txt"
         body = _text(f"curvature certificates (d={d})", items)
         return {name: body}, f"curvature: d={d} -> {cfg.out_dir / name}", 0

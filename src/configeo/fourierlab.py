@@ -49,6 +49,16 @@ scipy.special is imported in one place only: in ft_sphere_radial, for jv, the
 sphere's closed form.  Its import is most of the package's import time, and
 every command but the closed-form ft runs without it, Monte Carlo at every d
 included.  Likewise numpy.polynomial is imported only inside ft_quadrature.
+
+The phase certificate: V = {(x, y) : |x| = |y| = |x - y| = 1} in R^d x R^d,
+d >= 3, at (x0, y0) = (e_d, (sqrt(3)/2) e_1 + e_d/2).  A covector is critical
+for Phi = xi.x + eta.y on V when (xi, eta) = l1 (x0, 0) + l2 (0, y0) +
+l3 (x0 - y0, y0 - x0), and the Hessian of Phi|V is then the Lagrangian Hessian
+-[[l1 + l3, -l3], [-l3, l2 + l3]] (x) I_d in the orthonormal tangent basis
+(J x0, J y0)/sqrt(2), J: e_1 -> e_d -> -e_1, then (e_k, 0), (0, e_k) for
+k = 2..d-1.  That is p (+) d-2 copies of a 2x2 block, p = -(l1 + l2 + l3)/2 =
+-(xi.x0 + eta.y0)/2, half the second derivative of Phi per radian of the
+rotation (its squared speed is 2).  The plane {p = 0} is l1 + l2 + l3 = 0.
 """
 
 from __future__ import annotations
@@ -607,85 +617,75 @@ def rotated_block_form(d: int):
 
 def nonzero_curvature_count(eigs) -> int:
     """Eigenvalues that are nonzero relative to the largest magnitude."""
-    eigs = np.asarray(eigs, dtype=float)
-    top = float(np.abs(eigs).max()) if eigs.size else 0.0
-    if top == 0.0:
-        return 0
-    return int((np.abs(eigs) > CURVATURE_REL_TOL * top).sum())
+    mags = np.abs(np.asarray(eigs, dtype=float))
+    return int((mags > CURVATURE_REL_TOL * mags.max(initial=0.0)).sum())
 
 
-def circulant_check(d: int) -> float:
-    """Determinant of the (d-1)x(d-1) matrix with unit diagonal and 1/2
-    off-diagonal entries; nonzero certifies its nonsingularity at size d."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    m = d - 1
-    mat = 0.5 * np.eye(m) + 0.5 * np.ones((m, m))
-    return float(np.linalg.det(mat))
+def _chain_point(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base point (x0, y0) = (e_d, (sqrt(3)/2) e_1 + e_d/2) of V."""
+    x0, y0 = np.eye(d)[-1], np.zeros(d)
+    y0[0], y0[-1] = _SQ3 / 2.0, 0.5
+    return x0, y0
+
+
+def _tangent_basis(d: int) -> np.ndarray:
+    """The (2d-3, 2d) rows of V's orthonormal tangent basis at (x0, y0)."""
+    x0, y0 = _chain_point(d)
+    turn = np.zeros((d, d))
+    turn[-1, 0], turn[0, -1] = 1.0, -1.0  # J: e_1 -> e_d -> -e_1
+    eye = np.eye(2 * d)
+    rows = [np.concatenate([turn @ x0, turn @ y0]) / math.sqrt(2.0)]
+    return np.array(rows + [row for k in range(1, d - 1) for row in (eye[k], eye[d + k])])
 
 
 def phase_hessian(d: int, xi, eta) -> tuple[np.ndarray, int]:
-    """Hessian of the two-sphere chain phase at its critical point, assembled
-    from the closed forms
-
-        p   = -xi_d - (13*sqrt(3)/18) eta_1 + (7/3) eta_d
-        q11 = -(xi_d + (sqrt(3)/6) eta_1 - (1/2) eta_d)
-        q12 = q21 = eta_1/sqrt(3) - eta_d
-        q22 = -2 eta_1 / sqrt(3)
-
-    as the (2d-3)x(2d-3) block matrix p I_1 (+) (d-2) copies of the 2x2
-    block.  Returns (matrix, numerical rank at 1e-10 relative tolerance).
-    """
+    """Hessian of the chain phase xi.x + eta.y on V at (x0, y0), in the basis
+    of _tangent_basis, and its rank by nonzero_curvature_count.  A covector
+    off the span of the constraint gradients (the module docstring's rule)
+    is not critical and is refused with ValueError."""
     if d < 3:
         raise ValueError("the phase Hessian needs d >= 3")
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     if xi.shape != (d,) or eta.shape != (d,):
         raise ValueError(f"xi and eta must be {d}-vectors")
-    p = -xi[-1] - (13.0 * _SQ3 / 18.0) * eta[0] + (7.0 / 3.0) * eta[-1]
-    q11 = -(xi[-1] + (_SQ3 / 6.0) * eta[0] - 0.5 * eta[-1])
-    q12 = eta[0] / _SQ3 - eta[-1]
-    q22 = -2.0 * eta[0] / _SQ3
-    size = 2 * d - 3
-    hess = np.zeros((size, size))
-    hess[0, 0] = p
-    block = np.array([[q11, q12], [q12, q22]])
-    for b in range(d - 2):
-        lo = 1 + 2 * b
-        hess[lo : lo + 2, lo : lo + 2] = block
-    sing = np.linalg.svd(hess, compute_uv=False)
-    top = float(sing.max(initial=0.0))
-    rank = int((sing > 1e-10 * top).sum()) if top > 0.0 else 0
-    return hess, rank
+    covector = np.concatenate([xi, eta])
+    x0, y0 = _chain_point(d)
+    # the gradients of |x|^2/2, |y|^2/2 and |x - y|^2/2
+    grads = np.block([[x0, 0.0 * y0], [0.0 * x0, y0], [x0 - y0, y0 - x0]])
+    lam = np.linalg.lstsq(grads.T, covector, rcond=None)[0]
+    if np.linalg.norm(lam @ grads - covector) > 1e-9 * max(1.0, float(np.linalg.norm(covector))):
+        raise ValueError("(xi, eta) is not a critical covector of the chain phase")
+    l1, l2, l3 = lam
+    basis = _tangent_basis(d)
+    hess = -basis @ np.kron([[l1 + l3, -l3], [-l3, l2 + l3]], np.eye(d)) @ basis.T
+    return hess, nonzero_curvature_count(np.linalg.eigvalsh(hess))
 
 
-def phase_plane_xi(eta, d: int) -> np.ndarray:
-    """A xi with p(xi, eta) = 0: the hyperplane where the 1x1 block vanishes."""
-    eta = np.asarray(eta, dtype=float)
-    xi = np.zeros(d)
-    xi[-1] = -(13.0 * _SQ3 / 18.0) * eta[0] + (7.0 / 3.0) * eta[-1]
-    return xi
+def _check_covector(d: int, eta, on_plane: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The critical (xi, eta) whose eta = l2 y0 + l3 (y0 - x0) fixes l2 and
+    l3, with xi_d = 0.5 or, on_plane, l1 = -l2 - l3."""
+    x0, y0 = _chain_point(d)
+    l2, l3 = np.linalg.lstsq(np.stack([y0, y0 - x0], axis=1), eta, rcond=None)[0]
+    l1 = -l2 - l3 if on_plane else 0.5 - l3 * (x0 - y0)[-1]
+    return l1 * x0 + l3 * (x0 - y0), eta
 
 
 def phase_check_ranks(d: int) -> tuple[int, int]:
-    """Numerical ranks of the phase Hessian at the phase checks' test points:
-    the generic point eta = 0.9 e_1 + 0.3 e_d, xi = 0.2 e_1 + 0.5 e_d, and
-    the same eta with xi on the plane p = 0 (`phase_plane_xi`); d >= 3."""
+    """Numerical ranks of the phase Hessian at eta = 0.9 e_1 + 0.3 e_d with
+    xi_d = 0.5 (generic) and with xi on the plane {p = 0}; d >= 3."""
     eta = np.zeros(d)
     eta[0], eta[-1] = 0.9, 0.3
-    xi = np.zeros(d)
-    xi[-1], xi[0] = 0.5, 0.2
-    return phase_hessian(d, xi, eta)[1], phase_hessian(d, phase_plane_xi(eta, d), eta)[1]
+    return tuple(phase_hessian(d, *_check_covector(d, eta, on_plane))[1] for on_plane in (False, True))
 
 
 def phase_plane_form() -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the 2x2-block determinant restricted to the
     plane {p = 0}, as a quadratic a*eta_1^2 + b*eta_1*eta_d + c*eta_d^2,
-    extracted from the assembled Hessian."""
+    extracted from the phase Hessian at d = 3."""
 
     def q_of(e1: float, ed: float) -> float:
-        eta = np.array([e1, 0.0, ed])
-        hess, _ = phase_hessian(3, phase_plane_xi(eta, 3), eta)
+        hess, _ = phase_hessian(3, *_check_covector(3, [e1, 0.0, ed], on_plane=True))
         return float(np.linalg.det(hess[1:3, 1:3]))
 
     a = q_of(1.0, 0.0)
@@ -696,6 +696,6 @@ def phase_plane_form() -> tuple[float, float, float]:
 
 def phase_plane_discriminant() -> float:
     """Discriminant b^2 - 4ac of the plane-restricted quadratic; its sign is
-    reported rather than assumed (positive: the form is indefinite)."""
+    reported, not assumed (positive: the form is indefinite; negative: definite)."""
     a, b, c = phase_plane_form()
     return b * b - 4.0 * a * c

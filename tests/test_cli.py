@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -250,9 +251,9 @@ def test_curvature_command(tmp_path):
     code = main(["curvature", "--d", "4", "--out", str(out)])
     assert code == 0
     body = (out / "curvature_suite_d4.txt").read_text()
-    assert "circulant_nonzero = true" in body
+    assert "circulant" not in body
     assert "detform_nonzero = 7 of 7" in body
-    assert "phase_plane_discriminant_sign = +" in body
+    assert "phase_plane_discriminant_sign = -" in body
 
 
 # one small report per shape, byte for byte: (argv, exit code, {file: body});
@@ -300,14 +301,13 @@ GOLDEN_REPORTS = {
     "curvature": (
         ["curvature", "--d", "4"], 0,
         {"curvature_suite_d4.txt":
-         "curvature certificates (d=4)\ncirculant_det = 0.50000000000000011\n"
-         "circulant_nonzero = true\n"
+         "curvature certificates (d=4)\n"
          "detform_eigs = -0.70710678277705119;-0.70710678081443568;0.70710678081443568;"
          "-0.70710677885182005;-0.70710677885182005;0.70710677885182005;0.70710677885182005\n"
          "detform_nonzero = 7 of 7\nphase_rank_generic = 5 (floor 4)\n"
          "phase_rank_on_plane = 4 (floor 3)\n"
-         "phase_plane_form = -1.4444444444444444;3.2716515254078797;-1\n"
-         "phase_plane_discriminant = 4.9259259259259283\nphase_plane_discriminant_sign = +\n"}),
+         "phase_plane_form = -1.0000000000000007;8.8817841970012523e-16;-1.000000000000002\n"
+         "phase_plane_discriminant = -4.0000000000000107\nphase_plane_discriminant_sign = -\n"}),
 }
 
 
@@ -552,7 +552,8 @@ def test_failed_command_leaves_no_artefacts(tmp_path):
     (FT_CHAIN + ["--cutoff", "2"], "decay_fit"),
     (["dim", "--kind", "lattice", "--d", "2", "--m", "4", "--n", "9", "--scales", "0.5;0.25;0.125"],
      "box_dim"),
-    (["curvature", "--config", "input.cfg"], "circulant_check"),  # curvature takes no --input
+    # curvature takes no --input; at d = 4 its detform row calls the kernel
+    (["curvature", "--config", "input.cfg", "--d", "4"], "level_set_curvatures"),
 ])
 def test_unread_key_refused_before_the_kernel_runs(tmp_path, monkeypatch, argv, kernel):
     monkeypatch.chdir(tmp_path)
@@ -676,11 +677,20 @@ def test_ft_over_the_sample_budget_exits_1(tmp_path, capsys):
     # 6 radii of 2 x 10^7 samples, each call under the budget of 10^8
     (FT_CHAIN + ["--samples", "20000000"],
      "20000000 samples are over the Monte Carlo budget of 100000000 at 6 radii (120000000 in all)"),
+    (FT_SPHERE + ["--nradii", "100000000"], "100000000 radii are over the ft budget of 100000"),
+    (FT_CHAIN[:-1] + ["100000000", "--samples", "10000"],
+     "100000000 radii are over the ft budget of 100000"),
+    (FT_CHAIN[:-1] + ["100000"], "1000000 samples are over the Monte Carlo budget of 100000000 at "
+     "100000 radii (100000000000 in all)"),
 ])
 def test_ft_ray_over_its_budget_exits_1_before_any_evaluation(tmp_path, monkeypatch, capsys, argv, message):
+    # refused before the radii are built, so a huge nradii costs nothing
     monkeypatch.setattr(cli, "ft_montecarlo", lambda *args: pytest.fail("the ray was evaluated"))
+    monkeypatch.setattr(cli.np, "geomspace", lambda *args: pytest.fail("the radii were built"))
     out = tmp_path / "out"
+    start = time.perf_counter()
     assert main(argv + ["--out", str(out)]) == 1
+    assert time.perf_counter() - start < 0.5
     assert f"configeo: error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
@@ -747,7 +757,7 @@ def test_scan_steps_that_make_one_point_set_exit_2(tmp_path, monkeypatch, capsys
 
 def test_curvature_over_the_dimension_budget_exits_1(tmp_path, monkeypatch, capsys):
     built = []
-    monkeypatch.setattr(cli, "circulant_check", lambda d: built.append(d))
+    monkeypatch.setattr(cli, "level_set_curvatures", lambda *args: built.append(args))
     out = tmp_path / "out"
     d = cli.CURVATURE_MAX_D + 1
     assert main(["curvature", "--d", str(d), "--out", str(out)]) == 1

@@ -11,7 +11,6 @@ from configeo.errors import CapacityError, InfeasibleError
 from configeo.fourierlab import (
     FrequencyPoint,
     MeasureSpec,
-    circulant_check,
     decay_fit,
     ft_montecarlo,
     ft_quadrature,
@@ -23,7 +22,6 @@ from configeo.fourierlab import (
     phase_hessian,
     phase_plane_discriminant,
     phase_plane_form,
-    phase_plane_xi,
     sphere_area,
     triangle_pair_frequencies,
 )
@@ -617,14 +615,104 @@ def test_curvature_validation():
         level_set_curvatures(lambda x: float((x @ x) ** 2), 0.0, [0.0, 0.0, 0.0])
 
 
-def test_circulant_values_and_closed_form():
-    assert circulant_check(2) == pytest.approx(1.0, rel=1e-14)
-    assert circulant_check(3) == pytest.approx(0.75, rel=1e-14)
-    for d in range(2, 13):
-        # eigenvalues 1/2 (multiplicity d-2) and d/2 give det = d / 2^(d-1)
-        want = d / 2.0 ** (d - 1)
-        assert circulant_check(d) == pytest.approx(want, rel=1e-12)
-        assert circulant_check(d) != 0.0
+# The chain variety V = {|x| = |y| = |x - y| = 1} at (x0, y0), written here
+# independently of fourierlab: a covector from multipliers, and rotations of
+# R^d, which map V to itself, as curves on V.
+
+
+def _chain_point(d):
+    x0, y0 = np.zeros(d), np.zeros(d)
+    x0[-1] = 1.0
+    y0[0], y0[-1] = SQ3 / 2.0, 0.5
+    return x0, y0
+
+
+def _critical_covector(d, lam):
+    x0, y0 = _chain_point(d)
+    l1, l2, l3 = lam
+    return l1 * x0 + l3 * (x0 - y0), l2 * y0 + l3 * (y0 - x0)
+
+
+def _closed_form_hessian(d, xi, eta):
+    """p (+) d-2 copies of [[q11, q12], [q12, q22]] from the closed forms."""
+    x0, y0 = _chain_point(d)
+    p = -(xi @ x0 + eta @ y0) / 2.0  # per radian of the rotation, over its squared speed 2
+    q11 = -(xi[-1] + (SQ3 / 6.0) * eta[0] - 0.5 * eta[-1])
+    q12 = eta[0] / SQ3 - eta[-1]
+    q22 = -2.0 * eta[0] / SQ3
+    want = np.zeros((2 * d - 3, 2 * d - 3))
+    want[0, 0] = p
+    for lo in range(1, 2 * d - 3, 2):
+        want[lo:lo + 2, lo:lo + 2] = [[q11, q12], [q12, q22]]
+    return want
+
+
+def _turn(z, a, b, t):
+    """exp(t (a b^T - b a^T)) z for orthogonal a, b: a rotation of z."""
+    gen = np.outer(a, b) - np.outer(b, a)
+    s = np.linalg.norm(a) * np.linalg.norm(b)
+    return z + math.sin(s * t) / s * (gen @ z) + (1.0 - math.cos(s * t)) / s**2 * (gen @ gen @ z)
+
+
+def _second_difference(xi, eta, a, b, speed, h=1e-3):
+    """d^2/dt^2 of xi.x + eta.y along (x, y)(t) = exp(t A / speed)(x0, y0),
+    checked to lie on V."""
+    x0, y0 = _chain_point(xi.size)
+    values = []
+    for t in (-h, 0.0, h):
+        x, y = _turn(x0, a, b, t / speed), _turn(y0, a, b, t / speed)
+        assert np.linalg.norm([x @ x - 1, y @ y - 1, (x - y) @ (x - y) - 1]) < 1e-13
+        values.append(xi @ x + eta @ y)
+    return (values[0] - 2.0 * values[1] + values[2]) / h**2
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_phase_hessian_is_the_second_difference_along_curves_on_the_variety(d):
+    rng = np.random.Generator(np.random.PCG64(100 + d))
+    x0, y0 = _chain_point(d)
+    eye = np.eye(d)
+    # u . (x0, y0) = (1, 0) or (0, 1), u in the (e_1, e_d) plane: the turn
+    # toward e_k of x alone or of y alone; their sum turns both
+    u_x, u_y = (np.linalg.lstsq(np.stack([x0, y0]), rhs, rcond=None)[0] for rhs in ([1, 0], [0, 1]))
+    for _ in range(3):
+        xi, eta = _critical_covector(d, rng.standard_normal(3))
+        hess, _ = phase_hessian(d, xi, eta)
+        # the rotation e_1 -> e_d moves (x0, y0) at speed sqrt(2)
+        assert _second_difference(xi, eta, eye[-1], eye[0], math.sqrt(2.0)) == pytest.approx(
+            hess[0, 0], abs=1e-6)
+        for k in range(1, d - 1):
+            i = 2 * k - 1
+            turns = {"x": _second_difference(xi, eta, eye[k], u_x, 1.0),
+                     "y": _second_difference(xi, eta, eye[k], u_y, 1.0),
+                     "both": _second_difference(xi, eta, eye[k], u_x + u_y, 1.0)}
+            assert turns["x"] == pytest.approx(hess[i, i], abs=1e-6)
+            assert turns["y"] == pytest.approx(hess[i + 1, i + 1], abs=1e-6)
+            assert (turns["both"] - turns["x"] - turns["y"]) / 2.0 == pytest.approx(hess[i, i + 1], abs=1e-6)
+        # per radian, the rotation gives the closed form -(xi.x0 + eta.y0) = 2 p
+        rotation = _second_difference(xi, eta, eye[-1], eye[0], 1.0)
+        assert rotation == pytest.approx(-(xi @ x0 + eta @ y0), abs=1e-6)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_phase_hessian_equals_the_closed_form_blocks(d):
+    rng = np.random.Generator(np.random.PCG64(200 + d))
+    for _ in range(10):
+        xi, eta = _critical_covector(d, rng.standard_normal(3))
+        hess, rank = phase_hessian(d, xi, eta)
+        want = _closed_form_hessian(d, xi, eta)
+        np.testing.assert_allclose(hess, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        assert rank == 2 * d - 3
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_tangent_basis_is_orthonormal_and_tangent(d):
+    basis = fourierlab._tangent_basis(d)
+    x0, y0 = _chain_point(d)
+    zero = np.zeros(d)
+    gradients = np.array([np.concatenate(g) for g in ((x0, zero), (zero, y0), (x0 - y0, y0 - x0))])
+    assert basis.shape == (2 * d - 3, 2 * d)
+    np.testing.assert_allclose(basis @ basis.T, np.eye(2 * d - 3), atol=1e-15)
+    np.testing.assert_allclose(basis @ gradients.T, 0.0, atol=1e-15)
 
 
 def test_phase_hessian_zero_point():
@@ -634,38 +722,50 @@ def test_phase_hessian_zero_point():
     assert hess.shape == (3, 3)
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
-def test_phase_hessian_rank_floors(d):
+def _check_covector(d, on_plane):
+    """eta = 0.9 e_1 + 0.3 e_d with xi_d = 0.5, or with l1 + l2 + l3 = 0."""
     eta = np.zeros(d)
     eta[0], eta[-1] = 0.9, 0.3
-    xi = np.zeros(d)
-    xi[0], xi[-1] = 0.2, 0.5
+    l2, l3 = eta[0] / SQ3 + eta[-1], eta[0] / SQ3 - eta[-1]
+    l1 = -l2 - l3 if on_plane else 0.5 - l3 / 2.0
+    return _critical_covector(d, (l1, l2, l3))
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_phase_hessian_rank_floors(d):
+    xi, eta = _check_covector(d, on_plane=False)
+    assert xi[-1] == pytest.approx(0.5, rel=1e-15)
     _, rank_generic = phase_hessian(d, xi, eta)
-    assert rank_generic >= 2 * (d - 2)
-    _, rank_plane = phase_hessian(d, phase_plane_xi(eta, d), eta)
-    assert rank_plane >= d - 1
+    assert rank_generic == 2 * d - 3 >= 2 * (d - 2)
+    xi, eta = _check_covector(d, on_plane=True)
+    hess, rank_plane = phase_hessian(d, xi, eta)
+    assert abs(hess[0, 0]) < 1e-15
+    assert rank_plane == 2 * d - 4 >= d - 1
     assert fourierlab.phase_check_ranks(d) == (rank_generic, rank_plane)  # the curvature command's points
 
 
 def test_phase_plane_restricted_determinant_matches_closed_form():
+    # on l1 + l2 + l3 = 0 the block determinant is -(l2^2 + l2 l3 + l3^2)
     rng = np.random.Generator(np.random.PCG64(15))
     for _ in range(10):
         e1, ed = rng.standard_normal(2)
-        eta = np.array([e1, 0.0, ed])
-        hess, _ = phase_hessian(3, phase_plane_xi(eta, 3), eta)
+        l2, l3 = e1 / SQ3 + ed, e1 / SQ3 - ed
+        xi, eta = _critical_covector(3, (-l2 - l3, l2, l3))
+        np.testing.assert_allclose(eta, [e1, 0.0, ed], atol=1e-15)
+        hess, _ = phase_hessian(3, xi, eta)
         got = float(np.linalg.det(hess[1:3, 1:3]))
-        want = -13.0 / 9.0 * e1**2 + 17.0 * SQ3 / 9.0 * e1 * ed - ed**2
+        want = -(e1**2) - ed**2
         assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
 
 def test_phase_plane_form_and_discriminant():
     a, b, c = phase_plane_form()
-    assert a == pytest.approx(-13.0 / 9.0, rel=1e-12)
-    assert b == pytest.approx(17.0 * SQ3 / 9.0, rel=1e-12)
+    assert a == pytest.approx(-1.0, rel=1e-12)
+    assert b == pytest.approx(0.0, abs=1e-12)
     assert c == pytest.approx(-1.0, rel=1e-12)
-    # the sign is computed, not assumed: it comes out positive (indefinite form)
-    assert phase_plane_discriminant() == pytest.approx(399.0 / 81.0, rel=1e-10)
-    assert phase_plane_discriminant() > 0
+    # the sign is computed, not assumed: it comes out negative (definite form)
+    assert phase_plane_discriminant() == pytest.approx(-4.0, rel=1e-10)
+    assert phase_plane_discriminant() < 0
 
 
 def test_phase_hessian_validation():
@@ -673,3 +773,10 @@ def test_phase_hessian_validation():
         phase_hessian(2, np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         phase_hessian(3, np.zeros(2), np.zeros(3))
+    # not critical: off the span of the constraint gradients
+    with pytest.raises(ValueError, match="not a critical covector"):
+        phase_hessian(3, [0.2, 0.0, 0.5], [0.9, 0.0, 0.3])
+    xi, eta = _critical_covector(4, (0.7, -0.4, 1.3))
+    xi[1] = 0.1
+    with pytest.raises(ValueError, match="not a critical covector"):
+        phase_hessian(4, xi, eta)
