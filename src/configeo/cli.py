@@ -495,7 +495,7 @@ FT_RADII_BUDGET = 10**5  # radii per ft ray (see _cmd_ft)
 def _cmd_ft(cfg: ExperimentConfig):
     """Time budget: a ray of more than FT_RADII_BUDGET radii (~2 s of sphere(3)
     closed forms, ~4 s of triangle2d on a 2-vCPU VM) or a Monte Carlo ray of
-    more than MC_SAMPLE_BUDGET samples in all (~20 s of chain_spheres(3)) is
+    more than MC_SAMPLE_BUDGET samples in all (~12 s of chain_spheres(3)) is
     refused with CapacityError before the radii are built."""
     spec = _measure_from_config(cfg)
     raw_dir = _get(cfg, "ft", "direction")

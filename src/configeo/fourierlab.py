@@ -45,6 +45,17 @@ a chain holds the raw normals of spheres 1..k-1, determinant_variety its
 arrays for a chain of two spheres, 2.5 for sphere, which accepts every row,
 and 1.25 (m, d^2) for determinant_variety (see ft_montecarlo).
 
+The product of spheres (sphere, triangle2d, chain_spheres) draws on a second
+thread.  Per chunk, one threading.Thread makes every standard_normal call of
+the chunk, in stream order, into arrays the calling thread allocated: the
+held spheres whole, then the last sphere's blocks into two (_MC_ROWS, d)
+buffers in turn.  While it draws block b + 1, which releases the GIL, the
+calling thread normalizes, scales and tests block b, as it would serially,
+and copies out the accepted rows before it hands the buffer back.  The
+values and their order are those of the serial draw, so every estimate is
+bit-identical; the thread allocates no array and is joined before the draw
+returns or raises.  determinant_variety draws serially.
+
 scipy.special is imported in one place only: in ft_sphere_radial, for jv, the
 sphere's closed form.  Its import is most of the package's import time, and
 every command but the closed-form ft runs without it, Monte Carlo at every d
@@ -64,6 +75,7 @@ rotation (its squared speed is 2).  The plane {p = 0} is l1 + l2 + l3 = 0.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -315,15 +327,19 @@ def ft_montecarlo(
     each point's phases are summed over the accepted rows only; a chunk is
     freed before the next one is drawn.  Memory budget, in float64 arrays of
     m = _MC_CHUNK rows per call (tracemalloc peaks at d = 3 in parentheses):
-    1.5 (m, d) arrays for a chain of two spheres (7.8 MB), which holds the
+    1.5 (m, d) arrays for a chain of two spheres (7.7 MB), which holds the
     first sphere's raw normals, the blocks and the accepted rows, and for
     triangle2d (5.0 MB); 2.5 (m, d) for sphere (14.7 MB), which keeps all m
     unit vectors and phases them with two complex (m,) temporaries; 1.25
     (m, d^2) for determinant_variety (22.0 MB), which holds its directions whole.
+    The drawing thread of the product of spheres allocates nothing; its
+    second block buffer is one (_MC_ROWS, d) array (192 KB at d = 3) more
+    than a serial draw holds, and freeing the raw draws before the accepted
+    rows are joined saves more than that.
 
     Sample budget: a call with more than MC_SAMPLE_BUDGET samples is refused
     with CapacityError before the first chunk is drawn.  At the budget, 10^8
-    samples, one chain_spheres(3) point takes ~20 s on a 2-vCPU VM.
+    samples, one chain_spheres(3) point takes ~11-12 s on a 2-vCPU VM.
     """
     if not (0.0 < epsilon <= 0.2):
         raise ValueError("epsilon must lie in (0, 0.2]")
@@ -378,7 +394,8 @@ def _normalize_rows(g: np.ndarray) -> np.ndarray:
     """g divided in place by its row norms; zero rows stay zero."""
     norms = _row_norms(g)
     norms[norms == 0.0] = 1.0
-    g /= norms[:, None]
+    for k in range(g.shape[1]):  # column by column: no (m, d) broadcast
+        g[:, k] /= norms
     return g
 
 
@@ -393,20 +410,57 @@ def _draw_spheres(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m
     |x^i - x^(i+1)| = g_i of spec.gaps within epsilon: sphere is one unit
     sphere, triangle2d two unit circles at gap 1."""
     ambient = math.prod(sphere_area(spec.d) * r ** (spec.d - 1) for r in spec.radii)
-    held = [rng.standard_normal((m, spec.d)) for _ in spec.radii[:-1]]  # spheres 1..k-1, raw
-    kept = [[] for _ in spec.radii]
-    for lo in range(0, m, _MC_ROWS):
-        rows = [g[lo:lo + _MC_ROWS] for g in held]
-        rows.append(rng.standard_normal((min(_MC_ROWS, m - lo), spec.d)))  # the last sphere, streamed
-        for x, r in zip(rows, spec.radii):
-            _normalize_rows(x)
-            x *= r
-        ok = np.ones(len(rows[0]), dtype=bool)
-        for x, y, g in zip(rows, rows[1:], spec.gaps):
-            ok &= np.abs(_row_norms(x - y) - g) < epsilon
-        for out, x in zip(kept, rows):
-            out.append(x[ok])
+    kept = _accepted_sphere_rows(spec, epsilon, rng, m)  # the raw draws are freed on its return
     return [np.concatenate(b) for b in kept], ambient / (2.0 * epsilon) ** len(spec.gaps)
+
+
+def _accepted_sphere_rows(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):
+    """Per sphere of _draw_spheres, the accepted rows of each block of a
+    chunk of m samples, drawn on a drawing thread and tested on this one
+    (see the module docstring)."""
+    held = [np.empty((m, spec.d)) for _ in spec.radii[:-1]]  # spheres 1..k-1, raw
+    last = (np.empty((_MC_ROWS, spec.d)), np.empty((_MC_ROWS, spec.d)))  # the last sphere, in turn
+    starts = range(0, m, _MC_ROWS)
+    blocks = [last[b % 2][:min(_MC_ROWS, m - lo)] for b, lo in enumerate(starts)]
+    free, filled, stop, failed = threading.Semaphore(2), threading.Semaphore(0), threading.Event(), []
+
+    def draw():
+        try:
+            for g in held:
+                rng.standard_normal(None, np.float64, g)
+            for x in blocks:
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(None, np.float64, x)
+                filled.release()
+        except BaseException as exc:
+            failed.append(exc)
+            filled.release()
+
+    kept = [[] for _ in spec.radii]
+    drawer = threading.Thread(target=draw)
+    drawer.start()
+    try:
+        for lo, last_rows in zip(starts, blocks):
+            filled.acquire()
+            if failed:
+                raise failed[0]
+            rows = [g[lo:lo + len(last_rows)] for g in held] + [last_rows]
+            for x, r in zip(rows, spec.radii):
+                _normalize_rows(x)
+                x *= r
+            ok = np.ones(len(last_rows), dtype=bool)
+            for x, y, g in zip(rows, rows[1:], spec.gaps):
+                ok &= np.abs(_row_norms(x - y) - g) < epsilon
+            for out, x in zip(kept, rows):
+                out.append(x[ok])
+            free.release()  # the accepted rows are copies: the buffer may be redrawn
+    finally:
+        stop.set()
+        free.release()
+        drawer.join()
+    return kept
 
 
 def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.Generator, m: int):

@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -408,6 +409,91 @@ def test_generator_gives_the_same_values_in_row_blocks(method, row):
     rng = np.random.default_rng(25)
     parts = [getattr(rng, method)((min(rows, m - lo), *row)) for lo in range(0, m, rows)]
     assert np.array_equal(whole, np.concatenate(parts))
+    # the drawing thread's form: out passed positionally, into row slices
+    rng = np.random.default_rng(25)
+    into = np.empty((m, *row))
+    for lo in range(0, m, rows):
+        getattr(rng, method)(None, np.float64, into[lo:lo + rows])
+    assert np.array_equal(whole, into)
+
+
+# The drawing thread of _draw_spheres is joined on every exit path: a normal
+# return, an error after the draw, an error in the calling thread mid-chunk
+# and an error in the drawing thread, which the caller re-raises.
+def _chain_mc(epsilon: float, samples: int, seconds: float = 60.0):
+    """ft_montecarlo on a chain_spheres(3) point, run on a daemon thread so
+    that a hang fails the test instead of stalling the session; its
+    exception is re-raised here."""
+    spec = MeasureSpec.chain_spheres(3)
+    fp = FrequencyPoint.of([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0])
+    result = []
+
+    def run():
+        try:
+            result.append((ft_montecarlo(spec, [fp], epsilon, samples, seed=0), None))
+        except BaseException as exc:
+            result.append((None, exc))
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(seconds)
+    assert result, f"ft_montecarlo still running after {seconds} s"
+    value, exc = result[0]
+    if exc is not None:
+        raise exc
+    return value
+
+
+def test_mc_leaves_no_drawing_thread_after_a_call():
+    before = threading.active_count()
+    _chain_mc(0.05, 10**5)
+    assert threading.active_count() == before
+
+
+def test_mc_leaves_no_drawing_thread_after_an_infeasible_call():
+    before = threading.active_count()
+    with pytest.raises(InfeasibleError):
+        _chain_mc(1e-12, 10**4)
+    assert threading.active_count() == before
+
+
+def test_mc_error_in_the_caller_mid_chunk_propagates(monkeypatch):
+    row_norms = fourierlab._row_norms
+    calls = []
+
+    def failing(a):
+        calls.append(len(a))
+        if len(calls) == 3:  # the first block's gap test, while the next blocks are drawn
+            raise RuntimeError("the test failed")
+        return row_norms(a)
+
+    monkeypatch.setattr(fourierlab, "_row_norms", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="the test failed"):
+        _chain_mc(0.05, 10**5)
+    assert len(calls) == 3
+    assert threading.active_count() == before
+
+
+def test_mc_error_in_the_drawing_thread_is_reraised(monkeypatch):
+    make = np.random.Generator
+
+    class Failing:  # the second draw, the last sphere's first block, fails
+        def __init__(self, bits):
+            self._rng = make(bits)
+            self._draws = 0
+
+        def standard_normal(self, *args):
+            self._draws += 1
+            if self._draws == 2:
+                raise RuntimeError("the draw failed")
+            return self._rng.standard_normal(*args)
+
+    monkeypatch.setattr(np.random, "Generator", Failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="the draw failed"):
+        _chain_mc(0.05, 10**5)
+    assert threading.active_count() == before
 
 
 # The budgets of the ft_montecarlo docstring: float64 arrays of m rows, each

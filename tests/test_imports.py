@@ -1,8 +1,11 @@
 """Which commands load the heavy modules: only the closed-form `ft` loads
 scipy (fourierlab.ft_sphere_radial imports scipy.special.jv), and only the
-quadrature oracle, fourierlab.ft_quadrature, loads numpy.polynomial.  Checked
-in a fresh interpreter, since the test session itself has loaded both long
-before."""
+quadrature oracle, fourierlab.ft_quadrature, loads numpy.polynomial.  No
+command but the closed-form `ft` (scipy.special loads concurrent.futures)
+loads a pool module, concurrent.futures, queue or multiprocessing: the Monte
+Carlo drawing thread is a bare threading.Thread, and numpy loads threading.
+Checked in a fresh interpreter, since the test session itself has loaded
+these long before."""
 
 import json
 import os
@@ -14,7 +17,7 @@ import pytest
 
 import configeo
 
-HEAVY = ("scipy", "numpy.f2py", "numpy.polynomial")
+HEAVY = ("scipy", "numpy.f2py", "numpy.polynomial", "concurrent.futures", "queue", "multiprocessing")
 
 # after the imports, after each command in turn, in one interpreter
 SCRIPT = """
