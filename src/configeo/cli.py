@@ -481,11 +481,9 @@ def _measure_from_config(cfg: ExperimentConfig) -> MeasureSpec:
 def _default_direction(spec: MeasureSpec) -> FrequencyPoint:
     """e1 in the first block; -e1 in the second when one exists (the paired
     frequency pattern the decay hypotheses quantify)."""
-    dims = spec.block_dims
-    blocks = [np.zeros(dlen) for dlen in dims]
-    blocks[0][0] = 1.0
-    if len(blocks) > 1:
-        blocks[1][0] = -1.0
+    blocks = [np.zeros(dlen) for dlen in spec.block_dims]
+    for block, sign in zip(blocks, (1.0, -1.0)):
+        block[0] = sign
     return FrequencyPoint(blocks=tuple(blocks))
 
 
@@ -493,10 +491,10 @@ FT_RADII_BUDGET = 10**5  # radii per ft ray (see _cmd_ft)
 
 
 def _cmd_ft(cfg: ExperimentConfig):
-    """Time budget: a ray of more than FT_RADII_BUDGET radii (~2 s of sphere(3)
-    closed forms, ~4 s of triangle2d on a 2-vCPU VM) or a Monte Carlo ray of
-    more than MC_SAMPLE_BUDGET samples in all (~12 s of chain_spheres(3)) is
-    refused with CapacityError before the radii are built."""
+    """Time budget: a ray of more than FT_RADII_BUDGET radii (whole commands
+    took 0.6-1.0 s for sphere(3), 0.8-1.1 s for triangle2d on a 2-vCPU VM) or
+    a Monte Carlo ray of more than MC_SAMPLE_BUDGET samples in all (~12 s of
+    chain_spheres(3)) is refused with CapacityError before the radii are built."""
     spec = _measure_from_config(cfg)
     raw_dir = _get(cfg, "ft", "direction")
     direction = _parse_direction(raw_dir) if raw_dir else _default_direction(spec)
@@ -516,7 +514,7 @@ def _cmd_ft(cfg: ExperimentConfig):
     if method == "closed":
         if row.closed_form is None:
             raise UsageError(f"no closed form for kind {spec.kind!r}; use method = mc")
-        evaluator = lambda ps: [row.closed_form(spec, p) for p in ps]  # noqa: E731
+        evaluator = lambda unit, rs: (row.closed_form(spec, unit, rs), None)  # noqa: E731
     elif method == "mc":
         epsilon = _get_float(cfg, "ft", "epsilon", 0.05)
         samples = _get_int(cfg, "ft", "samples", 10**6)
@@ -526,9 +524,8 @@ def _cmd_ft(cfg: ExperimentConfig):
         # one call per radius: perfbench's fourierlab.mc.samples adds the
         # `samples` argument of each call and its layer test pins that total,
         # so the ray goes in one call once the counter counts drawn samples
-        evaluator = lambda ps: [  # noqa: E731
-            ft_montecarlo(spec, [p], epsilon, samples, cfg.seed)[0] for p in ps
-        ]
+        evaluator = lambda unit, rs: tuple(zip(*(  # noqa: E731
+            ft_montecarlo(spec, [unit.scaled(r)], epsilon, samples, cfg.seed)[0] for r in rs)))
     else:
         raise UsageError(f"unknown ft method {method!r}")
     if radii is None:
@@ -575,9 +572,9 @@ CURVATURE_MAX_D = 128  # the largest curvature d (see _cmd_curvature)
 
 def _cmd_curvature(cfg: ExperimentConfig):
     """Time budget: detform's level_set_curvatures makes O(d^2) calls of an
-    O(d) Python form, ~4 us * d^3 on a 2-vCPU VM (0.29 s at d = 40, 3.8 s at
-    d = 100); the suite took 8.3 s at CURVATURE_MAX_D = 128.  A larger d is
-    refused with CapacityError before any matrix is built."""
+    O(d) Python form, ~2 us * d^3 on a 2-vCPU VM; whole commands took 0.3 s at
+    d = 40, 2.0-2.5 s at d = 100 and 3.8-5.4 s at CURVATURE_MAX_D = 128.  A
+    larger d is refused with CapacityError before any matrix is built."""
     d = _get_int(cfg, "curvature", "d", 3)
     if d < 2:
         raise ValueError("need d >= 2")

@@ -17,6 +17,10 @@ Fixed normalizations (so the oracles are mutually comparable):
 Each kind is one MeasureKind row of MEASURES: its constructor, frequency
 blocks, expected decay order, Monte Carlo draw and closed form.
 
+A ray is one unit direction u and one radii array: decay_fit calls its
+evaluator(u, radii) -> (values, stderrs) once.  A closed form is one array
+call on the stacks u.ray(radii), through ft_sphere, the one radial rule.
+
 The Monte Carlo estimator samples the ambient product of spheres (or the
 cutoff ball) and weights by (2*eps)^(-c) on |constraints| < eps, c the
 number of scalar constraints.  Its limit is the thickened-shell measure,
@@ -31,7 +35,7 @@ ft_montecarlo evaluates a whole list of frequency points from one seeded
 draw: the loop runs over chunks of samples, each drawn and tested against the
 constraints once, and over the points inside each chunk.  A point's estimate
 and standard error are therefore the same whether it is evaluated alone or in
-a list with others; decay_fit hands the evaluator the whole ray at once.
+a list with others.
 
 A chunk draws its arrays in stream order.  Every array but the last is drawn
 whole, since the next one follows it in the stream; the last is drawn in
@@ -43,7 +47,7 @@ samples are those of whole-chunk draws, while a chunk holds one array less:
 a chain holds the raw normals of spheres 1..k-1, determinant_variety its
 (m, d^2) directions.  So a chunk of m samples peaks at 1.5 (m, d) float64
 arrays for a chain of two spheres, 2.5 for sphere, which accepts every row,
-and 1.25 (m, d^2) for determinant_variety (see ft_montecarlo).
+and 1.125 (m, d^2) for determinant_variety (see ft_montecarlo).
 
 The product of spheres (sphere, triangle2d, chain_spheres) draws on a second
 thread.  Per chunk, one threading.Thread makes every standard_normal call of
@@ -92,6 +96,7 @@ MC_SAMPLE_BUDGET = 10**8  # samples per ft_montecarlo call, and samples x radii 
 _MC_CHUNK = 1 << 18  # samples per draw from the seeded stream (see ft_montecarlo)
 _MC_ROWS = 8192  # rows per block of a chunk's streamed last array (see ft_montecarlo)
 QUADRATURE_NODE_BUDGET = 2**22  # node_count^(d-1) per ft_quadrature call
+_NORM_MAX = 2.0**512 * (1.0 - 1e-12)  # under sqrt(largest float): a direction's squares sum finitely
 
 
 def sphere_area(d: int) -> float:
@@ -187,6 +192,20 @@ class FrequencyPoint:
     def scaled(self, factor: float) -> "FrequencyPoint":
         return FrequencyPoint(blocks=tuple(factor * b for b in self.blocks))
 
+    def unit(self) -> "FrequencyPoint":
+        """This direction over its norm; a ValueError unless the summed squares
+        are a positive finite float, checked on math.hypot before any square."""
+        size = math.hypot(*np.concatenate(self.blocks))
+        norm = self.norm if size <= _NORM_MAX else math.inf
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"direction norm {size:g} is out of range: its square must be a "
+                             "positive finite float")
+        return self.scaled(1.0 / norm)
+
+    def ray(self, radii: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Each block at every radius, as a (len(radii), block size) stack."""
+        return tuple(np.multiply.outer(radii, b) for b in self.blocks)
+
     def matches(self, spec: MeasureSpec) -> bool:
         dims = tuple(b.size for b in self.blocks)
         return dims == spec.block_dims
@@ -210,39 +229,33 @@ def ft_sphere_radial(d: int, r) -> np.ndarray:
     return np.where(small, sphere_area(d), out)
 
 
-def ft_sphere(d: int, xi) -> complex:
-    """Closed-form sphere transform; real-valued by central symmetry."""
+def ft_sphere(d: int, xi) -> np.ndarray:
+    """Closed-form sphere transform at frequencies of shape (..., d), real by
+    central symmetry.  Each norm np.sqrt(np.vecdot(xi, xi)) has the bits of
+    np.linalg.norm of that frequency alone."""
     xi = np.asarray(xi, dtype=float)
-    return complex(float(ft_sphere_radial(d, float(np.linalg.norm(xi)))))
+    return ft_sphere_radial(d, np.sqrt(np.vecdot(xi, xi)))
 
 
 def triangle_pair_frequencies(xi, eta) -> tuple[np.ndarray, np.ndarray]:
-    """The two circle frequencies feeding the equilateral-pair transform:
+    """The two circle frequencies feeding the equilateral-pair transform, for
+    stacks of shape (..., 2):
 
         W_pm = (xi_1 + eta_1/2 +- eta_2*sqrt(3)/2,
                 xi_2 -+ eta_1*sqrt(3)/2 + eta_2/2)
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    w_plus = np.array(
-        [xi[0] + eta[0] / 2.0 + eta[1] * _SQ3 / 2.0,
-         xi[1] - eta[0] * _SQ3 / 2.0 + eta[1] / 2.0]
-    )
-    w_minus = np.array(
-        [xi[0] + eta[0] / 2.0 - eta[1] * _SQ3 / 2.0,
-         xi[1] + eta[0] * _SQ3 / 2.0 + eta[1] / 2.0]
-    )
+    (x1, x2), (e1, e2) = (np.moveaxis(np.asarray(a, dtype=float), -1, 0) for a in (xi, eta))
+    w_plus = np.stack([x1 + e1 / 2.0 + e2 * _SQ3 / 2.0, x2 - e1 * _SQ3 / 2.0 + e2 / 2.0], axis=-1)
+    w_minus = np.stack([x1 + e1 / 2.0 - e2 * _SQ3 / 2.0, x2 + e1 * _SQ3 / 2.0 + e2 / 2.0], axis=-1)
     return w_plus, w_minus
 
 
-def ft_triangle(xi, eta) -> complex:
-    """Transform of the equilateral-pair measure: the sum of the circle
-    transform at the two mapped frequencies; mass 4*pi at the origin."""
+def ft_triangle(xi, eta) -> np.ndarray:
+    """Transform of the equilateral-pair measure at stacks of shape (..., 2):
+    the sum of the circle transform at the two mapped frequencies; mass 4*pi
+    at the origin."""
     w_plus, w_minus = triangle_pair_frequencies(xi, eta)
-    return complex(
-        float(ft_sphere_radial(2, float(np.linalg.norm(w_plus))))
-        + float(ft_sphere_radial(2, float(np.linalg.norm(w_minus))))
-    )
+    return ft_sphere(2, w_plus) + ft_sphere(2, w_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +343,9 @@ def ft_montecarlo(
     1.5 (m, d) arrays for a chain of two spheres (7.7 MB), which holds the
     first sphere's raw normals, the blocks and the accepted rows, and for
     triangle2d (5.0 MB); 2.5 (m, d) for sphere (14.7 MB), which keeps all m
-    unit vectors and phases them with two complex (m,) temporaries; 1.25
-    (m, d^2) for determinant_variety (22.0 MB), which holds its directions whole.
+    unit vectors and phases them with two complex (m,) temporaries; 1.125
+    (m, d^2) for determinant_variety (20.5 MB), which holds its directions
+    whole and frees them before its accepted blocks are joined.
     The drawing thread of the product of spheres allocates nothing; its
     second block buffer is one (_MC_ROWS, d) array (192 KB at d = 3) more
     than a serial draw holds, and freeing the raw draws before the accepted
@@ -473,6 +487,7 @@ def _draw_determinant_variety(spec: MeasureSpec, epsilon: float, rng: np.random.
         y *= (spec.cutoff * rng.random(len(y)) ** (1.0 / ambient_dim))[:, None]
         mats = y.reshape(-1, dd, dd)
         kept.append(mats[np.abs(np.linalg.det(mats) - spec.t) < epsilon])
+    del dirs, y, mats  # the raw directions and their views, freed before the join
     mats = np.concatenate(kept)
     ball_vol = math.pi ** (ambient_dim / 2.0) / math.gamma(ambient_dim / 2.0 + 1.0)
     ambient = ball_vol * spec.cutoff**ambient_dim
@@ -491,17 +506,17 @@ class MeasureKind:
     block_dims: Callable[[MeasureSpec], tuple[int, ...]]
     reference_exponent: Callable[[int], float]  # in dimension d
     draw: Callable[..., tuple[list[np.ndarray], float]]  # (spec, epsilon, rng, m)
-    closed_form: Callable[[MeasureSpec, FrequencyPoint], complex] | None
+    closed_form: Callable[..., np.ndarray] | None  # (spec, unit, radii) -> one value per radius
     density: float = 1.0  # constant shell->parametrized density, applied to the draw's weight
 
 
 MEASURES: dict[str, MeasureKind] = {
     "sphere": MeasureKind(
         MeasureSpec.sphere, lambda spec: (spec.d,), lambda d: (d - 1) / 2.0, _draw_spheres,
-        lambda spec, fp: ft_sphere(spec.d, fp.blocks[0])),
+        lambda spec, unit, radii: ft_sphere(spec.d, *unit.ray(radii))),
     "triangle2d": MeasureKind(
         MeasureSpec.triangle2d, lambda spec: (2, 2), lambda d: 0.5, _draw_spheres,
-        lambda spec, fp: ft_triangle(*fp.blocks),
+        lambda spec, unit, radii: ft_triangle(*unit.ray(radii)),
         density=_SQ3 / 2.0),  # |grad over the torus| of the gap constraint
     "chain_spheres": MeasureKind(
         MeasureSpec.chain_spheres, lambda spec: (spec.d,) * len(spec.radii),
@@ -533,48 +548,34 @@ class DecayReport:
 def decay_fit(
     evaluator: Callable, direction: FrequencyPoint, radii, reference: float | None = None
 ) -> DecayReport:
-    """Fit the decay order of |F| along a ray of frequency points.
+    """Fit the decay order of |F| along the ray r * u, u = direction.unit().
 
-    evaluator is called once with the ray's list of FrequencyPoints and
-    returns one value per point, each a complex value or a (value, stderr)
-    pair.  Magnitudes below 1e-14 are dropped.  The fit runs on the
-    envelope, the local maxima of |F| over the radius grid (pointwise fits are
-    corrupted by transform zeros); when fewer than 3 maxima exist (monotone
-    profiles) all surviving points are used.
+    evaluator(u, radii), called once on the radii as a float array, returns
+    (values, stderrs): one real or complex value per radius, and one standard
+    error per radius or None (a closed form).  The magnitudes, np.hypot of
+    the parts (the bits of abs(complex)), below 1e-14 are dropped.  The fit
+    runs on the envelope, the local maxima of |F| over the radius grid
+    (pointwise fits are corrupted by transform zeros); when fewer than 3
+    maxima exist (monotone profiles) all surviving points are used.
     """
-    norm = direction.norm
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    unit = direction.scaled(1.0 / norm)
-    radii = [float(r) for r in radii]
+    unit = direction.unit()
+    radii = np.asarray(radii, dtype=float)
     if len(radii) < 5:
         raise ValueError("need at least 5 radii")
-    bad = [r for r in radii if not 0.0 < r < math.inf]
-    if bad:
+    bad = radii[~((0.0 < radii) & (radii < math.inf))]
+    if bad.size:
         raise ValueError(f"radii must be positive and finite, got {', '.join(f'{r:g}' for r in bad)}")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
+    if np.any(radii[1:] <= radii[:-1]):
         raise ValueError("radii must be strictly increasing")
     if radii[-1] < 10.0 * radii[0] * (1.0 - 1e-12):
         raise ValueError("radii must span at least one decade")
 
-    outs = list(evaluator([unit.scaled(r) for r in radii]))
-    if len(outs) != len(radii):
-        raise ValueError(f"evaluator returned {len(outs)} values for {len(radii)} points")
-    mags, errs = [], []
-    has_err = False
-    for out in outs:
-        if isinstance(out, tuple):
-            value, err = out
-            has_err = True
-        else:
-            value, err = out, 0.0
-        mags.append(abs(complex(value)))
-        errs.append(float(err))
-
-    mags_arr = np.asarray(mags)
-    keep = mags_arr >= MAGNITUDE_FLOOR
-    r_kept = np.asarray(radii)[keep]
-    m_kept = mags_arr[keep]
+    values, errs = evaluator(unit, radii)
+    if len(values) != len(radii):
+        raise ValueError(f"evaluator returned {len(values)} values for {len(radii)} radii")
+    mags = np.hypot(np.real(values), np.imag(values))
+    keep = mags >= MAGNITUDE_FLOOR
+    r_kept, m_kept = radii[keep], mags[keep]
     exponent = stderr = None
     if m_kept.size >= 3:
         peaks = _local_maxima(m_kept)
@@ -583,9 +584,9 @@ def decay_fit(
         slope, stderr = ols_loglog(r_kept, m_kept)
         exponent = -slope
     return DecayReport(
-        direction=unit, radii=tuple(radii), magnitudes=tuple(mags),
+        direction=unit, radii=tuple(radii.tolist()), magnitudes=tuple(mags.tolist()),
         fitted_exponent=exponent, stderr=stderr, reference_exponent=reference,
-        mc_error_bars=tuple(errs) if has_err else None, inconclusive=exponent is None,
+        mc_error_bars=None if errs is None else tuple(map(float, errs)), inconclusive=exponent is None,
     )
 
 

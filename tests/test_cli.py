@@ -695,6 +695,18 @@ def test_ft_ray_over_its_budget_exits_1_before_any_evaluation(tmp_path, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("direction,norm", [("1e200;0;0", "1e+200"), ("1e-200;0;0", "1e-200")])
+def test_ft_direction_whose_square_leaves_the_floats_exits_2(tmp_path, capsys, recwarn, direction, norm):
+    # both directions are finite and nonzero, but their squares overflow or
+    # underflow: the norm is stated, and no warning or report is made
+    out = tmp_path / "out"
+    assert main(FT_SPHERE + ["--nradii", "6", "--direction", direction, "--out", str(out)]) == 2
+    assert (f"configeo: error: bad [ft]: direction norm {norm} is out of range: its square must be a "
+            "positive finite float") in capsys.readouterr().err
+    assert not out.exists()
+    assert [str(w.message) for w in recwarn] == []
+
+
 def test_ft_ray_budget_admits_survey_dense():
     assert 24 * 400_000 <= cli.MC_SAMPLE_BUDGET
 
@@ -707,9 +719,10 @@ def test_bare_ft_ray_runs_at_the_default_12_radii(tmp_path, monkeypatch, argv):
         radii.extend(p.norm for p in points)
         return [(1.0 / p.norm, 0.0) for p in points]
 
-    def closed(d, xi):
-        radii.append(float(np.linalg.norm(xi)))
-        return 1.0 / radii[-1]
+    def closed(d, xi):  # one call per ray, on its (radii, d) stack
+        norms = np.linalg.norm(xi, axis=-1)
+        radii.extend(norms)
+        return 1.0 / norms
 
     monkeypatch.setattr(cli, "ft_montecarlo", montecarlo)
     monkeypatch.setattr(fourierlab, "ft_sphere", closed)

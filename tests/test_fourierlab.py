@@ -1,6 +1,7 @@
 import dataclasses
 import decimal
 import math
+import re
 import threading
 import tracemalloc
 
@@ -499,7 +500,7 @@ def test_mc_error_in_the_drawing_thread_is_reraised(monkeypatch):
 # The budgets of the ft_montecarlo docstring: float64 arrays of m rows, each
 # row as wide as the kind's widest drawn array.
 MC_MEMORY_BUDGETS = {"sphere": (2.5, 3), "triangle2d": (1.5, 2), "chain_spheres": (1.5, 3),
-                     "determinant_variety": (1.25, 9)}
+                     "determinant_variety": (1.125, 9)}
 
 
 @pytest.mark.parametrize("kind", sorted(MC_MEMORY_BUDGETS))
@@ -568,7 +569,7 @@ def test_measure_spec_validation():
 
 def test_decay_fit_synthetic_power_law():
     radii = np.geomspace(1.0, 100.0, 40)
-    report = decay_fit(lambda ps: [p.norm**-0.5 for p in ps], FrequencyPoint.of([1.0, 0.0]), radii)
+    report = decay_fit(lambda u, rs: (rs**-0.5, None), FrequencyPoint.of([1.0, 0.0]), radii)
     assert report.fitted_exponent == pytest.approx(0.5, abs=1e-9)
     assert not report.inconclusive
 
@@ -576,7 +577,7 @@ def test_decay_fit_synthetic_power_law():
 def test_decay_fit_sphere_d3():
     radii = np.geomspace(10.0, 1000.0, 20000)
     report = decay_fit(
-        lambda ps: [ft_sphere(3, p.blocks[0]) for p in ps],
+        lambda u, rs: (ft_sphere(3, *u.ray(rs)), None),
         FrequencyPoint.of([0.3, -0.5, 0.81]),
         radii,
         reference=1.0,
@@ -588,7 +589,7 @@ def test_decay_fit_sphere_d3():
 def test_decay_fit_sphere_d2():
     radii = np.geomspace(10.0, 1000.0, 20000)
     report = decay_fit(
-        lambda ps: [ft_sphere(2, p.blocks[0]) for p in ps], FrequencyPoint.of([1.0, 0.4]), radii
+        lambda u, rs: (ft_sphere(2, *u.ray(rs)), None), FrequencyPoint.of([1.0, 0.4]), radii
     )
     assert abs(report.fitted_exponent - 0.5) <= 0.1
 
@@ -597,7 +598,7 @@ def test_decay_fit_triangle_paired_direction():
     radii = np.geomspace(10.0, 300.0, 8000)
     xi = np.array([0.6, 0.8])
     report = decay_fit(
-        lambda ps: [ft_triangle(p.blocks[0], p.blocks[1]) for p in ps],
+        lambda u, rs: (ft_triangle(*u.ray(rs)), None),
         FrequencyPoint.of(xi, -xi),
         radii,
         reference=0.5,
@@ -607,23 +608,24 @@ def test_decay_fit_triangle_paired_direction():
 
 def test_decay_fit_direction_normalized():
     radii = np.geomspace(1.0, 20.0, 6)
-    report = decay_fit(lambda ps: [p.norm**-1.0 for p in ps], FrequencyPoint.of([3.0, 4.0]), radii)
+    report = decay_fit(lambda u, rs: (rs**-1.0, None), FrequencyPoint.of([3.0, 4.0]), radii)
     assert report.direction.norm == pytest.approx(1.0, rel=1e-12)
     assert report.fitted_exponent == pytest.approx(1.0, abs=1e-9)
 
 
 def test_decay_fit_validation():
     fp = FrequencyPoint.of([1.0, 0.0])
+    ones = lambda u, rs: (np.ones(len(rs)), None)  # noqa: E731
     with pytest.raises(ValueError):
-        decay_fit(lambda ps: [1.0] * len(ps), fp, [1, 2, 3, 40])  # too few radii
+        decay_fit(ones, fp, [1, 2, 3, 40])  # too few radii
     with pytest.raises(ValueError):
-        decay_fit(lambda ps: [1.0] * len(ps), fp, [1, 2, 3, 4, 5])  # less than a decade
+        decay_fit(ones, fp, [1, 2, 3, 4, 5])  # less than a decade
     with pytest.raises(ValueError):
-        decay_fit(lambda ps: [1.0] * len(ps), fp, [1, 2, 2, 4, 40])  # not increasing
+        decay_fit(ones, fp, [1, 2, 2, 4, 40])  # not increasing
     with pytest.raises(ValueError):
-        decay_fit(lambda ps: [1.0] * len(ps), FrequencyPoint.of([0.0, 0.0]), [1, 2, 4, 8, 40])
-    with pytest.raises(ValueError):  # one value per point
-        decay_fit(lambda ps: [1.0], fp, [1, 2, 4, 8, 40])
+        decay_fit(ones, FrequencyPoint.of([0.0, 0.0]), [1, 2, 4, 8, 40])
+    with pytest.raises(ValueError):  # one value per radius
+        decay_fit(lambda u, rs: ([1.0], None), fp, [1, 2, 4, 8, 40])
 
 
 @pytest.mark.parametrize("radii,named", [([0.0, 1.3, 2.7, 5.1, 10.3, 20.7], "0"),
@@ -632,9 +634,9 @@ def test_decay_fit_validation():
 def test_decay_fit_checks_radii_before_evaluating(radii, named):
     calls = []
 
-    def spy(points):
-        calls.append(points)
-        return [1.0] * len(points)
+    def spy(unit, rs):
+        calls.append(rs)
+        return np.ones(len(rs)), None
 
     with pytest.raises(ValueError, match=f"radii must be positive and finite, got {named}$"):
         decay_fit(spy, FrequencyPoint.of([1.0, 0.0, 0.0]), radii)
@@ -643,16 +645,71 @@ def test_decay_fit_checks_radii_before_evaluating(radii, named):
 
 def test_decay_fit_floor_gives_inconclusive():
     radii = np.geomspace(1.0, 100.0, 8)
-    report = decay_fit(lambda ps: [0.0] * len(ps), FrequencyPoint.of([1.0]), radii)
+    report = decay_fit(lambda u, rs: (np.zeros(len(rs)), None), FrequencyPoint.of([1.0]), radii)
     assert report.inconclusive and report.fitted_exponent is None
 
 
 def test_decay_fit_mc_error_bars_recorded():
     radii = np.geomspace(1.0, 20.0, 6)
     report = decay_fit(
-        lambda ps: [(p.norm**-1.0, 0.01) for p in ps], FrequencyPoint.of([1.0, 0.0]), radii
+        lambda u, rs: (rs**-1.0, [0.01] * len(rs)), FrequencyPoint.of([1.0, 0.0]), radii
     )
     assert report.mc_error_bars == (0.01,) * 6
+
+
+def _radial_per_radius(d, xi):
+    """The closed forms' rule one frequency at a time: np.linalg.norm of the
+    frequency, then a scalar ft_sphere_radial."""
+    return float(ft_sphere_radial(d, float(np.linalg.norm(xi))))
+
+
+def _per_radius_reference(kind, unit, radii):
+    """A ray's closed form evaluated one radius r at a time, at r * u."""
+    values = []
+    for r in radii.tolist():
+        blocks = [r * b for b in unit.blocks]
+        if kind == "sphere":
+            values.append(_radial_per_radius(len(blocks[0]), blocks[0]))
+            continue
+        (x1, x2), (e1, e2) = blocks
+        w_plus = np.array([x1 + e1 / 2.0 + e2 * SQ3 / 2.0, x2 - e1 * SQ3 / 2.0 + e2 / 2.0])
+        w_minus = np.array([x1 + e1 / 2.0 - e2 * SQ3 / 2.0, x2 + e1 * SQ3 / 2.0 + e2 / 2.0])
+        values.append(_radial_per_radius(2, w_plus) + _radial_per_radius(2, w_minus))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("spec", [MeasureSpec.sphere(d) for d in range(2, 9)] + [MeasureSpec.triangle2d()],
+                         ids=lambda spec: f"{spec.kind}{spec.d}")
+def test_closed_form_ray_equals_the_per_radius_rule_bit_for_bit(spec):
+    # one array call per ray gives every value the bits it had when each
+    # radius was its own frequency point
+    rng = np.random.default_rng(spec.d)
+    radii = np.geomspace(0.01, 500.0, 200)
+    closed_form = fourierlab.MEASURES[spec.kind].closed_form
+    for _ in range(25):
+        unit = FrequencyPoint.of(*(rng.standard_normal(n) for n in spec.block_dims)).unit()
+        assert np.array_equal(closed_form(spec, unit, radii), _per_radius_reference(spec.kind, unit, radii))
+
+
+def test_decay_fit_magnitudes_are_the_complex_abs_bit_for_bit():
+    rng = np.random.default_rng(36)
+    scale = 10.0 ** rng.uniform(-12, 12, (2, 5000))
+    values = rng.standard_normal(5000) * scale[0] + 1j * rng.standard_normal(5000) * scale[1]
+    report = decay_fit(lambda u, rs: (values, None), FrequencyPoint.of([1.0]), np.geomspace(1, 100, 5000))
+    assert report.magnitudes == tuple(abs(complex(v)) for v in values)
+
+
+def test_unit_direction_is_the_division_by_the_summed_squares():
+    # a direction keeps the unit vector of its summed squares wherever they
+    # are a positive finite float, up to the edge of the float range
+    for blocks in ([[3.0, 4.0]], [[1e154, 0.0, 0.0]], [[0.3, -0.5], [0.81, 2.0]], [[1e-150, 2e-150]]):
+        fp = FrequencyPoint.of(*blocks)
+        norm = math.sqrt(sum(float((np.asarray(b) ** 2).sum()) for b in blocks))
+        assert all(np.array_equal(u, np.asarray(b) * (1.0 / norm)) for u, b in zip(fp.unit().blocks, blocks))
+    for coords, shown in (([1e200, 0.0], "1e+200"), ([1e-200, 0.0], "1e-200"), ([0.0, 0.0], "0"),
+                          ([1.7e308, 1.7e308], "inf")):
+        with pytest.raises(ValueError, match=f"direction norm {re.escape(shown)} is out of range"):
+            FrequencyPoint.of(coords).unit()
 
 
 # ---------------------------------------------------------------------------

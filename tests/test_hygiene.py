@@ -196,6 +196,16 @@ def test_only_the_distance_blocks_set_the_ufunc_buffer():
     assert found == {name: {"configcount._distance_blocks"} for name in names}
 
 
+def test_one_radial_rule_for_every_closed_form():
+    # ft_sphere alone takes the norms of a stack of frequencies and calls the
+    # radial transform; the triangle's closed form goes through it
+    path = next(p for p in SOURCES if p.name == "fourierlab.py")
+    found = _callers(ast.parse(path.read_text(), filename=str(path)),
+                     {"ft_sphere_radial", "np.vecdot", "ft_sphere"})
+    assert found["ft_sphere_radial"] == found["np.vecdot"] == {"ft_sphere"}
+    assert "ft_triangle" in found["ft_sphere"]
+
+
 def test_the_scan_finds_callers():
     tree = ast.parse("def f(x):\n    def g():\n        return h(x)\n    return g\n"
                      "class C:\n    y = h(1) + k(2)\nz = h(0)\nm.h(3)\ndef e():\n    return a.m.h(4)\n")
