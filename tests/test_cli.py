@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import configeo
-from configeo import cli, expfit, fourierlab
+from configeo import cli, configcount, expfit, fourierlab
 from configeo.cli import (
     UsageError,
     main,
@@ -251,8 +251,10 @@ def test_curvature_command(tmp_path):
     code = main(["curvature", "--d", "4", "--out", str(out)])
     assert code == 0
     body = (out / "curvature_suite_d4.txt").read_text()
-    assert "circulant" not in body
-    assert "detform_nonzero = 7 of 7" in body
+    assert "circulant" not in body and "detform" not in body
+    assert "volume_nonzero = 15 of 19" in body
+    assert "area2_nonzero = 7 of 11" in body
+    assert "angle_nonzero = 6 of 11" in body
     assert "phase_plane_discriminant_sign = -" in body
 
 
@@ -302,9 +304,23 @@ GOLDEN_REPORTS = {
         ["curvature", "--d", "4"], 0,
         {"curvature_suite_d4.txt":
          "curvature certificates (d=4)\n"
-         "detform_eigs = -0.70710678277705119;-0.70710678081443568;0.70710678081443568;"
-         "-0.70710677885182005;-0.70710677885182005;0.70710677885182005;0.70710677885182005\n"
-         "detform_nonzero = 7 of 7\nphase_rank_generic = 5 (floor 4)\n"
+         "volume_eigs = -0.88388347650869836;-0.79056941533614289;-0.790569415336142;"
+         "-0.79056941533614189;0.79056941435483474;0.79056941435483474;0.79056941435483363;"
+         "-0.35355339040721812;-0.35355339040721789;-0.35355339040721767;0.3535533894259103;"
+         "0.35355338942591014;-0.35355338942591008;-0.35355338942590991;0.35355338942590964;"
+         "1.9140598451968825e-16;-1.6611818209775113e-16;-6.6380937928555007e-17;"
+         "3.7209877495793822e-18\n"
+         "volume_nonzero = 15 of 19\n"
+         "area2_eigs = 1.4999999834824729;1.4999999834824724;-0.86602540058635147;"
+         "0.86602539966116598;-0.75000000353735552;0.49999999696131908;0.49999999696131858;"
+         "7.4014864770918144e-09;7.4014860312409233e-09;-3.7007436123722348e-09;"
+         "-1.8503719013000006e-09\n"
+         "area2_nonzero = 7 of 11\n"
+         "angle_eigs = -1.5000000028221872;-1.4999999810803204;-1.4999999810803186;"
+         "0.50000000001554346;0.49999999862776434;0.4999999986277639;-1.4802973923620856e-08;"
+         "-1.4802973687582423e-08;-2.7755574543116577e-09;-1.3877786345933009e-09;"
+         "-6.5150123619018384e-17\n"
+         "angle_nonzero = 6 of 11\nphase_rank_generic = 5 (floor 4)\n"
          "phase_rank_on_plane = 4 (floor 3)\n"
          "phase_plane_form = -1.0000000000000007;8.8817841970012523e-16;-1.000000000000002\n"
          "phase_plane_discriminant = -4.0000000000000107\nphase_plane_discriminant_sign = -\n"}),
@@ -552,7 +568,7 @@ def test_failed_command_leaves_no_artefacts(tmp_path):
     (FT_CHAIN + ["--cutoff", "2"], "decay_fit"),
     (["dim", "--kind", "lattice", "--d", "2", "--m", "4", "--n", "9", "--scales", "0.5;0.25;0.125"],
      "box_dim"),
-    # curvature takes no --input; at d = 4 its detform row calls the kernel
+    # curvature takes no --input; at d = 4 each family row calls the kernel
     (["curvature", "--config", "input.cfg", "--d", "4"], "level_set_curvatures"),
 ])
 def test_unread_key_refused_before_the_kernel_runs(tmp_path, monkeypatch, argv, kernel):
@@ -695,10 +711,13 @@ def test_ft_ray_over_its_budget_exits_1_before_any_evaluation(tmp_path, monkeypa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("direction,norm", [("1e200;0;0", "1e+200"), ("1e-200;0;0", "1e-200")])
+@pytest.mark.parametrize("direction,norm", [("1e200;0;0", "1e+200"), ("1e-200;0;0", "1e-200"),
+                                            ("1e-160;0;0", "1e-160")])
 def test_ft_direction_whose_square_leaves_the_floats_exits_2(tmp_path, capsys, recwarn, direction, norm):
-    # both directions are finite and nonzero, but their squares overflow or
-    # underflow: the norm is stated, and no warning or report is made
+    # the directions are finite and nonzero, but their squares overflow,
+    # underflow or are subnormal, so that the unit vector would lose digits
+    # (1e-160 gave direction=1.0000055664551362;0;0): the norm is stated, and
+    # no warning or report is made
     out = tmp_path / "out"
     assert main(FT_SPHERE + ["--nradii", "6", "--direction", direction, "--out", str(out)]) == 2
     assert (f"configeo: error: bad [ft]: direction norm {norm} is out of range: its square must be a "
@@ -769,13 +788,24 @@ def test_scan_steps_that_make_one_point_set_exit_2(tmp_path, monkeypatch, capsys
 
 
 def test_curvature_over_the_dimension_budget_exits_1(tmp_path, monkeypatch, capsys):
+    # the volume row's level set lies in R^(d(d+1)), over CURVATURE_MAX_N = 72 from d = 9 on:
+    # refused before any row's map is evaluated, and at once even where its base tuple of
+    # d(d+1) floats would not fit in memory
     built = []
-    monkeypatch.setattr(cli, "level_set_curvatures", lambda *args: built.append(args))
+    for name in ("volume", "area2", "angle"):
+        row = configcount.FAMILIES[name]
+        monkeypatch.setitem(configcount.FAMILIES, name, dataclasses.replace(
+            row, config_map=lambda tuples, f=row.config_map: built.append(len(tuples)) or f(tuples)))
     out = tmp_path / "out"
-    d = cli.CURVATURE_MAX_D + 1
-    assert main(["curvature", "--d", str(d), "--out", str(out)]) == 1
-    assert f"configeo: error: curvature d = {d} is over the budget of 128" in capsys.readouterr().err
-    assert built == [] and not out.exists()
+    for d in (9, 10**6):
+        start = time.perf_counter()
+        assert main(["curvature", "--d", str(d), "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 0.5
+        assert (f"configeo: error: curvature d = {d}: the volume row's level set in R^{d * (d + 1)} is "
+                "over the curvature budget of N = 72") in capsys.readouterr().err
+        assert built == [] and not out.exists()
+    assert main(["curvature", "--d", "2", "--out", str(out)]) == 0  # the spies see each row's one call
+    assert built == [2 * 6**2 + 1] * 3
 
 
 @pytest.mark.parametrize("under", ["", "sub"])

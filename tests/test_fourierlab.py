@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from configeo import fourierlab
+from configeo.configcount import family_row
 from configeo.errors import CapacityError, InfeasibleError
 from configeo.fourierlab import (
     FrequencyPoint,
@@ -706,8 +707,11 @@ def test_unit_direction_is_the_division_by_the_summed_squares():
         fp = FrequencyPoint.of(*blocks)
         norm = math.sqrt(sum(float((np.asarray(b) ** 2).sum()) for b in blocks))
         assert all(np.array_equal(u, np.asarray(b) * (1.0 / norm)) for u, b in zip(fp.unit().blocks, blocks))
+    edge = 2.0**-511  # its square is the smallest normal float, sys.float_info.min
+    assert np.array_equal(FrequencyPoint.of([edge, 0.0]).unit().blocks[0], [1.0, 0.0])
     for coords, shown in (([1e200, 0.0], "1e+200"), ([1e-200, 0.0], "1e-200"), ([0.0, 0.0], "0"),
-                          ([1.7e308, 1.7e308], "inf")):
+                          ([1.7e308, 1.7e308], "inf"), ([1e-160, 0.0], "1e-160"),
+                          ([np.nextafter(edge, 0.0), 0.0], f"{np.nextafter(edge, 0.0):g}")):
         with pytest.raises(ValueError, match=f"direction norm {re.escape(shown)} is out of range"):
             FrequencyPoint.of(coords).unit()
 
@@ -716,31 +720,154 @@ def test_unit_direction_is_the_division_by_the_summed_squares():
 # curvature certificates
 
 
+def _scalar_level_set_curvatures(F, t, x0, h=fourierlab.CURVATURE_STEP):
+    """The reference rule: a scalar F called once per central-difference point."""
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    f0 = float(F(x0))
+    if abs(f0 - t) > 1e-9:
+        raise ValueError(f"x0 is not on the level set: |F(x0)-t| = {abs(f0 - t):.3g}")
+
+    eye = np.eye(n)
+    grad = np.array(
+        [(float(F(x0 + h * eye[i])) - float(F(x0 - h * eye[i]))) / (2 * h) for i in range(n)]
+    )
+    gn = float(np.linalg.norm(grad))
+    if gn < 1e-6:
+        raise ValueError("gradient too small: not a regular point")
+
+    hess = np.empty((n, n))
+    for i in range(n):
+        hess[i, i] = (float(F(x0 + h * eye[i])) - 2.0 * f0 + float(F(x0 - h * eye[i]))) / h**2
+        for j in range(i + 1, n):
+            val = (
+                float(F(x0 + h * eye[i] + h * eye[j]))
+                - float(F(x0 + h * eye[i] - h * eye[j]))
+                - float(F(x0 - h * eye[i] + h * eye[j]))
+                + float(F(x0 - h * eye[i] - h * eye[j]))
+            ) / (4.0 * h**2)
+            hess[i, j] = hess[j, i] = val
+
+    _, _, vt = np.linalg.svd(grad[None, :] / gn)
+    tangent = vt[1:]
+    form = tangent @ hess @ tangent.T / gn
+    form = 0.5 * (form + form.T)
+    eigs = np.linalg.eigvalsh(form)
+    return eigs[np.argsort(-np.abs(eigs), kind="stable")]
+
+
+def _family_level_set(name, d):
+    """(batched map, level, base point) of a family's config_map at the
+    curvature command's tuple: volume at (e_1, ..., e_d, 0), area2 at
+    (e_1, e_2, 0), angle at (0, e_1, e_2)."""
+    base = np.eye(d + 1, d)
+    tup, t = {"volume": (base, 1.0), "area2": (base[[0, 1, d]], 1.0),
+              "angle": (base[[d, 0, 1]], math.pi / 2)}[name]
+    config_map = family_row(name).config_map
+    return (lambda x: config_map(x.reshape(len(x), *tup.shape))[:, 0]), t, tup.ravel()
+
+
+def _sphere(x):
+    return (x * x).sum(axis=1)
+
+
+def _pair_determinant(z):
+    return z[:, 0] * z[:, 3] - z[:, 1] * z[:, 2]
+
+
+def _affine(x):
+    return 1.0 + 2.0 * x[:, 0] - 0.5 * x[:, 1] + x[:, 2]
+
+
+LEVEL_SETS = {f"{name}{d}": _family_level_set(name, d) for name in ("volume", "area2", "angle")
+              for d in (2, 3, 4)}
+LEVEL_SETS.update(sphere=(_sphere, 1.0, np.array([1.0, 0.0, 0.0])),
+                  pair_determinant=(_pair_determinant, 1.0, np.array([1.0, 0.0, 0.0, 1.0])),
+                  affine=(_affine, 1.0, np.array([0.25, 1.0, 0.0])))
+
+
+@pytest.mark.parametrize("case", sorted(LEVEL_SETS))
+def test_batched_level_set_rule_equals_the_scalar_loop_bit_for_bit(case):
+    # one call over all 2N^2 + 1 points forms and differences them as the
+    # scalar loop did, point by point
+    F, t, x0 = LEVEL_SETS[case]
+    assert np.array_equal(level_set_curvatures(F, t, x0),
+                          _scalar_level_set_curvatures(lambda x: F(x[None])[0], t, x0))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_family_level_set_ranks(d):
+    # N - 1 principal curvatures, flat along the d translations, and along
+    # dilation for the angle
+    for name, flat in (("volume", d), ("area2", d), ("angle", d + 1)):
+        F, t, x0 = _family_level_set(name, d)
+        eigs = level_set_curvatures(F, t, x0)
+        assert eigs.shape == (x0.size - 1,)
+        assert nonzero_curvature_count(eigs) == x0.size - 1 - flat
+
+
+def test_volume_d2_curvatures_match_the_analytic_form():
+    # the volume map at d = 2 is det(x1 - x3, x2 - x3) near its base tuple, a
+    # quadratic form z^T H z / 2 in z = (x1, x2, x3): central differences are
+    # exact up to rounding, so they give the form built from grad = H z and H
+    F, t, x0 = _family_level_set("volume", 2)
+    legs = [np.kron(row, np.eye(2)) for row in ([1.0, 0.0, -1.0], [0.0, 1.0, -1.0])]
+    turn = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    hess = legs[0].T @ turn @ legs[1] + legs[1].T @ turn.T @ legs[0]
+    assert 0.5 * x0 @ hess @ x0 == pytest.approx(t)
+    grad = hess @ x0
+    tangent = np.linalg.svd(grad[None, :] / np.linalg.norm(grad))[2][1:]
+    exact = np.linalg.eigvalsh(tangent @ hess @ tangent.T / np.linalg.norm(grad))
+    np.testing.assert_allclose(np.sort(level_set_curvatures(F, t, x0)), exact, rtol=0, atol=1e-8)
+
+
+def test_level_set_over_the_budget_is_refused_before_f_runs():
+    calls = []
+    n = fourierlab.CURVATURE_MAX_N + 1
+    message = f"a level set in R^{n} is over the curvature budget of N = 72"
+    with pytest.raises(CapacityError, match=re.escape(message)):
+        level_set_curvatures(lambda x: calls.append(x) or _sphere(x), 1.0, np.eye(n)[0])
+    assert calls == []
+
+
+def test_level_set_rule_memory_at_the_budget():
+    # the volume map at d = 8, N = 72: one call of (2N^2 + 1) x N points;
+    # measured at a 22 MB tracemalloc peak
+    F, t, x0 = _family_level_set("volume", 8)
+    assert x0.size == fourierlab.CURVATURE_MAX_N
+    tracemalloc.start()
+    try:
+        eigs = level_set_curvatures(F, t, x0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+    assert nonzero_curvature_count(eigs) == 72 - 1 - 8
+
+
 def test_sphere_umbilic():
-    eigs = level_set_curvatures(lambda x: float(x @ x), 1.0, [1.0, 0.0, 0.0])
+    eigs = level_set_curvatures(_sphere, 1.0, [1.0, 0.0, 0.0])
     assert eigs.shape == (2,)
     np.testing.assert_allclose(eigs, [1.0, 1.0], rtol=1e-6)
     assert nonzero_curvature_count(eigs) == 2
 
 
 def test_pair_determinant_form_three_nonzero():
-    F = lambda z: z[0] * z[3] - z[1] * z[2]  # noqa: E731
-    eigs = level_set_curvatures(F, 1.0, [1.0, 0.0, 0.0, 1.0])
+    eigs = level_set_curvatures(_pair_determinant, 1.0, [1.0, 0.0, 0.0, 1.0])
     assert eigs.shape == (3,)
     assert nonzero_curvature_count(eigs) == 3
     np.testing.assert_allclose(np.abs(eigs), [1 / math.sqrt(2)] * 3, rtol=1e-5)
 
 
 def test_affine_level_set_flat():
-    F = lambda x: float(1.0 + 2.0 * x[0] - 0.5 * x[1] + x[2])  # noqa: E731
-    eigs = level_set_curvatures(F, 1.0, [0.25, 1.0, 0.0])
+    eigs = level_set_curvatures(_affine, 1.0, [0.25, 1.0, 0.0])
     assert np.abs(eigs).max() < 1e-6
 
 
 def test_curvature_step_convergence():
     # truncation-dominated regime: halving h shrinks the change quadratically
     # (|x| rather than |x|^2: quadratics differentiate exactly at any h)
-    F = lambda x: float(np.sqrt(x @ x))  # noqa: E731
+    F = lambda x: np.sqrt((x * x).sum(axis=1))  # noqa: E731
     x0 = [1.0, 0.0, 0.0]
     e1 = level_set_curvatures(F, 1.0, x0, h=2e-2)
     e2 = level_set_curvatures(F, 1.0, x0, h=1e-2)
@@ -751,11 +878,10 @@ def test_curvature_step_convergence():
 
 
 def test_curvature_validation():
-    F = lambda x: float(x @ x)  # noqa: E731
     with pytest.raises(ValueError):
-        level_set_curvatures(F, 1.0, [0.5, 0.0, 0.0])  # not on the level set
+        level_set_curvatures(_sphere, 1.0, [0.5, 0.0, 0.0])  # not on the level set
     with pytest.raises(ValueError):
-        level_set_curvatures(lambda x: float((x @ x) ** 2), 0.0, [0.0, 0.0, 0.0])
+        level_set_curvatures(lambda x: _sphere(x) ** 2, 0.0, [0.0, 0.0, 0.0])
 
 
 # The chain variety V = {|x| = |y| = |x - y| = 1} at (x0, y0), written here

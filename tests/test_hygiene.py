@@ -213,6 +213,38 @@ def test_the_scan_finds_callers():
                                                       "m.h": {"<module>"}}
 
 
+def _curvature_maps(tree: ast.Module) -> set[str]:
+    """What each call of level_set_curvatures in tree takes its map from: the
+    owner of every `.config_map` its first argument reads, unparsed, or
+    '<no config_map>' for a call whose map reads none."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called_name(node.func) == "level_set_curvatures":
+            found |= {ast.unparse(sub.value) for sub in ast.walk(node.args[0])
+                      if isinstance(sub, ast.Attribute) and sub.attr == "config_map"} or {"<no config_map>"}
+    return found
+
+
+def test_curvature_certifies_only_the_family_maps():
+    # the curvature command certifies the maps the workbench counts: every
+    # level set is a FAMILIES row's config_map, and no hand-typed form is left
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    callers = {f"{module}.{where}" for module, tree in trees.items()
+               for where in _callers(tree, {"level_set_curvatures"})["level_set_curvatures"]}
+    assert callers == {"cli._family_items"}
+    assert set().union(*map(_curvature_maps, trees.values())) == {"family_row(name)"}
+    assert not any(isinstance(node, (ast.Name, ast.Attribute, ast.FunctionDef, ast.alias))
+                   and "rotated_block_form" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                                getattr(node, "name", None))
+                   for tree in trees.values() for node in ast.walk(tree))
+
+
+def test_the_scan_finds_curvature_maps():
+    tree = ast.parse("def f(d):\n    F, x0 = form(d)\n    return level_set_curvatures(F, 1.0, x0)\n"
+                     "def g(name):\n    return level_set_curvatures(lambda x: row(name).config_map(x), 1.0, x0)\n")
+    assert _curvature_maps(tree) == {"<no config_map>", "row(name)"}
+
+
 def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
     """The module-level private names of each tree (one leading underscore)
     that no statement of any tree reads, as a bare name or an attribute,
