@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -49,6 +50,7 @@ from .fourierlab import (
     MEASURES,
     FrequencyPoint,
     MeasureSpec,
+    check_radii,
     decay_fit,
     ft_montecarlo,
     level_set_curvatures,
@@ -402,16 +404,15 @@ def _cmd_count(cfg: ExperimentConfig):
     query = ConfigQuery(family, k(ps.dim), t, delta)
 
     def job():
+        start = time.perf_counter()
         report = run_query(ps, query)
+        elapsed = time.perf_counter() - start
         seed = cfg.seed if ps.meta.seed is None else ps.meta.seed
-        # elapsed_seconds is left empty so identical runs write identical bytes
-        row = (query.family, query.k, ps.dim, ps.n, query.t, query.delta, report.count,
-               report.algorithm, None, seed)
-        body = _csv("family,k,d,n,t,delta,count,algorithm,elapsed_seconds,seed", [row],
-                    generator=ps.meta.generator, seed=cfg.seed)
+        row = (query.family, query.k, ps.dim, ps.n, query.t, query.delta, report.count, seed)
+        body = _csv("family,k,d,n,t,delta,count,seed", [row], generator=ps.meta.generator, seed=cfg.seed)
         name = f"count_{query.family}_k{query.k}_d{ps.dim}_seed{cfg.seed}.csv"
         line = (f"count: family={query.family} k={query.k} n={ps.n} count={report.count} "
-                f"algorithm={report.algorithm} elapsed={report.elapsed_seconds:.3f}s -> {cfg.out_dir / name}")
+                f"elapsed={elapsed:.3f}s -> {cfg.out_dir / name}")
         return {name: body}, line, 0
 
     return job
@@ -491,7 +492,8 @@ FT_RADII_BUDGET = 10**5  # radii per ft ray (see _cmd_ft)
 
 
 def _cmd_ft(cfg: ExperimentConfig):
-    """Time budget: a ray of more than FT_RADII_BUDGET radii (whole commands
+    """The ray's ends and size pass `check_radii` before its radii are built.
+    Time budget: a ray of more than FT_RADII_BUDGET radii (whole commands
     took 0.6-1.0 s for sphere(3), 0.8-1.1 s for triangle2d on a 2-vCPU VM) or
     a Monte Carlo ray of more than MC_SAMPLE_BUDGET samples in all (~12 s of
     chain_spheres(3)) is refused with CapacityError before the radii are built."""
@@ -506,6 +508,7 @@ def _cmd_ft(cfg: ExperimentConfig):
         rmin = _get_float(cfg, "ft", "rmin", required=True)
         rmax = _get_float(cfg, "ft", "rmax", required=True)
     nradii = _get_int(cfg, "ft", "nradii", 12) if radii is None else len(radii)
+    check_radii((rmin, rmax) if radii is None else radii, nradii)
     if nradii > FT_RADII_BUDGET:
         raise CapacityError(f"{nradii} radii are over the ft budget of {FT_RADII_BUDGET}")
 

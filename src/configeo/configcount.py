@@ -27,20 +27,21 @@ triangle's.  A custom query is a row too, built by `family_row` from its
 PhiFunction (`_phi_row`), with no threshold s0.
 
 One map per row defines the family: config_map takes a batch of tuples and
-returns their values, and the exhaustive oracle ("brute", `_oracle`) values
-every ordered distinct tuple, each combination in every ordering of
-`_orders`.  The optimized counters ("pruned") must agree with the oracles
-exactly.  The simplex fast path counts labelled homomorphisms of
-K_{k+1} into the band graphs A_ij = [|D - t_ij| <= delta].  D comes in row
-blocks of BLOCK_ENTRIES // n anchors from `_distance_blocks`, which adds the
-squared coordinate differences in coordinate order, as the map and the
-oracle do, so all three agree bit for bit.  Each block runs under a small
-ufunc buffer, which keeps numpy off its slow buffered broadcast on narrow
-blocks.  Each distinct target gets one packed bit row per point, ceil(n/64)
-uint64 words, whose clear diagonal enforces distinct indices; the rows are
-refused before any distance when they would take more than 4 *
-SIMPLEX_BAND_NNZ_BUDGET bytes, and during the build as soon as their
-projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.
+returns their values, and the row's exhaustive oracle, brute (`_oracle`),
+values every ordered distinct tuple, each combination in every ordering of
+`_orders`.  Every count runs the row's fast counter (`_count`), which must
+agree with the oracle exactly; an oracle is a reference, reached through its
+row or `count_simplex_brute`.  The simplex fast path counts labelled
+homomorphisms of K_{k+1} into the band graphs A_ij = [|D - t_ij| <= delta].
+D comes in row blocks of BLOCK_ENTRIES // n anchors from `_distance_blocks`,
+which adds the squared coordinate differences in coordinate order, as the
+map and the oracle do, so all three agree bit for bit.  Each block runs
+under a small ufunc buffer, which keeps numpy off its slow buffered
+broadcast on narrow blocks.  Each distinct target gets one packed bit row
+per point, ceil(n/64) uint64 words, whose clear diagonal enforces distinct
+indices; the rows are refused before any distance when they would take more
+than 4 * SIMPLEX_BAND_NNZ_BUDGET bytes, and during the build as soon as
+their projected nonzeros exceed SIMPLEX_BAND_NNZ_BUDGET.
 The count extends chunks of partial tuples one slot at a time: slot j's
 candidates are the AND of the rows of A_ij at x_i over i < j, unpacked into
 the next chunk for an inner slot and summed by popcount for the last.
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -79,6 +79,7 @@ from .errors import CapacityError
 from .pointgen import PointSet
 
 BRUTE_EVAL_BUDGET = 10**9
+CLASS_BUDGET = 1_500_000  # congruence classes held by distinct_classes: 210 B each at k = 2, 433 B at k = 4
 SIMPLEX_BAND_NNZ_BUDGET = 3 * 10**7  # nonzeros over all band matrices
 BLOCK_ENTRIES = 1 << 16  # entries per block: distances, unpacked band bits, set values, tuples
 DEGENERATE_APEX_TOL = 1e-12
@@ -172,8 +173,6 @@ class CountReport:
     query: ConfigQuery
     n: int
     count: int
-    algorithm: str
-    elapsed_seconds: float
 
 
 @dataclass(frozen=True)
@@ -351,36 +350,29 @@ def _dot_values(rows: np.ndarray, cols: np.ndarray, absolute: bool = False):
     return values
 
 
-def _count(ps: PointSet, query: ConfigQuery, algorithm: str) -> CountReport:
-    """Check k against d, then count a family query with the row's fast
-    counter ("pruned") or its oracle ("brute")."""
+def _count(ps: PointSet, query: ConfigQuery) -> CountReport:
+    """Check k against d, then count the query with its row's fast counter."""
     row = family_row(query.family, query.phi)
     row.check_k(query.k, ps.dim)
-    kernels = {"pruned": row.fast, "brute": row.brute}
-    if algorithm not in kernels:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    start = time.perf_counter()
-    count = kernels[algorithm](ps.points, query.k, query.t, query.delta)
-    return CountReport(query=query, n=ps.n, count=count, algorithm=algorithm,
-                       elapsed_seconds=time.perf_counter() - start)
+    return CountReport(query, ps.n, row.fast(ps.points, query.k, query.t, query.delta))
 
 
 # ---------------------------------------------------------------------------
 # simplex family
 
 
-def count_simplex(
-    ps: PointSet, k: int, t, delta: float, algorithm: str = "pruned"
-) -> CountReport:
+def count_simplex(ps: PointSet, k: int, t, delta: float) -> CountReport:
     """Ordered (k+1)-tuples of distinct points whose pairwise distances all
     satisfy t_ij - delta <= |x^i - x^j| <= t_ij + delta."""
-    return _count(ps, ConfigQuery("simplex", k, t, delta), algorithm)
+    return _count(ps, ConfigQuery("simplex", k, t, delta))
 
 
 def count_simplex_brute(ps: PointSet, k: int, t, delta: float) -> CountReport:
-    """Independent oracle: exhaustive evaluation over every ordered distinct
-    tuple, with no pruning and no spatial index."""
-    return count_simplex(ps, k, t, delta, algorithm="brute")
+    """Independent oracle: the simplex row's exhaustive count over every
+    ordered distinct tuple, with no pruning and no spatial index."""
+    query, row = ConfigQuery("simplex", k, t, delta), FAMILIES["simplex"]
+    row.check_k(k, ps.dim)
+    return CountReport(query, ps.n, row.brute(ps.points, k, query.t, query.delta))
 
 
 def _distance_blocks(pts: np.ndarray, upper: bool = False):
@@ -527,7 +519,7 @@ def _simplex_values(tuples: np.ndarray) -> np.ndarray:
 # volume family (d-dimensional simplex volumes, d+1 points)
 
 
-def count_volume(ps: PointSet, t: float, delta: float, algorithm: str = "pruned") -> CountReport:
+def count_volume(ps: PointSet, t: float, delta: float) -> CountReport:
     """Ordered (d+1)-tuples of distinct points with
     |vol_d(x^1,...,x^{d+1}) - t| <= delta, where vol_d is the bare map's
     value: the absolute determinant of the edge matrix at x^{d+1}, not that
@@ -537,7 +529,7 @@ def count_volume(ps: PointSet, t: float, delta: float, algorithm: str = "pruned"
     the oracle's, ordering by ordering.  The fast counter values each point
     set once, at every d, and re-values ordering by ordering only the sets
     within its rounding margin of the band's edges."""
-    return _count(ps, ConfigQuery("volume", ps.dim, t, delta), algorithm)
+    return _count(ps, ConfigQuery("volume", ps.dim, t, delta))
 
 
 def _minors(u: np.ndarray) -> dict:
@@ -631,7 +623,7 @@ def _volume_values(tuples: np.ndarray) -> np.ndarray:
 # area2 family (2-dimensional volumes in any ambient dimension, 3 points)
 
 
-def count_area2(ps: PointSet, t: float, delta: float, algorithm: str = "pruned") -> CountReport:
+def count_area2(ps: PointSet, t: float, delta: float) -> CountReport:
     """Ordered triples of distinct points with the bare map's value, the
     parallelogram area sqrt(det Gram(x^1-x^3, x^2-x^3)), within delta of t;
     the triangle area is that value / 2.
@@ -640,7 +632,7 @@ def count_area2(ps: PointSet, t: float, delta: float, algorithm: str = "pruned")
     oracle's, ordering by ordering.  The fast counter values each triple
     once, by its Gram determinant, and re-values ordering by ordering only
     the triples within its rounding margin of the band's edges."""
-    return _count(ps, ConfigQuery("area2", 2, t, delta), algorithm)
+    return _count(ps, ConfigQuery("area2", 2, t, delta))
 
 
 def _area2_views(pts: np.ndarray):
@@ -727,7 +719,7 @@ def _area2_values(tuples: np.ndarray) -> np.ndarray:
 # angle family
 
 
-def count_angle(ps: PointSet, theta0: float, delta: float, algorithm: str = "pruned") -> CountReport:
+def count_angle(ps: PointSet, theta0: float, delta: float) -> CountReport:
     """Ordered distinct triples with |angle(x^2-x^1, x^3-x^1) - theta0| <= delta.
 
     The cosine is clamped to [-1, 1] before arccos; triples whose apex legs
@@ -736,7 +728,7 @@ def count_angle(ps: PointSet, theta0: float, delta: float, algorithm: str = "pru
     of its orderings.  It takes the arccos, by the oracle's map, only of the
     pairs within its rounding margin of the band's cosine edges.
     """
-    return _count(ps, ConfigQuery("angle", 2, theta0, delta), algorithm)
+    return _count(ps, ConfigQuery("angle", 2, theta0, delta))
 
 
 def _angle_views(pts: np.ndarray):
@@ -875,9 +867,9 @@ def _phi_row(phi: PhiFunction) -> Family:
 
 def count_phi(ps: PointSet, phi: PhiFunction, t, delta: float) -> CountReport:
     """Ordered distinct (arity)-tuples with |Phi(tuple) - t| <= delta in
-    every coordinate of R^output_dim, by the custom row's oracle under
-    BRUTE_EVAL_BUDGET.  No structural assumptions on Phi."""
-    return _count(ps, ConfigQuery("custom", phi.arity - 1, t, delta, phi=phi), "brute")
+    every coordinate of R^output_dim, by the custom row's counter, its
+    oracle, under BRUTE_EVAL_BUDGET.  No structural assumptions on Phi."""
+    return _count(ps, ConfigQuery("custom", phi.arity - 1, t, delta, phi=phi))
 
 
 # ---------------------------------------------------------------------------
@@ -898,7 +890,11 @@ def distinct_classes(ps: PointSet, k: int, delta: float) -> int:
     tuples keyed pass `_enumeration_budget` (n^(k+1)) before any value.  The
     subsets come in the chunks of `_subsets`, so memory follows one chunk in
     all its orderings (at most BLOCK_ENTRIES key rows) plus the classes; no
-    n x n distance matrix is built.
+    n x n distance matrix is built.  Before the first chunk, CapacityError
+    when the classes could number more than CLASS_BUDGET: min(C(n, k+1),
+    L^C(k+1, 2)), with L = rint(R / delta) + 1 the key values of one pair of
+    a set whose bounding box has diagonal R, so L = rint(sqrt(d) / delta) + 1
+    in the unit cube.
     """
     if not (1 <= k <= 4):
         raise ValueError("canonicalization supports 1 <= k <= 4")
@@ -907,6 +903,10 @@ def distinct_classes(ps: PointSet, k: int, delta: float) -> int:
         return 0
     _enumeration_budget(ps.n, k + 1)
     i, j = np.array(pair_order(k)).T
+    levels = float(np.rint(math.dist(ps.points.min(axis=0), ps.points.max(axis=0)) / delta)) + 1.0
+    bound = min(math.comb(ps.n, k + 1), levels**i.size if levels <= CLASS_BUDGET else math.inf)
+    if bound > CLASS_BUDGET:
+        raise CapacityError(f"up to {bound:.4g} congruence classes, over the class budget of {CLASS_BUDGET}")
     slot = np.zeros((k + 1, k + 1), np.intp)
     slot[i, j] = slot[j, i] = np.arange(i.size)
     orders = _orders(k + 1)
@@ -980,6 +980,6 @@ def run_query(ps: PointSet, query: ConfigQuery) -> CountReport:
     see each query; a custom map's query has none and goes to its row's
     counter directly."""
     if query.phi is not None:
-        return _count(ps, query, "pruned")
+        return _count(ps, query)
     k = (query.k,) if FAMILIES[query.family].fixed_k is None else ()
     return globals()[f"count_{query.family}"](ps, *k, query.t, query.delta)

@@ -549,6 +549,24 @@ class DecayReport:
     inconclusive: bool
 
 
+def check_radii(radii, count: int | None = None) -> np.ndarray:
+    """The radii of a ray as a float array, or a ValueError when the ray has
+    fewer than 5 (count, else len(radii)) or a radius is not positive or
+    over _NORM_MAX, the bound FrequencyPoint.unit keeps on a direction's
+    norm: the squared norm of the radius times a unit direction must be a
+    finite float."""
+    radii = np.asarray(radii, dtype=float)
+    if (len(radii) if count is None else count) < 5:
+        raise ValueError("need at least 5 radii")
+    bad = radii[~((0.0 < radii) & (radii < math.inf))]
+    if bad.size:
+        raise ValueError(f"radii must be positive and finite, got {', '.join(f'{r:g}' for r in bad)}")
+    if radii.max() > _NORM_MAX:
+        raise ValueError(f"radii must be at most {_NORM_MAX:g}, so that their squares are finite floats, "
+                         f"got {radii.max():g}")
+    return radii
+
+
 def decay_fit(
     evaluator: Callable, direction: FrequencyPoint, radii, reference: float | None = None
 ) -> DecayReport:
@@ -563,12 +581,7 @@ def decay_fit(
     maxima exist (monotone profiles) all surviving points are used.
     """
     unit = direction.unit()
-    radii = np.asarray(radii, dtype=float)
-    if len(radii) < 5:
-        raise ValueError("need at least 5 radii")
-    bad = radii[~((0.0 < radii) & (radii < math.inf))]
-    if bad.size:
-        raise ValueError(f"radii must be positive and finite, got {', '.join(f'{r:g}' for r in bad)}")
+    radii = check_radii(radii)
     if np.any(radii[1:] <= radii[:-1]):
         raise ValueError("radii must be strictly increasing")
     if radii[-1] < 10.0 * radii[0] * (1.0 - 1e-12):

@@ -114,9 +114,9 @@ def test_count_on_square_corners_file(tmp_path, capsys):
     )
     assert code == 0
     body = (out / "count_simplex_k1_d2_seed0.csv").read_text()
-    assert "family,k,d,n,t,delta,count,algorithm,elapsed_seconds,seed" in body
-    assert "simplex,1,2,4,1,0.01,8,pruned,,0" in body
-    assert "count=8" in capsys.readouterr().out
+    assert "family,k,d,n,t,delta,count,seed\nsimplex,1,2,4,1,0.01,8,0\n" in body
+    line = capsys.readouterr().out
+    assert "count=8 elapsed=" in line and "algorithm" not in line
 
 
 def _write_square(tmp_path):
@@ -266,8 +266,8 @@ GOLDEN_REPORTS = {
          "--delta", "0.01", "--seed", "0"], 0,
         {"count_simplex_k1_d2_seed0.csv":
          "# generator=unknown\n# seed=0\n"
-         "family,k,d,n,t,delta,count,algorithm,elapsed_seconds,seed\n"
-         "simplex,1,2,4,1,0.01,8,pruned,,5\n"}),
+         "family,k,d,n,t,delta,count,seed\n"
+         "simplex,1,2,4,1,0.01,8,5\n"}),
     "energy": (
         ["energy", "--input", "SEEDED5", "--s-grid", "0.5;1;2", "--c", "0.7", "--seed", "0"], 0,
         {"energy_unknown_d2_n4_seed0.csv":
@@ -388,7 +388,7 @@ def test_config_file_with_flag_override(tmp_path):
                  "--out", str(out), "--seed", "7"])
     assert code == 0
     body = (out / "count_simplex_k1_d2_seed7.csv").read_text()
-    assert "simplex,1,2,4,1,0.01,8,pruned,,7" in body  # t and m overridden
+    assert "simplex,1,2,4,1,0.01,8,7" in body  # t and m overridden
 
 
 FT_SPHERE = ["ft", "--kind", "sphere", "--d", "3", "--rmin", "1", "--rmax", "20"]
@@ -399,6 +399,12 @@ COUNT_LATTICE = ["count", "--kind", "lattice", "--d", "2", "--m", "4", "--family
                  "--k", "1", "--t", "0.5", "--delta", "0.1"]
 BAD_INPUTS = [
     (FT_SPHERE + ["--nradii", "3"], "bad [ft]: need at least 5 radii"),
+    # the ray's ends and size are checked before its radii are built
+    (FT_SPHERE + ["--nradii", "-3"], "bad [ft]: need at least 5 radii"),
+    (["ft", "--kind", "sphere", "--d", "3", "--rmin", "-1", "--rmax", "10"],
+     "bad [ft]: radii must be positive and finite, got -1\n"),
+    (["ft", "--kind", "sphere", "--d", "3", "--rmin", "1", "--rmax", "1e308", "--nradii", "12"],
+     "bad [ft]: radii must be at most 1.34078e+154, so that their squares are finite floats, got 1e+308"),
     (FT_CHAIN + ["--epsilon", "0.5"], "bad [ft]: epsilon"),
     (FT_CHAIN + ["--samples", "100"], "bad [ft]: need at least 1e4 samples"),
     # the oracles are library references, not modes: no --algorithm, no

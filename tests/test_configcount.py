@@ -3,6 +3,7 @@ import inspect
 import itertools
 import math
 import operator
+import time
 import tracemalloc
 import weakref
 from collections import Counter
@@ -25,6 +26,7 @@ from configeo.configcount import (
     count_simplex_brute,
     count_volume,
     distinct_classes,
+    family_row,
     pair_order,
     run_query,
     _distance_blocks,
@@ -57,6 +59,12 @@ def micro_simplex_count(pts, k, t, delta):
     return count
 
 
+def brute(family, ps, t, delta):
+    """The oracle count of a scalar family at the k its row fixes in ps.dim."""
+    row = family_row(family)
+    return row.brute(ps.points, row.fixed_k(ps.dim), (t,), delta)
+
+
 def realized_target(ps, k, seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = rng.choice(ps.n, size=k + 1, replace=False)
@@ -71,13 +79,13 @@ def realized_target(ps, k, seed):
 
 
 def test_square_unit_edges():
-    for algo in ("pruned", "brute"):
-        assert count_simplex(SQUARE, 1, [1.0], 0.01, algorithm=algo).count == 8
+    for count in (count_simplex, count_simplex_brute):
+        assert count(SQUARE, 1, [1.0], 0.01).count == 8
 
 
 def test_equilateral_triples():
-    for algo in ("pruned", "brute"):
-        assert count_simplex(EQUILATERAL, 2, [1.0, 1.0, 1.0], 1e-6, algorithm=algo).count == 6
+    for count in (count_simplex, count_simplex_brute):
+        assert count(EQUILATERAL, 2, [1.0, 1.0, 1.0], 1e-6).count == 6
 
 
 def test_target_beyond_diameter_is_zero():
@@ -403,8 +411,6 @@ def test_simplex_validation():
         count_simplex(SQUARE, 1, [0.0], 0.01)  # nonpositive target
     with pytest.raises(ValueError):
         count_simplex(SQUARE, 1, [1.0], 0.0)  # delta <= 0
-    with pytest.raises(ValueError):
-        count_simplex(SQUARE, 1, [1.0], 0.01, algorithm="magic")
     for count in (count_simplex, count_simplex_brute):
         with pytest.raises(ValueError, match="k <= d"):
             count(SQUARE, 3, [1.0] * 6, 0.1)  # k > d
@@ -416,8 +422,7 @@ def test_simplex_validation():
 
 def test_volume_right_triangle():
     tri = PointSet(dim=2, points=[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    for algo in ("pruned", "brute"):
-        assert count_volume(tri, 1.0, 0.01, algorithm=algo).count == 6
+    assert count_volume(tri, 1.0, 0.01).count == brute("volume", tri, 1.0, 0.01) == 6
 
 
 def test_volume_collinear_zero_target():
@@ -432,8 +437,7 @@ def test_volume_coplanar_zero():
 
 def test_volume_unit_tetrahedron():
     tet = PointSet(dim=3, points=[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    for algo in ("pruned", "brute"):
-        assert count_volume(tet, 1.0, 1e-9, algorithm=algo).count == 24
+    assert count_volume(tet, 1.0, 1e-9).count == brute("volume", tet, 1.0, 1e-9) == 24
 
 
 @pytest.mark.parametrize("d,n", [(2, 12), (3, 9), (4, 8), (5, 8)])
@@ -445,10 +449,7 @@ def test_volume_fast_equals_brute(d, n):
         rows = ps.points[idx[:-1]] - ps.points[idx[-1]]
         t = abs(float(np.linalg.det(rows)))
         for delta in (0.0005, 0.01):
-            assert (
-                count_volume(ps, t, delta).count
-                == count_volume(ps, t, delta, algorithm="brute").count
-            )
+            assert count_volume(ps, t, delta).count == brute("volume", ps, t, delta)
 
 
 def test_volume_negative_target_error():
@@ -462,14 +463,14 @@ def test_volume_d4_generic_path():
     idx = rng.choice(7, size=5, replace=False)
     rows = ps.points[idx[:-1]] - ps.points[idx[-1]]
     t = abs(float(np.linalg.det(rows)))
-    assert count_volume(ps, t, 1e-4).count == count_volume(ps, t, 1e-4, algorithm="brute").count
+    assert count_volume(ps, t, 1e-4).count == brute("volume", ps, t, 1e-4)
     assert count_volume(ps, t, 1e-4).count >= 24  # the realizing tuple's relabelings
 
 
 def test_volume_d1_counts_segment_lengths():
     # at d = 1 a row has no legs, its normal is the empty minor 1 and its value |x_l - x_b|
     ps = gen_random(1, 6, seed=0)
-    assert count_volume(ps, 0.3, 0.1).count == count_volume(ps, 0.3, 0.1, algorithm="brute").count == 8
+    assert count_volume(ps, 0.3, 0.1).count == brute("volume", ps, 0.3, 0.1) == 8
 
 
 @pytest.mark.parametrize("t,want", [(0.0, 8160), (0.125, 6480), (0.25, 13440)])
@@ -482,7 +483,7 @@ def test_volume_d4_lattice_ties_are_exact(t, want):
                                          tuple(range(4)))) == t for s in itertools.combinations(range(len(pts)), 5))
     ps = PointSet(dim=4, points=pts)
     assert exact_count == want
-    assert count_volume(ps, t, 0.0).count == count_volume(ps, t, 0.0, algorithm="brute").count == want
+    assert count_volume(ps, t, 0.0).count == brute("volume", ps, t, 0.0) == want
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +505,7 @@ def test_area2_unit_triangle_in_3d():
 def test_area2_fast_equals_brute(d):
     ps = gen_random(d, 11, seed=25)
     for t, delta in ((0.1, 0.02), (0.25, 0.06)):
-        assert count_area2(ps, t, delta).count == count_area2(ps, t, delta, algorithm="brute").count
+        assert count_area2(ps, t, delta).count == brute("area2", ps, t, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +513,7 @@ def test_area2_fast_equals_brute(d):
 
 
 def test_square_right_angles():
-    for algo in ("pruned", "brute"):
-        assert count_angle(SQUARE, math.pi / 2.0, 0.01, algorithm=algo).count == 8
+    assert count_angle(SQUARE, math.pi / 2.0, 0.01).count == brute("angle", SQUARE, math.pi / 2.0, 0.01) == 8
 
 
 def test_collinear_straight_angles():
@@ -532,11 +532,11 @@ def test_angle_degenerate_apex_skipped():
     ps = PointSet(dim=2, points=[[0.5, 0.5], [0.5, 0.5], [0.9, 0.5], [0.5, 0.9]])
     # apex legs to the duplicate point are skipped, never an error
     report = count_angle(ps, math.pi / 2.0, 0.01)
-    assert report.count == count_angle(ps, math.pi / 2.0, 0.01, algorithm="brute").count
+    assert report.count == brute("angle", ps, math.pi / 2.0, 0.01)
     # so is a leg shorter than DEGENERATE_APEX_TOL that is not zero
     near = PointSet(dim=2, points=[[0.5, 0.5], [0.5 + 1e-13, 0.5], [0.9, 0.5], [0.5, 0.9]])
     for theta0 in (0.0, math.pi / 4.0, math.pi / 2.0):
-        assert count_angle(near, theta0, 0.01).count == count_angle(near, theta0, 0.01, algorithm="brute").count
+        assert count_angle(near, theta0, 0.01).count == brute("angle", near, theta0, 0.01)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -545,17 +545,13 @@ def test_angle_fast_equals_brute(d):
         ps = gen_random(d, 14, seed=seed)
         for theta0 in (0.3, math.pi / 2.0, 2.9):
             for delta in (0.01, 0.1):
-                assert (
-                    count_angle(ps, theta0, delta).count
-                    == count_angle(ps, theta0, delta, algorithm="brute").count
-                )
+                assert count_angle(ps, theta0, delta).count == brute("angle", ps, theta0, delta)
 
 
 def test_angle_fewer_than_three_points_count_zero():
     for points in ([[0, 0]], [[0, 0], [1, 1]]):
         ps = PointSet(dim=2, points=points)
-        for algo in ("pruned", "brute"):
-            assert count_angle(ps, 1.0, 0.01, algorithm=algo).count == 0
+        assert count_angle(ps, 1.0, 0.01).count == brute("angle", ps, 1.0, 0.01) == 0
 
 
 # differential checks of the triple counters (volume d=2, area2, angle) and
@@ -666,7 +662,7 @@ def test_triple_degenerate_sets_match_brute(family, data):
 
 
 def _assert_volume3_matches_brute(ps, t, delta):
-    assert count_volume(ps, t, delta).count == count_volume(ps, t, delta, algorithm="brute").count
+    assert count_volume(ps, t, delta).count == brute("volume", ps, t, delta)
 
 
 @settings(max_examples=40, deadline=None)
@@ -703,8 +699,7 @@ def test_volume_d3_degenerate_sets_match_brute(data):
 ])
 def test_volume_counts_each_ordering_of_a_split_set(points, t, want):
     ps = PointSet(dim=points.shape[1], points=points)
-    for algo in ("pruned", "brute"):
-        count = count_volume(ps, t, 0.0, algorithm=algo).count
+    for count in (count_volume(ps, t, 0.0).count, brute("volume", ps, t, 0.0)):
         assert count == want and type(count) is int  # reports serialize Python ints
 
 
@@ -789,8 +784,7 @@ def test_volume_zero_band_on_a_hyperplane_rechecks_every_set(monkeypatch, d, n):
 ])
 def test_area2_counts_each_ordering_of_a_split_set(points, t, want):
     ps = PointSet(dim=points.shape[1], points=points)
-    for algo in ("pruned", "brute"):
-        count = count_area2(ps, t, 0.0, algorithm=algo).count
+    for count in (count_area2(ps, t, 0.0).count, brute("area2", ps, t, 0.0)):
         assert count == want and type(count) is int
 
 
@@ -924,7 +918,7 @@ def test_phi_matches_simplex_on_square():
 def test_phi_accepts_a_tie_like_the_simplex_row():
     # the unit square's sides lie exactly delta from t: the closed band of every row takes them
     ps = gen_lattice(2, 2)
-    want = count_simplex(ps, 1, 0.5, 0.5, algorithm="brute").count
+    want = count_simplex_brute(ps, 1, 0.5, 0.5).count
     assert count_phi(ps, DISTANCE_PHI, [0.5], 0.5).count == want == 8
 
 
@@ -975,6 +969,11 @@ def _relabeled(pts: np.ndarray) -> list[np.ndarray]:
     return [pts[np.random.default_rng(seed).permutation(len(pts))] for seed in (1, 2)]
 
 
+def _halving_scale(family: str, d: int) -> float:
+    """2^(-j): the factor by which halving the coordinates scales every value of the family's map."""
+    return 2.0 ** -{"simplex": 1, "volume": d, "area2": 2, "angle": 0}[family]
+
+
 @pytest.mark.parametrize("family,ps,t,delta,want", [
     ("volume", gen_homogeneous(2, 20, seed=0), (0.1,), 0.005, 2_160_384),
     ("volume", gen_homogeneous(3, 5, seed=0), (0.02,), 0.002, 8_700_072),
@@ -988,11 +987,30 @@ def test_fast_counts_are_invariant_under_relabeling_and_halving(family, ps, t, d
     # past the oracle's budget: the oracle counts ordered tuples, so a permutation of the
     # points leaves every count alone, though it moves the kernels' apexes, row tables,
     # band splits and rechecks; halving the coordinates scales every value by 2^(-j) exactly
-    row, k = configcount.FAMILIES[family], _k(family, ps.points)
-    scale = 2.0 ** -{"simplex": 1, "volume": ps.dim, "area2": 2, "angle": 0}[family]
+    row, k, scale = configcount.FAMILIES[family], _k(family, ps.points), _halving_scale(family, ps.dim)
     counts = [row.fast(pts, k, t, delta) for pts in (ps.points, *_relabeled(ps.points))]
     counts.append(row.fast(ps.points * 0.5, k, tuple(x * scale for x in t), delta * scale))
     assert counts == [want] * 4
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_fast_counts_are_invariant_under_drawn_relabelings_and_halvings(data):
+    # n > 129, past every oracle comparison above; the target is a drawn tuple's own value, so it counts
+    family = data.draw(st.sampled_from(sorted(configcount.FAMILIES)))
+    d = 2 if family == "volume" else data.draw(st.sampled_from([2, 3]))
+    n = data.draw(st.integers(130, 200))
+    pts, row = gen_random(d, n, seed=data.draw(st.integers(0, 2**16))).points, configcount.FAMILIES[family]
+    k = data.draw(st.sampled_from(range(d, 0, -1))) if family == "simplex" else _k(family, pts)
+    tup = data.draw(st.lists(st.integers(0, n - 1), min_size=k + 1, max_size=k + 1, unique=True))
+    t = tuple(row.config_map(pts[tup][None])[0].tolist())
+    delta = data.draw(st.sampled_from([0.002, 0.01, 0.05]))
+    perm = np.array(data.draw(st.permutations(range(n))))
+    scale = _halving_scale(family, d)
+    want = row.fast(pts, k, t, delta)
+    assert want > 0
+    assert row.fast(pts[perm], k, t, delta) == want
+    assert row.fast(pts * 0.5, k, tuple(x * scale for x in t), delta * scale) == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -1053,6 +1071,32 @@ def test_classes_check_the_enumeration_budget_before_any_value(monkeypatch):
     assert calls == []
     ps = gen_random(2, 10, seed=0)  # 10^3 tuples: exactly at the budget
     assert distinct_classes(ps, 2, 0.05) == classes_reference(ps, 2, 0.05) and sum(calls) == math.comb(10, 3)
+
+
+def test_classes_refuse_more_classes_than_the_budget_before_the_first_chunk(monkeypatch):
+    # 1000 points at delta = 1e-9 pass the enumeration budget (10^9 tuples), but their
+    # C(1000, 3) classes would take about 35 GB
+    calls = []
+    simplex_values = configcount._simplex_values
+    monkeypatch.setattr(configcount, "_simplex_values",
+                        lambda tuples: calls.append(len(tuples)) or simplex_values(tuples))
+    ps = gen_random(2, 1000, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="up to 1.662e[+]08 congruence classes, over the class budget"):
+        distinct_classes(ps, 2, 1e-9)
+    assert time.perf_counter() - start < 0.5 and calls == []
+
+
+@pytest.mark.parametrize("ps,delta,bound", [
+    (gen_random(2, 10, seed=0), 1e-9, math.comb(10, 3)),  # every subset may be its own class
+    (gen_random(2, 40, seed=0), 0.5, 4**3),  # keys in {0, ..., 3}: R < sqrt(2) rounds to 3 deltas
+])
+def test_classes_budget_bounds_the_subsets_and_the_keys(monkeypatch, ps, delta, bound):
+    monkeypatch.setattr(configcount, "CLASS_BUDGET", bound - 1)
+    with pytest.raises(CapacityError, match=f"up to {bound} congruence classes"):
+        distinct_classes(ps, 2, delta)
+    monkeypatch.setattr(configcount, "CLASS_BUDGET", bound)
+    assert distinct_classes(ps, 2, delta) == classes_reference(ps, 2, delta) <= bound
 
 
 def test_classes_equilateral():
@@ -1158,13 +1202,12 @@ def test_run_query_dispatch():
 
 
 def test_run_query_counts_a_custom_map_by_its_row():
-    # run_query takes no algorithm: it counts with the row's counter, which
-    # equals count_phi, the row's oracle
+    # run_query counts with the row's counter, which is the row's oracle, as
+    # count_phi's is
     for t, delta, want in (((1.0,), 0.01, 8), ((2.0**0.5,), 0.01, 4), ((0.5,), 0.5, 8), ((3.0,), 0.1, 0)):
         query = ConfigQuery(family="custom", k=1, t=t, delta=delta, phi=DISTANCE_PHI)
         report = run_query(SQUARE, query)
         assert report.count == count_phi(SQUARE, DISTANCE_PHI, t, delta).count == want
-        assert report.algorithm == "pruned"
     assert "algorithm" not in inspect.signature(run_query).parameters
     with pytest.raises(ValueError, match="needs k = 1"):
         run_query(SQUARE, ConfigQuery(family="custom", k=2, t=(1.0,), delta=0.01, phi=DISTANCE_PHI))

@@ -644,6 +644,22 @@ def test_decay_fit_checks_radii_before_evaluating(radii, named):
     assert calls == []
 
 
+def test_decay_fit_refuses_a_radius_whose_square_is_not_a_finite_float():
+    calls = []
+
+    def spy(unit, rs):
+        calls.append(rs)
+        return np.ones(len(rs)), None
+
+    # the bound is FrequencyPoint.unit's on a direction's norm, just under 2^512
+    fp = FrequencyPoint.of([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="radii must be at most 1.34078e[+]154, .* got 1.3408e[+]154$"):
+        decay_fit(spy, fp, np.geomspace(1.0, 1.3408e154, 5))
+    assert calls == []
+    decay_fit(spy, fp, np.geomspace(1.0, 1.34078e154, 5))
+    assert len(calls) == 1 and calls[0][-1] ** 2 < math.inf
+
+
 def test_decay_fit_floor_gives_inconclusive():
     radii = np.geomspace(1.0, 100.0, 8)
     report = decay_fit(lambda u, rs: (np.zeros(len(rs)), None), FrequencyPoint.of([1.0]), radii)

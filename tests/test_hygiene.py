@@ -282,3 +282,52 @@ def test_the_scan_finds_unread_private_names():
                   "class _K:\n    pass\n")
     b = ast.parse("from a import _K\nimport a\nx = a._B\n")  # an import alone reads nothing
     assert _unread_private_names({"a": a, "b": b}) == ["a._C", "a._f", "a._K"]
+
+
+def _public_functions_taking(tree: ast.Module, param: str) -> list[str]:
+    """The public top-level functions of tree that take a parameter named param."""
+    return [top.name for top in tree.body
+            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_")
+            and any(isinstance(node, ast.arg) and node.arg == param for node in ast.walk(top.args))]
+
+
+def _fields(tree: ast.Module, cls: str) -> list[str]:
+    """The annotated fields of the top-level class cls of tree, in order."""
+    (top,) = [top for top in tree.body if isinstance(top, ast.ClassDef) and top.name == cls]
+    return [node.target.id for node in top.body if isinstance(node, ast.AnnAssign)]
+
+
+def _clock_users(tree: ast.Module) -> set[str]:
+    """Where tree uses the time module: 'import' for an import of it, else the
+    top-level function or class that reads one of its attributes, or '<module>'."""
+    users = set()
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Import) and any(alias.name == "time" for alias in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "time"):
+                users.add("import")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "time":
+                users.add(where)
+    return users
+
+
+def test_counts_go_through_the_family_row_untimed():
+    # every count runs its row's fast counter: no counter picks a kernel by name, a
+    # report is the query, n and the count, and the CLI alone times a count, for its
+    # summary line
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    assert {name: f for name, tree in trees.items() if (f := _public_functions_taking(tree, "algorithm"))} == {}
+    assert _fields(trees["configcount.py"], "CountReport") == ["query", "n", "count"]
+    assert {name: u for name, tree in trees.items() if (u := _clock_users(tree))} == {
+        "cli.py": {"import", "_cmd_count"}}
+
+
+def test_the_scans_find_parameters_fields_and_clocks():
+    tree = ast.parse("import time\nfrom time import sleep\n"
+                     "def f(x, *, algorithm='a'):\n    return time.perf_counter()\n"
+                     "def g(*algorithm):\n    pass\ndef _h(algorithm):\n    pass\n"
+                     "class R:\n    a: int\n    b = 2\n    c: str\nt = time.time()\n")
+    assert _public_functions_taking(tree, "algorithm") == ["f", "g"]
+    assert _fields(tree, "R") == ["a", "c"]
+    assert _clock_users(tree) == {"import", "f", "<module>"}
